@@ -3,9 +3,13 @@ curve-level wrapper producing a (factor, 4)-approximation with at most 4k
 centers of complexity <= ell.
 
 The two-level scheme samples a subset, clusters its metric closure, rechecks
-the worst-served points, and recurses once; the full closure is only ever
-built on sampled subsets (or on the whole set when the sample-size formula
-already covers it).
+the worst-served points, and recurses once. The framework works on a curve
+list and index arrays into it. The inner level (``k_routine``) computes the
+p-DTW matrix of its index set once and slices it for the sample's closure,
+the closure distances that pick the recheck set, and the recheck set's
+closure; the outer level (``k_median_sampled``) picks its recheck set by raw
+p-DTW to the inner level's centers. Closures are only built on sampled
+subsets, or on the whole set when the sample-size formula already covers it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .curves import Curve, ValidationError, new_rng, spawn_seeds
 from .closure import distances_from_set, shortest_path_closure
-from .dtw import dtw_aligned, dtw_matrix, dtw_self_matrix
+from .dtw import dtw_matrix, dtw_self_matrix
 from .kmedian import FiniteMetricInstance, kmedian_local_search
 from .simplify import simplify_2approx
 
@@ -36,11 +40,8 @@ class SamplingParams:
     m_size: int
 
     @classmethod
-    def for_instance(cls, n, k, eps, a_override=None):
-        if a_override is not None:
-            a = int(a_override)
-        else:
-            a = max(2, math.ceil((1.0 / eps) * math.sqrt(max(1.0, math.log(1.0 / eps)))))
+    def for_instance(cls, n, k, eps):
+        a = max(2, math.ceil((1.0 / eps) * math.sqrt(max(1.0, math.log(1.0 / eps)))))
         b = a * a
         lk = math.log(k + 1.0)
         s = min(n, math.ceil(a * math.sqrt(k * n * lk)))
@@ -65,106 +66,54 @@ class BicriteriaSolution:
         return len(self.centers)
 
 
-class DtwOracle:
-    """Pairwise p-DTW over a fixed curve list with memoized values."""
-
-    def __init__(self, curves, p):
-        self.curves = list(curves)
-        self.p = p
-        self._full = None
-        self._cache: dict[tuple[int, int], float] = {}
-
-    def __len__(self):
-        return len(self.curves)
-
-    def full(self):
-        if self._full is None:
-            self._full = dtw_self_matrix(self.curves, self.p)
-        return self._full
-
-    def submatrix(self, idx):
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size == len(self.curves) or self._full is not None:
-            return self.full()[np.ix_(idx, idx)]
-        out = np.zeros((idx.size, idx.size))
-        missing = []
-        for ai in range(idx.size):
-            for bi in range(ai + 1, idx.size):
-                key = (int(min(idx[ai], idx[bi])), int(max(idx[ai], idx[bi])))
-                v = self._cache.get(key)
-                if v is None:
-                    missing.append((ai, bi, key))
-                else:
-                    out[ai, bi] = out[bi, ai] = v
-        if missing:
-            values = dtw_aligned(
-                [self.curves[key[0]] for _, _, key in missing],
-                [self.curves[key[1]] for _, _, key in missing],
-                self.p,
-            )
-            for (ai, bi, key), v in zip(missing, values):
-                self._cache[key] = float(v)
-                out[ai, bi] = out[bi, ai] = float(v)
-        return out
-
-    def cross(self, rows, cols):
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        if self._full is not None:
-            return self._full[np.ix_(rows, cols)]
-        return dtw_matrix(
-            [self.curves[i] for i in rows], [self.curves[j] for j in cols], self.p
-        )
+def _solve_on_closure(base, k, eps, solver, seed):
+    """Run the metric k-median solver on the closure of a p-DTW matrix;
+    returns the sorted positions of its centers (at most k)."""
+    n = base.shape[0]
+    closure = shortest_path_closure(base) if n > 1 else np.zeros((1, 1))
+    inst = FiniteMetricInstance(closure, np.ones(n), min(k, n))
+    return np.sort(np.asarray(solver(inst, eps, seed).centers, dtype=np.intp))
 
 
-def _solve_on_closure(oracle, idx, k, eps, solver, seed):
-    """Run the metric k-median solver on the closure of the index subset;
-    returns global indices (at most k)."""
-    base = oracle.submatrix(idx)
-    closure = shortest_path_closure(base) if idx.size > 1 else np.zeros((1, 1))
-    kk = min(k, idx.size)
-    inst = FiniteMetricInstance(closure, np.ones(idx.size), kk)
-    sol = solver(inst, eps, seed)
-    return np.asarray(sorted(idx[list(sol.centers)]), dtype=np.intp)
-
-
-def k_routine(oracle, idx, k, eps, solver, seed, a_override=None):
-    """Inner level: sample, cluster the sample's closure, recluster the
-    m_size worst points by closure distance. Returns <= 2k global indices."""
+def k_routine(curves, p, idx, k, eps, solver, seed):
+    """Inner level over curves[idx]: sample, cluster the sample's closure,
+    recluster the m_size worst points by closure distance. Returns <= 2k
+    indices into ``curves``."""
     idx = np.asarray(idx, dtype=np.intp)
     n = idx.size
-    params = SamplingParams.for_instance(n, k, eps, a_override)
+    params = SamplingParams.for_instance(n, k, eps)
     rng = new_rng(seed)
     seeds = spawn_seeds(seed, 3)
+    base = dtw_self_matrix([curves[i] for i in idx], p)
     if n <= params.s:
-        return _solve_on_closure(oracle, idx, k, eps, solver, seeds[0])
+        return idx[_solve_on_closure(base, k, eps, solver, seeds[0])]
     sample = np.sort(rng.choice(n, size=params.s, replace=False))
-    c_prime = _solve_on_closure(oracle, idx[sample], k, eps, solver, seeds[0])
-    base = oracle.submatrix(idx)
-    local_centers = np.searchsorted(idx, c_prime)
-    dists = distances_from_set(base, local_centers)
+    c_prime = sample[_solve_on_closure(base[np.ix_(sample, sample)], k, eps, solver, seeds[0])]
+    dists = distances_from_set(base, c_prime)
     order = np.lexsort((np.arange(n), -dists))
-    m_idx = idx[np.sort(order[: params.m_size])]
-    c_second = _solve_on_closure(oracle, m_idx, k, eps, solver, seeds[1])
-    return np.unique(np.concatenate([c_prime, c_second]))
+    recheck = np.sort(order[: params.m_size])
+    c_second = recheck[
+        _solve_on_closure(base[np.ix_(recheck, recheck)], k, eps, solver, seeds[1])
+    ]
+    return np.unique(idx[np.concatenate([c_prime, c_second])])
 
 
-def k_median_sampled(oracle, idx, k, eps, solver, seed, a_override=None):
+def k_median_sampled(curves, p, idx, k, eps, solver, seed):
     """Outer level: like k_routine but recursing into it, with the recheck
-    set selected by raw distances. Returns <= 4k global indices."""
+    set selected by raw distances. Returns <= 4k indices into ``curves``."""
     idx = np.asarray(idx, dtype=np.intp)
     n = idx.size
-    params = SamplingParams.for_instance(n, k, eps, a_override)
+    params = SamplingParams.for_instance(n, k, eps)
     rng = new_rng(seed)
     seeds = spawn_seeds(seed, 3)
     if n <= params.s:
-        return k_routine(oracle, idx, k, eps, solver, seeds[0], a_override)
+        return k_routine(curves, p, idx, k, eps, solver, seeds[0])
     sample = np.sort(rng.choice(n, size=params.s, replace=False))
-    c_prime = k_routine(oracle, idx[sample], k, eps, solver, seeds[0], a_override)
-    raw = oracle.cross(idx, c_prime).min(axis=1)
+    c_prime = k_routine(curves, p, idx[sample], k, eps, solver, seeds[0])
+    raw = dtw_matrix([curves[i] for i in idx], [curves[j] for j in c_prime], p).min(axis=1)
     order = np.lexsort((np.arange(n), -raw))
     m_idx = idx[np.sort(order[: params.m_size])]
-    c_second = k_routine(oracle, m_idx, k, eps, solver, seeds[1], a_override)
+    c_second = k_routine(curves, p, m_idx, k, eps, solver, seeds[1])
     return np.unique(np.concatenate([c_prime, c_second]))
 
 
@@ -177,7 +126,6 @@ def bicriteria_klmedian(
     seed=0,
     repetitions=3,
     solver=kmedian_local_search,
-    a_override=None,
 ) -> BicriteriaSolution:
     """2-approximate ell-simplifications followed by the sampled k-median
     framework on their p-DTW; centers are simplification curves, assignments
@@ -193,12 +141,9 @@ def bicriteria_klmedian(
     if k < 1 or ell < 1:
         raise ValidationError("k and ell must be >= 1")
     simplified = [simplify_2approx(c, ell, p) for c in curves]
-    oracle = DtwOracle(simplified, p)
     best = None
     for rep_seed in spawn_seeds(seed, repetitions):
-        centers_idx = k_median_sampled(
-            oracle, np.arange(n), k, eps, solver, rep_seed, a_override
-        )
+        centers_idx = k_median_sampled(simplified, p, np.arange(n), k, eps, solver, rep_seed)
         center_curves = [simplified[i] for i in centers_idx]
         cross = dtw_matrix(curves, center_curves, p)
         assignment = np.argmin(cross, axis=1)

@@ -31,19 +31,17 @@ from .curves import (
     save_curves,
     save_weighted,
 )
-from .dtw import adtw, dtw, set_num_threads
+from .dtw import adtw, dtw
 from .pipeline import cluster_via_closure, emit_coreset_only, evaluate, kl_median
 from .simplify import simplify_set
 
 
-def common_options(fn):
-    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True)(fn)
-    fn = click.option("--output", type=click.Path(dir_okay=False), default=None)(fn)
-    fn = click.option(
-        "--format", "fmt", type=click.Choice(["json", "csv"]), default="json"
-    )(fn)
-    return fn
+# each command takes --output; only those that read them take --seed and --format
+output_option = click.option("--output", type=click.Path(dir_okay=False), default=None)
+seed_option = click.option("--seed", type=int, default=0, show_default=True)
+format_option = click.option(
+    "--format", "fmt", type=click.Choice(["json", "csv"]), default="json"
+)
 
 
 def _emit(text, output):
@@ -72,11 +70,10 @@ def main():
 @click.option("--eps", default="off", show_default=True, help="real, or 'off'")
 @click.argument("file_a", type=click.Path(exists=True))
 @click.argument("file_b", type=click.Path(exists=True))
-@common_options
-def dtw_cmd(p, eps, file_a, file_b, seed, threads, output, fmt):
+@output_option
+def dtw_cmd(p, eps, file_a, file_b, output):
     """Exact distance between the first curves of two files, plus the
     quantized approximation when --eps is set."""
-    set_num_threads(threads)
     a = _load(file_a)[0]
     b = _load(file_b)[0]
     result = dtw(a, b, p)
@@ -104,10 +101,9 @@ def dtw_cmd(p, eps, file_a, file_b, seed, threads, output, fmt):
 )
 @click.option("--eps", type=float, default=0.1, show_default=True)
 @click.argument("file", type=click.Path(exists=True))
-@common_options
-def simplify_cmd(ell, p, method, eps, file, seed, threads, output, fmt):
+@output_option
+def simplify_cmd(ell, p, method, eps, file, output):
     """Write simplified curves as jsonl."""
-    set_num_threads(threads)
     curves = _load(file)
     simplified = simplify_set(curves, ell, p, method, eps)
     lines = [
@@ -119,10 +115,10 @@ def simplify_cmd(ell, p, method, eps, file, seed, threads, output, fmt):
 @main.command("closure")
 @click.option("--p", type=float, default=1.0, show_default=True)
 @click.argument("file", type=click.Path(exists=True))
-@common_options
-def closure_cmd(p, file, seed, threads, output, fmt):
+@output_option
+@format_option
+def closure_cmd(p, file, output, fmt):
     """Metric-closure distance matrix as CSV with an id header row."""
-    set_num_threads(threads)
     curves = _load(file)
     mc = build_closure(curves, p)
     rows = [["id", *mc.ids]]
@@ -141,8 +137,9 @@ def closure_cmd(p, file, seed, threads, output, fmt):
 @click.option("--m", type=int, default=16, show_default=True)
 @click.option("--d", type=int, default=2, show_default=True)
 @click.option("--noise", type=float, default=0.5, show_default=True)
-@common_options
-def gen_cmd(clusters, per_cluster, m, d, noise, seed, threads, output, fmt):
+@output_option
+@seed_option
+def gen_cmd(clusters, per_cluster, m, d, noise, seed, output):
     """Generate a planted-cluster synthetic curve set (jsonl)."""
     cs = gen_synthetic(clusters, per_cluster, m, d, noise, seed)
     if output:
@@ -160,11 +157,11 @@ def gen_cmd(clusters, per_cluster, m, d, noise, seed, threads, output, fmt):
 @click.option("--eps", type=float, default=0.5, show_default=True)
 @click.option("--repetitions", type=int, default=3, show_default=True)
 @click.argument("file", type=click.Path(exists=True))
-@common_options
-def bicriteria_cmd(k, ell, p, eps, repetitions, file, seed, threads, output, fmt):
+@output_option
+@seed_option
+def bicriteria_cmd(k, ell, p, eps, repetitions, file, seed, output):
     """Bicriteria (<=4k centers) clustering; emits centers jsonl and an
     assignment CSV next to --output, or one JSON document on stdout."""
-    set_num_threads(threads)
     curves = _load(file)
     sol = bicriteria_klmedian(curves, k, ell, p, eps, seed, repetitions)
     if output:
@@ -213,10 +210,10 @@ def bicriteria_cmd(k, ell, p, eps, repetitions, file, seed, threads, output, fmt
 @click.option("--alpha", type=float, default=None, help="override the alpha factor")
 @click.option("--constant", type=float, default=0.05, show_default=True)
 @click.argument("file", type=click.Path(exists=True))
-@common_options
-def coreset_cmd(k, ell, p, eps, delta, size, alpha, constant, file, seed, threads, output, fmt):
+@output_option
+@seed_option
+def coreset_cmd(k, ell, p, eps, delta, size, alpha, constant, file, seed, output):
     """Sensitivity-sampled weighted coreset (jsonl) plus its size report."""
-    set_num_threads(threads)
     curves = _load(file)
     cfg = PipelineConfig(
         k=k,
@@ -263,10 +260,11 @@ def _cluster_output(result, fmt, output, input_curves):
 @click.option("--constant", type=float, default=0.05, show_default=True)
 @click.option("--repetitions", type=int, default=3, show_default=True)
 @click.argument("file", type=click.Path(exists=True))
-@common_options
-def cluster_cmd(k, ell, p, eps, delta, size, alpha, constant, repetitions, file, seed, threads, output, fmt):
+@output_option
+@seed_option
+@format_option
+def cluster_cmd(k, ell, p, eps, delta, size, alpha, constant, repetitions, file, seed, output, fmt):
     """Full (k,l)-median pipeline."""
-    set_num_threads(threads)
     curves = _load(file)
     cfg = PipelineConfig(
         k=k,
@@ -296,10 +294,11 @@ def cluster_cmd(k, ell, p, eps, delta, size, alpha, constant, repetitions, file,
     show_default=True,
 )
 @click.argument("file", type=click.Path(exists=True))
-@common_options
-def cluster_exact_route_cmd(k, ell, p, eps, method, file, seed, threads, output, fmt):
+@output_option
+@seed_option
+@format_option
+def cluster_exact_route_cmd(k, ell, p, eps, method, file, seed, output, fmt):
     """Simplify everything, build the full closure, cluster it."""
-    set_num_threads(threads)
     curves = _load(file)
     result = cluster_via_closure(curves, k, ell, p, eps, method, seed)
     _cluster_output(result, fmt, output, curves)
@@ -309,10 +308,10 @@ def cluster_exact_route_cmd(k, ell, p, eps, method, file, seed, threads, output,
 @click.option("--p", type=float, default=1.0, show_default=True)
 @click.option("--centers", "centers_file", type=click.Path(exists=True), required=True)
 @click.argument("file", type=click.Path(exists=True))
-@common_options
-def eval_cmd(p, centers_file, file, seed, threads, output, fmt):
+@output_option
+@format_option
+def eval_cmd(p, centers_file, file, output, fmt):
     """Cost and per-center breakdown of a center file against a curve file."""
-    set_num_threads(threads)
     curves = _load(file)
     centers = _load(centers_file)
     report = evaluate(curves, centers, p)

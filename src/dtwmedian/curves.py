@@ -1,9 +1,7 @@
 """Core domain types, dataset ingestion/serialization and synthetic data.
 
 All curve coordinates are float64. Types are immutable after construction
-and safe to share across threads. Every distance comparison elsewhere in the
-package uses an absolute slack of 1e-9 (``TOLERANCE``) unless stated
-otherwise.
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-
-TOLERANCE = 1e-9
 
 
 class ValidationError(ValueError):

@@ -1,10 +1,19 @@
-"""Exact p-DTW via dynamic programming, a brute-force oracle, and the
-quantized approximate distance with its ball-membership predicate.
+"""Exact p-DTW, a brute-force oracle, and the quantized approximate distance
+with its ball-membership predicate, all computed by one dynamic program.
 
-Conventions: traversal index pairs are 0-based, starting at (0, 0) and ending
-at (m-1, l-1) with steps in {(1,0), (0,1), (1,1)}. Costs are accumulated in
-p-th power space and rooted once; for p > 32 distances are rescaled by their
-maximum first so the powers cannot overflow.
+Traversal index pairs are 0-based, from (0, 0) to (m-1, l-1) with steps in
+{(1,0), (0,1), (1,1)}. The kernel ``_accumulate`` works on a batch-last
+(m+1, l+1, n) table for n pairs of complexities m and l, pointwise costs in
+its interior, and accumulates one anti-diagonal of all n pairs per numpy
+step. ``dtw`` walks its traversal back from the table, ``ball_membership``
+runs the kernel on quantized costs, and every batched value comes from
+``_pair_values``, which groups, pads and chunks the pairs.
+
+Costs are accumulated as p-th powers and rooted once, by one rule for every
+entry point: identity for p = 1, square and ``sqrt`` for p = 2, and
+``np.float_power`` (elementwise C ``pow``) otherwise, so all entry points
+give the same bits for the same pair. For p > 32 each pair's distances are
+first divided by their largest finite value, so the powers cannot overflow.
 """
 
 from __future__ import annotations
@@ -17,10 +26,11 @@ import numpy as np
 from .curves import Curve, ValidationError
 
 _OVERFLOW_SAFE_P = 32.0
+_BLOCK_CELLS = 2**24  # per-chunk budget of DP cells times the dimension
 
-# tie-break order for equal DP predecessors: diagonal, then advancing the
-# second curve, then the first
-_STEP_DIAG, _STEP_SECOND, _STEP_FIRST = 0, 1, 2
+# backward moves (first, second) in tie-break order for equal DP
+# predecessors: diagonal, then advancing the second curve, then the first
+_BACK_STEPS = ((1, 1), (0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -66,29 +76,130 @@ def _check_pair(a: Curve, b: Curve):
         )
 
 
-def _point_distances(a: Curve, b: Curve):
-    diff = a.points[:, None, :] - b.points[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
+# ---------------------------------------------------------------------------
+# the kernel
+# ---------------------------------------------------------------------------
 
 def _pth_powers(dist, p):
-    if p == 1.0:
-        return dist, 1.0
+    """Raise distances (pairs along the last axis) to the p-th power in place
+    and return the per-pair scale the root is multiplied by.
+
+    For p > 32 each pair is first divided by its largest finite distance;
+    infinite entries stay infinite.
+    """
+    scale = np.ones(dist.shape[-1])
+    if p > _OVERFLOW_SAFE_P:
+        finite = np.where(np.isfinite(dist), dist, 0.0)
+        scale = finite.reshape(-1, dist.shape[-1]).max(axis=0)
+        scale[scale == 0.0] = 1.0
+        dist /= scale
     if p == 2.0:
-        return dist * dist, 1.0
-    if p <= _OVERFLOW_SAFE_P:
-        return dist**p, 1.0
-    scale = float(np.max(dist))
-    if scale == 0.0:
-        return np.zeros_like(dist), 1.0
-    return (dist / scale) ** p, scale
+        np.multiply(dist, dist, out=dist)
+    elif p != 1.0:
+        np.float_power(dist, p, out=dist)
+    return scale
 
 
 def _root(total, p, scale):
-    if total == 0.0:
-        return 0.0
-    return scale * float(total) ** (1.0 / p)
+    """Per-pair p-th root of accumulated powers, times the scale."""
+    if p == 2.0:
+        total = np.sqrt(total)
+    elif p != 1.0:
+        total = np.float_power(total, 1.0 / p)
+    return total * scale
 
+
+def _distance_table(pa, pb):
+    """Kernel table for n pairs: pointwise distances between pa (m, d, n) and
+    pb (l, d, n) in the interior of an (m+1, l+1, n) array."""
+    m, d, n = pa.shape
+    table = np.empty((m + 1, pb.shape[0] + 1, n))
+    dist = table[1:, 1:]
+    dist[...] = 0.0
+    for k in range(d):
+        diff = pa[:, None, k] - pb[None, :, k]
+        diff *= diff
+        dist += diff
+    np.sqrt(dist, out=dist)
+    return table
+
+
+def _accumulate(table, p):
+    """The DTW dynamic program, in place, for every pair of the table;
+    returns the per-pair p-DTW values.
+
+    The interior's nonnegative costs are raised to the p-th power; afterwards
+    table[i, j] is the least p-th power cost of a traversal of the first i
+    points of one curve and the first j of the other.
+    """
+    if not p >= 1.0:
+        raise ValidationError("p must be >= 1")
+    m, l, n = table.shape[0] - 1, table.shape[1] - 1, table.shape[2]
+    scale = _pth_powers(table[1:, 1:], p)
+    table[0] = np.inf
+    table[:, 0] = np.inf
+    table[0, 0] = 0.0
+    # in the flattened table the cells (i, s - i) of anti-diagonal s lie l
+    # apart, and their predecessors sit l + 2, l + 1 and 1 places earlier
+    flat = table.reshape((m + 1) * (l + 1), n)
+    for s in range(2, m + l + 1):
+        start = s + max(1, s - l) * l
+        stop = s + min(m, s - 1) * l + 1
+        best = np.minimum(
+            flat[start - l - 2 : stop - l - 2 : l], flat[start - l - 1 : stop - l - 1 : l]
+        )
+        np.minimum(best, flat[start - 1 : stop - 1 : l], out=best)
+        flat[start:stop:l] += best
+    return _root(table[-1, -1], p, scale)
+
+
+def _traceback(acc):
+    """Cheapest traversal of one pair's accumulated (m+1, l+1) table."""
+    i, j = acc.shape[0] - 1, acc.shape[1] - 1
+    pairs = [(i - 1, j - 1)]
+    while (i, j) != (1, 1):
+        step = np.argmin((acc[i - 1, j - 1], acc[i, j - 1], acc[i - 1, j]))
+        di, dj = _BACK_STEPS[step]
+        i, j = i - di, j - dj
+        pairs.append((i - 1, j - 1))
+    return Traversal(tuple(reversed(pairs)))
+
+
+def _pair_values(curves, rows, cols, p):
+    """p-DTW values of the pairs (curves[rows[t]], curves[cols[t]]).
+
+    Pairs are grouped by their complexities and evaluated in chunks of at
+    most ``_BLOCK_CELLS`` cells times the dimension.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    out = np.zeros(rows.size)
+    if rows.size == 0:
+        return out
+    d = curves[0].dimension
+    for c in curves:
+        if c.dimension != d:
+            raise ValidationError(f"dimension mismatch: curve {c.id!r}")
+    comp = np.array([c.complexity for c in curves])
+    mmax = int(comp.max())
+    padded = np.zeros((mmax, d, len(curves)))
+    for i, c in enumerate(curves):
+        padded[: c.complexity, :, i] = c.points
+    keys = comp[rows] * (mmax + 1) + comp[cols]
+    for key in np.unique(keys):
+        members = np.flatnonzero(keys == key)
+        ma, mb = divmod(int(key), mmax + 1)
+        block = max(1, _BLOCK_CELLS // (ma * mb * d))
+        for start in range(0, members.size, block):
+            chunk = members[start : start + block]
+            table = _distance_table(padded[:ma, :, rows[chunk]], padded[:mb, :, cols[chunk]])
+            out[chunk] = _accumulate(table, p)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exact distance
+# ---------------------------------------------------------------------------
 
 def dtw(a: Curve, b: Curve, p=1.0) -> DtwResult:
     """Exact p-DTW with a cost-attaining traversal.
@@ -96,59 +207,54 @@ def dtw(a: Curve, b: Curve, p=1.0) -> DtwResult:
     Ties between DP predecessors are broken deterministically: diagonal step
     first, then the step advancing the second curve, then the first.
     """
-    if not p >= 1.0:
-        raise ValidationError("p must be >= 1")
     _check_pair(a, b)
-    m, l = a.complexity, b.complexity
-    cost, scale = _pth_powers(_point_distances(a, b), p)
-
-    acc = np.full((m + 1, l + 1), np.inf)
-    acc[0, 0] = 0.0
-    back = np.zeros((m, l), dtype=np.int8)
-    for i in range(m):
-        row = acc[i + 1]
-        prev = acc[i]
-        crow = cost[i]
-        for j in range(l):
-            diag, second, first = prev[j], row[j], prev[j + 1]
-            best, step = diag, _STEP_DIAG
-            if second < best:
-                best, step = second, _STEP_SECOND
-            if first < best:
-                best, step = first, _STEP_FIRST
-            row[j + 1] = crow[j] + best
-            back[i, j] = step
-
-    pairs = []
-    i, j = m - 1, l - 1
-    while True:
-        pairs.append((i, j))
-        if i == 0 and j == 0:
-            break
-        step = back[i, j]
-        if step == _STEP_DIAG:
-            i, j = i - 1, j - 1
-        elif step == _STEP_SECOND:
-            j -= 1
-        else:
-            i -= 1
-    pairs.reverse()
-    return DtwResult(_root(acc[m, l], p, scale), Traversal(tuple(pairs)))
+    table = _distance_table(a.points[:, :, None], b.points[:, :, None])
+    value = float(_accumulate(table, p)[0])
+    return DtwResult(value, _traceback(table[:, :, 0]))
 
 
 def dtw_value(a: Curve, b: Curve, p=1.0) -> float:
     """p-DTW value only (no traversal recovery)."""
-    return float(dtw_matrix([a], [b], p)[0, 0])
+    return float(_pair_values([a, b], [0], [1], p)[0])
 
 
 def traversal_cost(a: Curve, b: Curve, traversal: Traversal, p=1.0) -> float:
     """Induced cost of a traversal: the lp-aggregate of its pointwise distances."""
     _check_pair(a, b)
     dist = np.array(
-        [np.linalg.norm(a.points[i] - b.points[j]) for i, j in traversal.pairs]
+        [[np.linalg.norm(a.points[i] - b.points[j])] for i, j in traversal.pairs]
     )
-    powers, scale = _pth_powers(dist, p)
-    return _root(powers.sum(), p, scale)
+    scale = _pth_powers(dist, p)
+    return float(_root(dist.sum(axis=0), p, scale)[0])
+
+
+def dtw_matrix(curves_a, curves_b, p=1.0):
+    """All-pairs p-DTW values between two curve lists, as an (na, nb) array."""
+    curves_a = list(curves_a)
+    curves_b = list(curves_b)
+    na, nb = len(curves_a), len(curves_b)
+    rows = np.repeat(np.arange(na), nb)
+    cols = na + np.tile(np.arange(nb), na)
+    return _pair_values(curves_a + curves_b, rows, cols, p).reshape(na, nb)
+
+
+def dtw_aligned(curves_a, curves_b, p=1.0):
+    """Elementwise p-DTW values dtw(curves_a[i], curves_b[i]), batched."""
+    curves_a = list(curves_a)
+    curves_b = list(curves_b)
+    n = len(curves_a)
+    if n != len(curves_b):
+        raise ValidationError("aligned lists must have equal length")
+    return _pair_values(curves_a + curves_b, np.arange(n), n + np.arange(n), p)
+
+
+def dtw_self_matrix(curves, p=1.0):
+    """Symmetric all-pairs p-DTW matrix of one curve list (zero diagonal)."""
+    curves = list(curves)
+    out = np.zeros((len(curves), len(curves)))
+    rows, cols = np.triu_indices(len(curves), k=1)
+    out[rows, cols] = out[cols, rows] = _pair_values(curves, rows, cols, p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,154 +297,6 @@ def dtw_brute(a: Curve, b: Curve, p=1.0) -> DtwResult:
 
 
 # ---------------------------------------------------------------------------
-# batched values
-# ---------------------------------------------------------------------------
-
-_BLOCK_CELLS = 2**24  # per-chunk budget of DP cells
-_num_threads = 1
-
-
-def set_num_threads(n):
-    """Worker threads for batched all-pairs computation (numpy releases the
-    GIL on the large array ops, so this gives real parallelism there)."""
-    global _num_threads
-    _num_threads = max(1, int(n))
-
-
-def _map_chunks(fn, tasks):
-    if _num_threads > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=_num_threads) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
-def _batched_dp(pa, pb, p):
-    """DTW values for aligned batches of equal-shape point arrays."""
-    n, ma, _ = pa.shape
-    mb = pb.shape[1]
-    diff = pa[:, :, None, :] - pb[:, None, :, :]
-    dist = np.sqrt(np.einsum("bijk,bijk->bij", diff, diff))
-    if p == 1.0:
-        cost, scale = dist, None
-    elif p == 2.0:
-        cost, scale = dist * dist, None
-    elif p <= _OVERFLOW_SAFE_P:
-        cost, scale = dist**p, None
-    else:
-        scale = np.maximum(dist.max(axis=(1, 2)), 1e-300)
-        cost = (dist / scale[:, None, None]) ** p
-    acc = np.full((n, ma + 1, mb + 1), np.inf)
-    acc[:, 0, 0] = 0.0
-    for i in range(ma):
-        for j in range(mb):
-            best = np.minimum(
-                acc[:, i, j], np.minimum(acc[:, i, j + 1], acc[:, i + 1, j])
-            )
-            acc[:, i + 1, j + 1] = cost[:, i, j] + best
-    total = acc[:, ma, mb]
-    out = total ** (1.0 / p) if p != 1.0 else total
-    if scale is not None:
-        out = out * scale
-    return out
-
-
-def dtw_matrix(curves_a, curves_b, p=1.0):
-    """All-pairs p-DTW values between two curve lists, as an (na, nb) array.
-
-    Pairs are grouped by their complexity pair and evaluated with a batched
-    DP; results match the scalar dtw within float rounding.
-    """
-    curves_a = list(curves_a)
-    curves_b = list(curves_b)
-    if not curves_a or not curves_b:
-        return np.zeros((len(curves_a), len(curves_b)))
-    d = curves_a[0].dimension
-    for c in curves_a + curves_b:
-        if c.dimension != d:
-            raise ValidationError(f"dimension mismatch: curve {c.id!r}")
-    out = np.zeros((len(curves_a), len(curves_b)))
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for ia, ca in enumerate(curves_a):
-        for ib, cb in enumerate(curves_b):
-            groups.setdefault((ca.complexity, cb.complexity), []).append((ia, ib))
-    for (ma, mb), pairs in groups.items():
-        block = max(1, _BLOCK_CELLS // (ma * mb * d))
-        for start in range(0, len(pairs), block):
-            chunk = pairs[start : start + block]
-            pa = np.stack([curves_a[ia].points for ia, _ in chunk])
-            pb = np.stack([curves_b[ib].points for _, ib in chunk])
-            values = _batched_dp(pa, pb, p)
-            for (ia, ib), v in zip(chunk, values):
-                out[ia, ib] = v
-    return out
-
-
-def dtw_aligned(curves_a, curves_b, p=1.0):
-    """Elementwise p-DTW values dtw(curves_a[i], curves_b[i]), batched."""
-    curves_a = list(curves_a)
-    curves_b = list(curves_b)
-    if len(curves_a) != len(curves_b):
-        raise ValidationError("aligned lists must have equal length")
-    out = np.zeros(len(curves_a))
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (ca, cb) in enumerate(zip(curves_a, curves_b)):
-        if ca.dimension != cb.dimension:
-            raise ValidationError(f"dimension mismatch: {ca.id!r} vs {cb.id!r}")
-        groups.setdefault((ca.complexity, cb.complexity), []).append(i)
-    for (ma, mb), members in groups.items():
-        d = curves_a[members[0]].dimension
-        block = max(1, _BLOCK_CELLS // (ma * mb * d))
-        for start in range(0, len(members), block):
-            chunk = members[start : start + block]
-            pa = np.stack([curves_a[i].points for i in chunk])
-            pb = np.stack([curves_b[i].points for i in chunk])
-            out[chunk] = _batched_dp(pa, pb, p)
-    return out
-
-
-def dtw_self_matrix(curves, p=1.0):
-    """Symmetric all-pairs p-DTW matrix of one curve list (zero diagonal)."""
-    curves = list(curves)
-    n = len(curves)
-    out = np.zeros((n, n))
-    if n < 2:
-        return out
-    d = curves[0].dimension
-    for c in curves:
-        if c.dimension != d:
-            raise ValidationError(f"dimension mismatch: curve {c.id!r}")
-    comp = np.array([c.complexity for c in curves])
-    mmax = int(comp.max())
-    padded = np.zeros((n, mmax, d))
-    for i, c in enumerate(curves):
-        padded[i, : c.complexity] = c.points
-    rows, cols = np.triu_indices(n, k=1)
-    keys = comp[rows] * (mmax + 1) + comp[cols]
-    tasks = []
-    for key in np.unique(keys):
-        members = np.flatnonzero(keys == key)
-        ma = int(comp[rows[members[0]]])
-        mb = int(comp[cols[members[0]]])
-        block = max(1, _BLOCK_CELLS // (ma * mb * d))
-        for start in range(0, members.size, block):
-            tasks.append(members[start : start + block])
-
-    def run(members):
-        ma = int(comp[rows[members[0]]])
-        mb = int(comp[cols[members[0]]])
-        pa = padded[rows[members], :ma]
-        pb = padded[cols[members], :mb]
-        return _batched_dp(pa, pb, p)
-
-    for members, values in zip(tasks, _map_chunks(run, tasks)):
-        out[rows[members], cols[members]] = values
-        out[cols[members], rows[members]] = values
-    return out
-
-
-# ---------------------------------------------------------------------------
 # quantized approximate distance
 # ---------------------------------------------------------------------------
 
@@ -361,31 +319,16 @@ def ball_membership(tau: Curve, sigma: Curve, r, p=1.0, eps=1.0) -> int:
     if not p >= 1.0:
         raise ValidationError("p must be >= 1")
     _check_pair(tau, sigma)
-    l, m = tau.complexity, sigma.complexity
-    zeta = float(m + l) ** (1.0 / p)
+    zeta = float(tau.complexity + sigma.complexity) ** (1.0 / p)
     e = eps / zeta
     zmax = math.floor(1.0 / e + 1.0)
     pitch = e * r
 
-    dist = _point_distances(tau, sigma)
-    z = np.ceil(dist / pitch)
-    np.maximum(z, 1.0, out=z)
-    phi = np.where(z <= zmax, z * pitch, np.inf)
-
-    acc = np.full((l + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    if p <= _OVERFLOW_SAFE_P:
-        cost, scale = phi**p, 1.0
-    else:
-        finite = phi[np.isfinite(phi)]
-        scale = float(finite.max()) if finite.size else 1.0
-        cost = (phi / scale) ** p
-    for i in range(l):
-        for j in range(m):
-            best = min(acc[i, j], acc[i, j + 1], acc[i + 1, j])
-            acc[i + 1, j + 1] = cost[i, j] + best
-    total = acc[l, m]
-    value = math.inf if math.isinf(total) else _root(total, p, scale)
+    table = _distance_table(tau.points[:, :, None], sigma.points[:, :, None])
+    phi = table[1:, 1:]
+    z = np.maximum(np.ceil(phi / pitch), 1.0)
+    phi[...] = np.where(z <= zmax, z * pitch, np.inf)
+    value = float(_accumulate(table, p)[0])
     return 1 if value <= (1.0 + zeta * e) * r else 0
 
 

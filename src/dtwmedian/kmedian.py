@@ -48,14 +48,6 @@ class FiniteMetricInstance:
     def n(self):
         return self.dist.shape[0]
 
-    def check_triangle(self, tol=1e-9):
-        """True iff the triangle inequality holds within tol (test helper)."""
-        n = self.n
-        for i in range(n):
-            if np.any(self.dist > self.dist[:, i : i + 1] + self.dist[i : i + 1, :] + tol):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class MedianSolution:

@@ -43,7 +43,8 @@ class ClusteringResult:
     """Exactly k centers of complexity <= ell with a full-input assignment.
 
     ``provenance`` maps each center slot to the coreset entry and input curve
-    it came from; ``timings`` holds accumulated per-stage wall times.
+    it came from; ``timings`` holds the per-stage wall times of the run (the
+    repetition) that produced it.
     """
 
     centers: tuple[Curve, ...]
@@ -146,9 +147,9 @@ def kl_median(T, cfg: PipelineConfig) -> ClusteringResult:
     if n < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} curves, got {n}")
     eps_prime = cfg.eps / 46.0
-    timings: dict = {}
     best = None
     for rep_seed in spawn_seeds(cfg.seed, cfg.repetitions):
+        timings: dict = {}
         seeds = spawn_seeds(rep_seed, 2)
         bicrit, profile, report, coreset = _coreset_stages(curves, cfg, seeds[0], timings)
 

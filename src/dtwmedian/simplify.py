@@ -49,15 +49,15 @@ def _power_distance_table(points, p):
     return dist**p
 
 
-def _medoid_cost_table(points, p, restrict_to_range):
-    """C[a, b] = min over center vertices v of sum_{j in [a,b]} |sigma_v - sigma_j|^p.
+def _medoid_cost_table(dp, restrict_to_range):
+    """C[a, b] = min over center vertices v of sum_{j in [a,b]} dp[v, j], for
+    the table dp[i, j] = |sigma_i - sigma_j|^p.
 
     With ``restrict_to_range`` the center must lie inside [a, b] (the local
     medoid of the 2-approximation); without it any vertex of the curve may
     serve (the vertex-restricted exact variant).
     """
-    m = points.shape[0]
-    dp = _power_distance_table(points, p)
+    m = dp.shape[0]
     prefix = np.cumsum(dp, axis=1)
     cost = np.full((m, m), np.inf)
     for a in range(m):
@@ -71,8 +71,7 @@ def _medoid_cost_table(points, p, restrict_to_range):
     return cost
 
 
-def _medoid_center(points, p, a, b, restrict_to_range):
-    dp = _power_distance_table(points[:, :], p)
+def _medoid_center(points, dp, a, b, restrict_to_range):
     sums = dp[:, a : b + 1].sum(axis=1)
     if restrict_to_range:
         idx = a + int(np.argmin(sums[a : b + 1]))
@@ -192,9 +191,10 @@ def simplify_2approx_detailed(sigma: Curve, ell, p=1.0) -> Simplification:
     if sigma.complexity <= ell:
         return _identity(sigma)
     pts = sigma.points
-    cost = _medoid_cost_table(pts, p, restrict_to_range=True)
+    dp = _power_distance_table(pts, p)
+    cost = _medoid_cost_table(dp, restrict_to_range=True)
     parts, total = _partition(cost, ell)
-    centers = [_medoid_center(pts, p, a, b, restrict_to_range=True) for a, b in parts]
+    centers = [_medoid_center(pts, dp, a, b, restrict_to_range=True) for a, b in parts]
     return _finish(sigma, parts, centers, total, p, cost_in_powers=True)
 
 
@@ -240,9 +240,10 @@ def simplify_vertex_restricted_detailed(sigma: Curve, ell, p=1.0) -> Simplificat
     if sigma.complexity == ell:
         return _identity(sigma)
     pts = sigma.points
-    cost = _medoid_cost_table(pts, p, restrict_to_range=False)
+    dp = _power_distance_table(pts, p)
+    cost = _medoid_cost_table(dp, restrict_to_range=False)
     parts, total = _partition(cost, ell)
-    centers = [_medoid_center(pts, p, a, b, restrict_to_range=False) for a, b in parts]
+    centers = [_medoid_center(pts, dp, a, b, restrict_to_range=False) for a, b in parts]
     return _finish(sigma, parts, centers, total, p, cost_in_powers=True)
 
 

@@ -4,7 +4,6 @@ import pytest
 from dtwmedian.curves import Curve, gen_synthetic
 from dtwmedian.bicriteria import (
     BicriteriaSolution,
-    DtwOracle,
     SamplingParams,
     bicriteria_klmedian,
     k_median_sampled,
@@ -39,16 +38,14 @@ def test_sampling_params_formulas():
 
 def test_k_routine_degenerate_branch(rng):
     curves = planted_points_1d(rng, 8)
-    oracle = DtwOracle(curves, 1.0)
     # n <= s short-circuits to the solver on the whole closure
-    out = k_routine(oracle, np.arange(8), 2, 0.5, kmedian_local_search, 0)
+    out = k_routine(curves, 1.0, np.arange(8), 2, 0.5, kmedian_local_search, 0)
     assert out.size <= 2
 
 
 def test_k_routine_cardinality_and_cost(rng):
     curves = planted_points_1d(rng, 30)
-    oracle = DtwOracle(curves, 1.0)
-    out = k_routine(oracle, np.arange(30), 2, 0.5, kmedian_local_search, 5)
+    out = k_routine(curves, 1.0, np.arange(30), 2, 0.5, kmedian_local_search, 5)
     assert out.size <= 4  # 2k
     mc = build_closure(curves, 1.0)
     inst = FiniteMetricInstance(mc.dist, np.ones(30), 2)
@@ -61,8 +58,7 @@ def test_k_routine_cardinality_and_cost(rng):
 def test_k_median_sampled_cardinality_and_cost(rng):
     curves = planted_points_1d(rng, 40)
     m = max(c.complexity for c in curves)
-    oracle = DtwOracle(curves, 1.0)
-    out = k_median_sampled(oracle, np.arange(40), 2, 0.5, kmedian_local_search, 9)
+    out = k_median_sampled(curves, 1.0, np.arange(40), 2, 0.5, kmedian_local_search, 9)
     assert out.size <= 8  # 4k
     mc = build_closure(curves, 1.0)
     opt = kmedian_brute(FiniteMetricInstance(mc.dist, np.ones(40), 2)).cost
@@ -130,12 +126,3 @@ def test_determinism(rng):
     for ca, cb in zip(a.centers, b.centers):
         assert np.array_equal(ca.points, cb.points)
 
-
-def test_oracle_caching_consistency(rng):
-    curves = [Curve(f"c{i}", rng.normal(0, 2, (3, 2))) for i in range(7)]
-    oracle = DtwOracle(curves, 2.0)
-    sub = oracle.submatrix(np.array([1, 3, 5]))
-    full = oracle.full()
-    assert np.allclose(sub, full[np.ix_([1, 3, 5], [1, 3, 5])])
-    again = oracle.submatrix(np.array([1, 3, 5]))
-    assert np.array_equal(sub, again)

@@ -76,19 +76,24 @@ def test_symmetry_exact(rng):
 
 
 def test_batched_matrix_matches_scalar(rng):
+    # every entry point gives the same bits for the same pair
     d = int(rng.integers(1, 4))
     curves = [Curve(f"c{i}", rng.normal(0, 2, (int(rng.integers(1, 7)), d))) for i in range(8)]
-    for p in (1.0, 2.0, 3.0):
+    curves += [Curve("one", rng.normal(0, 2, (1, d))), Curve("dup", curves[0].points)]
+    n = len(curves)
+    for p in (1.0, 2.0, 3.0, 7.0, 64.0):
         full = dtw_self_matrix(curves, p)
         cross = dtw_matrix(curves, curves, p)
-        for i in range(8):
-            for j in range(8):
+        aligned = dtw_aligned(curves, curves[::-1], p)
+        for i in range(n):
+            for j in range(n):
                 ref = dtw(curves[i], curves[j], p).value
-                assert abs(full[i, j] - ref) <= 1e-10
-                assert abs(cross[i, j] - ref) <= 1e-10
-    vals = dtw_aligned(curves[:4], curves[4:], 2.0)
-    for i in range(4):
-        assert abs(vals[i] - dtw(curves[i], curves[4 + i], 2.0).value) <= 1e-10
+                assert dtw_value(curves[i], curves[j], p) == ref
+                assert cross[i, j] == ref
+                if i != j:
+                    assert full[i, j] == ref
+            assert aligned[i] == dtw(curves[i], curves[n - 1 - i], p).value
+        assert full[0, n - 1] == 0.0
 
 
 def test_large_p_overflow_safe():

@@ -10,6 +10,7 @@ from dtwmedian.curves import (
     save_weighted,
 )
 from dtwmedian.dtw import dtw_brute, dtw_value
+from dtwmedian import pipeline
 from dtwmedian.pipeline import cluster_via_closure, emit_coreset_only, evaluate, kl_median
 from dtwmedian.simplify import simplify_2approx
 from conftest import curve1d
@@ -82,6 +83,16 @@ def test_structure_and_determinism(rng):
         "kmedian",
         "assignment",
     }
+
+
+def test_timings_are_per_repetition(monkeypatch):
+    # a clock that advances by 1 per reading: each stage of one run reads 1.0
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(pipeline.time, "perf_counter", lambda: float(next(ticks)))
+    curves = list(gen_synthetic(2, 6, 5, 1, 0.4, 3))
+    res = kl_median(curves, cfg(repetitions=3))
+    assert len(res.timings) == 7
+    assert all(v == 1.0 for v in res.timings.values())
 
 
 def test_provenance_resolves_to_inputs(rng):
