@@ -21,9 +21,9 @@ import numpy as np
 
 from .curves import Curve, ValidationError, new_rng, spawn_seeds
 from .closure import distances_from_set, shortest_path_closure
-from .dtw import dtw_matrix, dtw_self_matrix
+from .dtw import assign_nearest, dtw_matrix, dtw_self_matrix
 from .kmedian import FiniteMetricInstance, kmedian_local_search
-from .simplify import simplify_2approx
+from .simplify import simplify_set
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,11 @@ class SamplingParams:
 
 @dataclass(frozen=True)
 class BicriteriaSolution:
-    """At most 4k center curves with per-input assignments under p-DTW."""
+    """At most 4k center curves with per-input assignments under p-DTW.
+
+    ``simplified`` holds the ell-simplification of every input, in input
+    order; the centers are members of it.
+    """
 
     centers: tuple[Curve, ...]
     assignment: np.ndarray
@@ -60,6 +64,7 @@ class BicriteriaSolution:
     k: int
     ell: int
     p: float
+    simplified: tuple[Curve, ...]
 
     @property
     def k_hat(self):
@@ -140,17 +145,15 @@ def bicriteria_klmedian(
         raise ValidationError("need at least one curve")
     if k < 1 or ell < 1:
         raise ValidationError("k and ell must be >= 1")
-    simplified = [simplify_2approx(c, ell, p) for c in curves]
+    simplified = tuple(simplify_set(curves, ell, p))
     best = None
     for rep_seed in spawn_seeds(seed, repetitions):
         centers_idx = k_median_sampled(simplified, p, np.arange(n), k, eps, solver, rep_seed)
-        center_curves = [simplified[i] for i in centers_idx]
-        cross = dtw_matrix(curves, center_curves, p)
-        assignment = np.argmin(cross, axis=1)
-        distances = cross[np.arange(n), assignment]
+        center_curves = tuple(simplified[i] for i in centers_idx)
+        assignment, distances = assign_nearest(curves, center_curves, p)
         cost = float(distances.sum())
         if best is None or cost < best.cost:
             best = BicriteriaSolution(
-                tuple(center_curves), assignment, distances, cost, k, ell, p
+                center_curves, assignment, distances, cost, k, ell, p, simplified
             )
     return best

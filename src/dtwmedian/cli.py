@@ -118,17 +118,19 @@ def simplify_cmd(ell, p, method, eps, file, output):
 @output_option
 @format_option
 def closure_cmd(p, file, output, fmt):
-    """Metric-closure distance matrix as CSV with an id header row."""
+    """Metric-closure distance matrix: a JSON document with the ids and the
+    closure and base matrices, or with --format csv the closure as CSV with
+    an id header row."""
     curves = _load(file)
     mc = build_closure(curves, p)
+    if fmt == "json":
+        doc = {"ids": list(mc.ids), "dist": mc.dist.tolist(), "base": mc.base.tolist()}
+        _emit(_json(doc), output)
+        return
     rows = [["id", *mc.ids]]
     for i, cid in enumerate(mc.ids):
         rows.append([cid, *(repr(float(v)) for v in mc.dist[i])])
-    text = "\n".join(",".join(map(str, r)) for r in rows) + "\n"
-    if fmt == "json":
-        doc = {"ids": list(mc.ids), "dist": mc.dist.tolist(), "base": mc.base.tolist()}
-        text = _json(doc)
-    _emit(text, output)
+    _emit("\n".join(",".join(map(str, r)) for r in rows) + "\n", output)
 
 
 @main.command("gen")

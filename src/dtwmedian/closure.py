@@ -61,25 +61,13 @@ def build_closure(curves, p=1.0, size_cap=CLOSURE_SIZE_CAP) -> MetricClosure:
     return MetricClosure(ids, dist, base)
 
 
-def distances_from_set(source, C, p=None):
-    """Minimum closure distance from every point to the index set C, via one
-    multi-source Dijkstra run (a zero-weight virtual source attached to C).
-
-    ``source`` may be a MetricClosure, a dense base-weight matrix, or a
-    CurveSet/curve list together with ``p``.
-    """
+def distances_from_set(base, C):
+    """Minimum closure distance from every point to the index set C of a
+    dense base-weight matrix, via one multi-source Dijkstra run (a
+    zero-weight virtual source attached to C)."""
     C = np.asarray(list(C), dtype=np.intp)
     if C.size == 0:
         raise ValidationError("C must be non-empty")
-    if isinstance(source, MetricClosure):
-        base = source.base
-    elif isinstance(source, np.ndarray):
-        base = source
-    else:
-        if p is None:
-            raise ValidationError("p is required when passing curves")
-        curve_list = list(source)
-        base = dtw_self_matrix(curve_list, p)
     if np.any(C < 0) or np.any(C >= base.shape[0]):
         raise ValidationError("C contains out-of-range indices")
     if base.shape[0] == 1:

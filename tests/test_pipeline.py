@@ -10,7 +10,7 @@ from dtwmedian.curves import (
     save_weighted,
 )
 from dtwmedian.dtw import dtw_brute, dtw_value
-from dtwmedian import pipeline
+from dtwmedian import bicriteria, pipeline, simplify
 from dtwmedian.pipeline import cluster_via_closure, emit_coreset_only, evaluate, kl_median
 from dtwmedian.simplify import simplify_2approx
 from conftest import curve1d
@@ -78,7 +78,6 @@ def test_structure_and_determinism(rng):
         "bicriteria",
         "sensitivity",
         "sampling",
-        "simplify_coreset",
         "closure",
         "kmedian",
         "assignment",
@@ -91,7 +90,7 @@ def test_timings_are_per_repetition(monkeypatch):
     monkeypatch.setattr(pipeline.time, "perf_counter", lambda: float(next(ticks)))
     curves = list(gen_synthetic(2, 6, 5, 1, 0.4, 3))
     res = kl_median(curves, cfg(repetitions=3))
-    assert len(res.timings) == 7
+    assert len(res.timings) == 6
     assert all(v == 1.0 for v in res.timings.values())
 
 
@@ -99,11 +98,35 @@ def test_provenance_resolves_to_inputs(rng):
     curves = list(gen_synthetic(2, 8, 5, 1, 0.4, 13))
     ids = {c.id for c in curves}
     res = kl_median(curves, cfg(seed=3))
-    assert len(res.provenance) == len(res.centers)
-    for entry in res.provenance:
-        assert entry["coreset_id"] in ids
-        assert entry["input_id"] in ids
-        assert res.centers[entry["center_index"]].id == entry["center_id"]
+    assert all(center.id in ids for center in res.centers)
+
+
+def test_each_input_is_simplified_once_per_repetition(monkeypatch):
+    calls = []
+    original = simplify.simplify_2approx
+
+    def counting(sigma, ell, p=1.0):
+        calls.append(sigma.id)
+        return original(sigma, ell, p)
+
+    # every module that binds the function, so a second binding cannot hide calls
+    for module in (simplify, bicriteria, pipeline):
+        monkeypatch.setattr(module, "simplify_2approx", counting, raising=False)
+    curves = list(gen_synthetic(2, 8, 6, 1, 0.4, 17))
+    kl_median(curves, cfg(k=2, ell=2, repetitions=2))
+    assert len(calls) == 2 * len(curves)
+
+
+def test_inputs_sharing_an_id_stay_distinct():
+    curves = [
+        Curve("a", [[0.0], [0.0]]),
+        Curve("a", [[100.0], [100.0]]),
+        Curve("b", [[1.0], [1.0]]),
+        Curve("c", [[101.0], [101.0]]),
+    ]
+    for seed in range(4):
+        res = kl_median(curves, PipelineConfig(k=2, ell=1, repetitions=1, seed=seed))
+        assert res.cost == 4.0
 
 
 def test_rejects_fewer_curves_than_k():

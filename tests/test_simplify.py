@@ -264,13 +264,23 @@ def test_medoid_p2_equality_counterexample():
     assert dtw_value(s.curve, c, 2.0) < s.grouping_cost - 1e-3
 
 
+def test_large_p_does_not_overflow():
+    # the unscaled 64th powers of these distances overflow to inf
+    c = Curve("a", [[0.0], [1e10], [2e10], [3e10], [4e10]])
+    best = dtw_value(c, Curve("b", [[0.0], [3e10]]), 64.0)  # about 1.0173e10
+    for detailed in (simplify_2approx_detailed, simplify_vertex_restricted_detailed):
+        s = detailed(c, 2, 64.0)
+        assert np.isfinite(s.grouping_cost)
+        assert dtw_value(c, s.curve, 64.0) <= 2.0 * best
+
+
 def test_determinism(rng):
     c = Curve("x", rng.normal(0, 3, (9, 2)))
     a = simplify_2approx(c, 3, 1.0)
     b = simplify_2approx(c, 3, 1.0)
     assert np.array_equal(a.points, b.points)
-    a = simplify_eps_p1(c, 3, 0.1, seed=1)
-    b = simplify_eps_p1(c, 3, 0.1, seed=2)  # solver is deterministic; seed unused
+    a = simplify_eps_p1(c, 3, 0.1)
+    b = simplify_eps_p1(c, 3, 0.1)
     assert np.array_equal(a.points, b.points)
 
 
