@@ -11,15 +11,12 @@ from __future__ import annotations
 import csv as csv_mod
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .bicriteria import bicriteria_klmedian
 from .closure import build_closure
-from .coreset import verify_coreset
 from .curves import (
     ParseError,
     PipelineConfig,
@@ -27,7 +24,6 @@ from .curves import (
     ValidationError,
     gen_synthetic,
     load_curves,
-    load_weighted,
     save_curves,
     save_weighted,
 )

@@ -1,9 +1,9 @@
 """Metric closure of p-DTW restricted to a finite curve set.
 
 The closure is the all-pairs shortest-path completion of the complete graph
-whose edge weights are pairwise p-DTW values. Zero-weight edges between
-duplicate curves are kept (the closure is a semimetric); scipy's CSR
-representation preserves them as explicit zeros.
+whose edge weights are pairwise p-DTW values, by Floyd-Warshall on its CSR
+graph. Zero-weight edges between duplicate curves are kept (the closure is a
+semimetric): CSR stores them as explicit zeros, which a dense input drops.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
+from scipy.sparse.csgraph import csgraph_from_dense, dijkstra, floyd_warshall
 
-from .curves import CurveSet, ResourceGuardError, ValidationError
+from .curves import ResourceGuardError, ValidationError
 from .dtw import dtw_self_matrix
 
 CLOSURE_SIZE_CAP = 20000
@@ -41,10 +41,10 @@ def _graph(base):
 
 
 def shortest_path_closure(base):
-    """All-pairs shortest paths of a dense symmetric weight matrix, by one
-    Dijkstra run per source."""
-    dist = dijkstra(_graph(base), directed=True)
-    return np.minimum(dist, dist.T)  # exact symmetry despite float ordering
+    """All-pairs shortest paths of a dense symmetric weight matrix, by
+    undirected Floyd-Warshall on its CSR graph, which keeps the explicit zero
+    edges between duplicates; the result is exactly symmetric."""
+    return floyd_warshall(_graph(base), directed=False)
 
 
 def build_closure(curves, p=1.0, size_cap=CLOSURE_SIZE_CAP) -> MetricClosure:
@@ -76,7 +76,7 @@ def distances_from_set(base, C):
 
 
 def floyd_warshall_reference(base):
-    """Textbook Floyd-Warshall; independent reference for the Dijkstra route."""
+    """Textbook Floyd-Warshall; independent reference for the closure."""
     dist = np.array(base, dtype=np.float64)
     n = dist.shape[0]
     for k in range(n):

@@ -9,11 +9,11 @@ approximate distance is an analysis device and is never evaluated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, CurveSet, ValidationError, WeightedCurveSet, new_rng
+from .curves import ValidationError, WeightedCurveSet, new_rng
 from .bicriteria import BicriteriaSolution
 from .dtw import assign_nearest
 

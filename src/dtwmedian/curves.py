@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 

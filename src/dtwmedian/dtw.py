@@ -26,7 +26,7 @@ import numpy as np
 from .curves import Curve, ValidationError
 
 _OVERFLOW_SAFE_P = 32.0
-_BLOCK_CELLS = 2**24  # per-chunk budget of DP cells times the dimension
+_BLOCK_CELLS = 2**21  # per-chunk budget of DP cells times the dimension
 
 # backward moves (first, second) in tie-break order for equal DP
 # predecessors: diagonal, then advancing the second curve, then the first

@@ -5,9 +5,11 @@ the whole simplified set directly. Both routes share one back half: closure,
 k-median and the nearest-center assignment of the inputs.
 
 The accuracy knob follows the source construction: the caller's eps is split
-as eps' = eps/46 and every stage runs at eps'. The pipeline repeats
-end-to-end ``repetitions`` times with derived seeds and keeps the cheapest
-clustering.
+as eps' = eps/46 for the coreset size and the final k-median. The bicriteria
+stage needs only a solution of known factor alpha: it runs at min(eps, 0.999),
+with alpha computed at that accuracy (at eps' its samples would cover every
+input). The pipeline repeats end-to-end ``repetitions`` times with derived
+seeds and keeps the cheapest clustering.
 """
 
 from __future__ import annotations
@@ -115,12 +117,13 @@ def _coreset_stages(curves, cfg, seed, timings):
     m = max(c.complexity for c in curves)
     d = curves[0].dimension
     eps_prime = cfg.eps / 46.0
+    eps_bicrit = min(cfg.eps, 0.999)  # kmedian_local_search needs eps < 1
     seeds = spawn_seeds(seed, 2)
     with _stage(timings, "bicriteria"):
         bicrit = bicriteria_klmedian(
-            curves, cfg.k, cfg.ell, cfg.p, eps_prime, seeds[0], repetitions=1
+            curves, cfg.k, cfg.ell, cfg.p, eps_bicrit, seeds[0], repetitions=1
         )
-    alpha = cfg.alpha_override or bicriteria_alpha_factor(m, cfg.ell, cfg.p, eps_prime)
+    alpha = cfg.alpha_override or bicriteria_alpha_factor(m, cfg.ell, cfg.p, eps_bicrit)
     with _stage(timings, "sensitivity"):
         profile = sensitivity_bounds(curves, bicrit, alpha, ell=cfg.ell)
     report = coreset_size(

@@ -49,16 +49,15 @@ def _medoid_cost_table(dp, restrict_to_range):
     serve (the vertex-restricted exact variant).
     """
     m = dp.shape[0]
-    prefix = np.cumsum(dp, axis=1)
+    below = np.tri(m, k=-1, dtype=bool)
     cost = np.full((m, m), np.inf)
     for a in range(m):
-        # sums[i, b-a] = sum_{j in [a,b]} dp[i, j]
-        sums = prefix[:, a:] - (prefix[:, a - 1 : a] if a > 0 else 0.0)
+        # sums[v, b-a] = sum_{j in [a,b]} dp[v, j], summed directly: a
+        # difference of prefix sums cancels across magnitudes
+        sums = np.cumsum(dp[a:, a:] if restrict_to_range else dp[:, a:], axis=1)
         if restrict_to_range:
-            running = np.minimum.accumulate(sums[a:], axis=0)
-            cost[a, a:] = running.diagonal()
-        else:
-            cost[a, a:] = sums.min(axis=0)
+            sums[below[: m - a, : m - a]] = np.inf  # v = a + row must lie in [a, b]
+        cost[a, a:] = sums.min(axis=0)
     return cost
 
 

@@ -1,13 +1,28 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dtwmedian
 from dtwmedian.cli import main
 from dtwmedian.curves import gen_synthetic, load_curves, load_weighted, save_curves
+
+
+def run_module(*args):
+    """Run ``python -m dtwmedian.cli`` in a child that imports this package."""
+    src = str(Path(dtwmedian.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "dtwmedian.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture
@@ -140,11 +155,7 @@ def test_eval_command(runner, data_file, tmp_path):
 def test_exit_code_validation_error(tmp_path):
     f = tmp_path / "one.jsonl"
     f.write_text('{"id":"a","points":[[0.0]]}\n')
-    proc = subprocess.run(
-        [sys.executable, "-m", "dtwmedian.cli", "cluster", "--k", "5", "--ell", "1", str(f)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("cluster", "--k", "5", "--ell", "1", str(f))
     assert proc.returncode == 2
     assert "error" in proc.stderr.lower()
 
@@ -152,11 +163,7 @@ def test_exit_code_validation_error(tmp_path):
 def test_exit_code_parse_error(tmp_path):
     f = tmp_path / "bad.jsonl"
     f.write_text("not json\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "dtwmedian.cli", "closure", str(f)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("closure", str(f))
     assert proc.returncode == 2
 
 
@@ -166,10 +173,6 @@ def test_exit_code_resource_guard(tmp_path):
     with open(f, "w") as fh:
         for i in range(20001):
             fh.write('{"id":"c%d","points":[[%d.0]]}\n' % (i, i))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dtwmedian.cli", "closure", str(f)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("closure", str(f))
     assert proc.returncode == 3
     assert "guard" in proc.stderr.lower()

@@ -65,12 +65,20 @@ def test_invariants_random(rng):
             )
 
 
-def test_dijkstra_matches_floyd_warshall(rng):
+def test_closure_matches_floyd_warshall_reference(rng):
     for n in (5, 20, 50):
         w = rng.uniform(0.0, 4.0, (n, n))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
-        assert np.max(np.abs(shortest_path_closure(w) - floyd_warshall_reference(w))) <= TOL
+        # rows n-2 and n-1 duplicate rows 0 and 1: zero-weight edges
+        for dup, src in ((n - 2, 0), (n - 1, 1)):
+            w[dup, :] = w[src, :]
+            w[:, dup] = w[:, src]
+            w[dup, src] = w[src, dup] = w[dup, dup] = 0.0
+        dist = shortest_path_closure(w)
+        assert np.max(np.abs(dist - floyd_warshall_reference(w))) <= TOL
+        assert np.array_equal(dist, dist.T)
+        assert dist[0, n - 2] == 0.0 and dist[1, n - 1] == 0.0
 
 
 def test_zero_weight_edges_are_kept():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ def test_batched_matrix_matches_scalar(rng):
                     assert full[i, j] == ref
             assert aligned[i] == dtw(curves[i], curves[n - 1 - i], p).value
         assert full[0, n - 1] == 0.0
+
+
+def test_values_do_not_depend_on_the_chunk_size(rng, monkeypatch):
+    # the package re-exports the function dtw, which shadows the module
+    module = sys.modules["dtwmedian.dtw"]
+    curves = [Curve(f"c{i}", rng.normal(0, 2, (int(rng.integers(1, 9)), 2))) for i in range(12)]
+    curves.append(Curve("dup", curves[0].points))
+    for p in (1.0, 2.0, 3.0, 64.0):
+        full = dtw_self_matrix(curves, p)
+        cross = dtw_matrix(curves[:5], curves, p)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_BLOCK_CELLS", 1)
+            assert np.array_equal(dtw_self_matrix(curves, p), full)
+            assert np.array_equal(dtw_matrix(curves[:5], curves, p), cross)
 
 
 def test_large_p_overflow_safe():

@@ -117,6 +117,26 @@ def test_each_input_is_simplified_once_per_repetition(monkeypatch):
     assert len(calls) == 2 * len(curves)
 
 
+def test_bicriteria_closures_are_built_on_samples(monkeypatch):
+    sizes = []
+    original = bicriteria.shortest_path_closure
+
+    def recording(base):
+        sizes.append(base.shape[0])
+        return original(base)
+
+    monkeypatch.setattr(bicriteria, "shortest_path_closure", recording)
+    curves = list(gen_synthetic(300, 1, 8, 2, 0.5, 5))
+    kl_median(curves, PipelineConfig(k=4, ell=2, eps=0.5, repetitions=1, seed=1))
+    assert sizes and max(sizes) < len(curves)
+
+
+def test_runs_at_eps_one():
+    curves = list(gen_synthetic(2, 6, 5, 1, 0.4, 3))
+    res = kl_median(curves, cfg(eps=1.0, repetitions=1))
+    assert len(res.centers) == 2 and np.isfinite(res.cost)
+
+
 def test_inputs_sharing_an_id_stay_distinct():
     curves = [
         Curve("a", [[0.0], [0.0]]),

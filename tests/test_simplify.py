@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dtwmedian.curves import Curve, ValidationError
-from dtwmedian.dtw import dtw_value
+from dtwmedian.dtw import Traversal, dtw_value, traversal_cost
 from dtwmedian.simplify import (
     geometric_median,
     median_cost,
@@ -272,6 +272,22 @@ def test_large_p_does_not_overflow():
         s = detailed(c, 2, 64.0)
         assert np.isfinite(s.grouping_cost)
         assert dtw_value(c, s.curve, 64.0) <= 2.0 * best
+
+
+def test_grouping_cost_is_the_lopsided_traversal_cost(rng):
+    # the range sums of the cost table must not cancel: at p = 64 the scaled
+    # powers of the big curve span about 40 orders of magnitude
+    curves = [Curve("a", [[0.0], [1e10], [2e10], [3e10], [4e10]])]
+    curves += [Curve("x", rng.normal(0, 3, (int(rng.integers(3, 12)), 2))) for _ in range(20)]
+    for c in curves:
+        for detailed in (simplify_2approx_detailed, simplify_vertex_restricted_detailed):
+            for p in (1.0, 2.0, 64.0):
+                s = detailed(c, 2, p)
+                lopsided = Traversal(
+                    tuple((g, j) for g, (a, b) in enumerate(s.parts) for j in range(a, b + 1))
+                )
+                realized = traversal_cost(s.curve, c, lopsided, p)
+                assert s.grouping_cost == pytest.approx(realized, rel=1e-12)
 
 
 def test_determinism(rng):
