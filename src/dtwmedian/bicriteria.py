@@ -75,8 +75,7 @@ def _solve_on_closure(base, k, eps, solver, seed):
     """Run the metric k-median solver on the closure of a p-DTW matrix;
     returns the sorted positions of its centers (at most k)."""
     n = base.shape[0]
-    closure = shortest_path_closure(base) if n > 1 else np.zeros((1, 1))
-    inst = FiniteMetricInstance(closure, np.ones(n), min(k, n))
+    inst = FiniteMetricInstance(shortest_path_closure(base), np.ones(n), min(k, n))
     return np.sort(np.asarray(solver(inst, eps, seed).centers, dtype=np.intp))
 
 
@@ -88,7 +87,7 @@ def k_routine(curves, p, idx, k, eps, solver, seed):
     n = idx.size
     params = SamplingParams.for_instance(n, k, eps)
     rng = new_rng(seed)
-    seeds = spawn_seeds(seed, 3)
+    seeds = spawn_seeds(seed, 2)
     base = dtw_self_matrix([curves[i] for i in idx], p)
     if n <= params.s:
         return idx[_solve_on_closure(base, k, eps, solver, seeds[0])]
@@ -110,7 +109,7 @@ def k_median_sampled(curves, p, idx, k, eps, solver, seed):
     n = idx.size
     params = SamplingParams.for_instance(n, k, eps)
     rng = new_rng(seed)
-    seeds = spawn_seeds(seed, 3)
+    seeds = spawn_seeds(seed, 2)
     if n <= params.s:
         return k_routine(curves, p, idx, k, eps, solver, seeds[0])
     sample = np.sort(rng.choice(n, size=params.s, replace=False))

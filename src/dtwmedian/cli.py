@@ -8,7 +8,8 @@ violation.
 
 from __future__ import annotations
 
-import csv as csv_mod
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from .curves import (
     PipelineConfig,
     ResourceGuardError,
     ValidationError,
+    curve_record,
     gen_synthetic,
     load_curves,
     save_curves,
@@ -38,6 +40,26 @@ seed_option = click.option("--seed", type=int, default=0, show_default=True)
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json"
 )
+# the PipelineConfig fields that coreset and cluster both take; each option
+# is named after its field, so PipelineConfig(**options) builds the config
+_PIPELINE_OPTIONS = (
+    click.option("--k", type=int, required=True),
+    click.option("--ell", type=int, required=True),
+    click.option("--p", type=float, default=1.0, show_default=True),
+    click.option("--eps", type=float, default=0.5, show_default=True),
+    click.option("--delta", type=float, default=0.1, show_default=True),
+    click.option(
+        "--size", "size_override", type=int, default=None,
+        help="override the sample-size formula",
+    ),
+    click.option("--constant", "sample_constant", type=float, default=0.05, show_default=True),
+)
+
+
+def pipeline_options(command):
+    for option in reversed(_PIPELINE_OPTIONS):
+        command = option(command)
+    return command
 
 
 def _emit(text, output):
@@ -51,9 +73,18 @@ def _json(doc):
     return json.dumps(doc, indent=2)
 
 
-def _load(path, fmt_hint=None):
-    fmt = fmt_hint or ("csv-long" if str(path).endswith(".csv") else "jsonl")
-    return load_curves(path, fmt)
+def _table(header, rows):
+    """CSV text with LF line ends; cells are quoted where needed, and a float
+    cell is written as its repr."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _load(path):
+    return load_curves(path, "csv-long" if str(path).endswith(".csv") else "jsonl")
 
 
 @click.group()
@@ -63,7 +94,7 @@ def main():
 
 @main.command("dtw")
 @click.option("--p", type=float, default=1.0, show_default=True)
-@click.option("--eps", default="off", show_default=True, help="real, or 'off'")
+@click.option("--eps", type=float, default=None, help="also report the quantized distance")
 @click.argument("file_a", type=click.Path(exists=True))
 @click.argument("file_b", type=click.Path(exists=True))
 @output_option
@@ -80,9 +111,9 @@ def dtw_cmd(p, eps, file_a, file_b, output):
         "dtw": result.value,
         "traversal": [list(pair) for pair in result.traversal.pairs],
     }
-    if eps != "off":
-        q = adtw(a, b, p, float(eps))
-        doc["adtw"] = {"eps": float(eps), "value": q.value, "exponent": q.exponent}
+    if eps is not None:
+        q = adtw(a, b, p, eps)
+        doc["adtw"] = {"eps": eps, "value": q.value, "exponent": q.exponent}
     _emit(_json(doc), output)
 
 
@@ -102,9 +133,7 @@ def simplify_cmd(ell, p, method, eps, file, output):
     """Write simplified curves as jsonl."""
     curves = _load(file)
     simplified = simplify_set(curves, ell, p, method, eps)
-    lines = [
-        json.dumps({"id": c.id, "points": c.points.tolist()}) for c in simplified
-    ]
+    lines = [json.dumps(curve_record(c)) for c in simplified]
     _emit("\n".join(lines) + ("\n" if lines else ""), output)
 
 
@@ -123,10 +152,8 @@ def closure_cmd(p, file, output, fmt):
         doc = {"ids": list(mc.ids), "dist": mc.dist.tolist(), "base": mc.base.tolist()}
         _emit(_json(doc), output)
         return
-    rows = [["id", *mc.ids]]
-    for i, cid in enumerate(mc.ids):
-        rows.append([cid, *(repr(float(v)) for v in mc.dist[i])])
-    _emit("\n".join(",".join(map(str, r)) for r in rows) + "\n", output)
+    rows = [[cid, *map(float, mc.dist[i])] for i, cid in enumerate(mc.ids)]
+    _emit(_table(["id", *mc.ids], rows), output)
 
 
 @main.command("gen")
@@ -145,7 +172,7 @@ def gen_cmd(clusters, per_cluster, m, d, noise, seed, output):
         click.echo(_json({"written": output, "curves": len(cs)}))
     else:
         for c in cs:
-            click.echo(json.dumps({"id": c.id, "points": c.points.tolist()}))
+            click.echo(json.dumps(curve_record(c)))
 
 
 @main.command("bicriteria")
@@ -167,11 +194,7 @@ def bicriteria_cmd(k, ell, p, eps, repetitions, file, seed, output):
         centers_path = base.with_suffix(".centers.jsonl")
         assign_path = base.with_suffix(".assignment.csv")
         save_curves(sol.centers, centers_path)
-        with open(assign_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv_mod.writer(fh)
-            writer.writerow(["curve_id", "center_index", "distance"])
-            for c, a, v in zip(curves, sol.assignment, sol.distances):
-                writer.writerow([c.id, int(a), repr(float(v))])
+        _emit(_assignment_table(curves, sol), assign_path)
         click.echo(
             _json(
                 {
@@ -190,41 +213,20 @@ def bicriteria_cmd(k, ell, p, eps, repetitions, file, seed, output):
             "eps": eps,
             "k_hat": sol.k_hat,
             "cost": sol.cost,
-            "centers": [
-                {"id": c.id, "points": c.points.tolist()} for c in sol.centers
-            ],
+            "centers": [curve_record(c) for c in sol.centers],
             "assignment": sol.assignment.tolist(),
         }
         click.echo(_json(doc))
 
 
 @main.command("coreset")
-@click.option("--k", type=int, required=True)
-@click.option("--ell", type=int, required=True)
-@click.option("--p", type=float, default=1.0, show_default=True)
-@click.option("--eps", type=float, default=0.5, show_default=True)
-@click.option("--delta", type=float, default=0.1, show_default=True)
-@click.option("--size", type=int, default=None, help="override the sample-size formula")
-@click.option("--alpha", type=float, default=None, help="override the alpha factor")
-@click.option("--constant", type=float, default=0.05, show_default=True)
+@pipeline_options
 @click.argument("file", type=click.Path(exists=True))
 @output_option
 @seed_option
-def coreset_cmd(k, ell, p, eps, delta, size, alpha, constant, file, seed, output):
+def coreset_cmd(file, output, **options):
     """Sensitivity-sampled weighted coreset (jsonl) plus its size report."""
-    curves = _load(file)
-    cfg = PipelineConfig(
-        k=k,
-        ell=ell,
-        p=p,
-        eps=eps,
-        delta=delta,
-        seed=seed,
-        size_override=size,
-        alpha_override=alpha,
-        sample_constant=constant,
-    )
-    wset, report, profile = emit_coreset_only(curves, cfg)
+    wset, report, profile = emit_coreset_only(_load(file), PipelineConfig(**options))
     out_path = output or (Path(file).stem + ".coreset.jsonl")
     save_weighted(wset, out_path)
     doc = {
@@ -237,47 +239,29 @@ def coreset_cmd(k, ell, p, eps, delta, size, alpha, constant, file, seed, output
     click.echo(_json(doc))
 
 
+def _assignment_table(curves, result):
+    rows = zip((c.id for c in curves), map(int, result.assignment), map(float, result.distances))
+    return _table(["curve_id", "center_index", "distance"], rows)
+
+
 def _cluster_output(result, fmt, output, input_curves):
     if fmt == "csv":
-        lines = ["curve_id,center_index,distance"]
-        for c, a, v in zip(input_curves, result.assignment, result.distances):
-            lines.append(f"{c.id},{int(a)},{float(v)!r}")
-        _emit("\n".join(lines) + "\n", output)
+        _emit(_assignment_table(input_curves, result), output)
     else:
         _emit(_json(result.to_dict()), output)
 
 
 @main.command("cluster")
-@click.option("--k", type=int, required=True)
-@click.option("--ell", type=int, required=True)
-@click.option("--p", type=float, default=1.0, show_default=True)
-@click.option("--eps", type=float, default=0.5, show_default=True)
-@click.option("--delta", type=float, default=0.1, show_default=True)
-@click.option("--size", type=int, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--constant", type=float, default=0.05, show_default=True)
+@pipeline_options
 @click.option("--repetitions", type=int, default=3, show_default=True)
 @click.argument("file", type=click.Path(exists=True))
 @output_option
 @seed_option
 @format_option
-def cluster_cmd(k, ell, p, eps, delta, size, alpha, constant, repetitions, file, seed, output, fmt):
+def cluster_cmd(file, output, fmt, **options):
     """Full (k,l)-median pipeline."""
     curves = _load(file)
-    cfg = PipelineConfig(
-        k=k,
-        ell=ell,
-        p=p,
-        eps=eps,
-        delta=delta,
-        seed=seed,
-        size_override=size,
-        alpha_override=alpha,
-        sample_constant=constant,
-        repetitions=repetitions,
-    )
-    result = kl_median(curves, cfg)
-    _cluster_output(result, fmt, output, curves)
+    _cluster_output(kl_median(curves, PipelineConfig(**options)), fmt, output, curves)
 
 
 @main.command("cluster-exact-route")
@@ -314,12 +298,8 @@ def eval_cmd(p, centers_file, file, output, fmt):
     centers = _load(centers_file)
     report = evaluate(curves, centers, p)
     if fmt == "csv":
-        lines = ["center_index,center_id,count,cost"]
-        for row in report["per_center"]:
-            lines.append(
-                f"{row['center_index']},{row['center_id']},{row['count']},{row['cost']!r}"
-            )
-        _emit("\n".join(lines) + "\n", output)
+        header = ["center_index", "center_id", "count", "cost"]
+        _emit(_table(header, ([row[h] for h in header] for row in report["per_center"])), output)
     else:
         doc = {
             "cost": report["cost"],

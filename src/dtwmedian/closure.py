@@ -32,9 +32,6 @@ class MetricClosure:
         if self.dist.shape != (n, n) or self.base.shape != (n, n):
             raise ValidationError("closure matrices must be n x n")
 
-    def __len__(self):
-        return len(self.ids)
-
 
 def _graph(base):
     return csgraph_from_dense(base, null_value=np.inf)
@@ -56,9 +53,7 @@ def build_closure(curves, p=1.0, size_cap=CLOSURE_SIZE_CAP) -> MetricClosure:
     if n > size_cap:
         raise ResourceGuardError(f"closure of {n} curves exceeds the cap of {size_cap}")
     base = dtw_self_matrix(curve_list, p)
-    dist = shortest_path_closure(base) if n > 1 else np.zeros((1, 1))
-    ids = tuple(c.id for c in curve_list)
-    return MetricClosure(ids, dist, base)
+    return MetricClosure(tuple(c.id for c in curve_list), shortest_path_closure(base), base)
 
 
 def distances_from_set(base, C):
@@ -70,8 +65,6 @@ def distances_from_set(base, C):
         raise ValidationError("C must be non-empty")
     if np.any(C < 0) or np.any(C >= base.shape[0]):
         raise ValidationError("C contains out-of-range indices")
-    if base.shape[0] == 1:
-        return np.zeros(1)
     return dijkstra(_graph(base), directed=True, indices=C, min_only=True)
 
 

@@ -27,17 +27,12 @@ def bicriteria_alpha_factor(m, ell, p, eps):
 @dataclass(frozen=True)
 class SensitivityProfile:
     """Per-curve sensitivity upper bounds gamma, their dyadic roundings
-    lambda, sampling probabilities psi, and the cell statistics they derive
-    from."""
+    lambda, sampling probabilities psi, and the constants of their total
+    bound."""
 
     gamma: np.ndarray
     lam: np.ndarray
     psi: np.ndarray
-    voronoi_cell: np.ndarray
-    dtw_to_center: np.ndarray
-    total_cost: float
-    cell_costs: np.ndarray
-    cell_sizes: np.ndarray
     alpha: float
     k_hat: int
     m: int
@@ -53,7 +48,7 @@ class SensitivityProfile:
         return (self.m * self.ell) ** (1.0 / self.p) * (4.0 * self.k_hat + 10.0 * self.alpha)
 
 
-def sensitivity_bounds(T, sol: BicriteriaSolution, alpha, ell=None) -> SensitivityProfile:
+def sensitivity_bounds(T, sol: BicriteriaSolution, alpha) -> SensitivityProfile:
     """Per-curve sensitivity bounds from a bicriteria solution.
 
     gamma = (m*ell)^(1/p) * (2*alpha*d_i/total + 4/|cell| + 8*alpha*cell_cost/(total*|cell|))
@@ -68,14 +63,10 @@ def sensitivity_bounds(T, sol: BicriteriaSolution, alpha, ell=None) -> Sensitivi
     if not alpha >= 1.0:
         raise ValidationError("alpha must be >= 1")
     m = max(c.complexity for c in curves)
-    ell = sol.ell if ell is None else ell
-    p = sol.p
-    k_hat = sol.k_hat
+    ell, p, k_hat = sol.ell, sol.p, sol.k_hat
 
     cell_sizes = np.bincount(sol.assignment, minlength=k_hat).astype(np.float64)
-    cell_costs = np.bincount(
-        sol.assignment, weights=sol.distances, minlength=k_hat
-    )
+    cell_costs = np.bincount(sol.assignment, weights=sol.distances, minlength=k_hat)
     total = float(sol.distances.sum())
 
     sizes_i = cell_sizes[sol.assignment]
@@ -88,24 +79,9 @@ def sensitivity_bounds(T, sol: BicriteriaSolution, alpha, ell=None) -> Sensitivi
         )
     else:
         gamma = scale * (4.0 / sizes_i)
-    exponents = np.ceil(np.log2(gamma))
-    lam = np.exp2(exponents)
+    lam = np.exp2(np.ceil(np.log2(gamma)))
     psi = lam / lam.sum()
-    return SensitivityProfile(
-        gamma,
-        lam,
-        psi,
-        sol.assignment.copy(),
-        sol.distances.copy(),
-        total,
-        cell_costs,
-        cell_sizes,
-        float(alpha),
-        k_hat,
-        m,
-        ell,
-        p,
-    )
+    return SensitivityProfile(gamma, lam, psi, float(alpha), k_hat, m, ell, p)
 
 
 @dataclass(frozen=True)

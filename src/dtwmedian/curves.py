@@ -102,14 +102,6 @@ class CurveSet:
                 f"expected d={curves[0].dimension}"
             )
 
-    @property
-    def dimension(self):
-        return self.curves[0].dimension if self.curves else None
-
-    @property
-    def max_complexity(self):
-        return max((c.complexity for c in self.curves), default=0)
-
     def __len__(self):
         return len(self.curves)
 
@@ -144,10 +136,6 @@ class WeightedCurveSet:
     def weights(self):
         return np.array([w for _, w in self.entries], dtype=np.float64)
 
-    @property
-    def dimension(self):
-        return self.entries[0][0].dimension if self.entries else None
-
     def __len__(self):
         return len(self.entries)
 
@@ -171,7 +159,6 @@ class PipelineConfig:
     seed: int = 0
     size_override: int | None = None
     sample_constant: float = 0.05
-    alpha_override: float | None = None
     repetitions: int = 3
 
     def __post_init__(self):
@@ -189,8 +176,6 @@ class PipelineConfig:
             raise ValidationError("size_override must be positive")
         if not self.sample_constant > 0:
             raise ValidationError("sample_constant must be positive")
-        if self.alpha_override is not None and not self.alpha_override > 0:
-            raise ValidationError("alpha_override must be positive")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be positive")
 
@@ -295,20 +280,24 @@ def _load_csv_long(path):
     return CurveSet(tuple(curves))
 
 
+def curve_record(c: Curve):
+    """The JSON object of one curve, as every jsonl file and JSON document
+    holds it."""
+    return {"id": c.id, "points": c.points.tolist()}
+
+
 def save_curves(curves: Iterable[Curve], path):
     """Write curves as jsonl (no weights)."""
     with open(path, "w", encoding="utf-8") as fh:
         for c in curves:
-            fh.write(json.dumps({"id": c.id, "points": c.points.tolist()}) + "\n")
+            fh.write(json.dumps(curve_record(c)) + "\n")
 
 
 def save_weighted(wset: WeightedCurveSet, path):
     """Write a WeightedCurveSet as jsonl; round-trips bitwise through load_weighted."""
-    if not isinstance(wset, WeightedCurveSet):
-        wset = WeightedCurveSet(tuple(wset))
     with open(path, "w", encoding="utf-8") as fh:
         for c, w in wset:
-            fh.write(json.dumps({"id": c.id, "points": c.points.tolist(), "weight": w}) + "\n")
+            fh.write(json.dumps({**curve_record(c), "weight": w}) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bicriteria import bicriteria_klmedian
-from .closure import CLOSURE_SIZE_CAP, build_closure
+from .closure import build_closure
 from .coreset import (
     bicriteria_alpha_factor,
     coreset_sample,
     coreset_size,
     sensitivity_bounds,
 )
-from .curves import Curve, PipelineConfig, ValidationError, spawn_seeds
+from .curves import Curve, PipelineConfig, ValidationError, curve_record, spawn_seeds
 # dtw_matrix stays bound here: the benchmark's tracer test reads pipeline.dtw_matrix
 from .dtw import assign_nearest, dtw_matrix  # noqa: F401
 from .kmedian import FiniteMetricInstance, kmedian_local_search
@@ -56,9 +56,7 @@ class ClusteringResult:
         return {
             "config": asdict(self.config),
             "timings": dict(self.timings),
-            "centers": [
-                {"id": c.id, "points": c.points.tolist()} for c in self.centers
-            ],
+            "centers": [curve_record(c) for c in self.centers],
             "assignment": self.assignment.tolist(),
             "cost": self.cost,
             "bicriteria_cost": self.bicriteria_cost,
@@ -72,38 +70,20 @@ def _stage(timings, name):
     timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
 
 
-def _pad_centers(center_ids, instance_dist, weights, k):
-    """Ensure k center slots: greedily add the unused instance point with the
-    largest cost decrease, duplicating the first center once none remain."""
-    centers = list(center_ids)
-    n = instance_dist.shape[0]
-    while len(centers) < k:
-        unused = [i for i in range(n) if i not in centers]
-        if not unused:
-            centers.append(centers[0])
-            continue
-        current = instance_dist[centers].min(axis=0)
-        best, best_cost = unused[0], None
-        for cand in unused:
-            c = float(np.sum(weights * np.minimum(current, instance_dist[cand])))
-            if best_cost is None or c < best_cost:
-                best, best_cost = cand, c
-        centers.append(best)
-    return centers
-
-
-def _cluster_simplified(
-    curves, simplified, weights, k, p, eps, seed, timings, size_cap=CLOSURE_SIZE_CAP
-):
+def _cluster_simplified(curves, simplified, weights, k, p, eps, seed, timings):
     """The back half of both routes: weighted k-median on the closure of the
-    simplified curves, padded to k centers, then the nearest-center
-    assignment of the inputs; returns (centers, assignment, distances)."""
+    simplified curves, then the nearest-center assignment of the inputs;
+    returns (centers, assignment, distances).
+
+    The local search returns min(k, n) centers for n simplified curves, all
+    of them when n < k; the missing slots then repeat the first center, so
+    there are always exactly k."""
     with _stage(timings, "closure"):
-        closure = build_closure(simplified, p, size_cap=size_cap)
+        closure = build_closure(simplified, p)
     with _stage(timings, "kmedian"):
         inst = FiniteMetricInstance(closure.dist, weights, min(k, len(simplified)))
         sol = kmedian_local_search(inst, eps=eps, seed=seed)
-        slots = _pad_centers(sol.centers, closure.dist, weights, k)
+        slots = sol.centers + (sol.centers[0],) * (k - len(sol.centers))
         centers = tuple(simplified[i] for i in slots)
     with _stage(timings, "assignment"):
         assignment, distances = assign_nearest(curves, centers, p)
@@ -123,9 +103,9 @@ def _coreset_stages(curves, cfg, seed, timings):
         bicrit = bicriteria_klmedian(
             curves, cfg.k, cfg.ell, cfg.p, eps_bicrit, seeds[0], repetitions=1
         )
-    alpha = cfg.alpha_override or bicriteria_alpha_factor(m, cfg.ell, cfg.p, eps_bicrit)
+    alpha = bicriteria_alpha_factor(m, cfg.ell, cfg.p, eps_bicrit)
     with _stage(timings, "sensitivity"):
-        profile = sensitivity_bounds(curves, bicrit, alpha, ell=cfg.ell)
+        profile = sensitivity_bounds(curves, bicrit, alpha)
     report = coreset_size(
         n,
         m,
@@ -182,9 +162,7 @@ def kl_median(T, cfg: PipelineConfig) -> ClusteringResult:
     return best
 
 
-def cluster_via_closure(
-    T, k, ell, p=1.0, eps=0.5, method="two-approx", seed=0, size_cap=CLOSURE_SIZE_CAP
-) -> ClusteringResult:
+def cluster_via_closure(T, k, ell, p=1.0, eps=0.5, method="two-approx", seed=0) -> ClusteringResult:
     """Small-n route: simplify everything, build the full closure, run the
     metric k-median on it, and map centers back to the input."""
     curves = list(T)
@@ -196,7 +174,7 @@ def cluster_via_closure(
     with _stage(timings, "simplify"):
         simplified = simplify_set(curves, ell, p, method, eps)
     centers, assignment, distances = _cluster_simplified(
-        curves, simplified, np.ones(n), k, p, min(eps, 0.999), seed, timings, size_cap
+        curves, simplified, np.ones(n), k, p, min(eps, 0.999), seed, timings
     )
     return ClusteringResult(
         centers, assignment, distances, float(distances.sum()), timings, cfg

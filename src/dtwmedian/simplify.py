@@ -144,9 +144,9 @@ def _partition(cost, max_parts):
     suffix.append(first)
     for _ in range(2, max_parts + 1):
         prev = suffix[-1]
-        w = cost + prev[1 : m + 1][None, :]
+        # cost is inf below its diagonal, so a row minimum ranges over ends >= i
         cur = np.full(m + 1, np.inf)
-        cur[:m] = np.minimum.accumulate(w[:, ::-1], axis=1)[:, ::-1].diagonal()
+        cur[:m] = (cost + prev[1 : m + 1][None, :]).min(axis=1)
         suffix.append(cur)
 
     totals = [suffix[j][0] for j in range(1, max_parts + 1)]
@@ -267,6 +267,8 @@ def simplify_set(curves, ell, p=1.0, method="two-approx", eps=0.1):
     if method == "two-approx":
         return [simplify_2approx(c, ell, p) for c in curves]
     if method == "eps1":
+        if p != 1:
+            raise ValidationError("method 'eps1' (geometric medians) needs p = 1")
         return [simplify_eps_p1(c, ell, eps) for c in curves]
     if method == "vertex":
         return [simplify_vertex_restricted(c, min(ell, c.complexity), p) for c in curves]

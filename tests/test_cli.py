@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +152,67 @@ def test_eval_command(runner, data_file, tmp_path):
     )
     assert doc["cost"] >= 0
     assert len(doc["per_center"]) == 2
+
+
+def _csv_rows(text):
+    return [row for row in csv.reader(text.splitlines()) if row]
+
+
+def test_csv_cells_are_quoted(runner, tmp_path):
+    ids = ["a,b", 'say "c"']
+    f = tmp_path / "odd.jsonl"
+    f.write_text("".join(json.dumps({"id": i, "points": [[v]]}) + "\n" for i, v in zip(ids, [0.0, 5.0])))
+    closure = _csv_rows(invoke(runner, ["closure", "--format", "csv", str(f)]))
+    assert closure[0] == ["id", *ids]
+    assert [row[0] for row in closure[1:]] == ids
+    cluster = invoke(
+        runner, ["cluster", "--k", "1", "--ell", "1", "--repetitions", "1", "--format", "csv", str(f)]
+    )
+    assert [row[0] for row in _csv_rows(cluster)[1:]] == ids
+    evaluation = invoke(runner, ["eval", "--centers", str(f), "--format", "csv", str(f)])
+    assert [row[1] for row in _csv_rows(evaluation)[1:]] == ids
+
+
+def test_dtw_invalid_eps_exits_2(tmp_path):
+    f = tmp_path / "a.jsonl"
+    f.write_text('{"id":"a","points":[[0.0]]}\n')
+    proc = run_module("dtw", "--eps", "abc", str(f), str(f))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_eps1_rejects_p_other_than_one(data_file):
+    for command in (["simplify"], ["cluster-exact-route", "--k", "2"]):
+        proc = run_module(*command, "--ell", "2", "--method", "eps1", "--p", "2", str(data_file))
+        assert proc.returncode == 2
+        assert "p = 1" in proc.stderr
+
+
+# every option of every command, so a shared decorator cannot drop one unnoticed
+COMMAND_OPTIONS = {
+    "bicriteria": ["--k", "--ell", "--p", "--eps", "--repetitions", "--output", "--seed"],
+    "closure": ["--p", "--output", "--format"],
+    "cluster": [
+        "--k", "--ell", "--p", "--eps", "--delta", "--size", "--constant", "--repetitions",
+        "--output", "--seed", "--format",
+    ],
+    "cluster-exact-route": [
+        "--k", "--ell", "--p", "--eps", "--method", "--output", "--seed", "--format",
+    ],
+    "coreset": ["--k", "--ell", "--p", "--eps", "--delta", "--size", "--constant", "--output", "--seed"],
+    "dtw": ["--p", "--eps", "--output"],
+    "eval": ["--p", "--centers", "--output", "--format"],
+    "gen": ["--clusters", "--per-cluster", "--m", "--d", "--noise", "--output", "--seed"],
+    "simplify": ["--ell", "--p", "--method", "--eps", "--output"],
+}
+
+
+def test_every_command_lists_its_options(runner):
+    assert sorted(main.commands) == sorted(COMMAND_OPTIONS)
+    for name, options in COMMAND_OPTIONS.items():
+        text = invoke(runner, [name, "--help"])
+        listed = re.findall(r"(?<![\w-])--[a-z][\w-]*", text)
+        assert sorted(set(listed) - {"--help"}) == sorted(options), name
 
 
 def test_exit_code_validation_error(tmp_path):

@@ -104,6 +104,10 @@ def test_distances_from_set_examples(rng):
     assert np.max(np.abs(d - mc.dist[[1, 4]].min(axis=0))) <= TOL
 
 
+def test_distances_from_set_single_point():
+    assert distances_from_set(np.zeros((1, 1)), [0]).tolist() == [0.0]
+
+
 def test_distances_from_set_validation(rng):
     mc = build_closure(random_set(rng, 3), 1.0)
     with pytest.raises(ValidationError):

@@ -1,0 +1,37 @@
+"""Every name a module imports is used: a stand-in for a linter's F401 check."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import dtwmedian
+
+MODULES = sorted(p for p in Path(dtwmedian.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_finds_an_unused_import():
+    source = "from __future__ import annotations\nimport os, sys\nimport json  # noqa: F401\nsys.exit()\n"
+    assert unused_imports(source) == ["os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

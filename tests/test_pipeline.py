@@ -55,11 +55,22 @@ def test_n_equals_k_bounded_by_simplification_error(rng):
 
 
 def test_exactly_k_centers_with_duplicates():
-    # fewer distinct medoids than k forces padding
-    curves = [curve1d(0.0, cid=f"c{i}") for i in range(4)]
-    res = kl_median(curves, cfg(k=3, ell=1, repetitions=1, size_override=3))
-    assert len(res.centers) == 3
-    assert res.cost == 0.0
+    # a one-draw coreset gives one center; the other two slots repeat it
+    curves = [curve1d(float(i), cid=f"c{i}") for i in range(4)]
+    res = kl_median(curves, cfg(k=3, ell=1, repetitions=1, size_override=1))
+    assert len(res.centers) == 3 and len(set(res.centers)) == 1
+    assert res.cost == evaluate(curves, res.centers[:1], 1.0)["cost"]
+
+
+def test_single_curve():
+    curve = curve1d(0, 1, 5, cid="only")
+    center = simplify_2approx(curve, 2, 1.0)
+    for res in (
+        kl_median([curve], cfg(k=1, ell=2, repetitions=1)),
+        cluster_via_closure([curve], 1, 2),
+    ):
+        assert res.centers == (center,)
+        assert res.cost == dtw_value(curve, center, 1.0)
 
 
 def test_structure_and_determinism(rng):

@@ -14,6 +14,7 @@ from dtwmedian.simplify import (
     simplify_eps_p1_detailed,
     simplify_exact_p2,
     simplify_exact_p2_detailed,
+    simplify_set,
     simplify_vertex_restricted,
     simplify_vertex_restricted_detailed,
 )
@@ -140,6 +141,25 @@ def test_validation_errors():
         simplify_eps_p1(c, 1, 0.0)
     with pytest.raises(ValidationError):
         simplify_exact_p2(c, 0)
+
+
+def test_simplify_set_methods(rng):
+    curves = [Curve(f"c{i}", rng.normal(0, 3, (int(rng.integers(1, 7)), 2))) for i in range(6)]
+    # the vertex method caps ell at each curve's complexity
+    assert simplify_set(curves, 4, 2.0, "vertex") == [
+        simplify_vertex_restricted(c, min(4, c.complexity), 2.0) for c in curves
+    ]
+    assert simplify_set(curves, 2, 1.0, "eps1", 0.25) == [
+        simplify_eps_p1(c, 2, 0.25) for c in curves
+    ]
+    with pytest.raises(ValidationError):
+        simplify_set(curves, 2, 1.0, "nearest")
+
+
+def test_eps1_rejects_p_other_than_one():
+    # geometric medians give the (1+eps) bound only under 1-DTW
+    with pytest.raises(ValidationError):
+        simplify_set([curve1d(0, 1, 2)], 1, 2.0, "eps1")
 
 
 # ---------------------------------------------------------------------------
