@@ -62,15 +62,16 @@ def pipeline_options(command):
     return command
 
 
-def _emit(text, output):
+def _emit(text, output=None):
+    """Write text to the output file, or the same bytes to stdout."""
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
-        click.echo(text)
+        click.echo(text, nl=False)
 
 
 def _json(doc):
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _table(header, rows):
@@ -133,8 +134,7 @@ def simplify_cmd(ell, p, method, eps, file, output):
     """Write simplified curves as jsonl."""
     curves = _load(file)
     simplified = simplify_set(curves, ell, p, method, eps)
-    lines = [json.dumps(curve_record(c)) for c in simplified]
-    _emit("\n".join(lines) + ("\n" if lines else ""), output)
+    _emit("".join(json.dumps(curve_record(c)) + "\n" for c in simplified), output)
 
 
 @main.command("closure")
@@ -169,7 +169,7 @@ def gen_cmd(clusters, per_cluster, m, d, noise, seed, output):
     cs = gen_synthetic(clusters, per_cluster, m, d, noise, seed)
     if output:
         save_curves(cs, output)
-        click.echo(_json({"written": output, "curves": len(cs)}))
+        _emit(_json({"written": output, "curves": len(cs)}))
     else:
         for c in cs:
             click.echo(json.dumps(curve_record(c)))
@@ -195,7 +195,7 @@ def bicriteria_cmd(k, ell, p, eps, repetitions, file, seed, output):
         assign_path = base.with_suffix(".assignment.csv")
         save_curves(sol.centers, centers_path)
         _emit(_assignment_table(curves, sol), assign_path)
-        click.echo(
+        _emit(
             _json(
                 {
                     "centers": str(centers_path),
@@ -216,7 +216,7 @@ def bicriteria_cmd(k, ell, p, eps, repetitions, file, seed, output):
             "centers": [curve_record(c) for c in sol.centers],
             "assignment": sol.assignment.tolist(),
         }
-        click.echo(_json(doc))
+        _emit(_json(doc))
 
 
 @main.command("coreset")
@@ -236,7 +236,7 @@ def coreset_cmd(file, output, **options):
         "total_sensitivity_bound": profile.total_bound(),
         "gamma_sum": float(profile.gamma.sum()),
     }
-    click.echo(_json(doc))
+    _emit(_json(doc))
 
 
 def _assignment_table(curves, result):

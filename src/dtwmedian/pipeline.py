@@ -41,7 +41,8 @@ class ClusteringResult:
 
     Each center is the ell-simplification of an input curve and carries its
     id; ``timings`` holds the per-stage wall times of the run (the
-    repetition) that produced it.
+    repetition) that produced it, and ``config`` the parameters the route
+    used, by name.
     """
 
     centers: tuple[Curve, ...]
@@ -49,12 +50,12 @@ class ClusteringResult:
     distances: np.ndarray
     cost: float
     timings: dict
-    config: PipelineConfig
+    config: dict
     bicriteria_cost: float | None = None
 
     def to_dict(self):
         return {
-            "config": asdict(self.config),
+            "config": dict(self.config),
             "timings": dict(self.timings),
             "centers": [curve_record(c) for c in self.centers],
             "assignment": self.assignment.tolist(),
@@ -157,7 +158,8 @@ def kl_median(T, cfg: PipelineConfig) -> ClusteringResult:
         total = float(distances.sum())
         if best is None or total < best.cost:
             best = ClusteringResult(
-                centers, assignment, distances, total, timings, cfg, bicriteria_cost=bicrit.cost
+                centers, assignment, distances, total, timings, asdict(cfg),
+                bicriteria_cost=bicrit.cost,
             )
     return best
 
@@ -169,7 +171,9 @@ def cluster_via_closure(T, k, ell, p=1.0, eps=0.5, method="two-approx", seed=0) 
     n = len(curves)
     if n < k:
         raise ValidationError(f"need at least k={k} curves, got {n}")
-    cfg = PipelineConfig(k=k, ell=ell, p=p, eps=eps, seed=seed)
+    cfg = PipelineConfig(k=k, ell=ell, p=p, eps=eps, seed=seed)  # validates them
+    # the route runs once on every curve: no delta, sample size or repetitions
+    config = dict(k=cfg.k, ell=cfg.ell, p=cfg.p, eps=cfg.eps, method=method, seed=cfg.seed)
     timings: dict = {}
     with _stage(timings, "simplify"):
         simplified = simplify_set(curves, ell, p, method, eps)
@@ -177,7 +181,7 @@ def cluster_via_closure(T, k, ell, p=1.0, eps=0.5, method="two-approx", seed=0) 
         curves, simplified, np.ones(n), k, p, min(eps, 0.999), seed, timings
     )
     return ClusteringResult(
-        centers, assignment, distances, float(distances.sum()), timings, cfg
+        centers, assignment, distances, float(distances.sum()), timings, config
     )
 
 

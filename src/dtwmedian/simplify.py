@@ -10,6 +10,23 @@ Cell cost variants: local medoid (deterministic 2-approximation for every p),
 geometric median via Weiszfeld (1+eps approximation for p = 1), any-vertex
 medoid (exact among vertex-restricted simplifications), and centroid (exact
 for p = 2; sum of squared distances is minimized by the mean).
+
+The two medoid variants run batched over every curve of one (complexity,
+dimension): ``simplify_set`` makes one batch per group, and the one-curve
+functions are batches of one. A batch holds the p-th powers of the pointwise
+distances as batch-last (m, m, n) tables from the p-DTW kernel (scaled per
+curve for p > 32), chunked by the kernel's cell budget. The cost tables and
+the partition DP run on the whole batch; the traceback and the choice of
+each group's medoid run per curve.
+
+The local-medoid table is built from split sums: a range [a, b] with center
+v costs L(v, a) + R(v, b), the sums of dp[v, j] from v leftwards to a and
+from v rightwards to b. Each is a direct sum of nonnegative terms, so no
+prefix sum is subtracted and small terms cannot cancel against large ones.
+The split sums add the same terms as summing each range from a, in another
+order: table entries and grouping costs stay within a relative m * 2^-52 of
+that direct sum, and the parts and curves have equal bits on the tested
+inputs (``tests/test_simplify.py`` keeps the direct sum as the reference).
 """
 
 from __future__ import annotations
@@ -19,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, ValidationError
-from .dtw import _distance_table, _pth_powers, _root
+from .dtw import _BLOCK_CELLS, _distance_table, _pth_powers, _root
 
 WEISZFELD_MAX_ITER = 200
 WEISZFELD_REL_TOL = 1e-10
@@ -41,23 +58,36 @@ class Simplification:
 
 
 def _medoid_cost_table(dp, restrict_to_range):
-    """C[a, b] = min over center vertices v of sum_{j in [a,b]} dp[v, j], for
-    the table dp[i, j] = |sigma_i - sigma_j|^p.
+    """Cost tables C[a, b, t] = min over center vertices v of
+    sum_{j in [a,b]} dp[v, j, t], for n batch-last tables
+    dp[i, j, t] = |sigma_i - sigma_j|^p of curve t; inf below the diagonal.
 
     With ``restrict_to_range`` the center must lie inside [a, b] (the local
-    medoid of the 2-approximation); without it any vertex of the curve may
-    serve (the vertex-restricted exact variant).
+    medoid of the 2-approximation). Each range sum then splits at its center
+    v into L(v, a) = sum_{j=a..v} dp[v, j], summed leftwards from v, and
+    R(v, b) = sum_{j=v..b} dp[v, j], summed rightwards (dp[v, v] = 0 is
+    counted in both), and C[a, b] = min_v L(v, a) + R(v, b): one rank-1
+    minimum update of C[:v+1, v:] per center. Without it any vertex of the
+    curve may serve (the vertex-restricted exact variant), and each row a of
+    C is a minimum over all v of the sums from a, summed directly.
+
+    Every sum adds nonnegative terms and none is subtracted, so small terms
+    cannot cancel against large ones. A split sum adds the same terms as the
+    direct sum from a to b, in another order, so the two may differ by a
+    relative 2(b-a) * 2^-53, less than m * 2^-52; the grouping costs built
+    from the table keep that tolerance.
     """
     m = dp.shape[0]
-    below = np.tri(m, k=-1, dtype=bool)
-    cost = np.full((m, m), np.inf)
-    for a in range(m):
-        # sums[v, b-a] = sum_{j in [a,b]} dp[v, j], summed directly: a
-        # difference of prefix sums cancels across magnitudes
-        sums = np.cumsum(dp[a:, a:] if restrict_to_range else dp[:, a:], axis=1)
-        if restrict_to_range:
-            sums[below[: m - a, : m - a]] = np.inf  # v = a + row must lie in [a, b]
-        cost[a, a:] = sums.min(axis=0)
+    cost = np.full(dp.shape, np.inf)
+    if restrict_to_range:
+        for v in range(m):
+            left = np.cumsum(dp[v, v::-1], axis=0)[::-1]
+            right = np.cumsum(dp[v, v:], axis=0)
+            block = cost[: v + 1, v:]
+            np.minimum(block, left[:, None] + right[None], out=block)
+    else:
+        for a in range(m):
+            cost[a, a:] = np.cumsum(dp[:, a:], axis=1).min(axis=0)
     return cost
 
 
@@ -129,57 +159,90 @@ def _geometric_median_cost_table(points):
 
 
 def _partition(cost, max_parts):
-    """Best split of [0, m) into at most ``max_parts`` contiguous groups.
+    """Best split of [0, m) into at most ``max_parts`` contiguous groups, for
+    each of the n batch-last cost tables cost[:, :, t].
 
-    Returns (parts, total_cost_in_cell_units). Ties between part counts go to
-    the fewer parts; ties between splits go to the lexicographically smallest
-    split vector (recovered forward over the suffix DP).
+    Returns (the parts of each table, the total cost of each in cell units).
+    Ties between part counts go to the fewer parts; ties between splits go
+    to the lexicographically smallest split vector (recovered forward over
+    the suffix DP, one table at a time).
     """
-    m = cost.shape[0]
+    m, n = cost.shape[0], cost.shape[2]
     max_parts = min(max_parts, m)
-    # suffix[j][i] = best cost of grouping [i, m) into exactly j groups
-    suffix = [np.full(m + 1, np.inf)]
-    first = np.full(m + 1, np.inf)
+    # suffix[j][i, t] = best cost of grouping [i, m) of table t into exactly j groups
+    suffix = [np.full((m + 1, n), np.inf)]
+    first = np.full((m + 1, n), np.inf)
     first[:m] = cost[:, m - 1]
     suffix.append(first)
     for _ in range(2, max_parts + 1):
-        prev = suffix[-1]
-        # cost is inf below its diagonal, so a row minimum ranges over ends >= i
-        cur = np.full(m + 1, np.inf)
-        cur[:m] = (cost + prev[1 : m + 1][None, :]).min(axis=1)
+        prev, cur = suffix[-1], np.full((m + 1, n), np.inf)
+        for i in range(m):
+            cur[i] = (cost[i, i:] + prev[i + 1 :]).min(axis=0)
         suffix.append(cur)
 
-    totals = [suffix[j][0] for j in range(1, max_parts + 1)]
-    best_j = 1 + int(np.argmin(totals))
-    total = totals[best_j - 1]
-
-    parts = []
-    i, j = 0, best_j
-    while j > 1:
-        targets = cost[i, :] + suffix[j - 1][1 : m + 1]
-        e = i + int(np.argmax(targets[i:] == suffix[j][i]))
-        parts.append((i, e))
-        i, j = e + 1, j - 1
-    parts.append((i, m - 1))
-    return tuple(parts), float(total)
+    totals = np.array([s[0] for s in suffix[1:]])
+    best = np.argmin(totals, axis=0)
+    all_parts = []
+    for t in range(n):
+        parts = []
+        i, j = 0, 1 + int(best[t])
+        while j > 1:
+            targets = cost[i, i:, t] + suffix[j - 1][i + 1 :, t]
+            e = i + int(np.argmax(targets == suffix[j][i, t]))
+            parts.append((i, e))
+            i, j = e + 1, j - 1
+        parts.append((i, m - 1))
+        all_parts.append(tuple(parts))
+    return all_parts, totals[best, np.arange(n)]
 
 
 def _finish(sigma, parts, centers, grouping):
     return Simplification(Curve(sigma.id, np.array(centers)), parts, float(grouping))
 
 
-def _medoid_simplification(sigma, ell, p, restrict_to_range):
-    """Best medoid grouping of sigma into at most ell parts. The p-th powers
-    of the pointwise distances come from the p-DTW kernel, scaled for p > 32
-    so that they cannot overflow."""
-    pts = sigma.points
-    table = _distance_table(pts[:, :, None], pts[:, :, None])
-    scale = _pth_powers(table[1:, 1:], p)[0]
-    dp = table[1:, 1:, 0]
-    cost = _medoid_cost_table(dp, restrict_to_range)
-    parts, total = _partition(cost, ell)
-    centers = [_medoid_center(pts, dp, a, b, restrict_to_range) for a, b in parts]
-    return _finish(sigma, parts, centers, _root(total, p, scale))
+def _medoid_simplifications(curves, ell, p, restrict_to_range):
+    """Best medoid grouping into at most ell parts of each of the curves,
+    which share one complexity m and one dimension d.
+
+    The curves are batched, in chunks of at most ``_BLOCK_CELLS`` cells times
+    the dimension per m x m table. The p-th powers of the pointwise
+    distances come from the p-DTW kernel, scaled per curve for p > 32 so
+    that they cannot overflow.
+    """
+    m, d = curves[0].complexity, curves[0].dimension
+    block = max(1, _BLOCK_CELLS // (m * m * d))
+    out = []
+    for start in range(0, len(curves), block):
+        chunk = curves[start : start + block]
+        pts = np.stack([c.points for c in chunk], axis=-1)
+        table = _distance_table(pts, pts)
+        scale = _pth_powers(table[1:, 1:], p)
+        dp = table[1:, 1:]
+        all_parts, totals = _partition(_medoid_cost_table(dp, restrict_to_range), ell)
+        costs = _root(totals, p, scale)
+        for t, (sigma, parts, cost) in enumerate(zip(chunk, all_parts, costs)):
+            own = np.ascontiguousarray(dp[:, :, t])
+            centers = [_medoid_center(sigma.points, own, a, b, restrict_to_range) for a, b in parts]
+            out.append(_finish(sigma, parts, centers, cost))
+    return out
+
+
+def _medoid_set(curves, ell, p, restrict_to_range):
+    """The medoid simplification of every curve, in input order; a curve of
+    complexity <= ell is returned as it is. One batch per (complexity,
+    dimension)."""
+    if ell < 1:
+        raise ValidationError("ell must be >= 1")
+    out = list(curves)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, c in enumerate(out):
+        if c.complexity > ell:
+            groups.setdefault((c.complexity, c.dimension), []).append(i)
+    for members in groups.values():
+        done = _medoid_simplifications([out[i] for i in members], ell, p, restrict_to_range)
+        for i, s in zip(members, done):
+            out[i] = s.curve
+    return out
 
 
 def _identity(sigma):
@@ -192,7 +255,7 @@ def simplify_2approx_detailed(sigma: Curve, ell, p=1.0) -> Simplification:
         raise ValidationError("ell must be >= 1")
     if sigma.complexity <= ell:
         return _identity(sigma)
-    return _medoid_simplification(sigma, ell, p, restrict_to_range=True)
+    return _medoid_simplifications([sigma], ell, p, restrict_to_range=True)[0]
 
 
 def simplify_2approx(sigma: Curve, ell, p=1.0) -> Curve:
@@ -213,7 +276,7 @@ def simplify_eps_p1_detailed(sigma: Curve, ell, eps) -> Simplification:
         return _identity(sigma)
     pts = sigma.points
     cost, cell_centers = _geometric_median_cost_table(pts)
-    parts, total = _partition(cost, ell)
+    (parts,), (total,) = _partition(cost[:, :, None], ell)
     centers = [cell_centers[part] for part in parts]
     return _finish(sigma, parts, centers, total)
 
@@ -235,7 +298,7 @@ def simplify_vertex_restricted_detailed(sigma: Curve, ell, p=1.0) -> Simplificat
         raise ValidationError("ell must be >= 1")
     if sigma.complexity == ell:
         return _identity(sigma)
-    return _medoid_simplification(sigma, ell, p, restrict_to_range=False)
+    return _medoid_simplifications([sigma], ell, p, restrict_to_range=False)[0]
 
 
 def simplify_vertex_restricted(sigma: Curve, ell, p=1.0) -> Curve:
@@ -251,7 +314,7 @@ def simplify_exact_p2_detailed(sigma: Curve, ell) -> Simplification:
         return _identity(sigma)
     pts = sigma.points
     cost = _centroid_cost_table(pts)
-    parts, total = _partition(cost, ell)
+    (parts,), (total,) = _partition(cost[:, :, None], ell)
     centers = [pts[a : b + 1].mean(axis=0) for a, b in parts]
     return _finish(sigma, parts, centers, np.sqrt(total))
 
@@ -263,13 +326,18 @@ def simplify_exact_p2(sigma: Curve, ell) -> Curve:
 
 
 def simplify_set(curves, ell, p=1.0, method="two-approx", eps=0.1):
-    """Apply one simplification method to every curve, preserving order."""
+    """Apply one simplification method to every curve, preserving order.
+
+    The medoid methods ("two-approx", "vertex") simplify the curves of one
+    (complexity, dimension) in one batch, with the bits of one-curve calls;
+    a curve of complexity <= ell is returned as it is.
+    """
     if method == "two-approx":
-        return [simplify_2approx(c, ell, p) for c in curves]
+        return _medoid_set(curves, ell, p, restrict_to_range=True)
     if method == "eps1":
         if p != 1:
             raise ValidationError("method 'eps1' (geometric medians) needs p = 1")
         return [simplify_eps_p1(c, ell, eps) for c in curves]
     if method == "vertex":
-        return [simplify_vertex_restricted(c, min(ell, c.complexity), p) for c in curves]
+        return _medoid_set(curves, ell, p, restrict_to_range=False)
     raise ValidationError(f"unknown simplification method {method!r}")

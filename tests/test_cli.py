@@ -144,6 +144,39 @@ def test_cluster_exact_route_command(runner, data_file):
     assert len(doc["centers"]) == 2
 
 
+def test_cluster_exact_route_reports_what_it_uses(runner, data_file):
+    doc = json.loads(
+        invoke(runner, ["cluster-exact-route", "--k", "2", "--ell", "2", str(data_file)])
+    )
+    assert list(doc["config"]) == ["k", "ell", "p", "eps", "method", "seed"]
+    assert doc["config"]["method"] == "two-approx"
+    cluster = json.loads(
+        invoke(runner, ["cluster", "--k", "2", "--ell", "2", "--repetitions", "1", str(data_file)])
+    )
+    assert set(cluster["config"]) >= {"delta", "size_override", "sample_constant", "repetitions"}
+
+
+def test_stdout_equals_the_output_file(runner, data_file, tmp_path):
+    centers = tmp_path / "centers.jsonl"
+    save_curves(list(load_curves(data_file))[:2], centers)
+    commands = [
+        ["simplify", "--ell", "2", str(data_file)],
+        ["closure", "--format", "csv", str(data_file)],
+        ["closure", str(data_file)],
+        ["eval", "--centers", str(centers), "--format", "csv", str(data_file)],
+        ["eval", "--centers", str(centers), str(data_file)],
+        ["cluster", "--k", "2", "--ell", "2", "--repetitions", "1", "--format", "csv", str(data_file)],
+        ["cluster-exact-route", "--k", "2", "--ell", "2", "--format", "csv", str(data_file)],
+        ["dtw", str(data_file), str(centers)],
+    ]
+    out = tmp_path / "out"
+    for args in commands:
+        stdout = runner.invoke(main, args, catch_exceptions=False).stdout_bytes
+        invoke(runner, args + ["--output", str(out)])
+        assert stdout == out.read_bytes(), args
+        assert stdout.endswith(b"\n") and not stdout.endswith(b"\n\n"), args
+
+
 def test_eval_command(runner, data_file, tmp_path):
     centers = tmp_path / "centers.jsonl"
     save_curves(list(load_curves(data_file))[:2], centers)

@@ -114,15 +114,14 @@ def test_provenance_resolves_to_inputs(rng):
 
 def test_each_input_is_simplified_once_per_repetition(monkeypatch):
     calls = []
-    original = simplify.simplify_2approx
+    original = simplify._medoid_simplifications
 
-    def counting(sigma, ell, p=1.0):
-        calls.append(sigma.id)
-        return original(sigma, ell, p)
+    def counting(curves, ell, p, restrict_to_range):
+        calls.extend(c.id for c in curves)
+        return original(curves, ell, p, restrict_to_range)
 
-    # every module that binds the function, so a second binding cannot hide calls
-    for module in (simplify, bicriteria, pipeline):
-        monkeypatch.setattr(module, "simplify_2approx", counting, raising=False)
+    # every medoid simplification, of one curve or of a batch, runs through it
+    monkeypatch.setattr(simplify, "_medoid_simplifications", counting)
     curves = list(gen_synthetic(2, 8, 6, 1, 0.4, 17))
     kl_median(curves, cfg(k=2, ell=2, repetitions=2))
     assert len(calls) == 2 * len(curves)

@@ -3,9 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from dtwmedian import simplify
 from dtwmedian.curves import Curve, ValidationError
-from dtwmedian.dtw import Traversal, dtw_value, traversal_cost
+from dtwmedian.dtw import Traversal, _distance_table, _pth_powers, _root, dtw_value, traversal_cost
 from dtwmedian.simplify import (
+    _medoid_center,
+    _medoid_cost_table,
+    _partition,
     geometric_median,
     median_cost,
     simplify_2approx,
@@ -46,6 +50,18 @@ def brute_medoid_partition_cost(points, ell, p):
             )
         best = min(best, total ** (1.0 / p))
     return best
+
+
+def direct_medoid_table(dp):
+    """Local-medoid cost table of one curve, each range [a, b] summed directly
+    from a for every center v in it; the reference for the split sums."""
+    m = dp.shape[0]
+    cost = np.full((m, m), np.inf)
+    for a in range(m):
+        sums = np.cumsum(dp[a:, a:], axis=1)
+        sums[np.tri(m - a, k=-1, dtype=bool)] = np.inf  # v = a + row must lie in [a, b]
+        cost[a, a:] = sums.min(axis=0)
+    return cost
 
 
 def brute_centroid_partition_cost(points, ell):
@@ -308,6 +324,80 @@ def test_grouping_cost_is_the_lopsided_traversal_cost(rng):
                 )
                 realized = traversal_cost(s.curve, c, lopsided, p)
                 assert s.grouping_cost == pytest.approx(realized, rel=1e-12)
+
+
+def test_split_sums_match_the_direct_sums(rng):
+    # the split sums add each range's terms in another order: table entries
+    # and grouping costs stay within a relative m * 2^-52 of the direct sums
+    # (the _medoid_cost_table docstring), and parts and curves are equal
+    curves = [Curve("a", [[0.0], [1e10], [2e10], [3e10], [4e10]])]
+    curves += [
+        Curve("x", rng.normal(0, 3, (int(rng.integers(2, 40)), int(rng.integers(1, 4)))))
+        for _ in range(30)
+    ]
+    for c in curves:
+        m = c.complexity
+        tol = m * 2.0**-52
+        ell = int(rng.integers(1, m))
+        for p in (1.0, 2.0, 3.0, 64.0):
+            table = _distance_table(c.points[:, :, None], c.points[:, :, None])
+            scale = _pth_powers(table[1:, 1:], p)
+            dp = table[1:, 1:]
+            direct = direct_medoid_table(dp[:, :, 0])
+            split = _medoid_cost_table(dp, True)[:, :, 0]
+            finite = np.isfinite(direct)
+            assert np.array_equal(np.isfinite(split), finite)
+            assert np.all(np.abs(split[finite] - direct[finite]) <= tol * direct[finite])
+
+            (parts,), total = _partition(direct[:, :, None], ell)
+            centers = [_medoid_center(c.points, dp[:, :, 0], a, b, True) for a, b in parts]
+            s = simplify_2approx_detailed(c, ell, p)
+            assert s.parts == parts
+            assert s.curve.points.tobytes() == np.array(centers).tobytes()
+            reference = float(_root(total, p, scale)[0])
+            assert abs(s.grouping_cost - reference) <= tol * reference
+
+
+def test_simplify_set_equals_one_curve_calls(rng):
+    shapes = [(7, 2), (9, 2), (7, 2), (7, 1), (9, 1), (3, 2), (2, 1), (1, 2), (12, 3)]
+    curves = [Curve(f"c{i}", rng.normal(0, 3, shape)) for i, shape in enumerate(shapes)]
+    curves += [Curve("dup0", curves[0].points.copy()), Curve("dup4", curves[4].points.copy())]
+    ell = 3
+    one_curve = {
+        "two-approx": simplify_2approx,
+        "vertex": lambda c, ell, p: simplify_vertex_restricted(c, min(ell, c.complexity), p),
+    }
+    for method, simplify_one in one_curve.items():
+        for p in (1.0, 2.0):
+            out = simplify_set(curves, ell, p, method)
+            assert len(out) == len(curves)
+            for c, s in zip(curves, out):
+                ref = simplify_one(c, ell, p)
+                assert s.id == ref.id
+                assert s.points.tobytes() == ref.points.tobytes()
+                if c.complexity <= ell:
+                    assert s is c
+            assert out[-2].points.tobytes() == out[0].points.tobytes()
+            assert out[-1].points.tobytes() == out[4].points.tobytes()
+
+
+def test_results_do_not_depend_on_the_chunk_size(rng, monkeypatch):
+    # one curve of large coordinates among small ones: for p > 32 each curve
+    # of a batch keeps its own scale
+    curves = [Curve(f"c{i}", rng.normal(0, 3, (9, 2))) for i in range(12)]
+    curves.append(Curve("big", 1e10 * rng.normal(0, 3, (9, 2))))
+    curves.append(Curve("dup", curves[0].points.copy()))
+    for p in (1.0, 2.0, 3.0, 64.0):
+        for restrict_to_range in (True, False):
+            full = simplify._medoid_simplifications(curves, 3, p, restrict_to_range)
+            with monkeypatch.context() as patch:
+                patch.setattr(simplify, "_BLOCK_CELLS", 1)
+                single = simplify._medoid_simplifications(curves, 3, p, restrict_to_range)
+            for a, b in zip(full, single):
+                assert a.parts == b.parts
+                assert a.curve.points.tobytes() == b.curve.points.tobytes()
+                assert a.grouping_cost == b.grouping_cost
+            assert full[-1].curve.points.tobytes() == full[0].curve.points.tobytes()
 
 
 def test_determinism(rng):
