@@ -1,6 +1,11 @@
+import shutil
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
+from dtwmedian import closure
 from dtwmedian.curves import Curve, ResourceGuardError, ValidationError, gen_synthetic
 from dtwmedian.closure import (
     build_closure,
@@ -9,7 +14,10 @@ from dtwmedian.closure import (
     shortest_path_closure,
 )
 from dtwmedian.dtw import dtw_brute, dtw_self_matrix, dtw_value
+from dtwmedian.simplify import simplify_set
 from conftest import curve1d
+
+needs_cc = pytest.mark.skipif(shutil.which(closure._CC) is None, reason="no C compiler on PATH")
 
 TOL = 1e-9
 
@@ -65,20 +73,101 @@ def test_invariants_random(rng):
             )
 
 
-def test_closure_matches_floyd_warshall_reference(rng):
-    for n in (5, 20, 50):
-        w = rng.uniform(0.0, 4.0, (n, n))
-        w = (w + w.T) / 2
-        np.fill_diagonal(w, 0.0)
-        # rows n-2 and n-1 duplicate rows 0 and 1: zero-weight edges
-        for dup, src in ((n - 2, 0), (n - 1, 1)):
-            w[dup, :] = w[src, :]
-            w[:, dup] = w[:, src]
-            w[dup, src] = w[src, dup] = w[dup, dup] = 0.0
+def _scipy_closure(w):
+    return floyd_warshall(csgraph_from_dense(w, null_value=np.inf), directed=False)
+
+
+def _weights_with_duplicates(rng, n):
+    w = rng.uniform(0.0, 4.0, (n, n))
+    w = (w + w.T) / 2
+    np.fill_diagonal(w, 0.0)
+    # rows n-2 and n-1 duplicate rows 0 and 1: zero-weight edges
+    for dup, src in ((n - 2, 0), (n - 1, 1)):
+        w[dup, :] = w[src, :]
+        w[:, dup] = w[:, src]
+        w[dup, src] = w[src, dup] = w[dup, dup] = 0.0
+    return w
+
+
+def _check_closure(w):
+    dist = shortest_path_closure(w)
+    assert np.array_equal(dist, floyd_warshall_reference(w))
+    assert np.array_equal(dist, _scipy_closure(w))
+    assert np.array_equal(dist, dist.T)
+    return dist
+
+
+def test_closure_matches_floyd_warshall_reference(rng, monkeypatch):
+    """Equal bits to the reference and to scipy, on the compiled kernel and
+    with the scipy fallback forced."""
+    with_duplicates = [_weights_with_duplicates(rng, n) for n in (5, 20, 50)]
+    # two components and one isolated node
+    split = _weights_with_duplicates(rng, 13)
+    split[:6, 6:] = split[6:, :6] = np.inf
+    split[12, :12] = split[:12, 12] = np.inf
+    walks = simplify_set(gen_synthetic(200, 1, 32, 2, 0.5, seed=3), 16, 2.0)
+    base = dtw_self_matrix(walks, 2.0)
+    off = ~np.eye(len(walks), dtype=bool)
+    for fallback in (False, True):
+        with monkeypatch.context() as patch:
+            if fallback:
+                patch.setattr(closure, "_kernel", lambda: None)
+            assert _check_closure(np.zeros((1, 1))).tolist() == [[0.0]]
+            for w in with_duplicates:
+                dist = _check_closure(w)
+                assert dist[0, -2] == 0.0 and dist[1, -1] == 0.0
+            # disconnected pairs stay inf
+            dist = _check_closure(split)
+            assert np.all(np.isinf(dist[:6, 6:])) and np.all(np.isinf(dist[12, :12]))
+            assert np.all(np.isfinite(dist[:6, :6])) and np.all(np.isfinite(dist[6:12, 6:12]))
+            # about half the entries of a p-DTW base of simplified walks shrink
+            dist = _check_closure(base)
+            assert 0.4 < np.mean(dist[off] < base[off]) < 0.7
+
+
+@needs_cc
+def test_closure_runs_the_compiled_kernel(rng, monkeypatch):
+    def no_scipy(*args, **kwargs):
+        raise AssertionError("the closure fell back to scipy")
+
+    monkeypatch.setattr(closure, "floyd_warshall", no_scipy)
+    assert closure._kernel() is not None
+    w = _weights_with_duplicates(rng, 30)
+    assert np.array_equal(shortest_path_closure(w), floyd_warshall_reference(w))
+
+
+@pytest.fixture
+def fresh_kernel():
+    closure._kernel.cache_clear()
+    yield
+    closure._kernel.cache_clear()
+
+
+def test_failed_build_falls_back_with_the_same_bits(rng, fresh_kernel, monkeypatch, tmp_path):
+    monkeypatch.setattr(closure, "_CC", "dtwmedian-no-such-compiler")
+    monkeypatch.setattr(closure, "_CACHE", str(tmp_path / "cache"))
+    w = _weights_with_duplicates(rng, 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         dist = shortest_path_closure(w)
-        assert np.max(np.abs(dist - floyd_warshall_reference(w))) <= TOL
-        assert np.array_equal(dist, dist.T)
-        assert dist[0, n - 2] == 0.0 and dist[1, n - 1] == 0.0
+    assert closure._kernel() is None
+    assert np.array_equal(dist, floyd_warshall_reference(w))
+    assert np.array_equal(dist, _scipy_closure(w))
+
+
+@needs_cc
+def test_unwritable_cache_builds_in_a_private_directory(rng, fresh_kernel, monkeypatch, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(closure, "_CACHE", str(blocker / "cache"))
+    assert closure._kernel() is not None
+    w = _weights_with_duplicates(rng, 30)
+    assert np.array_equal(shortest_path_closure(w), floyd_warshall_reference(w))
+
+
+def test_closure_rejects_a_non_square_base():
+    with pytest.raises(ValidationError):
+        shortest_path_closure(np.zeros((3, 1)))
 
 
 def test_zero_weight_edges_are_kept():
