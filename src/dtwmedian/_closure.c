@@ -1,6 +1,6 @@
 /* Floyd-Warshall in place on a dense row-major n x n matrix d with a zero
    diagonal and no negative entries; see closure.py for why its result has
-   the bits of scipy's floyd_warshall. */
+   the bits of floyd_warshall_reference there. */
 #include <math.h>
 #include <stddef.h>
 

@@ -61,7 +61,6 @@ class BicriteriaSolution:
     assignment: np.ndarray
     distances: np.ndarray
     cost: float
-    k: int
     ell: int
     p: float
     simplified: tuple[Curve, ...]
@@ -71,15 +70,15 @@ class BicriteriaSolution:
         return len(self.centers)
 
 
-def _solve_on_closure(base, k, eps, solver, seed):
-    """Run the metric k-median solver on the closure of a p-DTW matrix;
-    returns the sorted positions of its centers (at most k)."""
+def _solve_on_closure(base, k, eps, seed):
+    """Run the metric k-median local search on the closure of a p-DTW
+    matrix; returns the sorted positions of its centers (at most k)."""
     n = base.shape[0]
     inst = FiniteMetricInstance(shortest_path_closure(base), np.ones(n), min(k, n))
-    return np.sort(np.asarray(solver(inst, eps, seed).centers, dtype=np.intp))
+    return np.sort(np.asarray(kmedian_local_search(inst, eps, seed).centers, dtype=np.intp))
 
 
-def k_routine(curves, p, idx, k, eps, solver, seed):
+def k_routine(curves, p, idx, k, eps, seed):
     """Inner level over curves[idx]: sample, cluster the sample's closure,
     recluster the m_size worst points by closure distance. Returns <= 2k
     indices into ``curves``."""
@@ -90,19 +89,17 @@ def k_routine(curves, p, idx, k, eps, solver, seed):
     seeds = spawn_seeds(seed, 2)
     base = dtw_self_matrix([curves[i] for i in idx], p)
     if n <= params.s:
-        return idx[_solve_on_closure(base, k, eps, solver, seeds[0])]
+        return idx[_solve_on_closure(base, k, eps, seeds[0])]
     sample = np.sort(rng.choice(n, size=params.s, replace=False))
-    c_prime = sample[_solve_on_closure(base[np.ix_(sample, sample)], k, eps, solver, seeds[0])]
+    c_prime = sample[_solve_on_closure(base[np.ix_(sample, sample)], k, eps, seeds[0])]
     dists = distances_from_set(base, c_prime)
     order = np.lexsort((np.arange(n), -dists))
     recheck = np.sort(order[: params.m_size])
-    c_second = recheck[
-        _solve_on_closure(base[np.ix_(recheck, recheck)], k, eps, solver, seeds[1])
-    ]
+    c_second = recheck[_solve_on_closure(base[np.ix_(recheck, recheck)], k, eps, seeds[1])]
     return np.unique(idx[np.concatenate([c_prime, c_second])])
 
 
-def k_median_sampled(curves, p, idx, k, eps, solver, seed):
+def k_median_sampled(curves, p, idx, k, eps, seed):
     """Outer level: like k_routine but recursing into it, with the recheck
     set selected by raw distances. Returns <= 4k indices into ``curves``."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -111,13 +108,13 @@ def k_median_sampled(curves, p, idx, k, eps, solver, seed):
     rng = new_rng(seed)
     seeds = spawn_seeds(seed, 2)
     if n <= params.s:
-        return k_routine(curves, p, idx, k, eps, solver, seeds[0])
+        return k_routine(curves, p, idx, k, eps, seeds[0])
     sample = np.sort(rng.choice(n, size=params.s, replace=False))
-    c_prime = k_routine(curves, p, idx[sample], k, eps, solver, seeds[0])
+    c_prime = k_routine(curves, p, idx[sample], k, eps, seeds[0])
     raw = dtw_matrix([curves[i] for i in idx], [curves[j] for j in c_prime], p).min(axis=1)
     order = np.lexsort((np.arange(n), -raw))
     m_idx = idx[np.sort(order[: params.m_size])]
-    c_second = k_routine(curves, p, m_idx, k, eps, solver, seeds[1])
+    c_second = k_routine(curves, p, m_idx, k, eps, seeds[1])
     return np.unique(np.concatenate([c_prime, c_second]))
 
 
@@ -129,7 +126,6 @@ def bicriteria_klmedian(
     eps=0.5,
     seed=0,
     repetitions=3,
-    solver=kmedian_local_search,
 ) -> BicriteriaSolution:
     """2-approximate ell-simplifications followed by the sampled k-median
     framework on their p-DTW; centers are simplification curves, assignments
@@ -147,12 +143,12 @@ def bicriteria_klmedian(
     simplified = tuple(simplify_set(curves, ell, p))
     best = None
     for rep_seed in spawn_seeds(seed, repetitions):
-        centers_idx = k_median_sampled(simplified, p, np.arange(n), k, eps, solver, rep_seed)
+        centers_idx = k_median_sampled(simplified, p, np.arange(n), k, eps, rep_seed)
         center_curves = tuple(simplified[i] for i in centers_idx)
         assignment, distances = assign_nearest(curves, center_curves, p)
         cost = float(distances.sum())
         if best is None or cost < best.cost:
             best = BicriteriaSolution(
-                center_curves, assignment, distances, cost, k, ell, p, simplified
+                center_curves, assignment, distances, cost, ell, p, simplified
             )
     return best

@@ -127,13 +127,12 @@ def dtw_cmd(p, eps, file_a, file_b, output):
     default="two-approx",
     show_default=True,
 )
-@click.option("--eps", type=float, default=0.1, show_default=True)
 @click.argument("file", type=click.Path(exists=True))
 @output_option
-def simplify_cmd(ell, p, method, eps, file, output):
+def simplify_cmd(ell, p, method, file, output):
     """Write simplified curves as jsonl."""
     curves = _load(file)
-    simplified = simplify_set(curves, ell, p, method, eps)
+    simplified = simplify_set(curves, ell, p, method)
     _emit("".join(json.dumps(curve_record(c)) + "\n" for c in simplified), output)
 
 

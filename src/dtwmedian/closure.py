@@ -2,17 +2,19 @@
 
 The closure is the all-pairs shortest-path completion of the complete graph
 whose edge weights are pairwise p-DTW values. Zero-weight edges between
-duplicate curves are kept (the closure is a semimetric).
+duplicate curves are kept (the closure is a semimetric); on a dense matrix a
+zero is just a zero, so duplicates need no special handling.
 
-``shortest_path_closure`` runs Floyd-Warshall as a small C kernel
-(``_closure.c``) on min(base, base^T) with a zero diagonal, the matrix
-scipy's ``floyd_warshall(..., directed=False)`` starts from. The kernel does
-scipy's arithmetic in scipy's order: k outermost, then i, then j, skipping
-rows whose d[i][k] is inf, and setting d[i][j] = min(d[i][j], d[i][k] +
-d[k][j]) in place, one rounded addition and one comparison per step. It
-also skips i = k and reads d[i][k] once per row; with non-negative weights
-the diagonal stays zero, so neither changes a bit. The closure therefore
-has scipy's bits.
+``shortest_path_closure`` runs Floyd-Warshall on min(base, base^T) with a
+zero diagonal, as a small C kernel (``_closure.c``) whose bits are pinned to
+``floyd_warshall_reference``. Both loop k outermost and set d[i][j] =
+min(d[i][j], d[i][k] + d[k][j]), one rounded addition and one comparison
+per entry. The kernel updates in place, row by row, where the reference
+relaxes the whole matrix per k, and it skips i = k and the rows whose
+d[i][k] is inf. None of this changes a bit: with non-negative weights, row
+k and column k do not change in step k, and an inf d[i][k] changes no
+entry. scipy's ``floyd_warshall`` does the same arithmetic; the tests keep
+it as an independent cross-check, and the package does not import scipy.
 
 The kernel is compiled with ``cc -O3 -ffp-contract=off -shared -fPIC``, and
 ``target_clones("avx2", "default")`` picks the vector loop when the library
@@ -25,13 +27,9 @@ import, and cached in this package's ``__pycache__`` under a name hashed
 from the source, the compiler and the flags. It is written to a temporary
 file and renamed into place, so concurrent first uses are safe. If that
 directory cannot be written, the library is built in a private temporary
-directory for the process. Only when no library can be built or loaded (a
-host without a C compiler) does the closure fall back to scipy's
-``floyd_warshall`` on the CSR graph, which gives the same bits.
-
-The CSR graph serves that fallback and ``distances_from_set``. It stores
-the zero edges between duplicates as explicit entries, which a dense scipy
-input would drop.
+directory for the process. The one fallback rule: when no library can be
+built or loaded (a host without a C compiler), the closure is
+``floyd_warshall_reference`` on the same matrix, with the same bits.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import csgraph_from_dense, dijkstra, floyd_warshall
 
 from .curves import ResourceGuardError, ValidationError
 from .dtw import dtw_self_matrix
@@ -66,10 +63,6 @@ class MetricClosure:
         n = len(self.ids)
         if self.dist.shape != (n, n) or self.base.shape != (n, n):
             raise ValidationError("closure matrices must be n x n")
-
-
-def _graph(base):
-    return csgraph_from_dense(base, null_value=np.inf)
 
 
 @functools.cache
@@ -124,18 +117,18 @@ def _kernel():
 
 def shortest_path_closure(base):
     """All-pairs shortest paths of a dense symmetric matrix of non-negative
-    weights, with scipy's undirected Floyd-Warshall bits (see the module
-    docstring): by the compiled kernel, or by scipy on the CSR graph on a
-    host where the kernel cannot be built. The result is exactly symmetric,
-    and zero-weight edges between duplicates are kept."""
+    weights, with the bits of ``floyd_warshall_reference`` (see the module
+    docstring): by the compiled kernel, or by the reference itself on a host
+    where the kernel cannot be built. The result is exactly symmetric, and
+    zero-weight edges between duplicates are kept."""
     base = np.asarray(base, dtype=np.float64)
     if base.ndim != 2 or base.shape[0] != base.shape[1]:
         raise ValidationError("closure base must be a square matrix")
-    kernel = _kernel()
-    if kernel is None:
-        return floyd_warshall(_graph(base), directed=False)
     dist = np.minimum(base, base.T, order="C")
     np.fill_diagonal(dist, 0.0)
+    kernel = _kernel()
+    if kernel is None:
+        return floyd_warshall_reference(dist)
     kernel(dist.ctypes.data, dist.shape[0])
     return dist
 
@@ -154,18 +147,35 @@ def build_closure(curves, p=1.0, size_cap=CLOSURE_SIZE_CAP) -> MetricClosure:
 
 def distances_from_set(base, C):
     """Minimum closure distance from every point to the index set C of a
-    dense base-weight matrix, via one multi-source Dijkstra run (a
-    zero-weight virtual source attached to C)."""
+    dense matrix of non-negative weights (edge u -> v weighs base[u, v]), by
+    one multi-source Dijkstra run; unreachable points stay inf.
+
+    Every point is settled once, at its final value, so dist[v] is the
+    minimum over the settled u of the rounded sum dist[u] + base[u, v],
+    whatever the order among ties: the bits of scipy's ``dijkstra`` with
+    ``min_only=True``."""
+    base = np.asarray(base, dtype=np.float64)
     C = np.asarray(list(C), dtype=np.intp)
     if C.size == 0:
         raise ValidationError("C must be non-empty")
     if np.any(C < 0) or np.any(C >= base.shape[0]):
         raise ValidationError("C contains out-of-range indices")
-    return dijkstra(_graph(base), directed=True, indices=C, min_only=True)
+    dist = np.full(base.shape[0], np.inf)
+    dist[C] = 0.0
+    settled = np.zeros(base.shape[0], dtype=bool)
+    while True:
+        unsettled = np.where(settled, np.inf, dist)
+        u = int(np.argmin(unsettled))
+        if unsettled[u] == np.inf:
+            return dist
+        settled[u] = True
+        np.minimum(dist, dist[u] + base[u], out=dist)
 
 
 def floyd_warshall_reference(base):
-    """Textbook Floyd-Warshall; independent reference for the closure."""
+    """Textbook Floyd-Warshall, one whole-matrix relaxation per k: the
+    reference whose bits the compiled kernel must reproduce, and the closure
+    itself on a host where the kernel cannot be built."""
     dist = np.array(base, dtype=np.float64)
     n = dist.shape[0]
     for k in range(n):

@@ -120,7 +120,7 @@ def clustering_range_vc_bound(d_ball, k, n, alpha):
     return 2.0 * d_ball * k * math.log2(3.0 * k) * math.log2(n * alpha / 2.0 + 2.0 * alpha + 1.0)
 
 
-def coreset_size(n, m, ell, d, k, p, eps, delta, alpha, k_hat, Lambda, constant=0.05):
+def coreset_size(n, m, ell, d, k, p, eps, delta, alpha, Lambda, constant=0.05):
     """Sample size ceil((c/(eta*eps_eff^2)) * (D_G*ln(1/eta) + ln(1/delta)))
     with eta = 1/Lambda and eps_eff = eps/6, capped at n."""
     if n < 1 or not (0 < eps <= 1) or not (0 < delta < 1):

@@ -127,8 +127,6 @@ def kmedian_local_search(inst: FiniteMetricInstance, eps=0.5, seed=0) -> MedianS
         in_centers = np.zeros(n, dtype=bool)
         in_centers[centers] = True
         cand = np.flatnonzero(~in_centers)
-        if cand.size == 0:
-            break
 
         best_new, best_swap = cost, None
         for r_pos in range(k):

@@ -117,7 +117,6 @@ def _coreset_stages(curves, cfg, seed, timings):
         eps_prime,
         cfg.delta,
         alpha,
-        bicrit.k_hat,
         profile.Lambda,
         cfg.sample_constant,
     )
@@ -176,7 +175,7 @@ def cluster_via_closure(T, k, ell, p=1.0, eps=0.5, method="two-approx", seed=0) 
     config = dict(k=cfg.k, ell=cfg.ell, p=cfg.p, eps=cfg.eps, method=method, seed=cfg.seed)
     timings: dict = {}
     with _stage(timings, "simplify"):
-        simplified = simplify_set(curves, ell, p, method, eps)
+        simplified = simplify_set(curves, ell, p, method)
     centers, assignment, distances = _cluster_simplified(
         curves, simplified, np.ones(n), k, p, min(eps, 0.999), seed, timings
     )

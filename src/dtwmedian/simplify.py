@@ -7,7 +7,7 @@ one center per group, so the DP's grouping cost is realized by the lopsided
 traversal matching each group to its center.
 
 Cell cost variants: local medoid (deterministic 2-approximation for every p),
-geometric median via Weiszfeld (1+eps approximation for p = 1), any-vertex
+geometric median via Weiszfeld (near-optimal groups for p = 1), any-vertex
 medoid (exact among vertex-restricted simplifications), and centroid (exact
 for p = 2; sum of squared distances is minimized by the mean).
 
@@ -267,11 +267,9 @@ def simplify_2approx(sigma: Curve, ell, p=1.0) -> Curve:
     return simplify_2approx_detailed(sigma, ell, p).curve
 
 
-def simplify_eps_p1_detailed(sigma: Curve, ell, eps) -> Simplification:
+def simplify_eps_p1_detailed(sigma: Curve, ell) -> Simplification:
     if ell < 1:
         raise ValidationError("ell must be >= 1")
-    if not eps > 0:
-        raise ValidationError("eps must be positive")
     if sigma.complexity <= ell:
         return _identity(sigma)
     pts = sigma.points
@@ -281,14 +279,18 @@ def simplify_eps_p1_detailed(sigma: Curve, ell, eps) -> Simplification:
     return _finish(sigma, parts, centers, total)
 
 
-def simplify_eps_p1(sigma: Curve, ell, eps) -> Curve:
-    """(1+eps)-approximate ell-simplification for p = 1 using per-group
-    geometric medians.
+def simplify_eps_p1(sigma: Curve, ell) -> Curve:
+    """ell-simplification for p = 1 with a geometric median per group.
 
-    A deterministic Weiszfeld solver replaces a randomized one, so the result
-    is deterministic.
+    The partition DP runs over group costs whose centers are Weiszfeld
+    iterates (``geometric_median``), stopped at a relative step of
+    ``WEISZFELD_REL_TOL`` or after ``WEISZFELD_MAX_ITER`` iterations. With
+    exact medians the grouping cost would be the least over all partitions
+    into at most ell contiguous groups with one center each; the tests
+    bound it by a grid search. The fixed tolerances set the accuracy, and
+    the deterministic solver makes the result deterministic.
     """
-    return simplify_eps_p1_detailed(sigma, ell, eps).curve
+    return simplify_eps_p1_detailed(sigma, ell).curve
 
 
 def simplify_vertex_restricted_detailed(sigma: Curve, ell, p=1.0) -> Simplification:
@@ -325,7 +327,7 @@ def simplify_exact_p2(sigma: Curve, ell) -> Curve:
     return simplify_exact_p2_detailed(sigma, ell).curve
 
 
-def simplify_set(curves, ell, p=1.0, method="two-approx", eps=0.1):
+def simplify_set(curves, ell, p=1.0, method="two-approx"):
     """Apply one simplification method to every curve, preserving order.
 
     The medoid methods ("two-approx", "vertex") simplify the curves of one
@@ -337,7 +339,7 @@ def simplify_set(curves, ell, p=1.0, method="two-approx", eps=0.1):
     if method == "eps1":
         if p != 1:
             raise ValidationError("method 'eps1' (geometric medians) needs p = 1")
-        return [simplify_eps_p1(c, ell, eps) for c in curves]
+        return [simplify_eps_p1(c, ell) for c in curves]
     if method == "vertex":
         return _medoid_set(curves, ell, p, restrict_to_range=False)
     raise ValidationError(f"unknown simplification method {method!r}")

@@ -12,7 +12,7 @@ from dtwmedian.bicriteria import (
 from dtwmedian.closure import build_closure
 from dtwmedian.coreset import bicriteria_alpha_factor
 from dtwmedian.dtw import dtw_matrix, dtw_value
-from dtwmedian.kmedian import FiniteMetricInstance, kmedian_brute, kmedian_local_search
+from dtwmedian.kmedian import FiniteMetricInstance, kmedian_brute
 from dtwmedian.simplify import simplify_2approx
 from conftest import curve1d, restricted_opt
 
@@ -38,14 +38,14 @@ def test_sampling_params_formulas():
 
 def test_k_routine_degenerate_branch(rng):
     curves = planted_points_1d(rng, 8)
-    # n <= s short-circuits to the solver on the whole closure
-    out = k_routine(curves, 1.0, np.arange(8), 2, 0.5, kmedian_local_search, 0)
+    # n <= s short-circuits to the local search on the whole closure
+    out = k_routine(curves, 1.0, np.arange(8), 2, 0.5, 0)
     assert out.size <= 2
 
 
 def test_k_routine_cardinality_and_cost(rng):
     curves = planted_points_1d(rng, 30)
-    out = k_routine(curves, 1.0, np.arange(30), 2, 0.5, kmedian_local_search, 5)
+    out = k_routine(curves, 1.0, np.arange(30), 2, 0.5, 5)
     assert out.size <= 4  # 2k
     mc = build_closure(curves, 1.0)
     inst = FiniteMetricInstance(mc.dist, np.ones(30), 2)
@@ -58,7 +58,7 @@ def test_k_routine_cardinality_and_cost(rng):
 def test_k_median_sampled_cardinality_and_cost(rng):
     curves = planted_points_1d(rng, 40)
     m = max(c.complexity for c in curves)
-    out = k_median_sampled(curves, 1.0, np.arange(40), 2, 0.5, kmedian_local_search, 9)
+    out = k_median_sampled(curves, 1.0, np.arange(40), 2, 0.5, 9)
     assert out.size <= 8  # 4k
     mc = build_closure(curves, 1.0)
     opt = kmedian_brute(FiniteMetricInstance(mc.dist, np.ones(40), 2)).cost

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import dtwmedian
+from dtwmedian.bicriteria import bicriteria_klmedian
 from dtwmedian.cli import main
 from dtwmedian.curves import gen_synthetic, load_curves, load_weighted, save_curves
 
@@ -56,6 +57,13 @@ def test_gen_writes_file(runner, tmp_path):
     assert len(load_curves(out)) == 6
 
 
+def test_gen_stdout_equals_the_output_file(runner, tmp_path):
+    args = ["gen", "--clusters", "2", "--per-cluster", "3", "--m", "4", "--seed", "5"]
+    out = tmp_path / "g.jsonl"
+    invoke(runner, args + ["--output", str(out)])
+    assert invoke(runner, args) == out.read_text(encoding="utf-8")
+
+
 def test_dtw_command(runner, tmp_path):
     fa, fb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     fa.write_text('{"id":"a","points":[[0.0]]}\n')
@@ -79,6 +87,9 @@ def test_simplify_command(runner, data_file, tmp_path):
     simplified = load_curves(out)
     assert len(simplified) == 16
     assert all(c.complexity <= 2 for c in simplified)
+    # eps1 reads no accuracy parameter, so simplify takes none
+    result = runner.invoke(main, ["simplify", "--ell", "2", "--eps", "0.1", str(data_file)])
+    assert result.exit_code == 2
 
 
 def test_closure_command_csv(runner, tmp_path):
@@ -104,6 +115,16 @@ def test_bicriteria_command_writes_artifacts(runner, data_file, tmp_path):
     lines = open(doc["assignment"]).read().strip().splitlines()
     assert lines[0] == "curve_id,center_index,distance"
     assert len(lines) == 17
+
+
+def test_bicriteria_command_stdout(runner, data_file):
+    doc = json.loads(
+        invoke(runner, ["bicriteria", "--k", "2", "--ell", "2", "--seed", "4", str(data_file)])
+    )
+    sol = bicriteria_klmedian(load_curves(data_file), 2, 2, 1.0, 0.5, 4, 3)
+    assert doc["assignment"] == sol.assignment.tolist()
+    assert doc["k_hat"] == sol.k_hat and doc["cost"] == sol.cost
+    assert [c["id"] for c in doc["centers"]] == [c.id for c in sol.centers]
 
 
 def test_coreset_command_deterministic(runner, data_file, tmp_path):
@@ -236,7 +257,7 @@ COMMAND_OPTIONS = {
     "dtw": ["--p", "--eps", "--output"],
     "eval": ["--p", "--centers", "--output", "--format"],
     "gen": ["--clusters", "--per-cluster", "--m", "--d", "--noise", "--output", "--seed"],
-    "simplify": ["--ell", "--p", "--method", "--eps", "--output"],
+    "simplify": ["--ell", "--p", "--method", "--output"],
 }
 
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
+from scipy.sparse.csgraph import csgraph_from_dense, dijkstra, floyd_warshall
 
 from dtwmedian import closure
 from dtwmedian.curves import Curve, ResourceGuardError, ValidationError, gen_synthetic
@@ -99,7 +99,7 @@ def _check_closure(w):
 
 def test_closure_matches_floyd_warshall_reference(rng, monkeypatch):
     """Equal bits to the reference and to scipy, on the compiled kernel and
-    with the scipy fallback forced."""
+    with the reference fallback forced."""
     with_duplicates = [_weights_with_duplicates(rng, n) for n in (5, 20, 50)]
     # two components and one isolated node
     split = _weights_with_duplicates(rng, 13)
@@ -127,10 +127,10 @@ def test_closure_matches_floyd_warshall_reference(rng, monkeypatch):
 
 @needs_cc
 def test_closure_runs_the_compiled_kernel(rng, monkeypatch):
-    def no_scipy(*args, **kwargs):
-        raise AssertionError("the closure fell back to scipy")
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the closure fell back to the reference")
 
-    monkeypatch.setattr(closure, "floyd_warshall", no_scipy)
+    monkeypatch.setattr(closure, "floyd_warshall_reference", no_fallback)
     assert closure._kernel() is not None
     w = _weights_with_duplicates(rng, 30)
     assert np.array_equal(shortest_path_closure(w), floyd_warshall_reference(w))
@@ -180,6 +180,11 @@ def test_zero_weight_edges_are_kept():
     assert mc.dist[0, 2] == pytest.approx(7.0)
 
 
+def _scipy_distances(base, C):
+    graph = csgraph_from_dense(base, null_value=np.inf)
+    return dijkstra(graph, directed=True, indices=C, min_only=True)
+
+
 def test_distances_from_set_examples(rng):
     curves = random_set(rng, 6)
     mc = build_closure(curves, 1.0)
@@ -191,6 +196,29 @@ def test_distances_from_set_examples(rng):
     # |C| = 2 cross-check against the column minimum of the full closure
     d = distances_from_set(mc.base, [1, 4])
     assert np.max(np.abs(d - mc.dist[[1, 4]].min(axis=0))) <= TOL
+
+    # equal bits to scipy's multi-source Dijkstra
+    walks = simplify_set(gen_synthetic(60, 1, 16, 2, 0.5, seed=5), 6, 2.0)
+    # the last ten curves repeat the first ten: duplicate rows, zero edges
+    base = dtw_self_matrix(walks + walks[:10], 2.0)
+    # an asymmetric base whose last four points no source reaches
+    split = rng.uniform(0.0, 4.0, (12, 12))
+    split[:8, 8:] = np.inf
+    cases = [
+        (np.zeros((1, 1)), [0]),
+        (mc.base, [1, 4]),
+        (base, [3]),
+        (base, [0, 17, 65]),
+        (base, range(70)),
+        (split, [0, 5]),
+    ]
+    for w, C in cases:
+        d = distances_from_set(w, C)
+        assert np.array_equal(d, _scipy_distances(w, list(C)))
+    assert np.all(d[8:] == np.inf) and np.all(np.isfinite(d[:8]))
+    assert np.all(distances_from_set(base, range(70)) == 0.0)
+    # a duplicate of a source is at distance zero
+    assert distances_from_set(base, [3])[63] == 0.0
 
 
 def test_distances_from_set_single_point():

@@ -38,7 +38,7 @@ def test_single_curve_formula():
     curve = curve1d(0, 0, cid="q")
     center = curve1d(3, cid="c")
     sol = BicriteriaSolution(
-        (center,), np.array([0]), np.array([6.0]), 6.0, 1, 1, 1.0, (center,)
+        (center,), np.array([0]), np.array([6.0]), 6.0, 1, 1.0, (center,)
     )
     prof = sensitivity_bounds([curve], sol, alpha=2.0)
     assert prof.gamma[0] == pytest.approx((2 * 1) ** 1.0 * (2 * 2 + 4 + 8 * 2))
@@ -82,7 +82,7 @@ def test_vc_formula_value():
 
 
 def test_coreset_size_cap_linearity_monotonicity():
-    kwargs = dict(n=100, m=8, ell=2, d=1, k=3, p=1.0, delta=0.1, alpha=50.0, k_hat=6, Lambda=500.0)
+    kwargs = dict(n=100, m=8, ell=2, d=1, k=3, p=1.0, delta=0.1, alpha=50.0, Lambda=500.0)
     r1 = coreset_size(eps=0.5, constant=0.05, **kwargs)
     r2 = coreset_size(eps=0.5, constant=0.10, **kwargs)
     assert r1.sample_size <= 100

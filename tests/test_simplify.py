@@ -114,16 +114,16 @@ def test_2approx_examples():
 
 def test_eps1_examples():
     same = Curve("s", [[2.0, 2.0]] * 4)
-    s = simplify_eps_p1_detailed(same, 2, 0.1)
+    s = simplify_eps_p1_detailed(same, 2)
     assert s.grouping_cost == 0.0
     assert np.allclose(s.curve.points, 2.0)
 
-    s = simplify_eps_p1_detailed(curve1d(0, 2), 1, 0.1)
+    s = simplify_eps_p1_detailed(curve1d(0, 2), 1)
     assert np.allclose(s.curve.points.ravel(), [1.0])  # coordinate-wise median
     assert s.grouping_cost == pytest.approx(2.0)
 
     tri = Curve("t", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    s = simplify_eps_p1_detailed(tri, 1, 0.01)
+    s = simplify_eps_p1_detailed(tri, 1)
     brute = grid_median_cost(tri.points, np.array([0.0, 0.0]), np.array([1.0, 1.0]), 201)
     assert s.grouping_cost <= 1.01 * brute + 1e-6
 
@@ -154,8 +154,6 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         simplify_vertex_restricted(c, 4, 1.0)
     with pytest.raises(ValidationError):
-        simplify_eps_p1(c, 1, 0.0)
-    with pytest.raises(ValidationError):
         simplify_exact_p2(c, 0)
 
 
@@ -165,9 +163,7 @@ def test_simplify_set_methods(rng):
     assert simplify_set(curves, 4, 2.0, "vertex") == [
         simplify_vertex_restricted(c, min(4, c.complexity), 2.0) for c in curves
     ]
-    assert simplify_set(curves, 2, 1.0, "eps1", 0.25) == [
-        simplify_eps_p1(c, 2, 0.25) for c in curves
-    ]
+    assert simplify_set(curves, 2, 1.0, "eps1") == [simplify_eps_p1(c, 2) for c in curves]
     with pytest.raises(ValidationError):
         simplify_set(curves, 2, 1.0, "nearest")
 
@@ -190,7 +186,7 @@ def test_output_complexity_and_dimension(rng):
         c = Curve("x", rng.normal(0, 3, (m, d)))
         for out in (
             simplify_2approx(c, ell, 2.0),
-            simplify_eps_p1(c, ell, 0.25),
+            simplify_eps_p1(c, ell),
             simplify_exact_p2(c, ell),
         ):
             assert out.complexity <= ell
@@ -240,7 +236,7 @@ def test_eps1_bound_vs_grid_brute(rng):
         m = int(rng.integers(2, 7))
         ell = int(rng.integers(1, min(m, 3)))
         c = Curve("x", rng.normal(0, 2, (m, 2)))
-        out = simplify_eps_p1_detailed(c, ell, eps)
+        out = simplify_eps_p1_detailed(c, ell)
         brute = brute_grid_partition_cost(c.points, ell, steps=41)
         assert out.grouping_cost <= (1 + eps) * brute + 1e-6
 
@@ -272,7 +268,7 @@ def test_lopsided_equality_where_theorem(rng):
         assert dtw_value(s.curve, c, 2.0) == pytest.approx(s.grouping_cost, abs=TOL)
         s = simplify_vertex_restricted_detailed(c, ell, 1.0)
         assert dtw_value(s.curve, c, 1.0) == pytest.approx(s.grouping_cost, abs=TOL)
-        s = simplify_eps_p1_detailed(c, ell, 0.25)
+        s = simplify_eps_p1_detailed(c, ell)
         assert dtw_value(s.curve, c, 1.0) == pytest.approx(s.grouping_cost, abs=1e-7)
 
 
@@ -405,8 +401,8 @@ def test_determinism(rng):
     a = simplify_2approx(c, 3, 1.0)
     b = simplify_2approx(c, 3, 1.0)
     assert np.array_equal(a.points, b.points)
-    a = simplify_eps_p1(c, 3, 0.1)
-    b = simplify_eps_p1(c, 3, 0.1)
+    a = simplify_eps_p1(c, 3)
+    b = simplify_eps_p1(c, 3)
     assert np.array_equal(a.points, b.points)
 
 
