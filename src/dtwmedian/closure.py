@@ -2,8 +2,11 @@
 
 The closure is the all-pairs shortest-path completion of the complete graph
 whose edge weights are pairwise p-DTW values. Zero-weight edges between
-duplicate curves are kept (the closure is a semimetric); on a dense matrix a
-zero is just a zero, so duplicates need no special handling.
+duplicate curves are kept (the closure is a semimetric). The exact route,
+``cluster_via_closure``, collapses duplicates before it builds a closure:
+each distinct curve is one point, weighted by its number of inputs. Other
+closures (bicriteria samples, coresets) may still hold one sequence under
+several ids; on a dense matrix their zero is just a zero.
 
 ``shortest_path_closure`` runs Floyd-Warshall on min(base, base^T) with a
 zero diagonal, as a small C kernel (``_closure.c``) whose bits are pinned to

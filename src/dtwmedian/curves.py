@@ -33,7 +33,9 @@ class ResourceGuardError(RuntimeError):
 
 
 def _as_point_array(points, context="curve"):
-    arr = np.asarray(points, dtype=np.float64)
+    # a new array, never the caller's, with -0.0 turned into +0.0: equal
+    # points then have equal bytes, so hashing agrees with equality
+    arr = np.asarray(points, dtype=np.float64) + 0.0
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] < 1:
@@ -78,6 +80,25 @@ class Curve:
 
     def __hash__(self):
         return hash((self.id, self.points.shape, self.points.tobytes()))
+
+
+def distinct_curves(curves):
+    """The curves with distinct point sequences, each first occurrence in
+    input order, and for every input curve the index of its sequence among
+    them (an intp array): curves[i] has the points of distinct[inverse[i]].
+
+    Sequences are compared by shape and bytes, ids are ignored. An input
+    without duplicates gives back its curves and inverse == arange(n).
+    """
+    first: dict[tuple, int] = {}
+    distinct = []
+    inverse = np.empty(len(curves), dtype=np.intp)
+    for i, c in enumerate(curves):
+        j = first.setdefault((c.points.shape, c.points.tobytes()), len(distinct))
+        if j == len(distinct):
+            distinct.append(c)
+        inverse[i] = j
+    return distinct, inverse
 
 
 @dataclass(frozen=True)

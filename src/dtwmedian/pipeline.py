@@ -1,8 +1,9 @@
 """End-to-end (k,l)-median: bicriteria seeding, which ell-simplifies every
 input once, sensitivity sampling of those simplified curves, metric closure
 and weighted k-median, plus the small-n route that clusters the closure of
-the whole simplified set directly. Both routes share one back half: closure,
-k-median and the nearest-center assignment of the inputs.
+the whole simplified set directly, one weighted point per distinct curve.
+Both routes share one back half: closure, k-median and the nearest-center
+assignment of the inputs.
 
 The accuracy knob follows the source construction: the caller's eps is split
 as eps' = eps/46 for the coreset size and the final k-median. The bicriteria
@@ -28,7 +29,14 @@ from .coreset import (
     coreset_size,
     sensitivity_bounds,
 )
-from .curves import Curve, PipelineConfig, ValidationError, curve_record, spawn_seeds
+from .curves import (
+    Curve,
+    PipelineConfig,
+    ValidationError,
+    curve_record,
+    distinct_curves,
+    spawn_seeds,
+)
 # dtw_matrix stays bound here: the benchmark's tracer test reads pipeline.dtw_matrix
 from .dtw import assign_nearest, dtw_matrix  # noqa: F401
 from .kmedian import FiniteMetricInstance, kmedian_local_search
@@ -165,7 +173,13 @@ def kl_median(T, cfg: PipelineConfig) -> ClusteringResult:
 
 def cluster_via_closure(T, k, ell, p=1.0, eps=0.5, method="two-approx", seed=0) -> ClusteringResult:
     """Small-n route: simplify everything, build the full closure, run the
-    metric k-median on it, and map centers back to the input."""
+    metric k-median on it, and map centers back to the input.
+
+    The route works on the distinct point sequences (``distinct_curves``),
+    each weighted by its number of inputs. Duplicates are exactly 0 apart in
+    the closure, so this is the same weighted k-median instance with fewer
+    points. Every input gets the assignment and distance of its sequence,
+    bitwise, and a center carries the id of its sequence's first input."""
     curves = list(T)
     n = len(curves)
     if n < k:
@@ -174,13 +188,15 @@ def cluster_via_closure(T, k, ell, p=1.0, eps=0.5, method="two-approx", seed=0) 
     # the route runs once on every curve: no delta, sample size or repetitions
     config = dict(k=cfg.k, ell=cfg.ell, p=cfg.p, eps=cfg.eps, method=method, seed=cfg.seed)
     timings: dict = {}
+    distinct, inverse = distinct_curves(curves)
     with _stage(timings, "simplify"):
-        simplified = simplify_set(curves, ell, p, method)
+        simplified = simplify_set(distinct, ell, p, method)
     centers, assignment, distances = _cluster_simplified(
-        curves, simplified, np.ones(n), k, p, min(eps, 0.999), seed, timings
+        distinct, simplified, np.bincount(inverse), k, p, min(eps, 0.999), seed, timings
     )
+    distances = distances[inverse]
     return ClusteringResult(
-        centers, assignment, distances, float(distances.sum()), timings, config
+        centers, assignment[inverse], distances, float(distances.sum()), timings, config
     )
 
 

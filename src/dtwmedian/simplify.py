@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, ValidationError
+from .curves import Curve, ValidationError, distinct_curves
 from .dtw import _BLOCK_CELLS, _distance_table, _pth_powers, _root
 
 WEISZFELD_MAX_ITER = 200
@@ -330,16 +330,29 @@ def simplify_exact_p2(sigma: Curve, ell) -> Curve:
 def simplify_set(curves, ell, p=1.0, method="two-approx"):
     """Apply one simplification method to every curve, preserving order.
 
-    The medoid methods ("two-approx", "vertex") simplify the curves of one
-    (complexity, dimension) in one batch, with the bits of one-curve calls;
-    a curve of complexity <= ell is returned as it is.
+    Each distinct point sequence (``distinct_curves``) is simplified once,
+    and every input gets its sequence's result under its own id. A result
+    depends on the points alone, so it has the bits of a one-curve call.
+    The medoid methods ("two-approx", "vertex") simplify the sequences of
+    one (complexity, dimension) in one batch. A curve of complexity <= ell
+    is returned as it is.
     """
-    if method == "two-approx":
-        return _medoid_set(curves, ell, p, restrict_to_range=True)
+    if method not in ("two-approx", "eps1", "vertex"):
+        raise ValidationError(f"unknown simplification method {method!r}")
+    if method == "eps1" and p != 1:
+        raise ValidationError("method 'eps1' (geometric medians) needs p = 1")
+    curves = list(curves)
+    distinct, inverse = distinct_curves(curves)
     if method == "eps1":
-        if p != 1:
-            raise ValidationError("method 'eps1' (geometric medians) needs p = 1")
-        return [simplify_eps_p1(c, ell) for c in curves]
-    if method == "vertex":
-        return _medoid_set(curves, ell, p, restrict_to_range=False)
-    raise ValidationError(f"unknown simplification method {method!r}")
+        done = [simplify_eps_p1(c, ell) for c in distinct]
+    else:
+        done = _medoid_set(distinct, ell, p, restrict_to_range=method == "two-approx")
+    out = []
+    for c, j in zip(curves, inverse):
+        s = done[j]
+        if s is distinct[j]:
+            s = c
+        elif s.id != c.id:
+            s = Curve(c.id, s.points)
+        out.append(s)
+    return out

@@ -12,6 +12,7 @@ from dtwmedian.curves import (
     PipelineConfig,
     ValidationError,
     WeightedCurveSet,
+    distinct_curves,
     gen_synthetic,
     load_curves,
     load_weighted,
@@ -187,3 +188,21 @@ def test_points_are_immutable():
     c = Curve("a", [[0.0], [1.0]])
     with pytest.raises(ValueError):
         c.points[0, 0] = 5.0
+
+
+def test_negative_zero_is_stored_as_zero():
+    # equal curves hash equally, and distinct_curves groups them
+    a = Curve("a", [[0.0, 1.0]])
+    b = Curve("a", [[-0.0, 1.0]])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    distinct, inverse = distinct_curves([a, Curve("c", [[2.0, 1.0]]), Curve("d", [[-0.0, 1.0]])])
+    assert [c.id for c in distinct] == ["a", "c"]
+    assert inverse.tolist() == [0, 1, 0]
+
+
+def test_curve_copies_the_callers_array():
+    x = np.zeros((3, 2))
+    c = Curve("a", x)
+    assert x.flags.writeable
+    x[0, 0] = 5.0
+    assert c.points[0, 0] == 0.0

@@ -125,6 +125,15 @@ def test_each_input_is_simplified_once_per_repetition(monkeypatch):
     curves = list(gen_synthetic(2, 8, 6, 1, 0.4, 17))
     kl_median(curves, cfg(k=2, ell=2, repetitions=2))
     assert len(calls) == 2 * len(curves)
+    # a sequence repeated under other ids is simplified once per repetition
+    distinct = len(curves)
+    curves += [Curve(f"dup{i}", c.points) for i, c in enumerate(curves[:5])]
+    calls.clear()
+    kl_median(curves, cfg(k=2, ell=2, repetitions=2))
+    assert len(calls) == 2 * distinct
+    calls.clear()
+    cluster_via_closure(curves, 2, 2)
+    assert len(calls) == distinct
 
 
 def test_bicriteria_closures_are_built_on_samples(monkeypatch):
@@ -157,6 +166,31 @@ def test_inputs_sharing_an_id_stay_distinct():
     for seed in range(4):
         res = kl_median(curves, PipelineConfig(k=2, ell=1, repetitions=1, seed=seed))
         assert res.cost == 4.0
+
+
+def test_identical_curves():
+    curves = [curve1d(3, 1, cid=f"c{i}") for i in range(6)]
+    for res in (kl_median(curves, cfg(k=3, ell=2)), cluster_via_closure(curves, 3, 2)):
+        assert len(res.centers) == 3
+        assert res.cost == 0.0
+        assert np.all(res.distances == 0.0)
+
+
+def test_k_equal_to_n_with_fewer_distinct_curves():
+    # two distinct sequences, each under three ids; k = n = 6 leaves four
+    # slots for the padding to fill
+    pair = [curve1d(0, 1, 5), curve1d(9, 9, 8)]
+    curves = [Curve(f"c{r}_{i}", c.points) for r in range(3) for i, c in enumerate(pair)]
+    exact = cluster_via_closure(curves, 6, 2)
+    for res in (exact, kl_median(curves, cfg(k=6, ell=2, repetitions=1))):
+        assert len(res.centers) == 6
+        for i in range(2, 6):
+            assert res.assignment[i] == res.assignment[i % 2]
+            assert res.distances[i].tobytes() == res.distances[i % 2].tobytes()
+        assert res.cost == float(res.distances.sum())
+    # each sequence is its own cluster, centered at its simplification
+    for i, c in enumerate(pair):
+        assert exact.distances[i] == dtw_value(c, simplify_2approx(c, 2, 1.0), 1.0)
 
 
 def test_rejects_fewer_curves_than_k():

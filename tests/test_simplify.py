@@ -358,6 +358,7 @@ def test_simplify_set_equals_one_curve_calls(rng):
     shapes = [(7, 2), (9, 2), (7, 2), (7, 1), (9, 1), (3, 2), (2, 1), (1, 2), (12, 3)]
     curves = [Curve(f"c{i}", rng.normal(0, 3, shape)) for i, shape in enumerate(shapes)]
     curves += [Curve("dup0", curves[0].points.copy()), Curve("dup4", curves[4].points.copy())]
+    curves.append(Curve("dup6", curves[6].points.copy()))  # complexity 2 <= ell
     ell = 3
     one_curve = {
         "two-approx": simplify_2approx,
@@ -373,8 +374,8 @@ def test_simplify_set_equals_one_curve_calls(rng):
                 assert s.points.tobytes() == ref.points.tobytes()
                 if c.complexity <= ell:
                     assert s is c
-            assert out[-2].points.tobytes() == out[0].points.tobytes()
-            assert out[-1].points.tobytes() == out[4].points.tobytes()
+            assert out[-3].points.tobytes() == out[0].points.tobytes()
+            assert out[-2].points.tobytes() == out[4].points.tobytes()
 
 
 def test_results_do_not_depend_on_the_chunk_size(rng, monkeypatch):
