@@ -1,0 +1,228 @@
+/* The package's compiled kernels: the metric closure's Floyd-Warshall, the
+   p-DTW values of a list of curve pairs, and the medoid simplification of a
+   batch of curves. Each does the arithmetic of its numpy reference in the
+   same order, so its results have the reference's bits: see closure.py,
+   dtw.py and simplify.py. Every array is row-major and contiguous. */
+#include <math.h>
+#include <stddef.h>
+
+/* dtw._OVERFLOW_SAFE_P */
+#define OVERFLOW_SAFE_P 32.0
+
+/* Row i through k; i != k, so the rows do not overlap. */
+static inline void relax(double *restrict di, const double *restrict dk,
+                         double dik, ptrdiff_t n)
+{
+    for (ptrdiff_t j = 0; j < n; j++) {
+        const double t = dik + dk[j];
+        di[j] = t < di[j] ? t : di[j];
+    }
+}
+
+/* Floyd-Warshall in place on an n x n matrix d with a zero diagonal and no
+   negative entries. */
+__attribute__((target_clones("avx2", "default")))
+void floyd_warshall(double *d, ptrdiff_t n)
+{
+    for (ptrdiff_t k = 0; k < n; k++)
+        for (ptrdiff_t i = 0; i < n; i++)
+            if (i != k && d[i * n + k] != INFINITY)
+                relax(d + i * n, d + k * n, d[i * n + k], n);
+}
+
+static inline double min2(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+/* Euclidean distances from the point a to the l points b (d coordinates
+   each): squared differences summed in coordinate order from 0.0, then the
+   square root, as dtw._distance_table. */
+static inline void distances(const double *restrict a, const double *restrict b,
+                             ptrdiff_t l, ptrdiff_t d, double *restrict out)
+{
+    for (ptrdiff_t j = 0; j < l; j++) {
+        double s = 0.0;
+        for (ptrdiff_t k = 0; k < d; k++) {
+            const double t = a[k] - b[j * d + k];
+            s += t * t;
+        }
+        out[j] = sqrt(s);
+    }
+}
+
+/* The larger of top and the largest finite entry of x. Over a pair's
+   distances from top = 0.0, it is the scale of dtw._pth_powers for p > 32,
+   where a 0 stands for 1.0. */
+static inline double finite_max(const double *x, ptrdiff_t n, double top)
+{
+    for (ptrdiff_t j = 0; j < n; j++)
+        if (isfinite(x[j]) && x[j] > top)
+            top = x[j];
+    return top;
+}
+
+/* x / scale raised to the power p, in place, as dtw._pth_powers; dividing
+   by a scale of 1.0 would change no bit. */
+static inline void powers(double *x, ptrdiff_t n, double p, double scale)
+{
+    if (scale != 1.0)
+        for (ptrdiff_t j = 0; j < n; j++)
+            x[j] /= scale;
+    if (p == 2.0)
+        for (ptrdiff_t j = 0; j < n; j++)
+            x[j] *= x[j];
+    else if (p != 1.0)
+        for (ptrdiff_t j = 0; j < n; j++)
+            x[j] = pow(x[j], p);
+}
+
+/* dtw._root */
+static inline double root(double total, double p, double scale)
+{
+    if (p == 2.0)
+        total = sqrt(total);
+    else if (p != 1.0)
+        total = pow(total, 1.0 / p);
+    return total * scale;
+}
+
+/* out[t] = p-DTW of the curves rows[t] and cols[t], t < pairs, for p >= 1.
+   Curve c has lengths[c] points of d coordinates, starting at point
+   offsets[c] of points. work holds 2 * (l + 1) doubles for the longest
+   column curve l.
+
+   The DP runs row by row where dtw._accumulate runs by anti-diagonals: a
+   cell is c + min(diagonal, up, left) of the same values either way. */
+void dtw_pairs(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *lengths,
+               ptrdiff_t d, const ptrdiff_t *rows, const ptrdiff_t *cols, ptrdiff_t pairs,
+               double p, double *out, double *work)
+{
+    for (ptrdiff_t t = 0; t < pairs; t++) {
+        const double *a = points + offsets[rows[t]] * d;
+        const double *b = points + offsets[cols[t]] * d;
+        const ptrdiff_t m = lengths[rows[t]], l = lengths[cols[t]];
+        /* at point i of a, acc[j] becomes the DP cell (i + 1, j) and cost[j]
+           holds the p-th power of the distance from a[i] to b[j] */
+        double *acc = work, *cost = work + l + 1;
+        double top = 0.0;
+        if (p > OVERFLOW_SAFE_P)
+            for (ptrdiff_t i = 0; i < m; i++) {
+                distances(a + i * d, b, l, d, cost);
+                top = finite_max(cost, l, top);
+            }
+        const double scale = top == 0.0 ? 1.0 : top;
+        acc[0] = 0.0;
+        for (ptrdiff_t j = 1; j <= l; j++)
+            acc[j] = INFINITY;
+        for (ptrdiff_t i = 0; i < m; i++) {
+            distances(a + i * d, b, l, d, cost);
+            powers(cost, l, p, scale);
+            double diagonal = acc[0];
+            acc[0] = INFINITY;
+            for (ptrdiff_t j = 1; j <= l; j++) {
+                const double up = acc[j];
+                acc[j] = cost[j - 1] + min2(min2(diagonal, up), acc[j - 1]);
+                diagonal = up;
+            }
+        }
+        out[t] = root(acc[l], p, scale);
+    }
+}
+
+/* The medoid simplification of n curves of m points of d coordinates each
+   (points is n x m x d), into at most ell contiguous parts.
+
+   For each curve t it writes the p-th powers of the pointwise distances,
+   scaled for p > 32, to dp[t] (dp is n x m x m), builds the cost table of
+   simplify._medoid_cost_table, and runs simplify._partition on it: the
+   suffix DP, the part count with the least total (ties to fewer parts) and
+   the forward traceback of the lexicographically smallest split. The
+   count goes to counts[t], the inclusive end of each part to ends[t] (ends
+   is n x ell), and the rooted total times the scale to totals[t].
+
+   work holds m * m + min(ell, m) * (m + 1) + 2 * m doubles. */
+void medoid_partition(const double *points, ptrdiff_t n, ptrdiff_t m, ptrdiff_t d,
+                      double p, ptrdiff_t ell, int restrict_to_range, double *dp,
+                      double *work, ptrdiff_t *ends, ptrdiff_t *counts, double *totals)
+{
+    const ptrdiff_t max_parts = ell < m ? ell : m;
+    /* cost[a * m + b]: the cost of the range [a, b]; suffix[(j - 1) * (m + 1) + i]:
+       the least cost of grouping [i, m) into exactly j parts */
+    double *cost = work, *suffix = work + m * m;
+    double *left = suffix + max_parts * (m + 1), *right = left + m;
+    for (ptrdiff_t t = 0; t < n; t++) {
+        const double *x = points + t * m * d;
+        double *own = dp + t * m * m;
+        for (ptrdiff_t i = 0; i < m; i++)
+            distances(x + i * d, x, m, d, own + i * m);
+        const double top = p > OVERFLOW_SAFE_P ? finite_max(own, m * m, 0.0) : 0.0;
+        const double scale = top == 0.0 ? 1.0 : top;
+        powers(own, m * m, p, scale);
+
+        for (ptrdiff_t j = 0; j < m * m; j++)
+            cost[j] = INFINITY;
+        if (restrict_to_range) {
+            /* cost[a, b] = min over centers v in [a, b] of left[a] + right[b],
+               the sums of own[v] from v leftwards to a and rightwards to b */
+            for (ptrdiff_t v = 0; v < m; v++) {
+                const double *row = own + v * m;
+                left[v] = right[v] = row[v];
+                for (ptrdiff_t a = v - 1; a >= 0; a--)
+                    left[a] = left[a + 1] + row[a];
+                for (ptrdiff_t b = v + 1; b < m; b++)
+                    right[b] = right[b - 1] + row[b];
+                for (ptrdiff_t a = 0; a <= v; a++)
+                    for (ptrdiff_t b = v; b < m; b++)
+                        cost[a * m + b] = min2(cost[a * m + b], left[a] + right[b]);
+            }
+        } else {
+            /* cost[a, b] = min over all vertices v of the sum of own[v] from a to b */
+            for (ptrdiff_t a = 0; a < m; a++)
+                for (ptrdiff_t v = 0; v < m; v++) {
+                    double s = 0.0;
+                    for (ptrdiff_t b = a; b < m; b++) {
+                        s += own[v * m + b];
+                        cost[a * m + b] = min2(cost[a * m + b], s);
+                    }
+                }
+        }
+
+        for (ptrdiff_t i = 0; i < m; i++)
+            suffix[i] = cost[i * m + m - 1];
+        suffix[m] = INFINITY;
+        for (ptrdiff_t j = 1; j < max_parts; j++) {
+            const double *prev = suffix + (j - 1) * (m + 1);
+            double *cur = suffix + j * (m + 1);
+            for (ptrdiff_t i = 0; i < m; i++) {
+                double best = INFINITY;
+                for (ptrdiff_t e = i; e < m; e++)
+                    best = min2(best, cost[i * m + e] + prev[e + 1]);
+                cur[i] = best;
+            }
+            cur[m] = INFINITY;
+        }
+        ptrdiff_t best = 0;
+        for (ptrdiff_t j = 1; j < max_parts; j++)
+            if (suffix[j * (m + 1)] < suffix[best * (m + 1)])
+                best = j;
+
+        /* each part ends at the first e that attains the suffix minimum */
+        ptrdiff_t *part_ends = ends + t * ell;
+        ptrdiff_t count = 0, i = 0;
+        for (ptrdiff_t j = best; j > 0; j--) {
+            const double *cur = suffix + j * (m + 1), *prev = cur - (m + 1);
+            ptrdiff_t end = i;
+            for (ptrdiff_t e = i; e < m; e++)
+                if (cost[i * m + e] + prev[e + 1] == cur[i]) {
+                    end = e;
+                    break;
+                }
+            part_ends[count++] = end;
+            i = end + 1;
+        }
+        part_ends[count++] = m - 1;
+        counts[t] = count;
+        totals[t] = root(suffix[best * (m + 1)], p, scale);
+    }
+}

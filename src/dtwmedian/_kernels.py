@@ -1,0 +1,100 @@
+"""The package's compiled kernels: one C source, ``_kernels.c``, built into
+one library on first use and loaded with ``ctypes``.
+
+The library holds three functions, each pinned to the bits of a numpy
+reference: ``floyd_warshall`` (the closure, ``closure.py``), ``dtw_pairs``
+(p-DTW values of curve pairs, ``dtw.py``) and ``medoid_partition`` (the
+medoid simplifications, ``simplify.py``).
+
+It is compiled with ``cc -O3 -ffp-contract=off -shared -fPIC``. In
+``floyd_warshall`` alone, ``target_clones("avx2", "default")`` picks the
+vector loop when the library loads; the DP loops of the other two carry a
+dependency from cell to cell, and their avx2 clones were slower in three
+of four measured cases (2-core x86-64 host, gcc 12.2) while they doubled
+the build time. Every array the
+functions read or write is row-major and contiguous; ``Curve`` stores its
+points that way. ``-ffp-contract=off`` forbids fused multiply-adds, so every
+operation rounds as written. ``-ffast-math`` is excluded: it lets the
+compiler assume there are no infinities and reorder arithmetic, which
+breaks the inf skip of the closure and the bits. ``-march=native`` is
+excluded because a cached library can outlive the host it was built on.
+The library is built on first use, not at import, and cached in this
+package's ``__pycache__`` under a name hashed from the source, the compiler
+and the flags. It is written to a temporary file and renamed into place, so
+concurrent first uses are safe. If that directory cannot be written, the
+library is built in a private temporary directory for the process.
+
+The one fallback rule: when no library can be built or loaded (a host
+without a C compiler), ``library()`` is None and every caller runs its
+numpy reference, with the same bits.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+
+_SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
+_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+_CC = "cc"
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.cache
+def library():
+    """The compiled library, its functions typed, built and loaded on first
+    use; None when no library can be built or loaded."""
+    import ctypes
+    import hashlib
+    import subprocess
+    import tempfile
+
+    command = [_CC, *_CFLAGS]
+    try:
+        with open(_SOURCE, "rb") as f:
+            digest = hashlib.sha256(f.read() + " ".join(command).encode()).hexdigest()
+    except OSError:
+        return None
+    name = f"_kernels-{digest[:16]}.so"
+
+    def load(directory):
+        lib = os.path.join(directory, name)
+        if not os.path.exists(lib):
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+            os.close(fd)
+            try:
+                subprocess.run(
+                    [*command, "-o", tmp, _SOURCE], check=True, capture_output=True, timeout=300
+                )
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+        return ctypes.CDLL(lib)
+
+    failures = (OSError, subprocess.SubprocessError)
+    try:
+        os.makedirs(_CACHE, exist_ok=True)
+        lib = load(_CACHE)
+    except failures:
+        try:
+            # the process keeps the loaded library after its file is removed
+            with tempfile.TemporaryDirectory(
+                prefix="dtwmedian-", ignore_cleanup_errors=True
+            ) as private:
+                lib = load(private)
+        except failures:
+            return None
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    signatures = {
+        "floyd_warshall": (ptr, size),
+        "dtw_pairs": (ptr, ptr, ptr, size, ptr, ptr, size, ctypes.c_double, ptr, ptr),
+        "medoid_partition": (
+            ptr, size, size, size, ctypes.c_double, size, ctypes.c_int, ptr, ptr, ptr, ptr, ptr
+        ),
+    }
+    for symbol, argtypes in signatures.items():
+        function = getattr(lib, symbol)
+        function.argtypes = argtypes
+        function.restype = None
+    return lib

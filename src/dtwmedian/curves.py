@@ -33,9 +33,10 @@ class ResourceGuardError(RuntimeError):
 
 
 def _as_point_array(points, context="curve"):
-    # a new array, never the caller's, with -0.0 turned into +0.0: equal
-    # points then have equal bytes, so hashing agrees with equality
-    arr = np.asarray(points, dtype=np.float64) + 0.0
+    # a new row-major array, never the caller's, with -0.0 turned into +0.0:
+    # equal points then have equal bytes, so hashing agrees with equality,
+    # and the compiled kernels can read the points as rows
+    arr = np.add(np.asarray(points, dtype=np.float64), 0.0, order="C")
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] < 1:

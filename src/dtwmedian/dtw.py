@@ -2,19 +2,32 @@
 with its ball-membership predicate, all computed by one dynamic program.
 
 Traversal index pairs are 0-based, from (0, 0) to (m-1, l-1) with steps in
-{(1,0), (0,1), (1,1)}. The kernel ``_accumulate`` works on a batch-last
-(m+1, l+1, n) table for n pairs of complexities m and l, pointwise costs in
-its interior, and accumulates one anti-diagonal of all n pairs per numpy
-step. ``dtw`` walks its traversal back from the table, ``ball_membership``
-runs the kernel on quantized costs, and every batched value comes from
-``_pair_values``, which groups, pads and chunks the pairs. The all-pairs
+{(1,0), (0,1), (1,1)}. The numpy kernel ``_accumulate`` works on a
+batch-last (m+1, l+1, n) table for n pairs of complexities m and l,
+pointwise costs in its interior, and accumulates one anti-diagonal of all n
+pairs per numpy step. ``dtw`` walks its traversal back from the table and
+``ball_membership`` runs the kernel on quantized costs. The all-pairs
 matrices evaluate each pair of distinct point sequences once.
 
+Every batched value comes from ``_pair_values``. It runs ``dtw_pairs``, one
+of the three functions of the package's compiled library (``_kernels``;
+the others are the closure's ``floyd_warshall`` and the simplification's
+``medoid_partition``), one pair at a time with the DP filled row by row, in
+O(l) memory. The library's one fallback rule: where it cannot be built,
+each caller runs its numpy reference; here that is ``_grouped_pair_values``,
+which groups, pads and chunks the pairs for ``_accumulate``. It is also the
+reference the compiled loop is tested against. The two give the same bits: both take each pointwise
+distance as the square root of the squared coordinate differences summed in
+order from 0.0, apply the same scale and power, and set each DP cell to its
+cost plus the minimum of its three predecessors, which is the same value
+whichever order the cells are filled in.
+
 Costs are accumulated as p-th powers and rooted once, by one rule for every
-entry point: identity for p = 1, square and ``sqrt`` for p = 2, and
-``np.float_power`` (elementwise C ``pow``) otherwise, so all entry points
-give the same bits for the same pair. For p > 32 each pair's distances are
-first divided by their largest finite value, so the powers cannot overflow.
+entry point: identity for p = 1, square and ``sqrt`` for p = 2, and C
+``pow`` (elementwise, as ``np.float_power`` calls it) otherwise, so all
+entry points give the same bits for the same pair. For p > 32 each pair's
+distances are first divided by their largest finite value, so the powers
+cannot overflow.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .curves import Curve, ValidationError, distinct_curves
 
 _OVERFLOW_SAFE_P = 32.0
@@ -68,6 +82,11 @@ class QuantizedDistance:
     @property
     def is_zero(self):
         return self.exponent is None
+
+
+def _check_p(p):
+    if not p >= 1.0:
+        raise ValidationError("p must be >= 1")
 
 
 def _check_pair(a: Curve, b: Curve):
@@ -133,8 +152,7 @@ def _accumulate(table, p):
     table[i, j] is the least p-th power cost of a traversal of the first i
     points of one curve and the first j of the other.
     """
-    if not p >= 1.0:
-        raise ValidationError("p must be >= 1")
+    _check_p(p)
     m, l, n = table.shape[0] - 1, table.shape[1] - 1, table.shape[2]
     scale = _pth_powers(table[1:, 1:], p)
     table[0] = np.inf
@@ -167,20 +185,41 @@ def _traceback(acc):
 
 
 def _pair_values(curves, rows, cols, p):
-    """p-DTW values of the pairs (curves[rows[t]], curves[cols[t]]).
-
-    Pairs are grouped by their complexities and evaluated in chunks of at
-    most ``_BLOCK_CELLS`` cells times the dimension.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    out = np.zeros(rows.size)
+    """p-DTW values of the pairs (curves[rows[t]], curves[cols[t]]): by the
+    compiled ``dtw_pairs``, or by ``_grouped_pair_values`` where the library
+    cannot be built, with the same bits."""
+    rows = np.ascontiguousarray(rows, dtype=np.intp)
+    cols = np.ascontiguousarray(cols, dtype=np.intp)
     if rows.size == 0:
-        return out
+        return np.zeros(0)
     d = curves[0].dimension
     for c in curves:
         if c.dimension != d:
             raise ValidationError(f"dimension mismatch: curve {c.id!r}")
+    _check_p(p)
+    lib = _kernels.library()
+    if lib is None:
+        return _grouped_pair_values(curves, rows, cols, p)
+    if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= len(curves):
+        raise IndexError("pair index out of range")
+    lengths = np.array([c.complexity for c in curves], dtype=np.intp)
+    offsets = np.cumsum(lengths) - lengths
+    points = np.concatenate([c.points for c in curves])
+    work = np.empty(2 * (int(lengths[cols].max()) + 1))
+    out = np.empty(rows.size)
+    lib.dtw_pairs(
+        points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, d,
+        rows.ctypes.data, cols.ctypes.data, rows.size, p, out.ctypes.data, work.ctypes.data,
+    )
+    return out
+
+
+def _grouped_pair_values(curves, rows, cols, p):
+    """The numpy reference of ``_pair_values``: pairs are grouped by their
+    complexities and evaluated by ``_accumulate`` in chunks of at most
+    ``_BLOCK_CELLS`` cells times the dimension."""
+    out = np.zeros(rows.size)
+    d = curves[0].dimension
     comp = np.array([c.complexity for c in curves])
     mmax = int(comp.max())
     padded = np.zeros((mmax, d, len(curves)))
@@ -338,8 +377,7 @@ def ball_membership(tau: Curve, sigma: Curve, r, p=1.0, eps=1.0) -> int:
         raise ValidationError("eps must lie in (0, 1]")
     if not r > 0:
         raise ValidationError("r must be positive")
-    if not p >= 1.0:
-        raise ValidationError("p must be >= 1")
+    _check_p(p)
     _check_pair(tau, sigma)
     zeta = float(tau.complexity + sigma.complexity) ** (1.0 / p)
     e = eps / zeta

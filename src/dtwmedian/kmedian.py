@@ -88,13 +88,16 @@ def kmedian_brute(inst: FiniteMetricInstance) -> MedianSolution:
 
 
 def _farthest_point_init(inst, rng):
-    n, k = inst.n, inst.k
-    centers = [int(rng.integers(n))]
+    """k distinct centers: a random first one, then each time the non-center
+    farthest from the chosen ones (the lowest index among ties)."""
+    centers = [int(rng.integers(inst.n))]
     nearest = inst.dist[centers[0]].copy()
-    while len(centers) < k:
+    nearest[centers[0]] = -np.inf
+    while len(centers) < inst.k:
         nxt = int(np.argmax(nearest))
         centers.append(nxt)
         np.minimum(nearest, inst.dist[nxt], out=nearest)
+        nearest[nxt] = -np.inf
     return centers
 
 

@@ -13,11 +13,19 @@ for p = 2; sum of squared distances is minimized by the mean).
 
 The two medoid variants run batched over every curve of one (complexity,
 dimension): ``simplify_set`` makes one batch per group, and the one-curve
-functions are batches of one. A batch holds the p-th powers of the pointwise
-distances as batch-last (m, m, n) tables from the p-DTW kernel (scaled per
-curve for p > 32), chunked by the kernel's cell budget. The cost tables and
-the partition DP run on the whole batch; the traceback and the choice of
-each group's medoid run per curve.
+functions are batches of one. A batch is chunked by the DTW kernel's cell
+budget, which bounds its (n, m, m) table of the p-th powers of the pointwise
+distances (scaled per curve for p > 32). ``medoid_partition``, one of the
+three functions of the package's compiled library (``_kernels``; the others
+are the closure's ``floyd_warshall`` and the DTW values' ``dtw_pairs``),
+fills that table, builds each curve's cost table and runs the partition DP
+and its traceback. The library's one fallback rule: where it cannot be
+built, each caller runs its numpy reference; here that is the DTW kernel's
+distance table, ``_medoid_cost_table`` and ``_partition`` on the whole
+chunk, batch-last. The compiled loop adds, compares and rounds the
+same terms in the same order, so both give the same bits, and the tests pin
+them to each other. The choice of each group's medoid (``_medoid_center``)
+runs in numpy per curve, on that curve's contiguous table.
 
 The local-medoid table is built from split sums: a range [a, b] with center
 v costs L(v, a) + R(v, b), the sums of dp[v, j] from v leftwards to a and
@@ -35,8 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .curves import Curve, ValidationError, distinct_curves
-from .dtw import _BLOCK_CELLS, _distance_table, _pth_powers, _root
+from .dtw import _BLOCK_CELLS, _check_p, _distance_table, _pth_powers, _root
 
 WEISZFELD_MAX_ITER = 200
 WEISZFELD_REL_TOL = 1e-10
@@ -205,26 +214,59 @@ def _medoid_simplifications(curves, ell, p, restrict_to_range):
     which share one complexity m and one dimension d.
 
     The curves are batched, in chunks of at most ``_BLOCK_CELLS`` cells times
-    the dimension per m x m table. The p-th powers of the pointwise
-    distances come from the p-DTW kernel, scaled per curve for p > 32 so
-    that they cannot overflow.
+    the dimension per m x m table, and each chunk runs through
+    ``_medoid_partitions``.
     """
+    _check_p(p)
     m, d = curves[0].complexity, curves[0].dimension
     block = max(1, _BLOCK_CELLS // (m * m * d))
     out = []
     for start in range(0, len(curves), block):
         chunk = curves[start : start + block]
-        pts = np.stack([c.points for c in chunk], axis=-1)
-        table = _distance_table(pts, pts)
-        scale = _pth_powers(table[1:, 1:], p)
-        dp = table[1:, 1:]
-        all_parts, totals = _partition(_medoid_cost_table(dp, restrict_to_range), ell)
-        costs = _root(totals, p, scale)
-        for t, (sigma, parts, cost) in enumerate(zip(chunk, all_parts, costs)):
-            own = np.ascontiguousarray(dp[:, :, t])
+        dp, all_parts, costs = _medoid_partitions(
+            np.stack([c.points for c in chunk]), ell, p, restrict_to_range
+        )
+        for sigma, own, parts, cost in zip(chunk, dp, all_parts, costs):
             centers = [_medoid_center(sigma.points, own, a, b, restrict_to_range) for a, b in parts]
             out.append(_finish(sigma, parts, centers, cost))
     return out
+
+
+def _medoid_partitions(pts, ell, p, restrict_to_range):
+    """For the n curves pts (n, m, d): the p-th powers of their pointwise
+    distances as n contiguous (m, m) tables, scaled per curve for p > 32
+    so that they cannot overflow; the parts of each curve's best medoid
+    grouping; and its rooted cost. The numpy path yields the tables one at
+    a time, each copied out of its batch-last table when it is reached.
+
+    The compiled ``medoid_partition`` does the arithmetic of
+    ``_medoid_cost_table`` and ``_partition`` in their order, so its results
+    have their bits; those two run where the library cannot be built.
+    """
+    n, m, d = pts.shape
+    lib = _kernels.library()
+    if lib is None:
+        batch = np.moveaxis(pts, 0, -1)
+        table = _distance_table(batch, batch)
+        scale = _pth_powers(table[1:, 1:], p)
+        dp = table[1:, 1:]
+        all_parts, totals = _partition(_medoid_cost_table(dp, restrict_to_range), ell)
+        own = (np.ascontiguousarray(dp[:, :, t]) for t in range(n))
+        return own, all_parts, _root(totals, p, scale)
+    dp = np.empty((n, m, m))
+    work = np.empty(m * m + min(ell, m) * (m + 1) + 2 * m)
+    ends = np.empty((n, ell), dtype=np.intp)
+    counts = np.empty(n, dtype=np.intp)
+    costs = np.empty(n)
+    lib.medoid_partition(
+        pts.ctypes.data, n, m, d, p, ell, restrict_to_range, dp.ctypes.data,
+        work.ctypes.data, ends.ctypes.data, counts.ctypes.data, costs.ctypes.data,
+    )
+    all_parts = []
+    for own, count in zip(ends.tolist(), counts.tolist()):
+        own = own[:count]
+        all_parts.append(tuple(zip([0] + [e + 1 for e in own[:-1]], own)))
+    return dp, all_parts, costs
 
 
 def _medoid_set(curves, ell, p, restrict_to_range):

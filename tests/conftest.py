@@ -1,7 +1,12 @@
+import shutil
+
 import numpy as np
 import pytest
 
+from dtwmedian import _kernels
 from dtwmedian.curves import Curve
+
+needs_cc = pytest.mark.skipif(shutil.which(_kernels._CC) is None, reason="no C compiler on PATH")
 
 
 def make_curve(rng, m=None, d=None, cid="c", scale=2.0, m_hi=7):
@@ -40,3 +45,12 @@ def restricted_opt(curves, candidates, k, p):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def fresh_library():
+    """The compiled library is loaded again by the next call, and again
+    after the test."""
+    _kernels.library.cache_clear()
+    yield
+    _kernels.library.cache_clear()

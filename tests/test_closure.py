@@ -1,11 +1,10 @@
-import shutil
 import warnings
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import csgraph_from_dense, dijkstra, floyd_warshall
 
-from dtwmedian import closure
+from dtwmedian import _kernels, closure
 from dtwmedian.curves import Curve, ResourceGuardError, ValidationError, gen_synthetic
 from dtwmedian.closure import (
     build_closure,
@@ -15,9 +14,7 @@ from dtwmedian.closure import (
 )
 from dtwmedian.dtw import dtw_brute, dtw_self_matrix, dtw_value
 from dtwmedian.simplify import simplify_set
-from conftest import curve1d
-
-needs_cc = pytest.mark.skipif(shutil.which(closure._CC) is None, reason="no C compiler on PATH")
+from conftest import curve1d, needs_cc
 
 TOL = 1e-9
 
@@ -111,7 +108,7 @@ def test_closure_matches_floyd_warshall_reference(rng, monkeypatch):
     for fallback in (False, True):
         with monkeypatch.context() as patch:
             if fallback:
-                patch.setattr(closure, "_kernel", lambda: None)
+                patch.setattr(_kernels, "library", lambda: None)
             assert _check_closure(np.zeros((1, 1))).tolist() == [[0.0]]
             for w in with_duplicates:
                 dist = _check_closure(w)
@@ -131,36 +128,29 @@ def test_closure_runs_the_compiled_kernel(rng, monkeypatch):
         raise AssertionError("the closure fell back to the reference")
 
     monkeypatch.setattr(closure, "floyd_warshall_reference", no_fallback)
-    assert closure._kernel() is not None
+    assert _kernels.library() is not None
     w = _weights_with_duplicates(rng, 30)
     assert np.array_equal(shortest_path_closure(w), floyd_warshall_reference(w))
 
 
-@pytest.fixture
-def fresh_kernel():
-    closure._kernel.cache_clear()
-    yield
-    closure._kernel.cache_clear()
-
-
-def test_failed_build_falls_back_with_the_same_bits(rng, fresh_kernel, monkeypatch, tmp_path):
-    monkeypatch.setattr(closure, "_CC", "dtwmedian-no-such-compiler")
-    monkeypatch.setattr(closure, "_CACHE", str(tmp_path / "cache"))
+def test_failed_build_falls_back_with_the_same_bits(rng, fresh_library, monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernels, "_CC", "dtwmedian-no-such-compiler")
+    monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path / "cache"))
     w = _weights_with_duplicates(rng, 30)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dist = shortest_path_closure(w)
-    assert closure._kernel() is None
+    assert _kernels.library() is None
     assert np.array_equal(dist, floyd_warshall_reference(w))
     assert np.array_equal(dist, _scipy_closure(w))
 
 
 @needs_cc
-def test_unwritable_cache_builds_in_a_private_directory(rng, fresh_kernel, monkeypatch, tmp_path):
+def test_unwritable_cache_builds_in_a_private_directory(rng, fresh_library, monkeypatch, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    monkeypatch.setattr(closure, "_CACHE", str(blocker / "cache"))
-    assert closure._kernel() is not None
+    monkeypatch.setattr(_kernels, "_CACHE", str(blocker / "cache"))
+    assert _kernels.library() is not None
     w = _weights_with_duplicates(rng, 30)
     assert np.array_equal(shortest_path_closure(w), floyd_warshall_reference(w))
 

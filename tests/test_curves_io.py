@@ -200,6 +200,14 @@ def test_negative_zero_is_stored_as_zero():
     assert inverse.tolist() == [0, 1, 0]
 
 
+def test_points_are_stored_row_major():
+    x = np.arange(12.0).reshape(3, 4)
+    for points in (x.T, np.asfortranarray(x), x[:, ::2]):
+        c = Curve("a", points)
+        assert c.points.flags.c_contiguous
+        assert np.array_equal(c.points, points)
+
+
 def test_curve_copies_the_callers_array():
     x = np.zeros((3, 2))
     c = Curve("a", x)

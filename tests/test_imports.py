@@ -1,5 +1,6 @@
 """Every name a module imports is used: a stand-in for a linter's F401 check.
-Importing the package loads no scipy."""
+Importing the package loads no scipy and builds or loads no compiled
+library."""
 
 import ast
 import os
@@ -56,3 +57,23 @@ def test_importing_the_package_loads_no_scipy():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_package_builds_no_library():
+    src = str(Path(dtwmedian.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import os, dtwmedian, dtwmedian.cli\n"
+        "from dtwmedian import _kernels\n"
+        "maps = '/proc/self/maps'\n"
+        "mapped = os.path.exists(maps) and '_kernels-' in open(maps).read()\n"
+        "print(_kernels.library.cache_info().currsize, mapped)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert proc.stdout.strip() == "0 False"

@@ -136,3 +136,17 @@ def test_approximation_transfer(rng):
         opt_outer = kmedian_brute(inst_outer).cost
         outer_cost = solution_for_centers(inst_outer, sol.centers).cost
         assert outer_cost <= zeta * opt_outer + TOL
+
+
+def test_centers_stay_distinct_when_every_distance_is_zero():
+    # once every remaining distance is 0 the farthest point may be a center
+    zeros = np.zeros((6, 6))
+    two_groups = np.array(
+        [[0.0, 0.0, 5.0, 5.0], [0.0, 0.0, 5.0, 5.0], [5.0, 5.0, 0.0, 0.0], [5.0, 5.0, 0.0, 0.0]]
+    )
+    for dist in (zeros, two_groups):
+        inst = FiniteMetricInstance(dist, np.ones(len(dist)), 3)
+        for seed in range(6):
+            sol = kmedian_local_search(inst, 0.5, seed)
+            assert len(set(sol.centers)) == 3
+            assert sol.cost == kmedian_brute(inst).cost
