@@ -19,15 +19,29 @@ static inline void relax(double *restrict di, const double *restrict dk,
     }
 }
 
-/* Floyd-Warshall in place on an n x n matrix d with a zero diagonal and no
-   negative entries. */
+/* Floyd-Warshall in place on an n x n matrix d that is exactly symmetric,
+   with a zero diagonal and no negative entries. Only the upper triangle is
+   relaxed. By induction on k the reference's matrix stays symmetric: its
+   d[j][i] in step k is d[j][k] + d[k][i], the same two summands as d[i][j]'s
+   d[i][k] + d[k][j], and IEEE addition is commutative, so both round alike.
+   Row k and column k do not change in step k, so step k first copies column
+   k's upper entries into row k (j < k); row k then holds every d[k][i],
+   and each row i relaxes d[i][i+1..n) by d[k][i] + d[k][j]. The last step
+   mirrors the upper triangle into the lower one. */
 __attribute__((target_clones("avx2", "default")))
 void floyd_warshall(double *d, ptrdiff_t n)
 {
-    for (ptrdiff_t k = 0; k < n; k++)
+    for (ptrdiff_t k = 0; k < n; k++) {
+        double *dk = d + k * n;
+        for (ptrdiff_t j = 0; j < k; j++)
+            dk[j] = d[j * n + k];
         for (ptrdiff_t i = 0; i < n; i++)
-            if (i != k && d[i * n + k] != INFINITY)
-                relax(d + i * n, d + k * n, d[i * n + k], n);
+            if (i != k && dk[i] != INFINITY)
+                relax(d + i * n + i + 1, dk + i + 1, dk[i], n - i - 1);
+    }
+    for (ptrdiff_t i = 1; i < n; i++)
+        for (ptrdiff_t j = 0; j < i; j++)
+            d[i * n + j] = d[j * n + i];
 }
 
 static inline double min2(double a, double b)

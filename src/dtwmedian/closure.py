@@ -12,13 +12,24 @@ several ids; on a dense matrix their zero is just a zero.
 zero diagonal, as the ``floyd_warshall`` function of the package's compiled
 library (``_kernels``), whose bits are pinned to ``floyd_warshall_reference``.
 Both loop k outermost and set d[i][j] = min(d[i][j], d[i][k] + d[k][j]),
-one rounded addition and one comparison per entry. The kernel updates in
-place, row by row, where the reference relaxes the whole matrix per k, and
-it skips i = k and the rows whose d[i][k] is inf. None of this changes a
-bit: with non-negative weights, row k and column k do not change in step k,
-and an inf d[i][k] changes no entry. scipy's ``floyd_warshall`` does the
-same arithmetic; the tests keep it as an independent cross-check, and the
-package does not import scipy.
+one rounded addition and one comparison per entry. The reference relaxes
+the whole matrix per k. The kernel updates in place, row by row, and only
+the upper triangle (j > i); it skips i = k and the rows whose d[i][k] is
+inf, and mirrors the triangle into the lower one at the end. None of this
+changes a bit:
+
+- the input min(base, base^T) is exactly symmetric, and the reference keeps
+  it so after every k: d[j][i] gets d[j][k] + d[k][i], the two summands of
+  d[i][j]'s d[i][k] + d[k][j], and IEEE addition is commutative, so both
+  sums round to the same value; the lower triangle is the mirror of the
+  upper one throughout;
+- with non-negative weights, row k and column k do not change in step k,
+  so the kernel may read d[i][k] as d[k][i] from row k (refreshed from
+  column k at the start of the step) while it relaxes the other rows;
+- an inf d[i][k] changes no entry.
+
+scipy's ``floyd_warshall`` does the same arithmetic; the tests keep it as
+an independent cross-check, and the package does not import scipy.
 
 The library is one C source built once, on first use (``_kernels`` says
 how), and holds three functions: this closure, ``dtw_pairs`` for the p-DTW

@@ -130,11 +130,13 @@ def kmedian_local_search(inst: FiniteMetricInstance, eps=0.5, seed=0) -> MedianS
         in_centers = np.zeros(n, dtype=bool)
         in_centers[centers] = True
         cand = np.flatnonzero(~in_centers)
+        rows = inst.dist[cand]
+        trial = np.empty_like(rows)
 
         best_new, best_swap = cost, None
         for r_pos in range(k):
             base = np.where(c1_pos == r_pos, d2, d1)
-            trial = np.minimum(base[None, :], inst.dist[cand])
+            np.minimum(base[None, :], rows, out=trial)
             costs = trial @ w
             a_pos = int(np.argmin(costs))
             if costs[a_pos] < best_new:

@@ -133,6 +133,47 @@ def test_closure_runs_the_compiled_kernel(rng, monkeypatch):
     assert np.array_equal(shortest_path_closure(w), floyd_warshall_reference(w))
 
 
+def _symmetric_graph(rng, n):
+    """Symmetric weights of n nodes: zero edges between duplicates, an inf
+    block between the first and the second half, and an isolated last
+    node, each where n leaves room for it; a third of the other edges are
+    missing (inf), so shortest paths run through many nodes."""
+    w = rng.uniform(0.0, 4.0, (n, n))
+    w[rng.random((n, n)) < 1 / 3] = np.inf
+    w = np.minimum(w, w.T)
+    np.fill_diagonal(w, 0.0)
+    if n >= 7:
+        half = (n - 1) // 2
+        w[:half, half : n - 2] = w[half : n - 2, :half] = np.inf
+    if n >= 3:
+        w[n - 2] = w[0]
+        w[:, n - 2] = w[:, 0]
+        w[0, n - 2] = w[n - 2, 0] = w[n - 2, n - 2] = 0.0
+    if n >= 2:
+        w[n - 1, : n - 1] = w[: n - 1, n - 1] = np.inf
+    return w
+
+
+@needs_cc
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257])
+def test_triangular_kernel_matches_the_reference(n):
+    """The compiled kernel relaxes one triangle and mirrors it; every row
+    tail length of its vector loop gives the reference's bits."""
+    assert _kernels.library() is not None
+    w = _symmetric_graph(np.random.default_rng(n), n)
+    dist = shortest_path_closure(w)
+    assert np.array_equal(dist, floyd_warshall_reference(w))
+    assert np.array_equal(dist, dist.T)
+    if n >= 7:
+        # the halves stay apart, the duplicate at zero, the last node alone
+        assert np.all(np.isinf(dist[0, n // 2 : n - 2]))
+        assert dist[0, n - 2] == 0.0 and np.all(np.isinf(dist[n - 1, : n - 1]))
+    if n >= 64:
+        # paths through other nodes shortened edges and joined missing ones
+        off = ~np.eye(n, dtype=bool)
+        assert np.any(dist[off] < w[off]) and np.any(np.isfinite(dist) & np.isinf(w))
+
+
 def test_failed_build_falls_back_with_the_same_bits(rng, fresh_library, monkeypatch, tmp_path):
     monkeypatch.setattr(_kernels, "_CC", "dtwmedian-no-such-compiler")
     monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path / "cache"))

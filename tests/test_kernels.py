@@ -2,6 +2,7 @@
 the medoid simplification run compiled when a compiler exists, and a host
 without one gets the same bits from the references."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -114,3 +115,14 @@ def test_every_c_source_is_package_data():
     listed = set(pyproject["tool"]["setuptools"]["package-data"]["dtwmedian"])
     sources = {str(path.relative_to(root)) for path in root.rglob("*.c")}
     assert sources and sources <= listed
+
+
+@needs_cc
+def test_the_c_source_compiles_without_warnings(tmp_path):
+    out = tmp_path / "kernels.so"
+    command = [_kernels._CC, *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(out)]
+    built = subprocess.run(
+        [*command, _kernels._SOURCE], capture_output=True, text=True, timeout=300
+    )
+    assert built.returncode == 0, built.stderr
+    assert out.is_file()
