@@ -1,8 +1,9 @@
 /* The package's compiled kernels: the metric closure's Floyd-Warshall, the
-   p-DTW values of a list of curve pairs, and the medoid simplification of a
-   batch of curves. Each does the arithmetic of its numpy reference in the
-   same order, so its results have the reference's bits: see closure.py,
-   dtw.py and simplify.py. Every array is row-major and contiguous. */
+   p-DTW values of a list of curve pairs, the medoid simplification of a
+   batch of curves, and the costs of the k-median's single swaps. Each does
+   the arithmetic of its numpy reference in the same order, so its results
+   have the reference's bits: see closure.py, dtw.py, simplify.py and
+   kmedian.py. Every array is row-major and contiguous. */
 #include <math.h>
 #include <stddef.h>
 
@@ -238,5 +239,37 @@ void medoid_partition(const double *points, ptrdiff_t n, ptrdiff_t m, ptrdiff_t 
         part_ends[count++] = m - 1;
         counts[t] = count;
         totals[t] = root(suffix[best * (m + 1)], p, scale);
+    }
+}
+
+/* Candidates whose sums run together, each its own chain of additions */
+#define SWAP_BLOCK 8
+
+/* The costs of the single swaps of kmedian.kmedian_local_search, for k
+   centers and m candidates: out[r * m + t] is the sum over j of
+   min(base[r * n + j], dist[cand[t] * n + j]) * w[j], added in index order
+   from 0.0, where base row r holds each point's distance to the nearest
+   center other than center r. The rows of SWAP_BLOCK candidates are read in
+   place from dist, and their k sums run one after another while the rows
+   sit in cache. Each sum keeps its order; the SWAP_BLOCK sums of one base
+   row are independent, so their additions overlap. */
+void swap_costs(const double *dist, ptrdiff_t n, const ptrdiff_t *cand, ptrdiff_t m,
+                const double *base, ptrdiff_t k, const double *w, double *out)
+{
+    for (ptrdiff_t t = 0; t < m; t += SWAP_BLOCK) {
+        const ptrdiff_t count = m - t < SWAP_BLOCK ? m - t : SWAP_BLOCK;
+        /* a short last block sums its first row again and keeps none of it */
+        const double *row[SWAP_BLOCK];
+        for (ptrdiff_t b = 0; b < SWAP_BLOCK; b++)
+            row[b] = dist + cand[t + (b < count ? b : 0)] * n;
+        for (ptrdiff_t r = 0; r < k; r++) {
+            const double *br = base + r * n;
+            double acc[SWAP_BLOCK] = {0.0};
+            for (ptrdiff_t j = 0; j < n; j++)
+                for (ptrdiff_t b = 0; b < SWAP_BLOCK; b++)
+                    acc[b] += min2(br[j], row[b][j]) * w[j];
+            for (ptrdiff_t b = 0; b < count; b++)
+                out[r * m + t + b] = acc[b];
+        }
     }
 }

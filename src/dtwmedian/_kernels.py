@@ -1,23 +1,27 @@
 """The package's compiled kernels: one C source, ``_kernels.c``, built into
 one library on first use and loaded with ``ctypes``.
 
-The library holds three functions, each pinned to the bits of a numpy
+The library holds four functions, each pinned to the bits of a numpy
 reference: ``floyd_warshall`` (the closure, ``closure.py``), ``dtw_pairs``
-(p-DTW values of curve pairs, ``dtw.py``) and ``medoid_partition`` (the
-medoid simplifications, ``simplify.py``). ``floyd_warshall`` relaxes only
-the upper triangle and mirrors it, half the reference's additions. It
-keeps the reference's bits because its input is exactly symmetric, IEEE
-addition is commutative (d[i][k] + d[k][j] and d[j][k] + d[k][i] round
-alike, so the reference's matrix stays symmetric), and row k and column k
-do not change in step k.
+(p-DTW values of curve pairs, ``dtw.py``), ``medoid_partition`` (the
+medoid simplifications, ``simplify.py``) and ``swap_costs`` (the costs of
+every k-median swap of one round, ``kmedian.py``). ``floyd_warshall``
+relaxes only the upper triangle and mirrors it, half the reference's
+additions. It keeps the reference's bits because its input is exactly
+symmetric, IEEE addition is commutative (d[i][k] + d[k][j] and
+d[j][k] + d[k][i] round alike, so the reference's matrix stays symmetric),
+and row k and column k do not change in step k.
 
 It is compiled with ``cc -O3 -ffp-contract=off -falign-loops=64 -shared
 -fPIC``. In ``floyd_warshall`` alone, ``target_clones("avx2", "default")``
-picks the vector loop when the library loads; the DP loops of the other two
-carry a dependency from cell to cell, and their avx2 clones were slower in
-three of four measured cases (2-core x86-64 host, gcc 12.2) while they
-doubled the build time. Every array the functions read or write is
-row-major and contiguous; ``Curve`` stores its points that way.
+picks the vector loop when the library loads; the DP loops of ``dtw_pairs``
+and ``medoid_partition`` carry a dependency from cell to cell, and their
+avx2 clones were slower in three of four measured cases (2-core x86-64
+host, gcc 12.2) while they doubled the build time. ``swap_costs`` adds
+each sum in order, and its avx2 clone ran within 5% of the plain loop
+(same host). Every array the functions read or write is row-major and
+contiguous; ``Curve`` stores its points that way, and
+``FiniteMetricInstance`` its distances and weights.
 ``-ffp-contract=off`` forbids fused multiply-adds, so every operation
 rounds as written. ``-ffast-math`` is excluded: it lets the compiler assume
 there are no infinities and reorder arithmetic, which breaks the inf skip
@@ -30,18 +34,23 @@ two lines, and the function ran 15-25% slower (same host).
 The library is built on first use, not at import, and cached in this
 package's ``__pycache__`` under a name hashed from the source, the compiler
 and the flags. It is written to a temporary file and renamed into place, so
-concurrent first uses are safe. If that directory cannot be written, the
-library is built in a private temporary directory for the process.
+concurrent first uses are safe. A build then removes the libraries of
+earlier sources from that directory. If that directory cannot be written,
+the library is built in a private temporary directory for the process.
 
 The one fallback rule: when no library can be built or loaded (a host
 without a C compiler), ``library()`` is None and every caller runs its
-numpy reference, with the same bits.
+numpy reference, with the same bits but 5-50x slower. ``library()`` then
+warns once, with a ``UserWarning`` that names the compiler and its last
+line of error output.
 """
 
 from __future__ import annotations
 
 import functools
+import glob
 import os
+import warnings
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
@@ -62,8 +71,8 @@ def library():
     try:
         with open(_SOURCE, "rb") as f:
             digest = hashlib.sha256(f.read() + " ".join(command).encode()).hexdigest()
-    except OSError:
-        return None
+    except OSError as error:
+        return _unavailable(error)
     name = f"_kernels-{digest[:16]}.so"
 
     def load(directory):
@@ -79,6 +88,7 @@ def library():
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
+            _prune(directory, name)
         return ctypes.CDLL(lib)
 
     failures = (OSError, subprocess.SubprocessError)
@@ -92,8 +102,8 @@ def library():
                 prefix="dtwmedian-", ignore_cleanup_errors=True
             ) as private:
                 lib = load(private)
-        except failures:
-            return None
+        except failures as error:
+            return _unavailable(error)
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     signatures = {
         "floyd_warshall": (ptr, size),
@@ -101,9 +111,36 @@ def library():
         "medoid_partition": (
             ptr, size, size, size, ctypes.c_double, size, ctypes.c_int, ptr, ptr, ptr, ptr, ptr
         ),
+        "swap_costs": (ptr, size, ptr, size, ptr, size, ptr, ptr),
     }
     for symbol, argtypes in signatures.items():
         function = getattr(lib, symbol)
         function.argtypes = argtypes
         function.restype = None
     return lib
+
+
+def _unavailable(error):
+    """None, after a warning that names the compiler and why no library could
+    be built or loaded: the last line the compiler wrote, or the error."""
+    stderr = getattr(error, "stderr", None) or b""
+    lines = stderr.decode(errors="replace").strip().splitlines()
+    warnings.warn(
+        f"dtwmedian: no compiled library from {_CC!r} ({lines[-1] if lines else error}); "
+        "the numpy references run in its place, 5-50x slower",
+        UserWarning,
+        stacklevel=3,
+    )
+    return None
+
+
+def _prune(directory, keep):
+    """Remove the libraries of earlier sources from directory, best effort: a
+    process that has one loaded keeps it mapped after its file is gone."""
+    for pattern in ("_kernels-*.so", "_closure-*.so"):
+        for stale in glob.glob(os.path.join(directory, pattern)):
+            if os.path.basename(stale) != keep:
+                try:
+                    os.remove(stale)
+                except OSError:
+                    pass

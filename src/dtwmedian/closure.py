@@ -32,12 +32,12 @@ scipy's ``floyd_warshall`` does the same arithmetic; the tests keep it as
 an independent cross-check, and the package does not import scipy.
 
 The library is one C source built once, on first use (``_kernels`` says
-how), and holds three functions: this closure, ``dtw_pairs`` for the p-DTW
-values (``dtw``) and ``medoid_partition`` for the medoid simplifications
-(``simplify``). Its one fallback rule: when it cannot be built or loaded (a
-host without a C compiler), each caller runs its numpy reference; here the
-closure is ``floyd_warshall_reference`` on the same matrix, with the same
-bits.
+how), and holds four functions: this closure, ``dtw_pairs`` for the p-DTW
+values (``dtw``), ``medoid_partition`` for the medoid simplifications
+(``simplify``) and ``swap_costs`` for the k-median's swaps (``kmedian``).
+Its one fallback rule: when it cannot be built or loaded (a host without a
+C compiler), each caller runs its numpy reference; here the closure is
+``floyd_warshall_reference`` on the same matrix, with the same bits.
 """
 
 from __future__ import annotations

@@ -10,12 +10,13 @@ pairs per numpy step. ``dtw`` walks its traversal back from the table and
 matrices evaluate each pair of distinct point sequences once.
 
 Every batched value comes from ``_pair_values``. It runs ``dtw_pairs``, one
-of the three functions of the package's compiled library (``_kernels``;
-the others are the closure's ``floyd_warshall`` and the simplification's
-``medoid_partition``), one pair at a time with the DP filled row by row, in
-O(l) memory. The library's one fallback rule: where it cannot be built,
-each caller runs its numpy reference; here that is ``_grouped_pair_values``,
-which groups, pads and chunks the pairs for ``_accumulate``. It is also the
+of the four functions of the package's compiled library (``_kernels``;
+the others are the closure's ``floyd_warshall``, the simplification's
+``medoid_partition`` and the k-median's ``swap_costs``), one pair at a
+time with the DP filled row by row, in O(l) memory. The library's one
+fallback rule: where it cannot be built, each caller runs its numpy
+reference; here that is ``_grouped_pair_values``, which groups, pads and
+chunks the pairs for ``_accumulate``. It is also the
 reference the compiled loop is tested against. The two give the same bits: both take each pointwise
 distance as the square root of the squared coordinate differences summed in
 order from 0.0, apply the same scale and power, and set each DP cell to its

@@ -4,6 +4,26 @@ A single-swap local search from a farthest-point initialization stands in for
 the heavier approximation algorithms cited for this role; a brute-force
 enumerator serves as the exact oracle at desk scale. Centers are medoids
 (instance points).
+
+Each round of the local search scores every swap of a center r for a
+non-center a. With base_r[j] the distance from point j to the nearest
+center other than r, the swap costs sum_j w_j * min(base_r[j], D[a, j]),
+added in index order from 0.0. The ``swap_costs`` function of the
+package's compiled library (``_kernels``) computes all of them in one call
+per round, reading each candidate row of ``dist`` in place; where the
+library cannot be built, ``_swap_costs_reference`` gives the same bits with
+a cumulative sum. The applied swap is chosen in numpy: the first r with a
+strict improvement over the best so far, the lowest candidate at its
+minimum, then the threshold test.
+
+No BLAS call is on this path. As a matrix-vector product per center, the
+costs run on a second OpenBLAS thread from about 680 points on. On a
+2-core x86-64 host a 999 x 1000 product took 8.0 ms, against 0.39 ms with
+one BLAS thread, and numpy work right after it ran 2.5x slower, as if the
+idle BLAS worker kept spinning on the other core. At n = 1000 the search
+took 0.14 s with those products and about 0.01 s with the compiled loop.
+Setting the BLAS thread count from this package would change the user's
+whole process.
 """
 
 from __future__ import annotations
@@ -14,6 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import _kernels
 from .curves import ResourceGuardError, ValidationError, new_rng
 
 MAX_BRUTE_SUBSETS = 10**6
@@ -28,8 +49,9 @@ class FiniteMetricInstance:
     k: int
 
     def __post_init__(self):
-        dist = np.asarray(self.dist, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
+        # the compiled swap_costs reads both row-major and contiguous
+        dist = np.ascontiguousarray(self.dist, dtype=np.float64)
+        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "weights", weights)
         n = dist.shape[0]
@@ -101,12 +123,57 @@ def _farthest_point_init(inst, rng):
     return centers
 
 
+def _swap_arguments(inst, centers):
+    """The non-centers, and base[r]: each point's distance to the nearest
+    of the sorted ``centers`` other than centers[r]."""
+    rows = inst.dist[centers]
+    order = np.argsort(rows, axis=0, kind="stable")
+    idx = np.arange(inst.n)
+    d1 = rows[order[0], idx]
+    d2 = rows[order[1], idx] if len(centers) > 1 else np.full(inst.n, np.inf)
+    in_centers = np.zeros(inst.n, dtype=bool)
+    in_centers[centers] = True
+    cand = np.flatnonzero(~in_centers)
+    return cand, np.where(order[0] == np.arange(len(centers))[:, None], d2, d1)
+
+
+def _swap_costs(inst, cand, base):
+    """costs[r, t]: the cost of the centers with center r swapped for the
+    point cand[t], by the compiled ``swap_costs``, or by its reference where
+    the library cannot be built; both give the same bits."""
+    lib = _kernels.library()
+    if lib is None:
+        return _swap_costs_reference(inst.dist, inst.weights, cand, base)
+    costs = np.empty((len(base), len(cand)))
+    lib.swap_costs(
+        inst.dist.ctypes.data, inst.n, cand.ctypes.data, len(cand), base.ctypes.data,
+        len(base), inst.weights.ctypes.data, costs.ctypes.data,
+    )
+    return costs
+
+
+def _swap_costs_reference(dist, w, cand, base):
+    """The reference of the compiled ``swap_costs``: costs[r, t] is the sum of
+    min(base[r], dist[cand[t]]) * w in index order, a cumulative sum."""
+    rows = dist[cand]
+    trial = np.empty_like(rows)
+    costs = np.empty((len(base), len(cand)))
+    for r, base_r in enumerate(base):
+        np.minimum(base_r, rows, out=trial)
+        trial *= w
+        costs[r] = np.cumsum(trial, axis=1, out=trial)[:, -1]
+    return costs
+
+
 def kmedian_local_search(inst: FiniteMetricInstance, eps=0.5, seed=0) -> MedianSolution:
     """Single-swap local search from a farthest-point initialization.
 
     A swap is applied only if it drops the cost to at most (1 - eps/(8k))
     times the current one; stops at such a local optimum or after 10*n*k
-    applied swaps. Deterministic for a fixed seed.
+    applied swaps. Every round scores all k * (n - k) swaps, each cost a
+    weighted sum in index order from 0.0, by one compiled call (see the
+    module docstring). Deterministic for a fixed seed, with the same result
+    where the library cannot be built.
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
@@ -116,31 +183,17 @@ def kmedian_local_search(inst: FiniteMetricInstance, eps=0.5, seed=0) -> MedianS
     rng = new_rng(seed)
     centers = sorted(_farthest_point_init(inst, rng))
     threshold = 1.0 - eps / (8.0 * k)
-    w = inst.weights
 
     _, cost = _assign(inst, centers)
     for _ in range(10 * n * k):
-        center_rows = inst.dist[centers]
-        order = np.argsort(center_rows, axis=0, kind="stable")
-        idx = np.arange(n)
-        d1 = center_rows[order[0], idx]
-        d2 = center_rows[order[1], idx] if k > 1 else np.full(n, np.inf)
-        c1_pos = order[0]
-
-        in_centers = np.zeros(n, dtype=bool)
-        in_centers[centers] = True
-        cand = np.flatnonzero(~in_centers)
-        rows = inst.dist[cand]
-        trial = np.empty_like(rows)
+        cand, base = _swap_arguments(inst, centers)
+        costs = _swap_costs(inst, cand, base)
 
         best_new, best_swap = cost, None
         for r_pos in range(k):
-            base = np.where(c1_pos == r_pos, d2, d1)
-            np.minimum(base[None, :], rows, out=trial)
-            costs = trial @ w
-            a_pos = int(np.argmin(costs))
-            if costs[a_pos] < best_new:
-                best_new = float(costs[a_pos])
+            a_pos = int(np.argmin(costs[r_pos]))
+            if costs[r_pos, a_pos] < best_new:
+                best_new = float(costs[r_pos, a_pos])
                 best_swap = (r_pos, int(cand[a_pos]))
 
         if best_swap is None or best_new > threshold * cost:

@@ -16,16 +16,17 @@ dimension): ``simplify_set`` makes one batch per group, and the one-curve
 functions are batches of one. A batch is chunked by the DTW kernel's cell
 budget, which bounds its (n, m, m) table of the p-th powers of the pointwise
 distances (scaled per curve for p > 32). ``medoid_partition``, one of the
-three functions of the package's compiled library (``_kernels``; the others
-are the closure's ``floyd_warshall`` and the DTW values' ``dtw_pairs``),
-fills that table, builds each curve's cost table and runs the partition DP
-and its traceback. The library's one fallback rule: where it cannot be
-built, each caller runs its numpy reference; here that is the DTW kernel's
-distance table, ``_medoid_cost_table`` and ``_partition`` on the whole
-chunk, batch-last. The compiled loop adds, compares and rounds the
-same terms in the same order, so both give the same bits, and the tests pin
-them to each other. The choice of each group's medoid (``_medoid_center``)
-runs in numpy per curve, on that curve's contiguous table.
+four functions of the package's compiled library (``_kernels``; the others
+are the closure's ``floyd_warshall``, the DTW values' ``dtw_pairs`` and the
+k-median's ``swap_costs``), fills that table, builds each curve's cost
+table and runs the partition DP and its traceback. The library's one
+fallback rule: where it cannot be built, each caller runs its numpy
+reference; here that is the DTW kernel's distance table,
+``_medoid_cost_table`` and ``_partition`` on the whole chunk, batch-last.
+The compiled loop adds, compares and rounds the same terms in the same
+order, so both give the same bits, and the tests pin them to each other.
+The choice of each group's medoid (``_medoid_center``) runs in numpy per
+curve, on that curve's contiguous table.
 
 The local-medoid table is built from split sums: a range [a, b] with center
 v costs L(v, a) + R(v, b), the sums of dp[v, j] from v leftwards to a and

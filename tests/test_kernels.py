@@ -1,6 +1,7 @@
-"""The compiled library against its numpy references: the DTW pair loop and
-the medoid simplification run compiled when a compiler exists, and a host
-without one gets the same bits from the references."""
+"""The compiled library against its numpy references: the DTW pair loop, the
+medoid simplification and the k-median swap costs run compiled when a
+compiler exists, and a host without one gets the same bits from the
+references."""
 
 import subprocess
 import sys
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import dtwmedian
-from dtwmedian import _kernels, simplify
+from dtwmedian import _kernels, kmedian, simplify
 from dtwmedian.curves import Curve, ValidationError
 from dtwmedian.dtw import dtw_aligned, dtw_matrix, dtw_self_matrix
+from dtwmedian.kmedian import FiniteMetricInstance, kmedian_local_search
 from dtwmedian.simplify import (
     simplify_2approx_detailed,
     simplify_set,
@@ -39,10 +41,28 @@ def mixed_curves(rng, d):
     return curves
 
 
+def metric_instance(rng, n, k, duplicates=0, isolated=False):
+    """Euclidean distances of n random points in the plane, the last
+    ``duplicates`` points copies of the first ones, the last point inf away
+    from all others if ``isolated``, and non-uniform weights."""
+    points = rng.normal(0.0, 3.0, (n, 2))
+    if duplicates:
+        points[n - duplicates :] = points[:duplicates]
+    dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    if isolated:
+        dist[-1, :-1] = dist[:-1, -1] = np.inf
+    return FiniteMetricInstance(dist, rng.uniform(0.1, 5.0, n), k)
+
+
 def all_results(rng):
     """Every batched DTW value and medoid simplification of mixed curves, as
-    bytes, for p in P_VALUES and d = 1, 2, 3."""
+    bytes, for p in P_VALUES and d = 1, 2, 3, and the k-median local search
+    on metric instances up to n = 720."""
     out = []
+    for n, k, duplicates in ((9, 1, 0), (12, 3, 4), (40, 5, 10), (100, 70, 0), (720, 4, 20)):
+        inst = metric_instance(rng, n, k, duplicates)
+        sol = kmedian_local_search(inst, 0.5, int(rng.integers(100)))
+        out.append((sol.centers, sol.cost.hex(), sol.assignment.tobytes()))
     for d in (1, 2, 3):
         curves = mixed_curves(rng, d)
         for p in P_VALUES:
@@ -72,6 +92,7 @@ def test_the_compiled_loops_run_with_the_reference_bits(monkeypatch):
         (dtw_module, "_accumulate"),
         (simplify, "_medoid_cost_table"),
         (simplify, "_partition"),
+        (kmedian, "_swap_costs_reference"),
     ):
         monkeypatch.setattr(module, name, no_fallback)
     assert _kernels.library() is not None
@@ -83,9 +104,58 @@ def test_a_failed_build_gives_the_same_bits(fresh_library, monkeypatch, tmp_path
     monkeypatch.setattr(_kernels, "_CC", "dtwmedian-no-such-compiler")
     monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path / "cache"))
     _kernels.library.cache_clear()
-    fallback = all_results(np.random.default_rng(SEED))
+    with pytest.warns(UserWarning, match="dtwmedian-no-such-compiler") as warned:
+        fallback = all_results(np.random.default_rng(SEED))
+    assert len(warned) == 1
     assert _kernels.library() is None
     assert fallback == compiled
+
+
+@needs_cc
+def test_a_failed_build_names_the_compilers_last_line(fresh_library, monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernels, "_CFLAGS", (*_kernels._CFLAGS, "-fdtwmedian-no-such-flag"))
+    monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path / "cache"))
+    with pytest.warns(UserWarning, match="dtwmedian-no-such-flag") as warned:
+        assert _kernels.library() is None
+    assert f"{_kernels._CC!r}" in str(warned[0].message)
+
+
+@needs_cc
+def test_a_build_removes_the_libraries_of_earlier_sources(fresh_library, monkeypatch, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = ["_kernels-0123456789abcdef.so", "_closure-0123456789abcdef.so"]
+    kept = ["_kernels.c", "other.so", "_kernels-notes.txt"]
+    for name in stale + kept:
+        (cache / name).write_bytes(b"")
+    monkeypatch.setattr(_kernels, "_CACHE", str(cache))
+    assert _kernels.library() is not None
+    built = sorted(path.name for path in cache.glob("_kernels-*.so"))
+    assert len(built) == 1 and built[0] not in stale
+    assert sorted(path.name for path in cache.iterdir()) == sorted([*built, *kept])
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "n, k, duplicates, isolated",
+    [(2, 1, 0, False), (7, 1, 3, True), (13, 12, 0, True), (30, 4, 10, True),
+     (100, 70, 20, True), (203, 9, 0, False)],
+)
+def test_swap_costs_have_the_reference_bits(n, k, duplicates, isolated):
+    """Any k (k = 70 and k = n - 1 among them), blocks of candidates cut
+    short, exact duplicates, and inf distances and costs."""
+    assert _kernels.library() is not None
+    rng = np.random.default_rng(n * 100 + k)
+    inst = metric_instance(rng, n, k, duplicates, isolated)
+    infinite = False
+    for _ in range(3):
+        cand, base = kmedian._swap_arguments(inst, sorted(rng.choice(n, k, replace=False)))
+        compiled = kmedian._swap_costs(inst, cand, base)
+        reference = kmedian._swap_costs_reference(inst.dist, inst.weights, cand, base)
+        assert compiled.shape == (k, n - k)
+        assert compiled.tobytes() == reference.tobytes()
+        infinite |= bool(np.isinf(compiled).any())
+    assert infinite == isolated
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])

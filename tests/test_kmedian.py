@@ -150,3 +150,19 @@ def test_centers_stay_distinct_when_every_distance_is_zero():
             sol = kmedian_local_search(inst, 0.5, seed)
             assert len(set(sol.centers)) == 3
             assert sol.cost == kmedian_brute(inst).cost
+
+
+def test_the_layout_of_dist_does_not_change_the_solution(rng):
+    # the compiled swap costs read dist and weights row-major and contiguous:
+    # a transposed (Fortran-ordered) or a strided input is stored that way
+    big = random_metric(rng, 60)
+    d = np.ascontiguousarray(big[:40, :40])
+    w = rng.uniform(0.5, 2.0, 40)
+    expected = kmedian_local_search(FiniteMetricInstance(d, w, 3), 0.5, 5)
+    for dist, weights in ((d.T, w), (big[:40, :40], np.repeat(w, 2)[::2])):
+        assert not dist.flags.c_contiguous
+        inst = FiniteMetricInstance(dist, weights, 3)
+        assert inst.dist.flags.c_contiguous and inst.weights.flags.c_contiguous
+        sol = kmedian_local_search(inst, 0.5, 5)
+        assert sol.centers == expected.centers and sol.cost == expected.cost
+        assert np.array_equal(sol.assignment, expected.assignment)
