@@ -7,25 +7,36 @@ reference: ``floyd_warshall`` (the closure, ``closure.py``), ``dtw_pairs``
 medoid simplifications, ``simplify.py``) and ``swap_costs`` (the costs of
 every k-median swap of one round, ``kmedian.py``). ``floyd_warshall``
 relaxes only the upper triangle and mirrors it, half the reference's
-additions. It keeps the reference's bits because its input is exactly
-symmetric, IEEE addition is commutative (d[i][k] + d[k][j] and
-d[j][k] + d[k][i] round alike, so the reference's matrix stays symmetric),
-and row k and column k do not change in step k.
+additions, and takes the steps k in blocks of 16: it first builds the
+block's snapshot rows, the reference's row k as it stands before step k,
+and then relaxes each row by all 16 in one pass, so the 8 MB matrix of
+n = 1000 is read once per block instead of once per k. It keeps the
+reference's bits because its input is exactly symmetric, IEEE addition is
+commutative (so the reference's matrix stays symmetric, and its d[i][k] is
+entry i of snapshot row k), and min is exact, so the order in which an
+entry takes its minima changes no bit as long as every sum has the
+reference's two operands. The textbook blocked order reads d[i][k] after
+the whole block and does not keep the bits; ``closure.py`` says more.
 
 It is compiled with ``cc -O3 -ffp-contract=off -falign-loops=64 -shared
--fPIC``. In ``floyd_warshall`` alone, ``target_clones("avx2", "default")``
-picks the vector loop when the library loads; the DP loops of ``dtw_pairs``
-and ``medoid_partition`` carry a dependency from cell to cell, and their
-avx2 clones were slower in three of four measured cases (2-core x86-64
-host, gcc 12.2) while they doubled the build time. ``swap_costs`` adds
-each sum in order, and its avx2 clone ran within 5% of the plain loop
-(same host). Every array the functions read or write is row-major and
+-fPIC``. ``floyd_warshall``'s row pass keeps four vector accumulators in
+registers, each lane taking ``t < a ? t : a``, which gcc compiles to
+``minpd``: 4-lane vectors in a function built for AVX2, picked with
+``__builtin_cpu_supports`` on a host that has it, and 2-lane SSE2 vectors
+elsewhere. One vector type cannot serve both: without AVX, gcc splits a
+4-lane minimum into single lanes. So the library builds on x86-64 hosts
+only; elsewhere the fallback below runs. The DP loops of ``dtw_pairs`` and
+``medoid_partition`` carry a dependency from cell to cell, and their avx2
+clones were slower in three of four measured cases (2-core x86-64 host,
+gcc 12.2) while they doubled the build time. ``swap_costs`` adds each sum
+in order, and its avx2 clone ran within 5% of the plain loop (same host).
+Every array the functions read or write is row-major and
 contiguous; ``Curve`` stores its points that way, and
 ``FiniteMetricInstance`` its distances and weights.
 ``-ffp-contract=off`` forbids fused multiply-adds, so every operation
 rounds as written. ``-ffast-math`` is excluded: it lets the compiler assume
-there are no infinities and reorder arithmetic, which breaks the inf skip
-of the closure and the bits. ``-march=native`` is excluded because a cached
+there are no infinities and reorder arithmetic, which breaks the closure's
+inf entries and the bits. ``-march=native`` is excluded because a cached
 library can outlive the host it was built on. ``-falign-loops=64`` puts
 loop heads on 64-byte lines, so an inner loop keeps its place in the lines
 when an edit to another function moves this one. Without it, a longer
@@ -106,7 +117,7 @@ def library():
             return _unavailable(error)
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     signatures = {
-        "floyd_warshall": (ptr, size),
+        "floyd_warshall": (ptr, size, ptr, size),
         "dtw_pairs": (ptr, ptr, ptr, size, ptr, ptr, size, ctypes.c_double, ptr, ptr),
         "medoid_partition": (
             ptr, size, size, size, ctypes.c_double, size, ctypes.c_int, ptr, ptr, ptr, ptr, ptr

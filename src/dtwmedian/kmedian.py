@@ -42,7 +42,8 @@ MAX_BRUTE_SUBSETS = 10**6
 
 @dataclass(frozen=True)
 class FiniteMetricInstance:
-    """Symmetric nonnegative distance matrix with positive point weights."""
+    """Symmetric nonnegative distance matrix, inf allowed and NaN not, with
+    positive finite point weights."""
 
     dist: np.ndarray
     weights: np.ndarray
@@ -59,8 +60,11 @@ class FiniteMetricInstance:
             raise ValidationError("dist must be a square matrix")
         if weights.shape != (n,):
             raise ValidationError("weights must match the instance size")
-        if np.any(weights <= 0):
-            raise ValidationError("weights must be positive")
+        if not np.all((weights > 0) & (weights < np.inf)):
+            raise ValidationError("weights must be positive and finite")
+        # inf is allowed: an isolated point is inf away from the others
+        if np.isnan(dist).any():
+            raise ValidationError("dist must not hold NaN")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
         if self.k > n:

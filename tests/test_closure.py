@@ -154,11 +154,15 @@ def _symmetric_graph(rng, n):
     return w
 
 
+B = closure._BLOCK
+
+
 @needs_cc
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, B - 1, B, B + 1, 2 * B + 1, 64, 257])
 def test_triangular_kernel_matches_the_reference(n):
-    """The compiled kernel relaxes one triangle and mirrors it; every row
-    tail length of its vector loop gives the reference's bits."""
+    """The compiled kernel relaxes one triangle, in blocks of B steps, and
+    mirrors it; every row tail length of its vector loop and a last block of
+    1, B - 1 or B steps give the reference's bits."""
     assert _kernels.library() is not None
     w = _symmetric_graph(np.random.default_rng(n), n)
     dist = shortest_path_closure(w)
@@ -172,6 +176,79 @@ def test_triangular_kernel_matches_the_reference(n):
         # paths through other nodes shortened edges and joined missing ones
         off = ~np.eye(n, dtype=bool)
         assert np.any(dist[off] < w[off]) and np.any(np.isfinite(dist) & np.isinf(w))
+
+
+@needs_cc
+def test_an_inf_block_across_a_block_edge():
+    """Nodes B - 3 to B + 2 are cut off from the others, so the inf block
+    spans the edge between the first two blocks of steps."""
+    n = 2 * B + 1
+    w = _weights_with_duplicates(np.random.default_rng(0), n)
+    cut = np.zeros(n, dtype=bool)
+    cut[B - 3 : B + 3] = True
+    w[np.ix_(cut, ~cut)] = w[np.ix_(~cut, cut)] = np.inf
+    dist = shortest_path_closure(w)
+    assert np.array_equal(dist, floyd_warshall_reference(w))
+    assert np.all(np.isinf(dist[np.ix_(cut, ~cut)]))
+    assert np.all(np.isfinite(dist[np.ix_(cut, cut)]))
+
+
+def _textbook_blocked(w, b):
+    """The textbook blocked Floyd-Warshall (Venkataraman, Sahni and
+    Mukhopadhyaya, JEA 2003) in blocks of b steps: the diagonal block, then
+    its rows and columns, then the rest from those rows and columns as they
+    stand after the whole block."""
+    d = np.array(w, dtype=np.float64)
+    n = len(d)
+    for k0 in range(0, n, b):
+        K = np.arange(k0, min(k0 + b, n))
+        rest = np.r_[0:k0, K[-1] + 1 : n]
+        for k in K:
+            d[np.ix_(K, K)] = np.minimum(d[np.ix_(K, K)], d[K, k][:, None] + d[k, K])
+        for k in K:
+            d[np.ix_(K, rest)] = np.minimum(d[np.ix_(K, rest)], d[K, k][:, None] + d[k, rest])
+            d[np.ix_(rest, K)] = np.minimum(d[np.ix_(rest, K)], d[rest, k][:, None] + d[k, K])
+        inner = d[np.ix_(rest, rest)]
+        for k in K:
+            inner = np.minimum(inner, d[rest, k][:, None] + d[k, rest])
+        d[np.ix_(rest, rest)] = inner
+    return d
+
+
+def test_the_blocked_kernel_keeps_the_bits_the_textbook_order_changes():
+    """A canary: on this p-DTW base the textbook blocked order changes
+    entries of the reference's closure (36 of them at B = 16), so the base
+    tells the kernel's order from the textbook one."""
+    walks = simplify_set(gen_synthetic(300, 1, 32, 2, 0.5, seed=1), 4, 1.0)
+    base = dtw_self_matrix(walks, 1.0)
+    reference = floyd_warshall_reference(base)
+    assert np.any(_textbook_blocked(base, B) != reference)
+    assert np.array_equal(shortest_path_closure(base), reference)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])
+def test_closure_rejects_nan_and_negative_entries(rng, monkeypatch, compiled):
+    if not compiled:
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+    w = _weights_with_duplicates(rng, 6)
+    for bad in (np.nan, -0.5, -np.inf):
+        one = w.copy()
+        one[1, 3] = bad
+        with pytest.raises(ValidationError):
+            shortest_path_closure(one)
+
+
+def test_signed_zero_edges_give_the_same_bits_on_both_paths(rng, monkeypatch):
+    """-0.0 and +0.0 compare equal, and which one a tie keeps depends on
+    the order; the closure makes every -0.0 entry +0.0 first."""
+    w = rng.choice([0.0, -0.0, 1.0, 2.0, np.inf], size=(11, 11))
+    w = np.minimum(w, w.T)
+    compiled = shortest_path_closure(w)
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "library", lambda: None)
+        reference = shortest_path_closure(w)
+    assert compiled.tobytes() == reference.tobytes()
+    assert not np.any(np.signbit(compiled))
 
 
 def test_failed_build_falls_back_with_the_same_bits(rng, fresh_library, monkeypatch, tmp_path):

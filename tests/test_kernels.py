@@ -3,6 +3,7 @@ medoid simplification and the k-median swap costs run compiled when a
 compiler exists, and a host without one gets the same bits from the
 references."""
 
+import ctypes
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import dtwmedian
-from dtwmedian import _kernels, kmedian, simplify
-from dtwmedian.curves import Curve, ValidationError
+from dtwmedian import _kernels, closure, kmedian, simplify
+from dtwmedian.curves import Curve, ValidationError, gen_synthetic
 from dtwmedian.dtw import dtw_aligned, dtw_matrix, dtw_self_matrix
 from dtwmedian.kmedian import FiniteMetricInstance, kmedian_local_search
 from dtwmedian.simplify import (
@@ -196,3 +197,38 @@ def test_the_c_source_compiles_without_warnings(tmp_path):
     )
     assert built.returncode == 0, built.stderr
     assert out.is_file()
+
+
+@needs_cc
+def test_the_closures_sse2_path_has_the_reference_bits(tmp_path):
+    """On an AVX2 host the library runs the closure's 4-lane row pass; this
+    builds the source with the AVX2 check replaced by 0, so the 2-lane pass
+    that other x86-64 hosts run is checked too."""
+    check = '__builtin_cpu_supports("avx2")'
+    source = Path(_kernels._SOURCE).read_text(encoding="utf-8")
+    assert source.count(check) == 1
+    (tmp_path / "kernels.c").write_text(source.replace(check, "0"), encoding="utf-8")
+    out = tmp_path / "kernels.so"
+    subprocess.run(
+        [_kernels._CC, *_kernels._CFLAGS, "-o", str(out), str(tmp_path / "kernels.c")],
+        check=True, capture_output=True, timeout=300,
+    )
+    lib = ctypes.CDLL(str(out))
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    lib.floyd_warshall.argtypes = (ptr, size, ptr, size)
+    lib.floyd_warshall.restype = None
+    rng = np.random.default_rng(SEED)
+    block = closure._BLOCK
+    walks = simplify_set(gen_synthetic(150, 1, 32, 2, 0.5, seed=SEED), 4, 1.0)
+    bases = [dtw_self_matrix(walks, 1.0)]
+    for n in (1, 2, block - 1, block, block + 1, 2 * block + 1, 67):
+        w = rng.uniform(0.0, 4.0, (n, n))
+        w[rng.random((n, n)) < 1 / 3] = np.inf
+        bases.append(w)
+    for w in bases:
+        dist = np.minimum(w, w.T, order="C")
+        np.fill_diagonal(dist, 0.0)
+        reference = closure.floyd_warshall_reference(dist)
+        rows = np.empty((block, len(dist)))
+        lib.floyd_warshall(dist.ctypes.data, len(dist), rows.ctypes.data, block)
+        assert dist.tobytes() == reference.tobytes()

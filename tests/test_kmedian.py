@@ -64,11 +64,28 @@ def test_validation_and_guards():
         FiniteMetricInstance(LINE, np.ones(3), 4)
     with pytest.raises(ValidationError):
         FiniteMetricInstance(LINE, np.array([1.0, -1.0, 1.0]), 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            FiniteMetricInstance(LINE, np.array([bad, 1.0, 1.0]), 1)
+    with_nan = LINE.copy()
+    with_nan[0, 2] = with_nan[2, 0] = np.nan
+    with pytest.raises(ValidationError):
+        FiniteMetricInstance(with_nan, np.ones(3), 1)
     big = np.zeros((80, 80))
     with pytest.raises(ResourceGuardError):
         kmedian_brute(FiniteMetricInstance(big, np.ones(80), 30))
     with pytest.raises(ValidationError):
         kmedian_local_search(FiniteMetricInstance(LINE, np.ones(3), 1), eps=1.5)
+
+
+def test_inf_distances_are_allowed():
+    """An isolated point is inf away from the others; it must be a center."""
+    isolated = LINE.copy()
+    isolated[2, :2] = isolated[:2, 2] = np.inf
+    inst = FiniteMetricInstance(isolated, np.ones(3), 2)
+    sol = kmedian_local_search(inst, 0.5, 0)
+    assert 2 in sol.centers and sol.cost == 1.0
+    assert kmedian_brute(inst).cost == 1.0
 
 
 def test_assignment_optimality_and_ties(rng):
