@@ -218,26 +218,30 @@ void dtw_pairs(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *
    (points is n x m x d), into at most ell contiguous parts.
 
    For each curve t it writes the p-th powers of the pointwise distances,
-   scaled for p > 32, to dp[t] (dp is n x m x m), builds the cost table of
-   simplify._medoid_cost_table, and runs simplify._partition on it: the
+   scaled for p > 32, to the m x m table own in work, builds the cost table
+   of simplify._medoid_cost_table, and runs simplify._partition on it: the
    suffix DP, the part count with the least total (ties to fewer parts) and
    the forward traceback of the lexicographically smallest split. The
-   count goes to counts[t], the inclusive end of each part to ends[t] (ends
-   is n x ell), and the rooted total times the scale to totals[t].
+   count goes to counts[t], the inclusive end and the center of each part
+   to ends[t] and centers[t] (both n x ell), and the rooted total times the
+   scale to totals[t]. The center of a part is the first vertex whose sum
+   over it, added in the table's order, is least: the vertex that attains
+   the part's entry. Only the chosen parts are summed again: a table loop
+   that kept every entry's vertex took twice as long (m = 128, gcc 12.2).
 
-   work holds m * m + min(ell, m) * (m + 1) + 2 * m doubles. */
+   work holds 2 * m * m + min(ell, m) * (m + 1) + 2 * m doubles. */
 void medoid_partition(const double *points, ptrdiff_t n, ptrdiff_t m, ptrdiff_t d,
-                      double p, ptrdiff_t ell, int restrict_to_range, double *dp,
-                      double *work, ptrdiff_t *ends, ptrdiff_t *counts, double *totals)
+                      double p, ptrdiff_t ell, int restrict_to_range, double *work,
+                      ptrdiff_t *ends, ptrdiff_t *counts, ptrdiff_t *centers, double *totals)
 {
     const ptrdiff_t max_parts = ell < m ? ell : m;
-    /* cost[a * m + b]: the cost of the range [a, b]; suffix[(j - 1) * (m + 1) + i]:
-       the least cost of grouping [i, m) into exactly j parts */
-    double *cost = work, *suffix = work + m * m;
+    /* own[v * m + j]: the power of the distance from v to j; cost[a * m + b]: the
+       cost of the range [a, b]; suffix[(j - 1) * (m + 1) + i]: the least cost of
+       grouping [i, m) into exactly j parts */
+    double *own = work, *cost = own + m * m, *suffix = cost + m * m;
     double *left = suffix + max_parts * (m + 1), *right = left + m;
     for (ptrdiff_t t = 0; t < n; t++) {
         const double *x = points + t * m * d;
-        double *own = dp + t * m * m;
         for (ptrdiff_t i = 0; i < m; i++)
             distances(x + i * d, x, m, d, own + i * m);
         const double top = p > OVERFLOW_SAFE_P ? finite_max(own, m * m, 0.0) : 0.0;
@@ -307,6 +311,28 @@ void medoid_partition(const double *points, ptrdiff_t n, ptrdiff_t m, ptrdiff_t 
         }
         part_ends[count++] = m - 1;
         counts[t] = count;
+
+        ptrdiff_t *part_centers = centers + t * ell;
+        for (ptrdiff_t q = 0, a = 0; q < count; a = part_ends[q++] + 1) {
+            const ptrdiff_t b = part_ends[q], last = restrict_to_range ? b : m - 1;
+            double least = INFINITY;
+            part_centers[q] = restrict_to_range ? a : 0;
+            for (ptrdiff_t v = part_centers[q]; v <= last; v++) {
+                const double *row = own + v * m;
+                double sum = restrict_to_range ? row[v] : 0.0, after = row[v];
+                if (restrict_to_range) {
+                    for (ptrdiff_t j = v - 1; j >= a; j--)
+                        sum += row[j];
+                    for (ptrdiff_t j = v + 1; j <= b; j++)
+                        after += row[j];
+                    sum += after;
+                } else
+                    for (ptrdiff_t j = a; j <= b; j++)
+                        sum += row[j];
+                if (sum < least)
+                    least = sum, part_centers[q] = v;
+            }
+        }
         totals[t] = root(suffix[best * (m + 1)], p, scale);
     }
 }

@@ -3,14 +3,14 @@ one library on first use and loaded with ``ctypes``.
 
 The library holds four functions, each pinned to the bits of a numpy
 reference: ``floyd_warshall`` (the closure, ``closure.py``), ``dtw_pairs``
-(p-DTW values of curve pairs, ``dtw.py``), ``medoid_partition`` (the
-medoid simplifications, ``simplify.py``) and ``swap_costs`` (the costs of
-every k-median swap of one round, ``kmedian.py``). ``floyd_warshall``
-relaxes only the upper triangle and mirrors it, half the reference's
-additions, and takes the steps k in blocks of 16: it first builds the
-block's snapshot rows, the reference's row k as it stands before step k,
-and then relaxes each row by all 16 in one pass, so the 8 MB matrix of
-n = 1000 is read once per block instead of once per k. It keeps the
+(p-DTW values of curve pairs, ``dtw.py``), ``medoid_partition`` (the parts
+and centers of the medoid simplifications, ``simplify.py``) and
+``swap_costs`` (every k-median swap's cost in a round, ``kmedian.py``).
+``floyd_warshall`` relaxes only the upper triangle and mirrors it, half the
+reference's additions, and takes the steps k in blocks of 16: it first
+builds the block's snapshot rows, the reference's row k as it stands before
+step k, and then relaxes each row by all 16 in one pass, so the 8 MB matrix
+of n = 1000 is read once per block instead of once per k. It keeps the
 reference's bits because its input is exactly symmetric, IEEE addition is
 commutative (so the reference's matrix stays symmetric, and its d[i][k] is
 entry i of snapshot row k), and min is exact, so the order in which an

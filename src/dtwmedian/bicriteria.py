@@ -138,8 +138,8 @@ def bicriteria_klmedian(
     n = len(curves)
     if n < 1:
         raise ValidationError("need at least one curve")
-    if k < 1 or ell < 1:
-        raise ValidationError("k and ell must be >= 1")
+    if k < 1 or ell < 1 or repetitions < 1:
+        raise ValidationError("k, ell and repetitions must be >= 1")
     simplified = tuple(simplify_set(curves, ell, p))
     best = None
     for rep_seed in spawn_seeds(seed, repetitions):

@@ -132,8 +132,12 @@ def distances_from_set(base, C):
     Every point is settled once, at its final value, so dist[v] is the
     minimum over the settled u of the rounded sum dist[u] + base[u, v],
     whatever the order among ties: the bits of scipy's ``dijkstra`` with
-    ``min_only=True``."""
+    ``min_only=True``. A NaN or negative entry raises ``ValidationError``, as
+    in ``shortest_path_closure``: Dijkstra's settled values would not be
+    final."""
     base = np.asarray(base, dtype=np.float64)
+    if not np.all(base >= 0):
+        raise ValidationError("base entries must be non-negative, not NaN")
     C = np.asarray(list(C), dtype=np.intp)
     if C.size == 0:
         raise ValidationError("C must be non-empty")

@@ -11,22 +11,21 @@ geometric median via Weiszfeld (near-optimal groups for p = 1), any-vertex
 medoid (exact among vertex-restricted simplifications), and centroid (exact
 for p = 2; sum of squared distances is minimized by the mean).
 
-The two medoid variants run batched over every curve of one (complexity,
-dimension): ``simplify_set`` makes one batch per group, and the one-curve
-functions are batches of one. A batch is chunked by the DTW kernel's cell
-budget, which bounds its (n, m, m) table of the p-th powers of the pointwise
-distances (scaled per curve for p > 32). ``medoid_partition``, one of the
-four functions of the package's compiled library (``_kernels``; the others
-are the closure's ``floyd_warshall``, the DTW values' ``dtw_pairs`` and the
-k-median's ``swap_costs``), fills that table, builds each curve's cost
-table and runs the partition DP and its traceback. The library's one
+The two medoid variants run through ``_medoid_simplifications``, batched
+over every curve of one (complexity, dimension); a one-curve function is a
+batch of one. A batch is chunked by the DTW kernel's cell budget, which
+bounds the numpy reference's batch-last (m, m, n) table of the p-th powers
+of the pointwise distances (scaled per curve for p > 32).
+``medoid_partition``, a function of the package's compiled library
+(``_kernels``), builds each curve's table of powers and cost table, runs
+the partition DP and its traceback, and picks each part's center: the
+first vertex that attains the part's table entry. The library's one
 fallback rule: where it cannot be built, each caller runs its numpy
 reference; here that is the DTW kernel's distance table,
-``_medoid_cost_table`` and ``_partition`` on the whole chunk, batch-last.
-The compiled loop adds, compares and rounds the same terms in the same
-order, so both give the same bits, and the tests pin them to each other.
-The choice of each group's medoid (``_medoid_center``) runs in numpy per
-curve, on that curve's contiguous table.
+``_medoid_cost_table`` (which keeps that vertex for every entry) and
+``_partition`` on the whole chunk. The compiled loop adds, compares and
+rounds the same terms in the same order, so both give the same bits, and
+the tests pin them to each other.
 
 The local-medoid table is built from split sums: a range [a, b] with center
 v costs L(v, a) + R(v, b), the sums of dp[v, j] from v leftwards to a and
@@ -71,6 +70,7 @@ def _medoid_cost_table(dp, restrict_to_range):
     """Cost tables C[a, b, t] = min over center vertices v of
     sum_{j in [a,b]} dp[v, j, t], for n batch-last tables
     dp[i, j, t] = |sigma_i - sigma_j|^p of curve t; inf below the diagonal.
+    Returns C and the first v that attains each entry.
 
     With ``restrict_to_range`` the center must lie inside [a, b] (the local
     medoid of the 2-approximation). Each range sum then splits at its center
@@ -89,25 +89,22 @@ def _medoid_cost_table(dp, restrict_to_range):
     """
     m = dp.shape[0]
     cost = np.full(dp.shape, np.inf)
+    centers = np.zeros(dp.shape, dtype=np.intp)
     if restrict_to_range:
+        centers += np.arange(m)[:, None, None]  # a, the first v of [a, b]
         for v in range(m):
             left = np.cumsum(dp[v, v::-1], axis=0)[::-1]
             right = np.cumsum(dp[v, v:], axis=0)
-            block = cost[: v + 1, v:]
-            np.minimum(block, left[:, None] + right[None], out=block)
+            sums = left[:, None] + right[None]
+            less = sums < cost[: v + 1, v:]
+            np.copyto(cost[: v + 1, v:], sums, where=less)
+            np.copyto(centers[: v + 1, v:], v, where=less)
     else:
         for a in range(m):
-            cost[a, a:] = np.cumsum(dp[:, a:], axis=1).min(axis=0)
-    return cost
-
-
-def _medoid_center(points, dp, a, b, restrict_to_range):
-    sums = dp[:, a : b + 1].sum(axis=1)
-    if restrict_to_range:
-        idx = a + int(np.argmin(sums[a : b + 1]))
-    else:
-        idx = int(np.argmin(sums))
-    return points[idx]
+            sums = np.cumsum(dp[:, a:], axis=1)
+            cost[a, a:] = sums.min(axis=0)
+            centers[a, a:] = sums.argmin(axis=0)
+    return cost, centers
 
 
 def _centroid_cost_table(points):
@@ -210,39 +207,45 @@ def _finish(sigma, parts, centers, grouping):
     return Simplification(Curve(sigma.id, np.array(centers)), parts, float(grouping))
 
 
-def _medoid_simplifications(curves, ell, p, restrict_to_range):
-    """Best medoid grouping into at most ell parts of each of the curves,
-    which share one complexity m and one dimension d.
+def _identity(sigma):
+    parts = tuple((i, i) for i in range(sigma.complexity))
+    return Simplification(sigma, parts, 0.0)
 
-    The curves are batched, in chunks of at most ``_BLOCK_CELLS`` cells times
-    the dimension per m x m table, and each chunk runs through
-    ``_medoid_partitions``.
+
+def _medoid_simplifications(curves, ell, p, restrict_to_range):
+    """The best medoid grouping into at most ell parts of every curve, in
+    input order; a curve of complexity <= ell is its own simplification.
+
+    The curves of one (complexity m, dimension d) are batched, in chunks of
+    at most ``_BLOCK_CELLS`` cells times d per m x m table, and each chunk
+    runs through ``_medoid_partitions``.
     """
+    if ell < 1:
+        raise ValidationError("ell must be >= 1")
     _check_p(p)
-    m, d = curves[0].complexity, curves[0].dimension
-    block = max(1, _BLOCK_CELLS // (m * m * d))
-    out = []
-    for start in range(0, len(curves), block):
-        chunk = curves[start : start + block]
-        dp, all_parts, costs = _medoid_partitions(
-            np.stack([c.points for c in chunk]), ell, p, restrict_to_range
-        )
-        for sigma, own, parts, cost in zip(chunk, dp, all_parts, costs):
-            centers = [_medoid_center(sigma.points, own, a, b, restrict_to_range) for a, b in parts]
-            out.append(_finish(sigma, parts, centers, cost))
+    out = [_identity(c) if c.complexity <= ell else None for c in curves]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, c in enumerate(curves):
+        if out[i] is None:
+            groups.setdefault((c.complexity, c.dimension), []).append(i)
+    for (m, d), members in groups.items():
+        block = max(1, _BLOCK_CELLS // (m * m * d))
+        for start in range(0, len(members), block):
+            chunk = members[start : start + block]
+            pts = np.stack([curves[i].points for i in chunk])
+            done = zip(chunk, *_medoid_partitions(pts, ell, p, restrict_to_range))
+            for i, parts, centers, cost in done:
+                out[i] = _finish(curves[i], parts, curves[i].points[centers], cost)
     return out
 
 
 def _medoid_partitions(pts, ell, p, restrict_to_range):
-    """For the n curves pts (n, m, d): the p-th powers of their pointwise
-    distances as n contiguous (m, m) tables, scaled per curve for p > 32
-    so that they cannot overflow; the parts of each curve's best medoid
-    grouping; and its rooted cost. The numpy path yields the tables one at
-    a time, each copied out of its batch-last table when it is reached.
-
-    The compiled ``medoid_partition`` does the arithmetic of
-    ``_medoid_cost_table`` and ``_partition`` in their order, so its results
-    have their bits; those two run where the library cannot be built.
+    """For the n curves pts (n, m, d): the parts of each curve's best medoid
+    grouping, the center vertex of each part, and the grouping's rooted
+    cost, with the p-th powers scaled per curve for p > 32. The compiled
+    ``medoid_partition`` does the arithmetic of ``_medoid_cost_table`` and
+    ``_partition`` in their order, so its results have their bits; those
+    two run where the library cannot be built.
     """
     n, m, d = pts.shape
     lib = _kernels.library()
@@ -250,54 +253,28 @@ def _medoid_partitions(pts, ell, p, restrict_to_range):
         batch = np.moveaxis(pts, 0, -1)
         table = _distance_table(batch, batch)
         scale = _pth_powers(table[1:, 1:], p)
-        dp = table[1:, 1:]
-        all_parts, totals = _partition(_medoid_cost_table(dp, restrict_to_range), ell)
-        own = (np.ascontiguousarray(dp[:, :, t]) for t in range(n))
-        return own, all_parts, _root(totals, p, scale)
-    dp = np.empty((n, m, m))
-    work = np.empty(m * m + min(ell, m) * (m + 1) + 2 * m)
+        cost, centers = _medoid_cost_table(table[1:, 1:], restrict_to_range)
+        all_parts, totals = _partition(cost, ell)
+        chosen = [[int(centers[a, b, t]) for a, b in parts] for t, parts in enumerate(all_parts)]
+        return all_parts, chosen, _root(totals, p, scale)
+    work = np.empty(2 * m * m + min(ell, m) * (m + 1) + 2 * m)
     ends = np.empty((n, ell), dtype=np.intp)
+    centers = np.empty((n, ell), dtype=np.intp)
     counts = np.empty(n, dtype=np.intp)
     costs = np.empty(n)
     lib.medoid_partition(
-        pts.ctypes.data, n, m, d, p, ell, restrict_to_range, dp.ctypes.data,
-        work.ctypes.data, ends.ctypes.data, counts.ctypes.data, costs.ctypes.data,
+        pts.ctypes.data, n, m, d, p, ell, restrict_to_range, work.ctypes.data,
+        ends.ctypes.data, counts.ctypes.data, centers.ctypes.data, costs.ctypes.data,
     )
-    all_parts = []
-    for own, count in zip(ends.tolist(), counts.tolist()):
+    all_parts, chosen = [], []
+    for own, own_centers, count in zip(ends.tolist(), centers.tolist(), counts.tolist()):
         own = own[:count]
         all_parts.append(tuple(zip([0] + [e + 1 for e in own[:-1]], own)))
-    return dp, all_parts, costs
-
-
-def _medoid_set(curves, ell, p, restrict_to_range):
-    """The medoid simplification of every curve, in input order; a curve of
-    complexity <= ell is returned as it is. One batch per (complexity,
-    dimension)."""
-    if ell < 1:
-        raise ValidationError("ell must be >= 1")
-    out = list(curves)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, c in enumerate(out):
-        if c.complexity > ell:
-            groups.setdefault((c.complexity, c.dimension), []).append(i)
-    for members in groups.values():
-        done = _medoid_simplifications([out[i] for i in members], ell, p, restrict_to_range)
-        for i, s in zip(members, done):
-            out[i] = s.curve
-    return out
-
-
-def _identity(sigma):
-    parts = tuple((i, i) for i in range(sigma.complexity))
-    return Simplification(sigma, parts, 0.0)
+        chosen.append(own_centers[:count])
+    return all_parts, chosen, costs
 
 
 def simplify_2approx_detailed(sigma: Curve, ell, p=1.0) -> Simplification:
-    if ell < 1:
-        raise ValidationError("ell must be >= 1")
-    if sigma.complexity <= ell:
-        return _identity(sigma)
     return _medoid_simplifications([sigma], ell, p, restrict_to_range=True)[0]
 
 
@@ -339,10 +316,6 @@ def simplify_eps_p1(sigma: Curve, ell) -> Curve:
 def simplify_vertex_restricted_detailed(sigma: Curve, ell, p=1.0) -> Simplification:
     if ell > sigma.complexity:
         raise ValidationError("ell must be <= the curve complexity")
-    if ell < 1:
-        raise ValidationError("ell must be >= 1")
-    if sigma.complexity == ell:
-        return _identity(sigma)
     return _medoid_simplifications([sigma], ell, p, restrict_to_range=False)[0]
 
 
@@ -389,7 +362,7 @@ def simplify_set(curves, ell, p=1.0, method="two-approx"):
     if method == "eps1":
         done = [simplify_eps_p1(c, ell) for c in distinct]
     else:
-        done = _medoid_set(distinct, ell, p, restrict_to_range=method == "two-approx")
+        done = [s.curve for s in _medoid_simplifications(distinct, ell, p, method == "two-approx")]
     out = []
     for c, j in zip(curves, inverse):
         s = done[j]

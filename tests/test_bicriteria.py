@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dtwmedian.curves import Curve, gen_synthetic
+from dtwmedian.curves import Curve, ValidationError, gen_synthetic
 from dtwmedian.bicriteria import (
     BicriteriaSolution,
     SamplingParams,
@@ -115,6 +115,13 @@ def test_monotone_adding_centers_never_increases_cost(rng):
         for drop in range(sol.k_hat):
             keep = [i for i in range(sol.k_hat) if i != drop]
             assert float(cross[:, keep].min(axis=1).sum()) >= sol.cost - TOL
+
+
+def test_repetitions_below_one_raise():
+    curves = list(gen_synthetic(2, 4, 5, 1, 0.4, 3))
+    for repetitions in (0, -1):
+        with pytest.raises(ValidationError):
+            bicriteria_klmedian(curves, 2, 2, repetitions=repetitions)
 
 
 def test_determinism(rng):

@@ -277,6 +277,12 @@ def test_exit_code_validation_error(tmp_path):
     assert "error" in proc.stderr.lower()
 
 
+def test_bicriteria_without_repetitions_exits_2(data_file):
+    proc = run_module("bicriteria", "--k", "2", "--ell", "2", "--repetitions", "0", str(data_file))
+    assert proc.returncode == 2
+    assert "repetitions" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_exit_code_parse_error(tmp_path):
     f = tmp_path / "bad.jsonl"
     f.write_text("not json\n")

@@ -343,6 +343,13 @@ def test_distances_from_set_validation(rng):
         distances_from_set(mc.base, [])
     with pytest.raises(ValidationError):
         distances_from_set(mc.base, [5])
+    # a negative edge gave [0, -2, -5], a NaN edge NaN everywhere
+    negative = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, -3.0], [1.0, -3.0, 0.0]])
+    nan = mc.base.copy()
+    nan[0, 2] = nan[2, 0] = np.nan
+    for base in (negative, nan):
+        with pytest.raises(ValidationError):
+            distances_from_set(base, [0])
 
 
 def test_subset_monotonicity(rng):

@@ -4,6 +4,7 @@ compiler exists, and a host without one gets the same bits from the
 references."""
 
 import ctypes
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -30,14 +31,21 @@ P_VALUES = (1.0, 2.0, 3.0, 64.0)
 SEED = 7
 
 
+def grid_curves(rng, d):
+    """Curves of 10 integer points in [0, 2]^d: many vertices tie for the
+    medoid of a part."""
+    return [Curve(f"g{i}", rng.integers(0, 3, (10, d)).astype(float)) for i in range(4)]
+
+
 def mixed_curves(rng, d):
-    """Complexities 1 to 9, one curve of 1e10-scaled coordinates, duplicates
-    under other ids, and last two curves of complexity 11 given as
-    column-major arrays."""
+    """Complexities 1 to 10, one curve of 1e10-scaled coordinates, duplicates
+    under other ids, integer-grid curves, and last two curves of complexity
+    11 given as column-major arrays."""
     curves = [Curve(f"c{i}", rng.normal(0, 3, (int(rng.integers(2, 10)), d))) for i in range(8)]
     curves.append(Curve("one", rng.normal(0, 3, (1, d))))
     curves.append(Curve("big", 1e10 * rng.normal(0, 3, (7, d))))
     curves += [Curve("dup0", curves[0].points), Curve("dup_big", curves[-1].points)]
+    curves += grid_curves(rng, d)
     curves += [Curve(f"f{i}", rng.normal(0, 3, (d, 11)).T) for i in range(2)]
     return curves
 
@@ -57,8 +65,9 @@ def metric_instance(rng, n, k, duplicates=0, isolated=False):
 
 def all_results(rng):
     """Every batched DTW value and medoid simplification of mixed curves, as
-    bytes, for p in P_VALUES and d = 1, 2, 3, and the k-median local search
-    on metric instances up to n = 720."""
+    bytes, the parts, center indices and costs of the medoid partitions of
+    integer-grid curves, for p in P_VALUES and d = 1, 2, 3, and the k-median
+    local search on metric instances up to n = 720."""
     out = []
     for n, k, duplicates in ((9, 1, 0), (12, 3, 4), (40, 5, 10), (100, 70, 0), (720, 4, 20)):
         inst = metric_instance(rng, n, k, duplicates)
@@ -66,7 +75,11 @@ def all_results(rng):
         out.append((sol.centers, sol.cost.hex(), sol.assignment.tobytes()))
     for d in (1, 2, 3):
         curves = mixed_curves(rng, d)
+        grid = np.stack([c.points for c in grid_curves(rng, d)])
         for p in P_VALUES:
+            for ell, restrict_to_range in itertools.product((1, 3), (True, False)):
+                parts, centers, costs = simplify._medoid_partitions(grid, ell, p, restrict_to_range)
+                out.append((parts, centers, np.asarray(costs).tobytes()))
             out.append(dtw_self_matrix(curves, p).tobytes())
             out.append(dtw_matrix(curves[:5], curves, p).tobytes())
             out.append(dtw_aligned(curves, curves[::-1], p).tobytes())

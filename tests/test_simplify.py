@@ -7,7 +7,6 @@ from dtwmedian import _kernels, simplify
 from dtwmedian.curves import Curve, ValidationError
 from dtwmedian.dtw import Traversal, _distance_table, _pth_powers, _root, dtw_value, traversal_cost
 from dtwmedian.simplify import (
-    _medoid_center,
     _medoid_cost_table,
     _partition,
     geometric_median,
@@ -22,7 +21,7 @@ from dtwmedian.simplify import (
     simplify_vertex_restricted,
     simplify_vertex_restricted_detailed,
 )
-from conftest import curve1d
+from conftest import curve1d, needs_cc
 
 TOL = 1e-9
 
@@ -62,6 +61,31 @@ def direct_medoid_table(dp):
         sums[np.tri(m - a, k=-1, dtype=bool)] = np.inf  # v = a + row must lie in [a, b]
         cost[a, a:] = sums.min(axis=0)
     return cost
+
+
+def direct_medoid_center(dp, a, b):
+    """The local medoid of the range [a, b]: the least direct sum of a center
+    row over it, first index on ties. The rule the split-sum centers
+    replaced, kept as their reference."""
+    sums = dp[:, a : b + 1].sum(axis=1)
+    return a + int(np.argmin(sums[a : b + 1]))
+
+
+def table_order_sum(dp, v, a, b, restrict_to_range):
+    """Row v's sum over [a, b] in the cost table's own order: split at v,
+    leftwards and rightwards (restricted), or from a."""
+    row = [float(x) for x in dp[v]]
+    if not restrict_to_range:
+        total = 0.0
+        for j in range(a, b + 1):
+            total += row[j]
+        return total
+    left = right = row[v]
+    for j in range(v - 1, a - 1, -1):
+        left += row[j]
+    for j in range(v + 1, b + 1):
+        right += row[j]
+    return left + right
 
 
 def brute_centroid_partition_cost(points, ell):
@@ -325,7 +349,10 @@ def test_grouping_cost_is_the_lopsided_traversal_cost(rng):
 def test_split_sums_match_the_direct_sums(rng):
     # the split sums add each range's terms in another order: table entries
     # and grouping costs stay within a relative m * 2^-52 of the direct sums
-    # (the _medoid_cost_table docstring), and parts and curves are equal
+    # (the _medoid_cost_table docstring), and parts are equal. A center
+    # attains its split-sum entry, so its direct sum is within that
+    # tolerance of the direct medoid's, and it is the direct medoid where no
+    # other vertex comes that close
     curves = [Curve("a", [[0.0], [1e10], [2e10], [3e10], [4e10]])]
     curves += [
         Curve("x", rng.normal(0, 3, (int(rng.integers(2, 40)), int(rng.integers(1, 4)))))
@@ -340,18 +367,58 @@ def test_split_sums_match_the_direct_sums(rng):
             scale = _pth_powers(table[1:, 1:], p)
             dp = table[1:, 1:]
             direct = direct_medoid_table(dp[:, :, 0])
-            split = _medoid_cost_table(dp, True)[:, :, 0]
+            split = _medoid_cost_table(dp, True)[0][:, :, 0]
             finite = np.isfinite(direct)
             assert np.array_equal(np.isfinite(split), finite)
             assert np.all(np.abs(split[finite] - direct[finite]) <= tol * direct[finite])
 
             (parts,), total = _partition(direct[:, :, None], ell)
-            centers = [_medoid_center(c.points, dp[:, :, 0], a, b, True) for a, b in parts]
             s = simplify_2approx_detailed(c, ell, p)
             assert s.parts == parts
-            assert s.curve.points.tobytes() == np.array(centers).tobytes()
+            for (a, b), center in zip(parts, s.curve.points):
+                sums = dp[:, a : b + 1, 0].sum(axis=1)[a : b + 1]  # as direct_medoid_center
+                old = direct_medoid_center(dp[:, :, 0], a, b)
+                close = a + np.flatnonzero(sums <= sums[old - a] * (1 + tol))
+                assert any(center.tobytes() == c.points[v].tobytes() for v in close)
+                if close.size == 1:
+                    assert center.tobytes() == c.points[old].tobytes()
             reference = float(_root(total, p, scale)[0])
             assert abs(s.grouping_cost - reference) <= tol * reference
+
+
+@pytest.mark.parametrize(
+    "compiled", [pytest.param(True, marks=needs_cc), False], ids=["compiled", "reference"]
+)
+def test_each_center_is_the_first_vertex_attaining_its_entry(rng, monkeypatch, compiled):
+    # ties: equal 1-D gaps at p = 1 and repeated integer-grid points
+    if not compiled:
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+    tied = curve1d(0, 1, 2, 3)  # at p = 1 the vertices 1 and 2 both cost 4
+    for restrict_to_range in (True, False):
+        (parts,), (centers,), _ = simplify._medoid_partitions(
+            tied.points[None], 1, 1.0, restrict_to_range
+        )
+        assert parts == ((0, 3),) and centers == [1]
+    curves = [tied, Curve("a", [[0.0], [1e10], [2e10], [3e10], [4e10]])]
+    curves += [curve1d(*rng.integers(0, 4, 9)) for _ in range(10)]
+    curves += [Curve("g", rng.integers(0, 3, (10, 2)).astype(float)) for _ in range(10)]
+    curves += [Curve("x", rng.normal(0, 3, (int(rng.integers(2, 12)), 2))) for _ in range(10)]
+    for c in curves:
+        for p in (1.0, 2.0, 3.0, 64.0):
+            table = _distance_table(c.points[:, :, None], c.points[:, :, None])
+            _pth_powers(table[1:, 1:], p)
+            dp = table[1:, 1:, 0]
+            for restrict_to_range in (True, False):
+                cost, _ = _medoid_cost_table(table[1:, 1:], restrict_to_range)
+                ell = int(rng.integers(1, c.complexity + 1))
+                (parts,), (centers,), _ = simplify._medoid_partitions(
+                    c.points[None], ell, p, restrict_to_range
+                )
+                for (a, b), center in zip(parts, centers):
+                    vertices = range(a, b + 1) if restrict_to_range else range(c.complexity)
+                    sums = {v: table_order_sum(dp, v, a, b, restrict_to_range) for v in vertices}
+                    assert cost[a, b, 0] == min(sums.values())
+                    assert center == min(v for v in vertices if sums[v] == cost[a, b, 0])
 
 
 def test_simplify_set_equals_one_curve_calls(rng):
@@ -380,13 +447,13 @@ def test_simplify_set_equals_one_curve_calls(rng):
 
 def test_results_do_not_depend_on_the_chunk_size(rng, monkeypatch):
     # one curve of large coordinates among small ones: for p > 32 each curve
-    # of a batch keeps its own scale; pinned to the numpy reference, whose
-    # chunks are batches
-    monkeypatch.setattr(_kernels, "library", lambda: None)
+    # of a batch keeps its own scale; on the compiled path where a library
+    # can be built, and on the numpy reference, whose chunks are batches
     curves = [Curve(f"c{i}", rng.normal(0, 3, (9, 2))) for i in range(12)]
     curves.append(Curve("big", 1e10 * rng.normal(0, 3, (9, 2))))
     curves.append(Curve("dup", curves[0].points.copy()))
-    for p in (1.0, 2.0, 3.0, 64.0):
+    for library, p in itertools.product((_kernels.library, lambda: None), (1.0, 2.0, 3.0, 64.0)):
+        monkeypatch.setattr(_kernels, "library", library)
         for restrict_to_range in (True, False):
             full = simplify._medoid_simplifications(curves, 3, p, restrict_to_range)
             with monkeypatch.context() as patch:
