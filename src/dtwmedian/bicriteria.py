@@ -4,7 +4,8 @@ centers of complexity <= ell.
 
 The two-level scheme samples a subset, clusters its metric closure, rechecks
 the worst-served points, and recurses once. The framework works on a curve
-list and index arrays into it. The inner level (``k_routine``) computes the
+list and index arrays into it, which may repeat an index; it returns
+distinct indices. The inner level (``k_routine``) computes the
 p-DTW matrix of its index set once and slices it for the sample's closure,
 the closure distances that pick the recheck set, and the recheck set's
 closure; the outer level (``k_median_sampled``) picks its recheck set by raw
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, ValidationError, new_rng, spawn_seeds
+from .curves import Curve, ValidationError, distinct_curves, new_rng, spawn_seeds
 from .closure import distances_from_set, shortest_path_closure
 from .dtw import assign_nearest, dtw_matrix, dtw_self_matrix
 from .kmedian import FiniteMetricInstance, kmedian_local_search
@@ -54,7 +55,9 @@ class BicriteriaSolution:
     """At most 4k center curves with per-input assignments under p-DTW.
 
     ``simplified`` holds the ell-simplification of every input, in input
-    order; the centers are members of it.
+    order; inputs with equal points share one object, which carries the id
+    of the sequence's first input. The centers are members of it, with
+    pairwise different points.
     """
 
     centers: tuple[Curve, ...]
@@ -89,7 +92,7 @@ def k_routine(curves, p, idx, k, eps, seed):
     seeds = spawn_seeds(seed, 2)
     base = dtw_self_matrix([curves[i] for i in idx], p)
     if n <= params.s:
-        return idx[_solve_on_closure(base, k, eps, seeds[0])]
+        return np.unique(idx[_solve_on_closure(base, k, eps, seeds[0])])
     sample = np.sort(rng.choice(n, size=params.s, replace=False))
     c_prime = sample[_solve_on_closure(base[np.ix_(sample, sample)], k, eps, seeds[0])]
     dists = distances_from_set(base, c_prime)
@@ -131,24 +134,30 @@ def bicriteria_klmedian(
     framework on their p-DTW; centers are simplification curves, assignments
     and cost are evaluated on the original inputs.
 
+    Each distinct point sequence (``distinct_curves``) is simplified and
+    assigned once; the framework samples the n inputs as indices into them,
+    so its draws are those of ``np.arange(n)`` over the same curves.
+
     The whole sampled run is repeated ``repetitions`` times (fresh derived
     seeds) and the cheapest outcome kept.
     """
     curves = list(T)
-    n = len(curves)
-    if n < 1:
+    if not curves:
         raise ValidationError("need at least one curve")
     if k < 1 or ell < 1 or repetitions < 1:
         raise ValidationError("k, ell and repetitions must be >= 1")
-    simplified = tuple(simplify_set(curves, ell, p))
+    distinct, inverse = distinct_curves(curves)
+    simplified = simplify_set(distinct, ell, p)
     best = None
     for rep_seed in spawn_seeds(seed, repetitions):
-        centers_idx = k_median_sampled(simplified, p, np.arange(n), k, eps, rep_seed)
+        centers_idx = k_median_sampled(simplified, p, inverse, k, eps, rep_seed)
         center_curves = tuple(simplified[i] for i in centers_idx)
-        assignment, distances = assign_nearest(curves, center_curves, p)
+        assignment, distances = assign_nearest(distinct, center_curves, p)
+        distances = distances[inverse]
         cost = float(distances.sum())
         if best is None or cost < best.cost:
             best = BicriteriaSolution(
-                center_curves, assignment, distances, cost, ell, p, simplified
+                center_curves, assignment[inverse], distances, cost, ell, p,
+                tuple(simplified[j] for j in inverse),
             )
     return best

@@ -88,6 +88,13 @@ def _load(path):
     return load_curves(path, "csv-long" if str(path).endswith(".csv") else "jsonl")
 
 
+def _first_curve(path):
+    curves = _load(path)
+    if not curves:
+        raise ValidationError(f"{path} holds no curves")
+    return curves[0]
+
+
 @click.group()
 def main():
     """Clustering of point sequences under the p-dynamic-time-warping distance."""
@@ -102,8 +109,8 @@ def main():
 def dtw_cmd(p, eps, file_a, file_b, output):
     """Exact distance between the first curves of two files, plus the
     quantized approximation when --eps is set."""
-    a = _load(file_a)[0]
-    b = _load(file_b)[0]
+    a = _first_curve(file_a)
+    b = _first_curve(file_b)
     result = dtw(a, b, p)
     doc = {
         "p": p,

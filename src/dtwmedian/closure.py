@@ -2,11 +2,11 @@
 
 The closure is the all-pairs shortest-path completion of the complete graph
 whose edge weights are pairwise p-DTW values. Zero-weight edges between
-duplicate curves are kept (the closure is a semimetric). The exact route,
-``cluster_via_closure``, collapses duplicates before it builds a closure:
-each distinct curve is one point, weighted by its number of inputs. Other
-closures (bicriteria samples, coresets) may still hold one sequence under
-several ids; on a dense matrix their zero is just a zero.
+duplicate curves are kept (the closure is a semimetric); a closure holds
+every curve it is given. Both clustering routes give their final closure
+one weighted point per distinct simplified curve. The bicriteria stage's
+sample closures may still hold one sequence at several rows; on a dense
+matrix their zero is just a zero.
 
 ``shortest_path_closure`` runs Floyd-Warshall on min(base, base^T) with a
 zero diagonal, as the ``floyd_warshall`` function of the package's compiled

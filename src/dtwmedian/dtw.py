@@ -7,7 +7,8 @@ batch-last (m+1, l+1, n) table for n pairs of complexities m and l,
 pointwise costs in its interior, and accumulates one anti-diagonal of all n
 pairs per numpy step. ``dtw`` walks its traversal back from the table and
 ``ball_membership`` runs the kernel on quantized costs. The all-pairs
-matrices evaluate each pair of distinct point sequences once.
+matrices evaluate every pair they are given; collapsing equal point
+sequences is left to the clustering entry points (``distinct_curves``).
 
 Every batched value comes from ``_pair_values``. It runs ``dtw_pairs``, one
 of the four functions of the package's compiled library (``_kernels``;
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .curves import Curve, ValidationError, distinct_curves
+from .curves import Curve, ValidationError
 
 _OVERFLOW_SAFE_P = 32.0
 _BLOCK_CELLS = 2**21  # per-chunk budget of DP cells times the dimension
@@ -272,18 +273,15 @@ def traversal_cost(a: Curve, b: Curve, traversal: Traversal, p=1.0) -> float:
 def dtw_matrix(curves_a, curves_b, p=1.0):
     """All-pairs p-DTW values between two curve lists, as an (na, nb) array.
 
-    Each pair of distinct point sequences (``distinct_curves`` of each side)
-    is evaluated once and the result is gathered for every input pair. A
-    value depends on its pair alone, so the entries have the bits of
-    per-pair ``dtw_value`` calls.
+    Every pair is evaluated, equal point sequences included. A value depends
+    on its pair alone, so the entries have the bits of per-pair
+    ``dtw_value`` calls.
     """
-    distinct_a, inverse_a = distinct_curves(list(curves_a))
-    distinct_b, inverse_b = distinct_curves(list(curves_b))
-    na, nb = len(distinct_a), len(distinct_b)
+    curves_a, curves_b = list(curves_a), list(curves_b)
+    na, nb = len(curves_a), len(curves_b)
     rows = np.repeat(np.arange(na), nb)
     cols = na + np.tile(np.arange(nb), na)
-    values = _pair_values(distinct_a + distinct_b, rows, cols, p).reshape(na, nb)
-    return values[np.ix_(inverse_a, inverse_b)]
+    return _pair_values(curves_a + curves_b, rows, cols, p).reshape(na, nb)
 
 
 def assign_nearest(curves, centers, p=1.0):
@@ -307,16 +305,15 @@ def dtw_aligned(curves_a, curves_b, p=1.0):
 def dtw_self_matrix(curves, p=1.0):
     """Symmetric all-pairs p-DTW matrix of one curve list (zero diagonal).
 
-    Each pair of distinct point sequences (``distinct_curves``) is evaluated
-    once and the result is gathered for every input pair, so the entries
-    have the bits of per-pair ``dtw_value`` calls; two inputs with the same
-    points are exactly 0 apart, as their DTW is.
+    Every pair above the diagonal is evaluated once and mirrored, so the
+    entries have the bits of per-pair ``dtw_value`` calls; two inputs with
+    the same points are exactly 0 apart, as their DTW is.
     """
-    distinct, inverse = distinct_curves(list(curves))
-    out = np.zeros((len(distinct), len(distinct)))
-    rows, cols = np.triu_indices(len(distinct), k=1)
-    out[rows, cols] = out[cols, rows] = _pair_values(distinct, rows, cols, p)
-    return out[np.ix_(inverse, inverse)]
+    curves = list(curves)
+    out = np.zeros((len(curves), len(curves)))
+    rows, cols = np.triu_indices(len(curves), k=1)
+    out[rows, cols] = out[cols, rows] = _pair_values(curves, rows, cols, p)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """End-to-end (k,l)-median: bicriteria seeding, which ell-simplifies every
 input once, sensitivity sampling of those simplified curves, metric closure
 and weighted k-median, plus the small-n route that clusters the closure of
-the whole simplified set directly, one weighted point per distinct curve.
-Both routes share one back half: closure, k-median and the nearest-center
-assignment of the inputs.
+the whole simplified set directly. Each route collapses inputs with equal
+points once, at its entry (``distinct_curves``); the layers below evaluate
+what they are given. Both share one back half: one weighted point per
+distinct simplified curve, closure, k-median and the nearest-center
+assignment of each sequence, which all its inputs get.
 
 The accuracy knob follows the source construction: the caller's eps is split
 as eps' = eps/46 for the coreset size and the final k-median. The bicriteria
@@ -47,10 +49,10 @@ from .simplify import simplify_set
 class ClusteringResult:
     """Exactly k centers of complexity <= ell with a full-input assignment.
 
-    Each center is the ell-simplification of an input curve and carries its
-    id; ``timings`` holds the per-stage wall times of the run (the
-    repetition) that produced it, and ``config`` the parameters the route
-    used, by name.
+    Each center is the ell-simplification of an input curve and carries the
+    id of the first input with that input's points; ``timings`` holds the
+    per-stage wall times of the run (the repetition) that produced it, and
+    ``config`` the parameters the route used, by name.
     """
 
     centers: tuple[Curve, ...]
@@ -79,24 +81,28 @@ def _stage(timings, name):
     timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
 
 
-def _cluster_simplified(curves, simplified, weights, k, p, eps, seed, timings):
-    """The back half of both routes: weighted k-median on the closure of the
-    simplified curves, then the nearest-center assignment of the inputs;
-    returns (centers, assignment, distances).
+def _cluster_simplified(distinct, inverse, simplified, weights, k, p, eps, seed, timings):
+    """The back half of both routes, one weighted instance: the simplified
+    curves with equal points become one point, their weights summed in
+    order; weighted k-median on its closure; then the nearest-center
+    assignment of the distinct inputs, given to every input by ``inverse``.
+    Returns (centers, assignment, distances) per input.
 
-    The local search returns min(k, n) centers for n simplified curves, all
-    of them when n < k; the missing slots then repeat the first center, so
-    there are always exactly k."""
+    The local search returns min(k, n) centers for n points, all of them
+    when n < k; the missing slots then repeat the first center, so there are
+    always exactly k."""
     with _stage(timings, "closure"):
-        closure = build_closure(simplified, p)
+        points, which = distinct_curves(simplified)
+        weights = np.bincount(which, weights=weights)
+        closure = build_closure(points, p)
     with _stage(timings, "kmedian"):
-        inst = FiniteMetricInstance(closure.dist, weights, min(k, len(simplified)))
+        inst = FiniteMetricInstance(closure.dist, weights, min(k, len(points)))
         sol = kmedian_local_search(inst, eps=eps, seed=seed)
         slots = sol.centers + (sol.centers[0],) * (k - len(sol.centers))
-        centers = tuple(simplified[i] for i in slots)
+        centers = tuple(points[i] for i in slots)
     with _stage(timings, "assignment"):
-        assignment, distances = assign_nearest(curves, centers, p)
-    return centers, assignment, distances
+        assignment, distances = assign_nearest(distinct, centers, p)
+    return centers, assignment[inverse], distances[inverse]
 
 
 def _coreset_stages(curves, cfg, seed, timings):
@@ -135,11 +141,15 @@ def _coreset_stages(curves, cfg, seed, timings):
 def kl_median(T, cfg: PipelineConfig) -> ClusteringResult:
     """Full pipeline: coreset stages, a sensitivity sample of the bicriteria
     stage's simplified curves, metric closure, weighted k-median at
-    eps' = eps/46, exactly k final centers."""
+    eps' = eps/46, exactly k final centers.
+
+    Repeated draws, and draws of equal points, become one weighted point of
+    the final instance, with the weights summed in draw order."""
     curves = list(T)
     n = len(curves)
     if n < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} curves, got {n}")
+    distinct, inverse = distinct_curves(curves)
     best = None
     for rep_seed in spawn_seeds(cfg.seed, cfg.repetitions):
         timings: dict = {}
@@ -147,20 +157,9 @@ def kl_median(T, cfg: PipelineConfig) -> ClusteringResult:
         bicrit, profile, _, size, sample_seed = _coreset_stages(curves, cfg, seeds[0], timings)
         with _stage(timings, "sampling"):
             coreset = coreset_sample(bicrit.simplified, profile, size, sample_seed)
-            # repeated draws of one curve become one weighted point, in
-            # first-draw order with weights summed in draw order
-            merged: dict[Curve, float] = {}
-            for c, w in coreset:
-                merged[c] = merged.get(c, 0.0) + w
         centers, assignment, distances = _cluster_simplified(
-            curves,
-            list(merged),
-            np.array(list(merged.values())),
-            cfg.k,
-            cfg.p,
-            cfg.eps / 46.0,
-            seeds[1],
-            timings,
+            distinct, inverse, coreset.curves, coreset.weights, cfg.k, cfg.p, cfg.eps / 46.0,
+            seeds[1], timings,
         )
         total = float(distances.sum())
         if best is None or total < best.cost:
@@ -175,11 +174,12 @@ def cluster_via_closure(T, k, ell, p=1.0, eps=0.5, method="two-approx", seed=0) 
     """Small-n route: simplify everything, build the full closure, run the
     metric k-median on it, and map centers back to the input.
 
-    The route works on the distinct point sequences (``distinct_curves``),
-    each weighted by its number of inputs. Duplicates are exactly 0 apart in
-    the closure, so this is the same weighted k-median instance with fewer
-    points. Every input gets the assignment and distance of its sequence,
-    bitwise, and a center carries the id of its sequence's first input."""
+    The route simplifies each distinct point sequence (``distinct_curves``)
+    once and weights it by its number of inputs. Duplicates are exactly 0
+    apart in the closure, so this is the same weighted k-median instance
+    with fewer points. Every input gets the assignment and distance of its
+    sequence, bitwise, and a center carries the id of its sequence's first
+    input."""
     curves = list(T)
     n = len(curves)
     if n < k:
@@ -192,12 +192,9 @@ def cluster_via_closure(T, k, ell, p=1.0, eps=0.5, method="two-approx", seed=0) 
     with _stage(timings, "simplify"):
         simplified = simplify_set(distinct, ell, p, method)
     centers, assignment, distances = _cluster_simplified(
-        distinct, simplified, np.bincount(inverse), k, p, min(eps, 0.999), seed, timings
+        distinct, inverse, simplified, np.bincount(inverse), k, p, min(eps, 0.999), seed, timings
     )
-    distances = distances[inverse]
-    return ClusteringResult(
-        centers, assignment[inverse], distances, float(distances.sum()), timings, config
-    )
+    return ClusteringResult(centers, assignment, distances, float(distances.sum()), timings, config)
 
 
 def emit_coreset_only(T, cfg: PipelineConfig):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .curves import Curve, ValidationError, distinct_curves
+from .curves import Curve, ValidationError
 from .dtw import _BLOCK_CELLS, _check_p, _distance_table, _pth_powers, _root
 
 WEISZFELD_MAX_ITER = 200
@@ -346,10 +346,10 @@ def simplify_exact_p2(sigma: Curve, ell) -> Curve:
 def simplify_set(curves, ell, p=1.0, method="two-approx"):
     """Apply one simplification method to every curve, preserving order.
 
-    Each distinct point sequence (``distinct_curves``) is simplified once,
-    and every input gets its sequence's result under its own id. A result
-    depends on the points alone, so it has the bits of a one-curve call.
-    The medoid methods ("two-approx", "vertex") simplify the sequences of
+    Every curve given is simplified, under its own id; equal point
+    sequences are collapsed by the clustering entry points, not here. A
+    result depends on the points alone, so it has the bits of a one-curve
+    call. The medoid methods ("two-approx", "vertex") simplify the curves of
     one (complexity, dimension) in one batch. A curve of complexity <= ell
     is returned as it is.
     """
@@ -358,17 +358,6 @@ def simplify_set(curves, ell, p=1.0, method="two-approx"):
     if method == "eps1" and p != 1:
         raise ValidationError("method 'eps1' (geometric medians) needs p = 1")
     curves = list(curves)
-    distinct, inverse = distinct_curves(curves)
     if method == "eps1":
-        done = [simplify_eps_p1(c, ell) for c in distinct]
-    else:
-        done = [s.curve for s in _medoid_simplifications(distinct, ell, p, method == "two-approx")]
-    out = []
-    for c, j in zip(curves, inverse):
-        s = done[j]
-        if s is distinct[j]:
-            s = c
-        elif s.id != c.id:
-            s = Curve(c.id, s.points)
-        out.append(s)
-    return out
+        return [simplify_eps_p1(c, ell) for c in curves]
+    return [s.curve for s in _medoid_simplifications(curves, ell, p, method == "two-approx")]

@@ -75,6 +75,22 @@ def test_identical_curves_zero_cost():
     assert sol.k_hat <= 8
 
 
+def test_a_sequence_under_several_ids_is_one_center(rng):
+    # 3 sequences, each under 4 ids, interleaved
+    seqs = [rng.normal(0, 3, (6, 2)) for _ in range(3)]
+    curves = [Curve(f"c{j}_{r}", seqs[j]) for r in range(4) for j in range(3)]
+    for seed in range(6):
+        sol = bicriteria_klmedian(curves, 4, 2, 1.0, 0.5, seed, repetitions=2)
+        assert sol.k_hat <= 3
+        keys = {c.points.tobytes() for c in sol.centers}
+        assert len(keys) == sol.k_hat
+        # inputs with equal points share one simplification, with the first id
+        for i, c in enumerate(curves):
+            assert sol.simplified[i] is sol.simplified[i % 3]
+            assert sol.simplified[i].id == f"c{i % 3}_0"
+        assert sol.cost == float(sol.distances.sum())
+
+
 def test_n_equals_k_bounded_by_simplification_error(rng):
     curves = [
         Curve(f"c{i}", rng.normal(0, 3, (6, 2))) for i in range(3)

@@ -235,6 +235,17 @@ def test_dtw_invalid_eps_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_dtw_on_a_file_with_no_curves_exits_2(tmp_path):
+    f, empty = tmp_path / "a.jsonl", tmp_path / "empty.jsonl"
+    f.write_text('{"id":"a","points":[[0.0]]}\n')
+    empty.write_text("")
+    for args in ((f, empty), (empty, f)):
+        proc = run_module("dtw", *map(str, args))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "no curves" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_eps1_rejects_p_other_than_one(data_file):
     for command in (["simplify"], ["cluster-exact-route", "--k", "2"]):
         proc = run_module(*command, "--ell", "2", "--method", "eps1", "--p", "2", str(data_file))

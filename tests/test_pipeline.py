@@ -193,6 +193,36 @@ def test_k_equal_to_n_with_fewer_distinct_curves():
         assert exact.distances[i] == dtw_value(c, simplify_2approx(c, 2, 1.0), 1.0)
 
 
+def test_one_weighted_point_per_distinct_sequence(monkeypatch):
+    drawn, instances = [], []
+    sample, solve = pipeline.coreset_sample, pipeline.kmedian_local_search
+
+    def recording_sample(*args):
+        out = sample(*args)
+        drawn.append(sum(w for _, w in out))
+        return out
+
+    def recording_solve(inst, **kw):
+        instances.append(inst)
+        return solve(inst, **kw)
+
+    monkeypatch.setattr(pipeline, "coreset_sample", recording_sample)
+    monkeypatch.setattr(pipeline, "kmedian_local_search", recording_solve)
+    base = list(gen_synthetic(3, 4, 6, 2, 0.4, 21))
+    # every sequence again under two other ids, after all first inputs
+    curves = base + [Curve(f"{c.id}_r{r}", c.points) for r in range(2) for c in base]
+    res = kl_median(curves, cfg(k=3, ell=2, repetitions=1, size_override=30))
+    inst = instances[-1]
+    assert inst.dist.shape[0] <= len(base)
+    assert inst.weights.sum() == pytest.approx(drawn[-1], rel=1e-12)
+    exact = cluster_via_closure(curves, 3, 2)
+    assert instances[-1].dist.shape[0] == len(base)
+    # the first inputs of the sequences are the base curves
+    first_ids = {c.id for c in base}
+    for result in (res, exact):
+        assert {c.id for c in result.centers} <= first_ids
+
+
 def test_rejects_fewer_curves_than_k():
     curves = [curve1d(0, cid="a")]
     with pytest.raises(ValidationError):
