@@ -171,46 +171,157 @@ static inline double root(double total, double p, double scale)
     return total * scale;
 }
 
+/* The scale of dtw._pth_powers for the pair of curves a (m points) and b
+   (l points): for p > 32 their largest finite distance, where a 0 stands
+   for 1.0, and 1.0 otherwise. cost holds l doubles. */
+static double pair_scale(const double *a, ptrdiff_t m, const double *b, ptrdiff_t l,
+                         ptrdiff_t d, double p, double *cost)
+{
+    double top = 0.0;
+    if (p > OVERFLOW_SAFE_P)
+        for (ptrdiff_t i = 0; i < m; i++) {
+            distances(a + i * d, b, l, d, cost);
+            top = finite_max(cost, l, top);
+        }
+    return top == 0.0 ? 1.0 : top;
+}
+
+/* The DP of the p-DTW of the curves a (m points) and b (l points) of d
+   coordinates each, on the p-th powers of their distances divided by
+   scale: the last cell, which root turns into the value. work holds
+   2 * (l + 1) doubles. The DP runs row by row where dtw._accumulate runs
+   by anti-diagonals: a cell is c + min(diagonal, up, left) of the same
+   values either way. */
+static double dtw_total(const double *a, ptrdiff_t m, const double *b, ptrdiff_t l,
+                        ptrdiff_t d, double p, double scale, double *work)
+{
+    /* at point i of a, acc[j] becomes the DP cell (i + 1, j) and cost[j]
+       holds the p-th power of the distance from a[i] to b[j] */
+    double *acc = work, *cost = work + l + 1;
+    acc[0] = 0.0;
+    for (ptrdiff_t j = 1; j <= l; j++)
+        acc[j] = INFINITY;
+    for (ptrdiff_t i = 0; i < m; i++) {
+        distances(a + i * d, b, l, d, cost);
+        powers(cost, l, p, scale);
+        double diagonal = acc[0];
+        acc[0] = INFINITY;
+        for (ptrdiff_t j = 1; j <= l; j++) {
+            const double up = acc[j];
+            acc[j] = cost[j - 1] + min2(min2(diagonal, up), acc[j - 1]);
+            diagonal = up;
+        }
+    }
+    return acc[l];
+}
+
+/* dtw_total for w = bytes / 8 pairs of one shape (m, l) at once, pair x in
+   lane x of every vector. a and b hold the pairs' curves with their points
+   interleaved: coordinate k of point i of pair x's first curve is
+   a[(i * d + k) * w + x]. scale[x] is pair x's scale, and total[x] gets
+   its last cell. work holds 2 * l + 1 vectors: the DP row and the costs of
+   one row. Within one pair each cell waits on its left neighbour; the lanes
+   do not wait on each other.
+
+   Each lane does dtw_total's operations in the same order, so every total
+   keeps its bits: the squared differences summed in coordinate order from
+   0.0, then the square root (sqrtpd rounds correctly, as sqrt does); for
+   p > 32, the division by the lane's scale (powers skips a scale of 1.0,
+   and dividing by 1.0 changes no bit); powers' power; then the cell. A
+   cell is c + min2(min2(diagonal, up), left), and minpd(x, y) gives
+   x < y ? x : y in each lane, which is min2(y, x); so min2(a, b) is
+   minpd(b, a), with the same operand returned when a NaN or two zeros of
+   either sign meet. */
+#define DTW_LANES(name, bytes, vsqrt, vmin)                                    \
+    static void name(const double *a, const double *b, ptrdiff_t m,            \
+                     ptrdiff_t l, ptrdiff_t d, double p, const double *scale,  \
+                     double *total, double *work)                              \
+    {                                                                          \
+        typedef double vec __attribute__((vector_size(bytes), aligned(8)));   \
+        const vec *at = (const vec *)a, *bt = (const vec *)b;                  \
+        const vec zero = {0}, inf = zero + INFINITY, s = *(const vec *)scale;  \
+        vec *row = (vec *)work, *cost = row + l + 1;                           \
+        row[0] = zero;                                                         \
+        for (ptrdiff_t j = 1; j <= l; j++)                                     \
+            row[j] = inf;                                                      \
+        for (ptrdiff_t i = 0; i < m; i++) {                                    \
+            for (ptrdiff_t j = 0; j < l; j++) {                                \
+                vec c = zero;                                                  \
+                for (ptrdiff_t k = 0; k < d; k++) {                            \
+                    const vec t = at[i * d + k] - bt[j * d + k];               \
+                    c += t * t;                                                \
+                }                                                              \
+                cost[j] = vsqrt(c);                                            \
+            }                                                                  \
+            if (p > OVERFLOW_SAFE_P)                                           \
+                for (ptrdiff_t j = 0; j < l; j++)                              \
+                    cost[j] /= s;                                              \
+            powers((double *)cost, l * (bytes / 8), p, 1.0);                   \
+            vec diagonal = row[0], left = inf;                                 \
+            row[0] = inf;                                                      \
+            for (ptrdiff_t j = 1; j <= l; j++) {                               \
+                const vec up = row[j];                                         \
+                row[j] = left = cost[j - 1] + vmin(left, vmin(up, diagonal));  \
+                diagonal = up;                                                 \
+            }                                                                  \
+        }                                                                      \
+        *(vec *)total = row[l];                                                \
+    }
+
+/* 4 lanes where the host has AVX2 and 2 (SSE2, which every x86-64 host has)
+   elsewhere, picked per call as floyd_warshall's row pass is */
+__attribute__((target("avx2")))
+DTW_LANES(dtw_lanes_avx2, 32, __builtin_ia32_sqrtpd256, __builtin_ia32_minpd256)
+DTW_LANES(dtw_lanes_sse2, 16, __builtin_ia32_sqrtpd, __builtin_ia32_minpd)
+
+/* to[i * w + x] = from[x][i] for i < n and x < w */
+static void interleave(const double *const *from, ptrdiff_t n, ptrdiff_t w, double *to)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        for (ptrdiff_t x = 0; x < w; x++)
+            to[i * w + x] = from[x][i];
+}
+
 /* out[t] = p-DTW of the curves rows[t] and cols[t], t < pairs, for p >= 1.
    Curve c has lengths[c] points of d coordinates, starting at point
-   offsets[c] of points. work holds 2 * (l + 1) doubles for the longest
-   column curve l.
+   offsets[c] of points. work holds 8 * (d + 1) * (n + 1) doubles for the
+   longest curve n.
 
-   The DP runs row by row where dtw._accumulate runs by anti-diagonals: a
-   cell is c + min(diagonal, up, left) of the same values either way. */
+   Each pair takes its scale, the DP's last cell and the root. The DP of
+   each run of w consecutive pairs of one shape (m, l) runs in the w lanes
+   of dtw_lanes_avx2 (w = 4) or dtw_lanes_sse2 (w = 2). A pair that breaks
+   such a run, and the pairs after the last whole run, go through
+   dtw_total one at a time. */
 void dtw_pairs(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *lengths,
                ptrdiff_t d, const ptrdiff_t *rows, const ptrdiff_t *cols, ptrdiff_t pairs,
                double p, double *out, double *work)
 {
-    for (ptrdiff_t t = 0; t < pairs; t++) {
-        const double *a = points + offsets[rows[t]] * d;
-        const double *b = points + offsets[cols[t]] * d;
+    const int avx2 = __builtin_cpu_supports("avx2");
+    const ptrdiff_t w = avx2 ? 4 : 2;
+    for (ptrdiff_t t = 0; t < pairs;) {
         const ptrdiff_t m = lengths[rows[t]], l = lengths[cols[t]];
-        /* at point i of a, acc[j] becomes the DP cell (i + 1, j) and cost[j]
-           holds the p-th power of the distance from a[i] to b[j] */
-        double *acc = work, *cost = work + l + 1;
-        double top = 0.0;
-        if (p > OVERFLOW_SAFE_P)
-            for (ptrdiff_t i = 0; i < m; i++) {
-                distances(a + i * d, b, l, d, cost);
-                top = finite_max(cost, l, top);
-            }
-        const double scale = top == 0.0 ? 1.0 : top;
-        acc[0] = 0.0;
-        for (ptrdiff_t j = 1; j <= l; j++)
-            acc[j] = INFINITY;
-        for (ptrdiff_t i = 0; i < m; i++) {
-            distances(a + i * d, b, l, d, cost);
-            powers(cost, l, p, scale);
-            double diagonal = acc[0];
-            acc[0] = INFINITY;
-            for (ptrdiff_t j = 1; j <= l; j++) {
-                const double up = acc[j];
-                acc[j] = cost[j - 1] + min2(min2(diagonal, up), acc[j - 1]);
-                diagonal = up;
-            }
+        ptrdiff_t run = 1;
+        while (run < w && t + run < pairs && lengths[rows[t + run]] == m
+               && lengths[cols[t + run]] == l)
+            run++;
+        const double *a[4], *b[4];
+        double scale[4], total[4];
+        for (ptrdiff_t x = 0; x < run; x++) {
+            a[x] = points + offsets[rows[t + x]] * d;
+            b[x] = points + offsets[cols[t + x]] * d;
+            scale[x] = pair_scale(a[x], m, b[x], l, d, p, work);
         }
-        out[t] = root(acc[l], p, scale);
+        if (run == w) {
+            double *at = work + w * (2 * l + 1), *bt = at + w * m * d;
+            interleave(a, m * d, w, at);
+            interleave(b, l * d, w, bt);
+            (avx2 ? dtw_lanes_avx2 : dtw_lanes_sse2)(at, bt, m, l, d, p, scale, total, work);
+        } else
+            for (ptrdiff_t x = 0; x < run; x++)
+                total[x] = dtw_total(a[x], m, b[x], l, d, p, scale[x], work);
+        for (ptrdiff_t x = 0; x < run; x++)
+            out[t + x] = root(total[x], p, scale[x]);
+        t += run;
     }
 }
 

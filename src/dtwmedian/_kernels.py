@@ -25,13 +25,18 @@ registers, each lane taking ``t < a ? t : a``, which gcc compiles to
 ``__builtin_cpu_supports`` on a host that has it, and 2-lane SSE2 vectors
 elsewhere. One vector type cannot serve both: without AVX, gcc splits a
 4-lane minimum into single lanes. So the library builds on x86-64 hosts
-only; elsewhere the fallback below runs. The DP loops of ``dtw_pairs`` and
-``medoid_partition`` carry a dependency from cell to cell, and their avx2
-clones were slower in three of four measured cases (2-core x86-64 host,
-gcc 12.2) while they doubled the build time. ``swap_costs`` adds each sum
-in order, and its avx2 clone ran within 5% of the plain loop (same host).
-Every array the functions read or write is row-major and
-contiguous; ``Curve`` stores its points that way, and
+only; elsewhere the fallback below runs. ``dtw_pairs`` picks its width the
+same way: it runs four (AVX2) or two (SSE2) pairs of one shape at once, one
+per lane, and each lane does the one-pair loop's operations in its order.
+An avx2 clone of a DP loop vectorises within one pair, where each cell
+waits on its left neighbour; such clones of ``dtw_pairs`` and
+``medoid_partition`` were slower in three of four measured cases (2-core
+x86-64 host, gcc 12.2) while they doubled the build time. Lanes that hold
+different pairs do not wait on each other: at p = 1 and 2, four lanes made
+``dtw_pairs`` 1.8-3.4x faster and two lanes 1.4-2.5x (same host).
+``swap_costs`` adds each sum in order, and its avx2 clone ran within 5% of
+the plain loop (same host). Every array the functions read or write is
+row-major and contiguous; ``Curve`` stores its points that way, and
 ``FiniteMetricInstance`` its distances and weights.
 ``-ffp-contract=off`` forbids fused multiply-adds, so every operation
 rounds as written. ``-ffast-math`` is excluded: it lets the compiler assume

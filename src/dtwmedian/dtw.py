@@ -13,16 +13,19 @@ sequences is left to the clustering entry points (``distinct_curves``).
 Every batched value comes from ``_pair_values``. It runs ``dtw_pairs``, one
 of the four functions of the package's compiled library (``_kernels``;
 the others are the closure's ``floyd_warshall``, the simplification's
-``medoid_partition`` and the k-median's ``swap_costs``), one pair at a
-time with the DP filled row by row, in O(l) memory. The library's one
-fallback rule: where it cannot be built, each caller runs its numpy
-reference; here that is ``_grouped_pair_values``, which groups, pads and
-chunks the pairs for ``_accumulate``. It is also the
-reference the compiled loop is tested against. The two give the same bits: both take each pointwise
-distance as the square root of the squared coordinate differences summed in
-order from 0.0, apply the same scale and power, and set each DP cell to its
-cost plus the minimum of its three predecessors, which is the same value
-whichever order the cells are filled in.
+``medoid_partition`` and the k-median's ``swap_costs``). That loop fills
+each pair's DP row by row, in O(l) memory. It takes consecutive pairs of
+one shape (m, l) four at a time on an AVX2 host and two at a time elsewhere,
+one pair per vector lane, and the pairs that do not fill such a group one at
+a time; each lane does the one-pair loop's operations in its order. The
+library's one fallback rule: where it cannot be built, each caller runs its
+numpy reference; here that is ``_grouped_pair_values``, which groups, pads
+and chunks the pairs for ``_accumulate``. It is also the reference the
+compiled loop is tested against. The two give the same bits: both take each
+pointwise distance as the square root of the squared coordinate differences
+summed in order from 0.0, apply the same scale and power, and set each DP
+cell to its cost plus the minimum of its three predecessors, which is the
+same value whichever order the cells are filled in.
 
 Costs are accumulated as p-th powers and rooted once, by one rule for every
 entry point: identity for p = 1, square and ``sqrt`` for p = 2, and C
@@ -199,15 +202,15 @@ def _pair_values(curves, rows, cols, p):
         if c.dimension != d:
             raise ValidationError(f"dimension mismatch: curve {c.id!r}")
     _check_p(p)
+    if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= len(curves):
+        raise IndexError("pair index out of range")
     lib = _kernels.library()
     if lib is None:
         return _grouped_pair_values(curves, rows, cols, p)
-    if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= len(curves):
-        raise IndexError("pair index out of range")
     lengths = np.array([c.complexity for c in curves], dtype=np.intp)
     offsets = np.cumsum(lengths) - lengths
     points = np.concatenate([c.points for c in curves])
-    work = np.empty(2 * (int(lengths[cols].max()) + 1))
+    work = np.empty(8 * (d + 1) * (int(lengths.max()) + 1))
     out = np.empty(rows.size)
     lib.dtw_pairs(
         points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, d,

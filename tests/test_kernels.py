@@ -1,9 +1,8 @@
-"""The compiled library against its numpy references: the DTW pair loop, the
-medoid simplification and the k-median swap costs run compiled when a
-compiler exists, and a host without one gets the same bits from the
-references."""
+"""The compiled library against its numpy references: the DTW pair loop and
+its lanes, the medoid simplification and the k-median swap costs run
+compiled when a compiler exists, and a host without one gets the same bits
+from the references."""
 
-import ctypes
 import itertools
 import subprocess
 import sys
@@ -15,7 +14,7 @@ import pytest
 import dtwmedian
 from dtwmedian import _kernels, closure, kmedian, simplify
 from dtwmedian.curves import Curve, ValidationError, gen_synthetic
-from dtwmedian.dtw import dtw_aligned, dtw_matrix, dtw_self_matrix
+from dtwmedian.dtw import dtw_aligned, dtw_matrix, dtw_self_matrix, dtw_value
 from dtwmedian.kmedian import FiniteMetricInstance, kmedian_local_search
 from dtwmedian.simplify import (
     simplify_2approx_detailed,
@@ -48,6 +47,43 @@ def mixed_curves(rng, d):
     curves += grid_curves(rng, d)
     curves += [Curve(f"f{i}", rng.normal(0, 3, (d, 11)).T) for i in range(2)]
     return curves
+
+
+def lane_batches(rng, d):
+    """Curves and pair lists for the lanes of dtw_pairs: for each count from
+    1 to 9 a batch of that many pairs of one shape, so that every tail length
+    occurs, and last all the batches in one list, where each run of one shape
+    is cut off by a pair of another, so that a run breaks at every lane
+    position. Two successive runs share one of their two lengths. From two
+    pairs on, each batch has a 1e10-scaled curve in a run beside unit-scale
+    ones, so the lanes of one run take different scales at p = 64."""
+    shapes = ((5, 3), (5, 4), (1, 4), (1, 1), (5, 1))
+    curves = []
+
+    def curve(m, scale=1.0):
+        curves.append(Curve(f"c{len(curves)}", scale * rng.normal(0, 3, (m, d))))
+        return len(curves) - 1
+
+    batches = []
+    for count in range(1, 10):
+        m, l = shapes[count % len(shapes)]
+        big = count // 2
+        batches.append([(curve(m, 1e10 if x == big else 1.0), curve(l)) for x in range(count)])
+    batches.append([pair for batch in batches for pair in batch])
+    return [(curves, *np.array(batch).T) for batch in batches]
+
+
+def assert_lanes_have_the_reference_bits():
+    """Every lane batch, at d = 1, 2, 3 and every p in P_VALUES, gives the
+    bits of _grouped_pair_values and of one dtw_value call per pair."""
+    for d in (1, 2, 3):
+        for curves, rows, cols in lane_batches(np.random.default_rng(SEED + d), d):
+            for p in P_VALUES:
+                values = dtw_module._pair_values(curves, rows, cols, p)
+                reference = dtw_module._grouped_pair_values(curves, rows, cols, p)
+                one_by_one = [dtw_value(curves[r], curves[c], p) for r, c in zip(rows, cols)]
+                assert values.tobytes() == reference.tobytes()
+                assert values.tobytes() == np.array(one_by_one).tobytes()
 
 
 def metric_instance(rng, n, k, duplicates=0, isolated=False):
@@ -150,6 +186,12 @@ def test_a_build_removes_the_libraries_of_earlier_sources(fresh_library, monkeyp
 
 
 @needs_cc
+def test_the_dtw_lanes_have_the_reference_bits():
+    assert _kernels.library() is not None
+    assert_lanes_have_the_reference_bits()
+
+
+@needs_cc
 @pytest.mark.parametrize(
     "n, k, duplicates, isolated",
     [(2, 1, 0, False), (7, 1, 3, True), (13, 12, 0, True), (30, 4, 10, True),
@@ -192,6 +234,16 @@ def test_p_below_one_and_mixed_dimensions_raise(rng, monkeypatch, compiled):
         dtw_self_matrix([*curves, flat], 1.0)
 
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])
+def test_a_pair_index_out_of_range_raises(rng, monkeypatch, compiled):
+    if not compiled:
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+    curves = [Curve(f"c{i}", rng.normal(0, 1, (5, 2))) for i in range(3)]
+    for rows, cols in (([-1], [0]), ([0], [-3]), ([3], [0]), ([0, 1], [1, 3])):
+        with pytest.raises(IndexError):
+            dtw_module._pair_values(curves, rows, cols, 1.0)
+
+
 def test_every_c_source_is_package_data():
     tomllib = pytest.importorskip("tomllib")
     root = Path(dtwmedian.__file__).parent
@@ -213,23 +265,19 @@ def test_the_c_source_compiles_without_warnings(tmp_path):
 
 
 @needs_cc
-def test_the_closures_sse2_path_has_the_reference_bits(tmp_path):
-    """On an AVX2 host the library runs the closure's 4-lane row pass; this
-    builds the source with the AVX2 check replaced by 0, so the 2-lane pass
-    that other x86-64 hosts run is checked too."""
+def test_the_sse2_paths_have_the_reference_bits(fresh_library, monkeypatch, tmp_path):
+    """On an AVX2 host the library runs the closure's 4-lane row pass and
+    4-lane DTW; this builds the source with every AVX2 check replaced by 0,
+    so the 2-lane paths that other x86-64 hosts run are checked too."""
     check = '__builtin_cpu_supports("avx2")'
     source = Path(_kernels._SOURCE).read_text(encoding="utf-8")
-    assert source.count(check) == 1
+    assert source.count(check) == 2
     (tmp_path / "kernels.c").write_text(source.replace(check, "0"), encoding="utf-8")
-    out = tmp_path / "kernels.so"
-    subprocess.run(
-        [_kernels._CC, *_kernels._CFLAGS, "-o", str(out), str(tmp_path / "kernels.c")],
-        check=True, capture_output=True, timeout=300,
-    )
-    lib = ctypes.CDLL(str(out))
-    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
-    lib.floyd_warshall.argtypes = (ptr, size, ptr, size)
-    lib.floyd_warshall.restype = None
+    monkeypatch.setattr(_kernels, "_SOURCE", str(tmp_path / "kernels.c"))
+    monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path / "cache"))
+    lib = _kernels.library()
+    assert lib is not None
+    assert_lanes_have_the_reference_bits()
     rng = np.random.default_rng(SEED)
     block = closure._BLOCK
     walks = simplify_set(gen_synthetic(150, 1, 32, 2, 0.5, seed=SEED), 4, 1.0)

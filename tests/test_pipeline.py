@@ -10,10 +10,10 @@ from dtwmedian.curves import (
     save_weighted,
 )
 from dtwmedian.dtw import dtw_brute, dtw_value
-from dtwmedian import bicriteria, pipeline, simplify
+from dtwmedian import _kernels, bicriteria, pipeline, simplify
 from dtwmedian.pipeline import cluster_via_closure, emit_coreset_only, evaluate, kl_median
 from dtwmedian.simplify import simplify_2approx
-from conftest import curve1d
+from conftest import curve1d, needs_cc
 
 TOL = 1e-9
 
@@ -271,6 +271,29 @@ def _partition_signature(assignment):
     for i, a in enumerate(assignment):
         groups.setdefault(int(a), set()).add(i)
     return frozenset(frozenset(g) for g in groups.values())
+
+
+@needs_cc
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_both_routes_have_the_same_bits_without_the_library(monkeypatch, p):
+    """The compiled kernels and the numpy references they stand in for give
+    both routes the same costs, centers, assignments and distances."""
+    curves = gen_synthetic(40, 1, 16, 2, 0.5, seed=5)
+
+    def results():
+        routes = (
+            kl_median(curves, cfg(k=3, ell=4, p=p, repetitions=1)),
+            cluster_via_closure(curves, 3, 4, p, eps=0.5, seed=7),
+        )
+        return [
+            (r.cost.hex(), r.assignment.tobytes(), r.distances.tobytes(),
+             [(c.id, c.points.tobytes()) for c in r.centers])
+            for r in routes
+        ]
+
+    compiled = results()
+    monkeypatch.setattr(_kernels, "library", lambda: None)
+    assert results() == compiled
 
 
 def test_route_agreement_on_planted_clusters():
