@@ -9,19 +9,26 @@ and centers of the medoid simplifications, ``simplify.py``) and
 ``floyd_warshall`` relaxes only the upper triangle and mirrors it, half the
 reference's additions, and takes the steps k in blocks of 16: it first
 builds the block's snapshot rows, the reference's row k as it stands before
-step k, and then relaxes each row by all 16 in one pass, so the 8 MB matrix
-of n = 1000 is read once per block instead of once per k. It keeps the
-reference's bits because its input is exactly symmetric, IEEE addition is
-commutative (so the reference's matrix stays symmetric, and its d[i][k] is
-entry i of snapshot row k), and min is exact, so the order in which an
-entry takes its minima changes no bit as long as every sum has the
-reference's two operands. The textbook blocked order reads d[i][k] after
-the whole block and does not keep the bits; ``closure.py`` says more.
+step k, and then relaxes the rows by all 16 in one pass, so the 8 MB matrix
+of n = 1000 is read once per block instead of once per k. The pass takes
+six rows at a time, in tiles whose 6 x 2 vector accumulators stay in
+registers while each snapshot's two vectors are loaded once for all six
+rows; one row at a time, the snapshot loads bounded the pass. The tiles
+took the kernel from 72-77 to 42-49 ms at n = 1000 and from 583-628 to
+346-348 ms at n = 2000 (2-core x86-64, gcc 12.2). It keeps the reference's
+bits because its input is exactly symmetric, IEEE addition is commutative
+(so the reference's matrix stays symmetric, and its d[i][k] is entry i of
+snapshot row k), and min is exact, so the order in which an entry takes its
+minima changes no bit as long as every sum has the reference's two
+operands; a tile changes only that order. The textbook blocked order reads
+d[i][k] after the whole block and does not keep the bits; ``closure.py``
+says more.
 
 It is compiled with ``cc -O3 -ffp-contract=off -falign-loops=64 -shared
--fPIC``. ``floyd_warshall``'s row pass keeps four vector accumulators in
-registers, each lane taking ``t < a ? t : a``, which gcc compiles to
-``minpd``: 4-lane vectors in a function built for AVX2, picked with
+-fPIC``. ``floyd_warshall``'s tile pass keeps its twelve accumulators in
+named vector variables, each lane taking ``t < a ? t : a`` as an explicit
+``minpd``, so that their place in registers does not rest on the compiler
+promoting an array: 4-lane vectors in a function built for AVX2, picked with
 ``__builtin_cpu_supports`` on a host that has it, and 2-lane SSE2 vectors
 elsewhere. One vector type cannot serve both: without AVX, gcc splits a
 4-lane minimum into single lanes. So the library builds on x86-64 hosts

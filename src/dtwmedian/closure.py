@@ -16,9 +16,9 @@ d[i][k] + d[k][j]) over the whole matrix, one rounded addition and one
 comparison per entry. The kernel takes the steps k in blocks of
 ``_BLOCK``: it builds each block's snapshot rows, the reference's row k as
 it stands before step k, and then relaxes every entry of the upper
-triangle (j > i) by all the block's sums in one pass over its row, and at
-the end mirrors the triangle into the lower one. None of this changes a
-bit:
+triangle (j > i) by all the block's sums in one pass, six rows at a time,
+and at the end mirrors the triangle into the lower one. None of this
+changes a bit:
 
 - the input min(base, base^T) is exactly symmetric, and the reference keeps
   it so after every k: d[j][i] gets d[j][k] + d[k][i], the two summands of
@@ -31,7 +31,10 @@ bit:
   reference's as long as every sum has the reference's two operands, which
   the snapshots hold; a snapshot is built from row k relaxed by the
   block's earlier snapshots, with the reference's sums again;
-- an inf summand changes no entry.
+- an inf summand changes no entry;
+- the pass's tiles of 6 rows change only the order of those exact minima:
+  entry d[i][j] still takes s[q][i] + s[q][j] for each snapshot q, with
+  the same two operands.
 
 The textbook blocked order (Venkataraman, Sahni and Mukhopadhyaya, JEA
 2003) is not used: it relaxes the block's rows and columns first and then
@@ -40,8 +43,19 @@ operands. On the simplified ``gen_synthetic(300, 1, 32, 2, 0.5, 1)`` base
 (ell = 4, p = 1) it changed 36 entries, by up to 2.8e-14. Either order
 reads each matrix row once per block instead of once per k: at n = 1000
 the matrix is 8 MB, and streaming it once per k took most of the time.
-The kernel's row pass runs 4-lane vectors on a host with AVX2 and 2-lane
-SSE2 ones elsewhere (``_kernels`` says why).
+
+The pass over the rows is limited by loads, not arithmetic: taken one row
+at a time, every row reloaded all 16 snapshot rows (128 KB at n = 1000)
+for each stretch of its columns. A tile of rows i..i+5 keeps 6 x 2 vector
+accumulators in registers, as a GEMM kernel does (Goto and van de Geijn,
+ACM TOMS 2008): each snapshot's two vectors are loaded once and serve six
+rows, and each row takes one broadcast of s[q][i]. A tile's entries left
+of column i + 6, its columns after the last whole stretch, and the last
+n mod 6 rows are relaxed one entry at a time. The kernel alone went from
+72-77 to 42-49 ms on 1000 ``many_short`` walks simplified to 4 points
+(p = 1), and from 583-628 to 346-348 ms on a random base of n = 2000
+(2-core x86-64, gcc 12.2). It runs 4-lane vectors on a host with AVX2 and
+2-lane SSE2 ones elsewhere (``_kernels`` says why).
 
 The argument needs non-negative input without NaN, so those are rejected,
 and a -0.0 entry is made +0.0: the two compare equal, and which one a tie

@@ -17,15 +17,17 @@ the others are the closure's ``floyd_warshall``, the simplification's
 each pair's DP row by row, in O(l) memory. It takes consecutive pairs of
 one shape (m, l) four at a time on an AVX2 host and two at a time elsewhere,
 one pair per vector lane, and the pairs that do not fill such a group one at
-a time; each lane does the one-pair loop's operations in its order. The
-library's one fallback rule: where it cannot be built, each caller runs its
-numpy reference; here that is ``_grouped_pair_values``, which groups, pads
-and chunks the pairs for ``_accumulate``. It is also the reference the
-compiled loop is tested against. The two give the same bits: both take each
-pointwise distance as the square root of the squared coordinate differences
-summed in order from 0.0, apply the same scale and power, and set each DP
-cell to its cost plus the minimum of its three predecessors, which is the
-same value whichever order the cells are filled in.
+a time; each lane does the one-pair loop's operations in its order. Pairs of
+several shapes reach it sorted by shape, so curves of mixed lengths fill the
+lanes too. The library's one fallback rule: where it cannot be built, each
+caller runs its numpy reference; here that is ``_grouped_pair_values``,
+which groups, pads and chunks the pairs for ``_accumulate``. It is also the
+reference the compiled loop is tested against. The two give the same bits:
+both take each pointwise distance as the square root of the squared
+coordinate differences summed in order from 0.0, apply the same scale and
+power, and set each DP cell to its cost plus the minimum of its three
+predecessors, which is the same value whichever order the cells are filled
+in.
 
 Costs are accumulated as p-th powers and rooted once, by one rule for every
 entry point: identity for p = 1, square and ``sqrt`` for p = 2, and C
@@ -192,31 +194,47 @@ def _traceback(acc):
 def _pair_values(curves, rows, cols, p):
     """p-DTW values of the pairs (curves[rows[t]], curves[cols[t]]): by the
     compiled ``dtw_pairs``, or by ``_grouped_pair_values`` where the library
-    cannot be built, with the same bits."""
+    cannot be built, with the same bits. p and the dimensions are checked
+    even when there are no pairs.
+
+    Where the pairs have more than one shape (m, l), the compiled loop gets
+    them in a stable order of their shapes, so that consecutive pairs of one
+    shape fill its vector lanes, and the values go back in pair order. A
+    value depends on its pair alone, so the order changes no bit."""
     rows = np.ascontiguousarray(rows, dtype=np.intp)
     cols = np.ascontiguousarray(cols, dtype=np.intp)
+    _check_p(p)
+    for c in curves:
+        if c.dimension != curves[0].dimension:
+            raise ValidationError(f"dimension mismatch: curve {c.id!r}")
     if rows.size == 0:
         return np.zeros(0)
-    d = curves[0].dimension
-    for c in curves:
-        if c.dimension != d:
-            raise ValidationError(f"dimension mismatch: curve {c.id!r}")
-    _check_p(p)
     if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= len(curves):
         raise IndexError("pair index out of range")
     lib = _kernels.library()
     if lib is None:
         return _grouped_pair_values(curves, rows, cols, p)
+    d = curves[0].dimension
     lengths = np.array([c.complexity for c in curves], dtype=np.intp)
     offsets = np.cumsum(lengths) - lengths
     points = np.concatenate([c.points for c in curves])
+    order = None
+    if lengths.min() != lengths.max():
+        shapes = lengths[rows] * (int(lengths.max()) + 1) + lengths[cols]
+        if shapes.min() != shapes.max():
+            order = np.argsort(shapes, kind="stable")
+            rows, cols = rows[order], cols[order]
     work = np.empty(8 * (d + 1) * (int(lengths.max()) + 1))
     out = np.empty(rows.size)
     lib.dtw_pairs(
         points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, d,
         rows.ctypes.data, cols.ctypes.data, rows.size, p, out.ctypes.data, work.ctypes.data,
     )
-    return out
+    if order is None:
+        return out
+    values = np.empty_like(out)
+    values[order] = out
+    return values
 
 
 def _grouped_pair_values(curves, rows, cols, p):

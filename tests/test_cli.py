@@ -286,6 +286,10 @@ def test_exit_code_validation_error(tmp_path):
     proc = run_module("cluster", "--k", "5", "--ell", "1", str(f))
     assert proc.returncode == 2
     assert "error" in proc.stderr.lower()
+    # the closure of one curve has no pair to evaluate, and p is still checked
+    proc = run_module("closure", "--p", "0.5", str(f))
+    assert proc.returncode == 2
+    assert "p must be >= 1" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_bicriteria_without_repetitions_exits_2(data_file):

@@ -29,6 +29,9 @@ def random_set(rng, n, m_hi=5, d=2, scale=3.0):
 def test_single_curve():
     mc = build_closure([curve1d(0, 1)], 1.0)
     assert mc.dist.shape == (1, 1) and mc.dist[0, 0] == 0.0
+    # no pair to evaluate, and p is still checked
+    with pytest.raises(ValidationError):
+        build_closure([curve1d(0, 1)], 0.5)
 
 
 def test_two_curves_dist_equals_base():
@@ -155,19 +158,33 @@ def _symmetric_graph(rng, n):
 
 
 B = closure._BLOCK
+# the rows of one tile of the compiled pass (TILE in _kernels.c)
+TILE = 6
 
 
 @needs_cc
-@pytest.mark.parametrize("n", [1, 2, 3, 7, B - 1, B, B + 1, 2 * B + 1, 64, 257])
+@pytest.mark.parametrize("n", [*range(1, B + 2), 2 * B + 1, 64, 257])
 def test_triangular_kernel_matches_the_reference(n):
-    """The compiled kernel relaxes one triangle, in blocks of B steps, and
-    mirrors it; every row tail length of its vector loop and a last block of
-    1, B - 1 or B steps give the reference's bits."""
+    """The compiled kernel relaxes one triangle, in blocks of B steps and
+    tiles of TILE rows, and mirrors it; n below one tile (1-5), every
+    n mod TILE, a first tile with no stretch of columns and 0-7 entries
+    after it (n = 6-13) or with one (n = 14-17), every tail after the last
+    stretch of 8 or 4 columns among the tiles of n = 64 and 257, a last
+    block of 1, B - 1 or B steps, and an inf block across a tile edge give
+    the reference's bits."""
     assert _kernels.library() is not None
     w = _symmetric_graph(np.random.default_rng(n), n)
     dist = shortest_path_closure(w)
     assert np.array_equal(dist, floyd_warshall_reference(w))
     assert np.array_equal(dist, dist.T)
+    if n > TILE + 2:
+        # nodes TILE - 2 to TILE + 2 cut off from the others
+        cut = np.zeros(n, dtype=bool)
+        cut[TILE - 2 : TILE + 3] = True
+        w[np.ix_(cut, ~cut)] = w[np.ix_(~cut, cut)] = np.inf
+        apart = shortest_path_closure(w)
+        assert np.array_equal(apart, floyd_warshall_reference(w))
+        assert np.all(np.isinf(apart[np.ix_(cut, ~cut)]))
     if n >= 7:
         # the halves stay apart, the duplicate at zero, the last node alone
         assert np.all(np.isinf(dist[0, n // 2 : n - 2]))

@@ -3,6 +3,7 @@ its lanes, the medoid simplification and the k-median swap costs run
 compiled when a compiler exists, and a host without one gets the same bits
 from the references."""
 
+import ctypes
 import itertools
 import subprocess
 import sys
@@ -214,6 +215,49 @@ def test_swap_costs_have_the_reference_bits(n, k, duplicates, isolated):
     assert infinite == isolated
 
 
+@needs_cc
+def test_mixed_lengths_reach_the_lanes_sorted_with_the_reference_bits(monkeypatch):
+    """Self and cross matrices over curves of 1-12 points, duplicates among
+    them, at d = 1, 2, 3 and every p in P_VALUES: the pairs reach dtw_pairs
+    sorted by shape (m, l), so that runs of one shape fill the lanes, and
+    every value has the bits of _grouped_pair_values and of dtw_value."""
+    lib = _kernels.library()
+    assert lib is not None
+    shapes = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def dtw_pairs(self, points, offsets, lengths, d, rows, cols, pairs, *rest):
+            def read(address, size):
+                return np.array((ctypes.c_ssize_t * size).from_address(address))
+
+            r, c = read(rows, pairs), read(cols, pairs)
+            length = read(lengths, int(max(r.max(), c.max())) + 1)
+            shapes.append(list(zip(length[r], length[c])))
+            lib.dtw_pairs(points, offsets, lengths, d, rows, cols, pairs, *rest)
+
+    monkeypatch.setattr(_kernels, "library", Recording)
+    for d in (1, 2, 3):
+        rng = np.random.default_rng(SEED + d)
+        lengths = rng.integers(1, 13, 30)
+        curves = [Curve(f"c{i}", rng.normal(0, 3, (m, d))) for i, m in enumerate(lengths)]
+        curves += [Curve("dup0", curves[0].points), Curve("dup5", curves[5].points)]
+        n = len(curves)
+        for p in P_VALUES:
+            shapes.clear()
+            full = dtw_self_matrix(curves, p)
+            cross = dtw_matrix(curves[:7], curves[7:], p)
+            assert len(shapes) == 2 and all(s == sorted(s) and len(set(s)) > 1 for s in shapes)
+            rows, cols = np.divmod(np.arange(n * n), n)
+            grouped = dtw_module._grouped_pair_values(curves, rows, cols, p).reshape(n, n)
+            one_by_one = np.array([[dtw_value(a, b, p) for b in curves] for a in curves])
+            for reference in (grouped, one_by_one):
+                assert full.tobytes() == reference.tobytes()
+                assert cross.tobytes() == np.ascontiguousarray(reference[:7, 7:]).tobytes()
+
+
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])
 def test_p_below_one_and_mixed_dimensions_raise(rng, monkeypatch, compiled):
     if not compiled:
@@ -223,6 +267,11 @@ def test_p_below_one_and_mixed_dimensions_raise(rng, monkeypatch, compiled):
     for p in (0.5, float("nan")):
         with pytest.raises(ValidationError):
             dtw_self_matrix(curves, p)
+        # no pairs to evaluate
+        with pytest.raises(ValidationError):
+            dtw_self_matrix(curves[:1], p)
+        with pytest.raises(ValidationError):
+            dtw_matrix([], curves[:1], p)
         with pytest.raises(ValidationError):
             dtw_aligned(curves, curves[::-1], p)
         for method in ("two-approx", "vertex"):
@@ -232,6 +281,8 @@ def test_p_below_one_and_mixed_dimensions_raise(rng, monkeypatch, compiled):
         dtw_matrix(curves, [flat], 1.0)
     with pytest.raises(ValidationError):
         dtw_self_matrix([*curves, flat], 1.0)
+    with pytest.raises(ValidationError):
+        dtw_matrix([], [curves[0], flat], 1.0)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])
@@ -266,7 +317,7 @@ def test_the_c_source_compiles_without_warnings(tmp_path):
 
 @needs_cc
 def test_the_sse2_paths_have_the_reference_bits(fresh_library, monkeypatch, tmp_path):
-    """On an AVX2 host the library runs the closure's 4-lane row pass and
+    """On an AVX2 host the library runs the closure's 4-lane tile pass and
     4-lane DTW; this builds the source with every AVX2 check replaced by 0,
     so the 2-lane paths that other x86-64 hosts run are checked too."""
     check = '__builtin_cpu_supports("avx2")'
@@ -282,10 +333,18 @@ def test_the_sse2_paths_have_the_reference_bits(fresh_library, monkeypatch, tmp_
     block = closure._BLOCK
     walks = simplify_set(gen_synthetic(150, 1, 32, 2, 0.5, seed=SEED), 4, 1.0)
     bases = [dtw_self_matrix(walks, 1.0)]
-    for n in (1, 2, block - 1, block, block + 1, 2 * block + 1, 67):
+    # n below one tile of 6 rows, every n mod 6, tails of 0-3 columns after
+    # a tile's last stretch of 4, and blocks cut short
+    for n in (*range(1, block + 2), 2 * block + 1, 67):
         w = rng.uniform(0.0, 4.0, (n, n))
         w[rng.random((n, n)) < 1 / 3] = np.inf
         bases.append(w)
+    # nodes 4 to 8 cut off from the others: an inf block across a tile edge
+    cut = np.zeros(67, dtype=bool)
+    cut[4:9] = True
+    w = bases[-1].copy()
+    w[np.ix_(cut, ~cut)] = w[np.ix_(~cut, cut)] = np.inf
+    bases.append(w)
     for w in bases:
         dist = np.minimum(w, w.T, order="C")
         np.fill_diagonal(dist, 0.0)
