@@ -34,38 +34,22 @@ static inline void relax_entries(double *restrict di, const double *restrict row
         }
 }
 
-/* The rows of one tile of floyd_warshall's pass: X(r, vmin) for r < TILE,
-   where vmin is the pass's lane minimum */
+/* The rows of one tile of floyd_warshall's pass */
 #define TILE 6
-#define TILE_ROWS(X, vmin)                                                     \
-    X(0, vmin) X(1, vmin) X(2, vmin) X(3, vmin) X(4, vmin) X(5, vmin)
-/* row r's two accumulators, loaded from the stretch of the matrix */
-#define TILE_LOAD(r, vmin)                                                     \
-    vec *row##r = (vec *)(d + (i + r) * n + j);                                \
-    vec a##r##0 = row##r[0], a##r##1 = row##r[1];
-/* one snapshot's sums for row r: one broadcast, used by both vectors */
-#define TILE_MIN(r, vmin)                                                      \
-    {                                                                          \
-        const double b = s[i + r];                                             \
-        a##r##0 = vmin(b + s0, a##r##0);                                       \
-        a##r##1 = vmin(b + s1, a##r##1);                                       \
-    }
-#define TILE_STORE(r, vmin) row##r[0] = a##r##0, row##r[1] = a##r##1;
 
 /* One tile's pass over one block of floyd_warshall: for the TILE rows
    i + r of the matrix d and every j in (i + r, n), d[i + r][j] becomes the
    least of itself and s[q][i + r] + s[q][j] over the c snapshot rows s[q]
    (rows is c x n). For each stretch of two vectors of the given bytes from
-   column i + TILE on, the TILE x 2 accumulators stay in registers through
+   column i + TILE on, the TILE x 2 accumulators a stay in registers through
    all c snapshots: each snapshot's two vectors are loaded once and serve
    all TILE rows, and each row takes one broadcast of s[q][i + r]: 12 of the
    16 vector registers hold accumulators, against 4 in a one-row pass that
    reloads every snapshot for each row. Each lane takes t < a ? t : a,
-   which is minpd(t, a) (vmin). The accumulators are named variables and
-   the minimum an explicit minpd, so that their place in registers does
-   not rest on the compiler promoting an array. The corner entries
-   j in (i + r, i + TILE) and the columns after the last whole stretch are
-   relaxed one at a time. */
+   which is minpd(t, a) (vmin). gcc unrolls the loops over rows and vectors
+   and keeps a in registers (gcc 12.2, -O3: 12 minpd and no stack access in
+   the snapshot loop). The corner entries j in (i + r, i + TILE) and the
+   columns after the last whole stretch are relaxed one at a time. */
 #define TILE_PASS(name, bytes, vmin)                                           \
     static void name(double *restrict d, const double *restrict rows,          \
                      ptrdiff_t i, ptrdiff_t c, ptrdiff_t n)                    \
@@ -77,14 +61,23 @@ static inline void relax_entries(double *restrict di, const double *restrict row
                           c, n);                                               \
         ptrdiff_t j = i + TILE;                                                \
         for (; j + 2 * w <= n; j += 2 * w) {                                   \
-            TILE_ROWS(TILE_LOAD, vmin)                                         \
+            vec a[TILE][2];                                                    \
+            for (int r = 0; r < TILE; r++)                                     \
+                for (int x = 0; x < 2; x++)                                    \
+                    a[r][x] = *(vec *)(d + (i + r) * n + j + x * w);           \
             for (ptrdiff_t q = 0; q < c; q++) {                                \
                 const double *s = rows + q * n;                                \
                 const vec s0 = *(const vec *)(s + j);                          \
                 const vec s1 = *(const vec *)(s + j + w);                      \
-                TILE_ROWS(TILE_MIN, vmin)                                      \
+                for (int r = 0; r < TILE; r++) {                               \
+                    const double b = s[i + r];                                 \
+                    a[r][0] = vmin(b + s0, a[r][0]);                           \
+                    a[r][1] = vmin(b + s1, a[r][1]);                           \
+                }                                                              \
             }                                                                  \
-            TILE_ROWS(TILE_STORE, vmin)                                        \
+            for (int r = 0; r < TILE; r++)                                     \
+                for (int x = 0; x < 2; x++)                                    \
+                    *(vec *)(d + (i + r) * n + j + x * w) = a[r][x];           \
         }                                                                      \
         for (ptrdiff_t r = 0; r < TILE; r++)                                   \
             relax_entries(d + (i + r) * n, rows, i + r, j, n, c, n);           \

@@ -200,7 +200,10 @@ def _pair_values(curves, rows, cols, p):
     Where the pairs have more than one shape (m, l), the compiled loop gets
     them in a stable order of their shapes, so that consecutive pairs of one
     shape fill its vector lanes, and the values go back in pair order. A
-    value depends on its pair alone, so the order changes no bit."""
+    value depends on its pair alone, so the order changes no bit. The shape
+    of every pair is computed whenever the curves have more than one length;
+    that includes a cross matrix of m-point curves against ell-point
+    centers, whose pairs all have one shape and so stay in their order."""
     rows = np.ascontiguousarray(rows, dtype=np.intp)
     cols = np.ascontiguousarray(cols, dtype=np.intp)
     _check_p(p)

@@ -181,9 +181,10 @@ def test_triangular_kernel_matches_the_reference(n):
         # nodes TILE - 2 to TILE + 2 cut off from the others
         cut = np.zeros(n, dtype=bool)
         cut[TILE - 2 : TILE + 3] = True
-        w[np.ix_(cut, ~cut)] = w[np.ix_(~cut, cut)] = np.inf
-        apart = shortest_path_closure(w)
-        assert np.array_equal(apart, floyd_warshall_reference(w))
+        wc = w.copy()
+        wc[np.ix_(cut, ~cut)] = wc[np.ix_(~cut, cut)] = np.inf
+        apart = shortest_path_closure(wc)
+        assert np.array_equal(apart, floyd_warshall_reference(wc))
         assert np.all(np.isinf(apart[np.ix_(cut, ~cut)]))
     if n >= 7:
         # the halves stay apart, the duplicate at zero, the last node alone
