@@ -170,12 +170,13 @@ static inline void distances(const double *restrict a, const double *restrict b,
     }
 }
 
-/* The larger of top and the largest finite entry of x. Over a pair's
-   distances from top = 0.0, it is the scale of dtw._pth_powers for p > 32,
-   where a 0 stands for 1.0. */
-static inline double finite_max(const double *x, ptrdiff_t n, double top)
+/* The larger of top and the largest finite one of the n entries
+   x[j * stride]. Over a pair's distances from top = 0.0, it is the scale of
+   dtw._pth_powers for p > 32, where a 0 stands for 1.0. */
+static inline double finite_max(const double *x, ptrdiff_t n, ptrdiff_t stride,
+                                double top)
 {
-    for (ptrdiff_t j = 0; j < n; j++)
+    for (ptrdiff_t j = 0; j < n * stride; j += stride)
         if (isfinite(x[j]) && x[j] > top)
             top = x[j];
     return top;
@@ -216,7 +217,7 @@ static double pair_scale(const double *a, ptrdiff_t m, const double *b, ptrdiff_
     if (p > OVERFLOW_SAFE_P)
         for (ptrdiff_t i = 0; i < m; i++) {
             distances(a + i * d, b, l, d, cost);
-            top = finite_max(cost, l, top);
+            top = finite_max(cost, l, 1, top);
         }
     return top == 0.0 ? 1.0 : top;
 }
@@ -360,126 +361,203 @@ void dtw_pairs(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *
     }
 }
 
+/* The tables of the medoid simplification of w = bytes / 8 curves of one
+   shape (m, d) at once, curve x in lane x of every vector. points holds the
+   curves with their points interleaved: coordinate k of point i of curve x
+   is points[(i * d + k) * w + x]. own and cost hold m * m vectors, suffix
+   max_parts * (m + 1) and sums 2 * m. own[v * m + j] gets the p-th power of
+   the distance from v to j, divided by the curve's scale for p > 32;
+   cost[a * m + b] the cost of the range [a, b] (simplify._medoid_cost_table);
+   suffix[(j - 1) * (m + 1) + i] the least cost of grouping [i, m) into
+   exactly j parts (simplify._partition). scale[x] gets curve x's scale: for
+   p > 32 its largest finite distance, where a 0 stands for 1.0, and 1.0
+   otherwise. Within one curve each prefix sum and each suffix minimum waits
+   on the one before; the lanes do not wait on each other.
+
+   Each lane does the numpy reference's operations in its order, so every
+   table keeps the reference's bits: the squared differences summed in
+   coordinate order from 0.0, then the square root (sqrtpd rounds
+   correctly, as sqrt does); for p > 32, the division by the lane's scale
+   (dividing by 1.0 changes no bit); powers' power; then the sums and
+   minima of the tables, each entry's sums in the reference's order.
+   min2(a, b) is minpd(b, a), as in DTW_LANES. */
+#define MEDOID_LANES(name, bytes, vsqrt, vmin)                                 \
+    static void name(const double *points, ptrdiff_t m, ptrdiff_t d, double p, \
+                     ptrdiff_t max_parts, int restrict_to_range, double *scale, \
+                     double *own_, double *cost_, double *suffix_, double *sums)\
+    {                                                                          \
+        typedef double vec __attribute__((vector_size(bytes), aligned(8)));    \
+        const ptrdiff_t w = bytes / 8;                                         \
+        const vec *at = (const vec *)points, zero = {0}, inf = zero + INFINITY;\
+        vec *own = (vec *)own_, *cost = (vec *)cost_, *suffix = (vec *)suffix_;\
+        vec *left = (vec *)sums, *right = left + m;                            \
+        for (ptrdiff_t i = 0; i < m; i++)                                      \
+            for (ptrdiff_t j = 0; j < m; j++) {                                \
+                vec c = zero;                                                  \
+                for (ptrdiff_t k = 0; k < d; k++) {                            \
+                    const vec t = at[i * d + k] - at[j * d + k];               \
+                    c += t * t;                                                \
+                }                                                              \
+                own[i * m + j] = vsqrt(c);                                     \
+            }                                                                  \
+        for (ptrdiff_t x = 0; x < w; x++) {                                    \
+            const double top = p > OVERFLOW_SAFE_P                             \
+                ? finite_max(own_ + x, m * m, w, 0.0) : 0.0;                   \
+            scale[x] = top == 0.0 ? 1.0 : top;                                 \
+        }                                                                      \
+        if (p > OVERFLOW_SAFE_P)                                               \
+            for (ptrdiff_t j = 0; j < m * m; j++)                              \
+                own[j] /= *(const vec *)scale;                                 \
+        powers(own_, m * m * w, p, 1.0);                                       \
+                                                                               \
+        for (ptrdiff_t j = 0; j < m * m; j++)                                  \
+            cost[j] = inf;                                                     \
+        if (restrict_to_range)                                                 \
+            /* cost[a, b] = min over centers v in [a, b] of left[a] + right[b],\
+               the sums of own[v] from v leftwards to a and rightwards to b */ \
+            for (ptrdiff_t v = 0; v < m; v++) {                                \
+                const vec *row = own + v * m;                                  \
+                left[v] = right[v] = row[v];                                   \
+                for (ptrdiff_t a = v - 1; a >= 0; a--)                         \
+                    left[a] = left[a + 1] + row[a];                            \
+                for (ptrdiff_t b = v + 1; b < m; b++)                          \
+                    right[b] = right[b - 1] + row[b];                          \
+                for (ptrdiff_t a = 0; a <= v; a++) {                           \
+                    const vec l = left[a];                                     \
+                    for (ptrdiff_t b = v; b < m; b++)                          \
+                        cost[a * m + b] = vmin(l + right[b], cost[a * m + b]); \
+                }                                                              \
+            }                                                                  \
+        else                                                                   \
+            /* cost[a, b] = min over all vertices v of the sum of own[v] from  \
+               a to b */                                                       \
+            for (ptrdiff_t a = 0; a < m; a++)                                  \
+                for (ptrdiff_t v = 0; v < m; v++) {                            \
+                    vec s = zero;                                              \
+                    for (ptrdiff_t b = a; b < m; b++) {                        \
+                        s += own[v * m + b];                                   \
+                        cost[a * m + b] = vmin(s, cost[a * m + b]);            \
+                    }                                                          \
+                }                                                              \
+                                                                               \
+        for (ptrdiff_t i = 0; i < m; i++)                                      \
+            suffix[i] = cost[i * m + m - 1];                                   \
+        suffix[m] = inf;                                                       \
+        for (ptrdiff_t j = 1; j < max_parts; j++) {                            \
+            const vec *prev = suffix + (j - 1) * (m + 1);                      \
+            vec *cur = suffix + j * (m + 1);                                   \
+            for (ptrdiff_t i = 0; i < m; i++) {                                \
+                vec best = inf;                                                \
+                for (ptrdiff_t e = i; e < m; e++)                              \
+                    best = vmin(cost[i * m + e] + prev[e + 1], best);          \
+                cur[i] = best;                                                 \
+            }                                                                  \
+            cur[m] = inf;                                                      \
+        }                                                                      \
+    }
+
+/* 4 lanes where the host has AVX2 and 2 (SSE2) elsewhere, picked per call
+   as dtw_pairs' lanes are */
+__attribute__((target("avx2")))
+MEDOID_LANES(medoid_lanes_avx2, 32, __builtin_ia32_sqrtpd256, __builtin_ia32_minpd256)
+MEDOID_LANES(medoid_lanes_sse2, 16, __builtin_ia32_sqrtpd, __builtin_ia32_minpd)
+
+/* The rest of simplify._partition for one curve, reading its tables own,
+   cost and suffix of MEDOID_LANES with a stride of w: the part count with
+   the least total (ties to fewer parts), the forward traceback of the
+   lexicographically smallest split, whose inclusive part ends go to
+   part_ends, and the center of each part to part_centers. The center of a
+   part is the first vertex whose sum over it, added in the table's order,
+   is least: the vertex that attains the part's entry. Only the chosen
+   parts are summed again: a table loop that kept every entry's vertex took
+   twice as long (m = 128, gcc 12.2). Returns the count; *total gets the
+   least total. */
+static ptrdiff_t partition_lane(const double *own, const double *cost, const double *suffix,
+                                ptrdiff_t m, ptrdiff_t max_parts, int restrict_to_range,
+                                ptrdiff_t w, ptrdiff_t *part_ends, ptrdiff_t *part_centers,
+                                double *total)
+{
+    ptrdiff_t best = 0;
+    for (ptrdiff_t j = 1; j < max_parts; j++)
+        if (suffix[j * (m + 1) * w] < suffix[best * (m + 1) * w])
+            best = j;
+
+    /* each part ends at the first e that attains the suffix minimum */
+    ptrdiff_t count = 0, i = 0;
+    for (ptrdiff_t j = best; j > 0; j--) {
+        const double *cur = suffix + j * (m + 1) * w, *prev = cur - (m + 1) * w;
+        ptrdiff_t end = i;
+        for (ptrdiff_t e = i; e < m; e++)
+            if (cost[(i * m + e) * w] + prev[(e + 1) * w] == cur[i * w]) {
+                end = e;
+                break;
+            }
+        part_ends[count++] = end;
+        i = end + 1;
+    }
+    part_ends[count++] = m - 1;
+
+    for (ptrdiff_t q = 0, a = 0; q < count; a = part_ends[q++] + 1) {
+        const ptrdiff_t b = part_ends[q], last = restrict_to_range ? b : m - 1;
+        double least = INFINITY;
+        part_centers[q] = restrict_to_range ? a : 0;
+        for (ptrdiff_t v = part_centers[q]; v <= last; v++) {
+            const double *row = own + v * m * w;
+            double sum = restrict_to_range ? row[v * w] : 0.0, after = row[v * w];
+            if (restrict_to_range) {
+                for (ptrdiff_t j = v - 1; j >= a; j--)
+                    sum += row[j * w];
+                for (ptrdiff_t j = v + 1; j <= b; j++)
+                    after += row[j * w];
+                sum += after;
+            } else
+                for (ptrdiff_t j = a; j <= b; j++)
+                    sum += row[j * w];
+            if (sum < least)
+                least = sum, part_centers[q] = v;
+        }
+    }
+    *total = suffix[best * (m + 1) * w];
+    return count;
+}
+
 /* The medoid simplification of n curves of m points of d coordinates each
-   (points is n x m x d), into at most ell contiguous parts.
+   (points is n x m x d), into at most ell contiguous parts. The count of
+   each curve t goes to counts[t], the inclusive end and the center of each
+   part to ends[t] and centers[t] (both n x ell), and the rooted total times
+   the scale to totals[t].
 
-   For each curve t it writes the p-th powers of the pointwise distances,
-   scaled for p > 32, to the m x m table own in work, builds the cost table
-   of simplify._medoid_cost_table, and runs simplify._partition on it: the
-   suffix DP, the part count with the least total (ties to fewer parts) and
-   the forward traceback of the lexicographically smallest split. The
-   count goes to counts[t], the inclusive end and the center of each part
-   to ends[t] and centers[t] (both n x ell), and the rooted total times the
-   scale to totals[t]. The center of a part is the first vertex whose sum
-   over it, added in the table's order, is least: the vertex that attains
-   the part's entry. Only the chosen parts are summed again: a table loop
-   that kept every entry's vertex took twice as long (m = 128, gcc 12.2).
-
-   work holds 2 * m * m + min(ell, m) * (m + 1) + 2 * m doubles. */
+   The curves run w at a time, w = 4 in medoid_lanes_avx2 or w = 2 in
+   medoid_lanes_sse2, which build the tables of all w in their lanes;
+   partition_lane then reads each curve's parts and centers from its lane.
+   The last group is padded with copies of the last curve, whose results
+   are not written; it costs a whole group, so simplify.py hands over at
+   least four curves where it has them. work holds w * (2 * m * m + min(ell, m) * (m + 1)
+   + 2 * m) doubles for the tables and w * m * d for the interleaved
+   points, for the w of the host (at most 4). */
 void medoid_partition(const double *points, ptrdiff_t n, ptrdiff_t m, ptrdiff_t d,
                       double p, ptrdiff_t ell, int restrict_to_range, double *work,
                       ptrdiff_t *ends, ptrdiff_t *counts, ptrdiff_t *centers, double *totals)
 {
-    const ptrdiff_t max_parts = ell < m ? ell : m;
-    /* own[v * m + j]: the power of the distance from v to j; cost[a * m + b]: the
-       cost of the range [a, b]; suffix[(j - 1) * (m + 1) + i]: the least cost of
-       grouping [i, m) into exactly j parts */
-    double *own = work, *cost = own + m * m, *suffix = cost + m * m;
-    double *left = suffix + max_parts * (m + 1), *right = left + m;
-    for (ptrdiff_t t = 0; t < n; t++) {
-        const double *x = points + t * m * d;
-        for (ptrdiff_t i = 0; i < m; i++)
-            distances(x + i * d, x, m, d, own + i * m);
-        const double top = p > OVERFLOW_SAFE_P ? finite_max(own, m * m, 0.0) : 0.0;
-        const double scale = top == 0.0 ? 1.0 : top;
-        powers(own, m * m, p, scale);
-
-        for (ptrdiff_t j = 0; j < m * m; j++)
-            cost[j] = INFINITY;
-        if (restrict_to_range) {
-            /* cost[a, b] = min over centers v in [a, b] of left[a] + right[b],
-               the sums of own[v] from v leftwards to a and rightwards to b */
-            for (ptrdiff_t v = 0; v < m; v++) {
-                const double *row = own + v * m;
-                left[v] = right[v] = row[v];
-                for (ptrdiff_t a = v - 1; a >= 0; a--)
-                    left[a] = left[a + 1] + row[a];
-                for (ptrdiff_t b = v + 1; b < m; b++)
-                    right[b] = right[b - 1] + row[b];
-                for (ptrdiff_t a = 0; a <= v; a++)
-                    for (ptrdiff_t b = v; b < m; b++)
-                        cost[a * m + b] = min2(cost[a * m + b], left[a] + right[b]);
-            }
-        } else {
-            /* cost[a, b] = min over all vertices v of the sum of own[v] from a to b */
-            for (ptrdiff_t a = 0; a < m; a++)
-                for (ptrdiff_t v = 0; v < m; v++) {
-                    double s = 0.0;
-                    for (ptrdiff_t b = a; b < m; b++) {
-                        s += own[v * m + b];
-                        cost[a * m + b] = min2(cost[a * m + b], s);
-                    }
-                }
+    const int avx2 = __builtin_cpu_supports("avx2");
+    const ptrdiff_t w = avx2 ? 4 : 2, max_parts = ell < m ? ell : m;
+    double *own = work, *cost = own + w * m * m, *suffix = cost + w * m * m;
+    double *sums = suffix + w * max_parts * (m + 1), *lanes = sums + w * 2 * m;
+    for (ptrdiff_t t = 0; t < n; t += w) {
+        const double *from[4];
+        double scale[4];
+        for (ptrdiff_t x = 0; x < w; x++)
+            from[x] = points + (t + x < n ? t + x : n - 1) * m * d;
+        interleave(from, m * d, w, lanes);
+        (avx2 ? medoid_lanes_avx2 : medoid_lanes_sse2)(
+            lanes, m, d, p, max_parts, restrict_to_range, scale, own, cost, suffix, sums);
+        for (ptrdiff_t x = 0; x < w && t + x < n; x++) {
+            double total;
+            counts[t + x] = partition_lane(own + x, cost + x, suffix + x, m, max_parts,
+                                           restrict_to_range, w, ends + (t + x) * ell,
+                                           centers + (t + x) * ell, &total);
+            totals[t + x] = root(total, p, scale[x]);
         }
-
-        for (ptrdiff_t i = 0; i < m; i++)
-            suffix[i] = cost[i * m + m - 1];
-        suffix[m] = INFINITY;
-        for (ptrdiff_t j = 1; j < max_parts; j++) {
-            const double *prev = suffix + (j - 1) * (m + 1);
-            double *cur = suffix + j * (m + 1);
-            for (ptrdiff_t i = 0; i < m; i++) {
-                double best = INFINITY;
-                for (ptrdiff_t e = i; e < m; e++)
-                    best = min2(best, cost[i * m + e] + prev[e + 1]);
-                cur[i] = best;
-            }
-            cur[m] = INFINITY;
-        }
-        ptrdiff_t best = 0;
-        for (ptrdiff_t j = 1; j < max_parts; j++)
-            if (suffix[j * (m + 1)] < suffix[best * (m + 1)])
-                best = j;
-
-        /* each part ends at the first e that attains the suffix minimum */
-        ptrdiff_t *part_ends = ends + t * ell;
-        ptrdiff_t count = 0, i = 0;
-        for (ptrdiff_t j = best; j > 0; j--) {
-            const double *cur = suffix + j * (m + 1), *prev = cur - (m + 1);
-            ptrdiff_t end = i;
-            for (ptrdiff_t e = i; e < m; e++)
-                if (cost[i * m + e] + prev[e + 1] == cur[i]) {
-                    end = e;
-                    break;
-                }
-            part_ends[count++] = end;
-            i = end + 1;
-        }
-        part_ends[count++] = m - 1;
-        counts[t] = count;
-
-        ptrdiff_t *part_centers = centers + t * ell;
-        for (ptrdiff_t q = 0, a = 0; q < count; a = part_ends[q++] + 1) {
-            const ptrdiff_t b = part_ends[q], last = restrict_to_range ? b : m - 1;
-            double least = INFINITY;
-            part_centers[q] = restrict_to_range ? a : 0;
-            for (ptrdiff_t v = part_centers[q]; v <= last; v++) {
-                const double *row = own + v * m;
-                double sum = restrict_to_range ? row[v] : 0.0, after = row[v];
-                if (restrict_to_range) {
-                    for (ptrdiff_t j = v - 1; j >= a; j--)
-                        sum += row[j];
-                    for (ptrdiff_t j = v + 1; j <= b; j++)
-                        after += row[j];
-                    sum += after;
-                } else
-                    for (ptrdiff_t j = a; j <= b; j++)
-                        sum += row[j];
-                if (sum < least)
-                    least = sum, part_centers[q] = v;
-            }
-        }
-        totals[t] = root(suffix[best * (m + 1)], p, scale);
     }
 }
 

@@ -33,15 +33,21 @@ speed as twelve named variables). It uses 4-lane vectors in a function
 built for AVX2, picked with ``__builtin_cpu_supports`` on a host that has
 it, and 2-lane SSE2 vectors elsewhere. One vector type cannot serve both: without AVX, gcc splits a
 4-lane minimum into single lanes. So the library builds on x86-64 hosts
-only; elsewhere the fallback below runs. ``dtw_pairs`` picks its width the
-same way: it runs four (AVX2) or two (SSE2) pairs of one shape at once, one
-per lane, and each lane does the one-pair loop's operations in its order.
-An avx2 clone of a DP loop vectorises within one pair, where each cell
-waits on its left neighbour; such clones of ``dtw_pairs`` and
-``medoid_partition`` were slower in three of four measured cases (2-core
-x86-64 host, gcc 12.2) while they doubled the build time. Lanes that hold
-different pairs do not wait on each other: at p = 1 and 2, four lanes made
-``dtw_pairs`` 1.8-3.4x faster and two lanes 1.4-2.5x (same host).
+only; elsewhere the fallback below runs. ``dtw_pairs`` and
+``medoid_partition`` pick their width the same way: they run four (AVX2)
+or two (SSE2) pairs or curves of one shape at once, one per lane, and each
+lane does the operations of the one-pair loop or of the numpy reference in
+their order. An avx2 clone of a DP loop vectorises within one pair, where
+each cell waits on its left neighbour; such clones were slower in three of
+four measured cases (2-core x86-64 host, gcc 12.2) while they doubled the
+build time. Lanes that hold different pairs or curves do not wait on each
+other: at p = 1 and 2, four lanes made ``dtw_pairs`` 1.8-3.4x faster and
+two lanes 1.4-2.5x. Four lanes took ``medoid_partition`` from 50-53 to
+26-32 ms on 200 curves of 128 points (ell = 8, p = 2), and from 7.8-9.6 to
+3.7-5.6 ms on 1000 curves of 32 points (ell = 4, p = 1), against one curve
+at a time (medians of two alternating sets, same host). A lone curve fills
+the lanes with copies of itself: 0.58 ms at 128 points, against 0.27 ms
+one curve at a time.
 ``swap_costs`` adds each sum in order, and its avx2 clone ran within 5% of
 the plain loop (same host). Every array the functions read or write is
 row-major and contiguous; ``Curve`` stores its points that way, and
@@ -52,9 +58,15 @@ there are no infinities and reorder arithmetic, which breaks the closure's
 inf entries and the bits. ``-march=native`` is excluded because a cached
 library can outlive the host it was built on. ``-falign-loops=64`` puts
 loop heads on 64-byte lines, so an inner loop keeps its place in the lines
-when an edit to another function moves this one. Without it, a longer
-``floyd_warshall`` left ``medoid_partition``'s 34-byte table loop across
-two lines, and the function ran 15-25% slower (same host).
+when an edit to another function moves this one. The hot loops are short:
+the range-table loop of the medoid lanes, most of the simplification's
+time, is 26 bytes with AVX2 (gcc 12.2), and the flag keeps it on one line.
+A loop of that kind, the 34-byte table loop of the one-curve medoid
+simplification that the lanes replaced, ran 15-25% slower when a longer
+``floyd_warshall`` moved it across two lines (same host). Today's source
+runs as fast without the flag (every kernel within the noise, built both
+ways and timed alternately in one process), so the flag guards against the
+next move rather than a present one.
 The library is built on first use, not at import, and cached in this
 package's ``__pycache__`` under a name hashed from the source, the compiler
 and the flags. It is written to a temporary file and renamed into place, so

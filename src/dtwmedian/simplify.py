@@ -15,15 +15,19 @@ The two medoid variants run through ``_medoid_simplifications``, batched
 over every curve of one (complexity, dimension); a one-curve function is a
 batch of one. A batch is chunked by the DTW kernel's cell budget, which
 bounds the numpy reference's batch-last (m, m, n) table of the p-th powers
-of the pointwise distances (scaled per curve for p > 32).
-``medoid_partition``, a function of the package's compiled library
-(``_kernels``), builds each curve's table of powers and cost table, runs
-the partition DP and its traceback, and picks each part's center: the
-first vertex that attains the part's table entry. The library's one
-fallback rule: where it cannot be built, each caller runs its numpy
-reference; here that is the DTW kernel's distance table,
-``_medoid_cost_table`` (which keeps that vertex for every entry) and
-``_partition`` on the whole chunk. The compiled loop adds, compares and
+of the pointwise distances (scaled per curve for p > 32), but a chunk holds
+at least four curves. ``medoid_partition``, a function of the package's
+compiled library (``_kernels``), builds each curve's table of powers and
+cost table, runs the partition DP and its traceback, and picks each part's
+center: the first vertex that attains the part's table entry. It builds
+the tables of four curves at once (two without AVX2), one per vector lane,
+and fills the lanes of a short last group with copies of its last curve;
+so its scratch array holds four curves' tables, 1.1 MB at m = 128 and
+64 MB at m = 1000, and a chunk of fewer than four curves would pay for
+four. The library's one fallback rule: where it cannot be built, each
+caller runs its numpy reference; here that is the DTW kernel's distance
+table, ``_medoid_cost_table`` (which keeps that vertex for every entry)
+and ``_partition`` on the whole chunk. Each lane adds, compares and
 rounds the same terms in the same order, so both give the same bits, and
 the tests pin them to each other.
 
@@ -50,6 +54,9 @@ from .dtw import _BLOCK_CELLS, _check_p, _distance_table, _pth_powers, _root
 WEISZFELD_MAX_ITER = 200
 WEISZFELD_REL_TOL = 1e-10
 WEISZFELD_NUDGE = 1e-7
+
+# the most curves that the compiled medoid_partition runs at once, one per vector lane
+_LANES = 4
 
 
 @dataclass(frozen=True)
@@ -217,8 +224,8 @@ def _medoid_simplifications(curves, ell, p, restrict_to_range):
     input order; a curve of complexity <= ell is its own simplification.
 
     The curves of one (complexity m, dimension d) are batched, in chunks of
-    at most ``_BLOCK_CELLS`` cells times d per m x m table, and each chunk
-    runs through ``_medoid_partitions``.
+    at most ``_BLOCK_CELLS`` cells times d per m x m table but at least
+    ``_LANES`` curves, and each chunk runs through ``_medoid_partitions``.
     """
     if ell < 1:
         raise ValidationError("ell must be >= 1")
@@ -229,7 +236,7 @@ def _medoid_simplifications(curves, ell, p, restrict_to_range):
         if out[i] is None:
             groups.setdefault((c.complexity, c.dimension), []).append(i)
     for (m, d), members in groups.items():
-        block = max(1, _BLOCK_CELLS // (m * m * d))
+        block = max(_LANES, _BLOCK_CELLS // (m * m * d))
         for start in range(0, len(members), block):
             chunk = members[start : start + block]
             pts = np.stack([curves[i].points for i in chunk])
@@ -245,7 +252,9 @@ def _medoid_partitions(pts, ell, p, restrict_to_range):
     cost, with the p-th powers scaled per curve for p > 32. The compiled
     ``medoid_partition`` does the arithmetic of ``_medoid_cost_table`` and
     ``_partition`` in their order, so its results have their bits; those
-    two run where the library cannot be built.
+    two run where the library cannot be built. It runs up to ``_LANES``
+    curves at once, and its scratch ``work`` holds their tables and
+    interleaved points: about 4 (2 m^2 + ell m) doubles.
     """
     n, m, d = pts.shape
     lib = _kernels.library()
@@ -257,7 +266,7 @@ def _medoid_partitions(pts, ell, p, restrict_to_range):
         all_parts, totals = _partition(cost, ell)
         chosen = [[int(centers[a, b, t]) for a, b in parts] for t, parts in enumerate(all_parts)]
         return all_parts, chosen, _root(totals, p, scale)
-    work = np.empty(2 * m * m + min(ell, m) * (m + 1) + 2 * m)
+    work = np.empty(_LANES * (2 * m * m + min(ell, m) * (m + 1) + 2 * m + m * d))
     ends = np.empty((n, ell), dtype=np.intp)
     centers = np.empty((n, ell), dtype=np.intp)
     counts = np.empty(n, dtype=np.intp)

@@ -8,6 +8,7 @@ import itertools
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -85,6 +86,44 @@ def assert_lanes_have_the_reference_bits():
                 one_by_one = [dtw_value(curves[r], curves[c], p) for r, c in zip(rows, cols)]
                 assert values.tobytes() == reference.tobytes()
                 assert values.tobytes() == np.array(one_by_one).tobytes()
+
+
+def medoid_batches(rng, d):
+    """Batches of curves of one complexity for the lanes of
+    medoid_partition: for each count from 1 to 9, one of normal curves and
+    one of integer-grid curves, so that every padded last group occurs for
+    4 and 2 lanes. In the normal batches one curve is scaled by 1e10, so
+    that from two curves on the lanes of one group take different scales at
+    p = 64; in the grid batches many vertices tie for a medoid and many
+    splits tie."""
+    batches = []
+    for count in range(1, 10):
+        m = 6 + count % 3
+        normal = rng.normal(0, 3, (count, m, d))
+        normal[count // 2] *= 1e10
+        batches += [normal, rng.integers(0, 3, (count, m, d)).astype(float)]
+    return batches
+
+
+def assert_medoid_lanes_have_the_reference_bits():
+    """Every medoid batch, at d = 1, 2, 3, every p in P_VALUES, ell = 1, 3, 5
+    and with and without restrict_to_range, gives the parts, centers and
+    costs of the numpy reference and of one one-curve call per curve."""
+    one_curve = {True: simplify_2approx_detailed, False: simplify_vertex_restricted_detailed}
+    for d in (1, 2, 3):
+        for pts in medoid_batches(np.random.default_rng(SEED + d), d):
+            for p, ell, restrict_to_range in itertools.product(P_VALUES, (1, 3, 5), (True, False)):
+                args = (pts, ell, p, restrict_to_range)
+                parts, centers, costs = simplify._medoid_partitions(*args)
+                with mock.patch.object(_kernels, "library", lambda: None):
+                    reference = simplify._medoid_partitions(*args)
+                assert (parts, centers) == reference[:2]
+                assert costs.tobytes() == reference[2].tobytes()
+                for t, points in enumerate(pts):
+                    s = one_curve[restrict_to_range](Curve("c", points), ell, p)
+                    assert s.parts == parts[t]
+                    assert s.curve.points.tobytes() == points[centers[t]].tobytes()
+                    assert np.float64(s.grouping_cost).tobytes() == costs[t].tobytes()
 
 
 def metric_instance(rng, n, k, duplicates=0, isolated=False):
@@ -190,6 +229,12 @@ def test_a_build_removes_the_libraries_of_earlier_sources(fresh_library, monkeyp
 def test_the_dtw_lanes_have_the_reference_bits():
     assert _kernels.library() is not None
     assert_lanes_have_the_reference_bits()
+
+
+@needs_cc
+def test_the_medoid_lanes_have_the_reference_bits():
+    assert _kernels.library() is not None
+    assert_medoid_lanes_have_the_reference_bits()
 
 
 @needs_cc
@@ -322,13 +367,14 @@ def test_the_sse2_paths_have_the_reference_bits(fresh_library, monkeypatch, tmp_
     so the 2-lane paths that other x86-64 hosts run are checked too."""
     check = '__builtin_cpu_supports("avx2")'
     source = Path(_kernels._SOURCE).read_text(encoding="utf-8")
-    assert source.count(check) == 2
+    assert source.count(check) == 3
     (tmp_path / "kernels.c").write_text(source.replace(check, "0"), encoding="utf-8")
     monkeypatch.setattr(_kernels, "_SOURCE", str(tmp_path / "kernels.c"))
     monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path / "cache"))
     lib = _kernels.library()
     assert lib is not None
     assert_lanes_have_the_reference_bits()
+    assert_medoid_lanes_have_the_reference_bits()
     rng = np.random.default_rng(SEED)
     block = closure._BLOCK
     walks = simplify_set(gen_synthetic(150, 1, 32, 2, 0.5, seed=SEED), 4, 1.0)

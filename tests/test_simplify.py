@@ -448,18 +448,27 @@ def test_simplify_set_equals_one_curve_calls(rng):
 def test_results_do_not_depend_on_the_chunk_size(rng, monkeypatch):
     # one curve of large coordinates among small ones: for p > 32 each curve
     # of a batch keeps its own scale; on the compiled path where a library
-    # can be built, and on the numpy reference, whose chunks are batches
+    # can be built, and on the numpy reference, whose chunks are batches. A
+    # chunk never holds fewer curves than the compiled lanes, so the 14
+    # curves go in chunks of 4, 4, 4 and 2.
     curves = [Curve(f"c{i}", rng.normal(0, 3, (9, 2))) for i in range(12)]
     curves.append(Curve("big", 1e10 * rng.normal(0, 3, (9, 2))))
     curves.append(Curve("dup", curves[0].points.copy()))
+    partitions = simplify._medoid_partitions
     for library, p in itertools.product((_kernels.library, lambda: None), (1.0, 2.0, 3.0, 64.0)):
         monkeypatch.setattr(_kernels, "library", library)
         for restrict_to_range in (True, False):
             full = simplify._medoid_simplifications(curves, 3, p, restrict_to_range)
+            sizes = []
             with monkeypatch.context() as patch:
                 patch.setattr(simplify, "_BLOCK_CELLS", 1)
-                single = simplify._medoid_simplifications(curves, 3, p, restrict_to_range)
-            for a, b in zip(full, single):
+                patch.setattr(
+                    simplify, "_medoid_partitions",
+                    lambda pts, *args: sizes.append(len(pts)) or partitions(pts, *args),
+                )
+                chunked = simplify._medoid_simplifications(curves, 3, p, restrict_to_range)
+            assert sizes == [4, 4, 4, 2]
+            for a, b in zip(full, chunked):
                 assert a.parts == b.parts
                 assert a.curve.points.tobytes() == b.curve.points.tobytes()
                 assert a.grouping_cost == b.grouping_cost
