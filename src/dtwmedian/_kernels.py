@@ -1,11 +1,16 @@
 """The package's compiled kernels: one C source, ``_kernels.c``, built into
 one library on first use and loaded with ``ctypes``.
 
-The library holds four functions, each pinned to the bits of a numpy
+The library holds five functions, each pinned to the bits of a numpy
 reference: ``floyd_warshall`` (the closure, ``closure.py``), ``dtw_pairs``
-(p-DTW values of curve pairs, ``dtw.py``), ``medoid_partition`` (the parts
-and centers of the medoid simplifications, ``simplify.py``) and
+(p-DTW values of curve pairs, ``dtw.py``), ``dtw_self`` (the symmetric
+p-DTW matrix of one curve list, ``dtw.py``), ``medoid_partition`` (the
+parts and centers of the medoid simplifications, ``simplify.py``) and
 ``swap_costs`` (every k-median swap's cost in a round, ``kmedian.py``).
+``dtw_self`` generates the pairs above the diagonal itself, runs them
+through the same lane code as ``dtw_pairs``, and copies the upper triangle
+into the lower one as ``floyd_warshall`` does, so no index array or
+scatter is built in numpy.
 ``floyd_warshall`` relaxes only the upper triangle and mirrors it, half the
 reference's additions, and takes the steps k in blocks of 16: it first
 builds the block's snapshot rows, the reference's row k as it stands before
@@ -33,7 +38,7 @@ speed as twelve named variables). It uses 4-lane vectors in a function
 built for AVX2, picked with ``__builtin_cpu_supports`` on a host that has
 it, and 2-lane SSE2 vectors elsewhere. One vector type cannot serve both: without AVX, gcc splits a
 4-lane minimum into single lanes. So the library builds on x86-64 hosts
-only; elsewhere the fallback below runs. ``dtw_pairs`` and
+only; elsewhere the fallback below runs. ``dtw_pairs``, ``dtw_self`` and
 ``medoid_partition`` pick their width the same way: they run four (AVX2)
 or two (SSE2) pairs or curves of one shape at once, one per lane, and each
 lane does the operations of the one-pair loop or of the numpy reference in
@@ -144,6 +149,7 @@ def library():
     signatures = {
         "floyd_warshall": (ptr, size, ptr, size),
         "dtw_pairs": (ptr, ptr, ptr, size, ptr, ptr, size, ctypes.c_double, ptr, ptr),
+        "dtw_self": (ptr, ptr, ptr, size, ptr, size, ctypes.c_double, ptr, ptr),
         "medoid_partition": (
             ptr, size, size, size, ctypes.c_double, size, ctypes.c_int, ptr, ptr, ptr, ptr, ptr
         ),

@@ -65,9 +65,11 @@ scipy's ``floyd_warshall`` does the same arithmetic; the tests keep it as
 an independent cross-check, and the package does not import scipy.
 
 The library is one C source built once, on first use (``_kernels`` says
-how), and holds four functions: this closure, ``dtw_pairs`` for the p-DTW
-values (``dtw``), ``medoid_partition`` for the medoid simplifications
-(``simplify``) and ``swap_costs`` for the k-median's swaps (``kmedian``).
+how), and holds five functions: this closure, ``dtw_pairs`` for the p-DTW
+values of pairs and ``dtw_self`` for the base matrix that
+``build_closure`` closes (``dtw``), ``medoid_partition`` for the medoid
+simplifications (``simplify``) and ``swap_costs`` for the k-median's swaps
+(``kmedian``).
 Its one fallback rule: when it cannot be built or loaded (a host without a
 C compiler), each caller runs its numpy reference; here the closure is
 ``floyd_warshall_reference`` on the same matrix, with the same bits.
@@ -113,7 +115,7 @@ def shortest_path_closure(base):
     if base.ndim != 2 or base.shape[0] != base.shape[1]:
         raise ValidationError("closure base must be a square matrix")
     dist = np.minimum(base, base.T, order="C")
-    if np.isnan(dist).any() or (dist < 0).any():
+    if not (dist >= 0).all():  # a NaN compares false
         raise ValidationError("closure base entries must be non-negative, not NaN")
     dist += 0.0  # -0.0 becomes +0.0
     np.fill_diagonal(dist, 0.0)

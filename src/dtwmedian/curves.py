@@ -32,19 +32,22 @@ class ResourceGuardError(RuntimeError):
     """A configured size/compute guard was exceeded."""
 
 
-def _as_point_array(points, context="curve"):
-    # a new row-major array, never the caller's, with -0.0 turned into +0.0:
-    # equal points then have equal bytes, so hashing agrees with equality,
-    # and the compiled kernels can read the points as rows
+def _as_point_array(points, context="curve", ndim=2):
+    # a new row-major read-only array, never the caller's, with -0.0 turned
+    # into +0.0: equal points then have equal bytes, so hashing agrees with
+    # equality, and the compiled kernels can read the points as rows. Its
+    # last two axes are points and coordinates; ndim=3 checks a batch of
+    # curves of one shape at once
     arr = np.add(np.asarray(points, dtype=np.float64), 0.0, order="C")
-    if arr.ndim == 1:
+    if arr.ndim == 1 and ndim == 2:
         arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[0] < 1:
+    if arr.ndim != ndim or arr.shape[-2] < 1:
         raise ValidationError(f"{context}: points must be a non-empty sequence of points")
-    if arr.shape[1] < 1:
+    if arr.shape[-1] < 1:
         raise ValidationError(f"{context}: point dimension must be >= 1")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{context}: coordinates must be finite")
+    arr.setflags(write=False)
     return arr
 
 
@@ -60,9 +63,27 @@ class Curve:
     points: np.ndarray
 
     def __post_init__(self):
-        arr = _as_point_array(self.points, context=f"curve {self.id!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "points", arr)
+        object.__setattr__(
+            self, "points", _as_point_array(self.points, context=f"curve {self.id!r}")
+        )
+
+    @classmethod
+    def batch(cls, ids, block):
+        """One curve per row of block (n, m, d), curve t under ids[t], equal
+        to ``Curve(ids[t], block[t])``. The checks of one curve run once
+        over the whole block, and each curve's points are a read-only row
+        view of the checked copy."""
+        block = _as_point_array(block, context="curve batch", ndim=3)
+        ids = list(ids)
+        if len(ids) != block.shape[0]:
+            raise ValidationError(f"curve batch: {len(ids)} ids for {block.shape[0]} curves")
+        curves = []
+        for cid, points in zip(ids, block):
+            curve = object.__new__(cls)
+            object.__setattr__(curve, "id", cid)
+            object.__setattr__(curve, "points", points)
+            curves.append(curve)
+        return curves
 
     @property
     def complexity(self):
@@ -337,13 +358,14 @@ def gen_synthetic(clusters, per_cluster, m, d, noise, seed):
     if noise < 0:
         raise ValidationError("noise must be >= 0")
     rng = new_rng(seed)
-    curves = []
+    block = np.empty((clusters * per_cluster, m, d))
+    ids = []
     for c in range(clusters):
         start = rng.normal(0.0, 8.0, size=d)
         steps = rng.normal(0.0, 1.0, size=(m, d))
         steps[0] = 0.0
         template = start + np.cumsum(steps, axis=0)
         for r in range(per_cluster):
-            pts = template + rng.normal(0.0, 1.0, size=(m, d)) * noise
-            curves.append(Curve(f"c{c}_r{r}", pts))
-    return CurveSet(tuple(curves))
+            block[len(ids)] = template + rng.normal(0.0, 1.0, size=(m, d)) * noise
+            ids.append(f"c{c}_r{r}")
+    return CurveSet(tuple(Curve.batch(ids, block)))

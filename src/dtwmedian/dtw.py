@@ -10,24 +10,28 @@ pairs per numpy step. ``dtw`` walks its traversal back from the table and
 matrices evaluate every pair they are given; collapsing equal point
 sequences is left to the clustering entry points (``distinct_curves``).
 
-Every batched value comes from ``_pair_values``. It runs ``dtw_pairs``, one
-of the four functions of the package's compiled library (``_kernels``;
-the others are the closure's ``floyd_warshall``, the simplification's
-``medoid_partition`` and the k-median's ``swap_costs``). That loop fills
-each pair's DP row by row, in O(l) memory. It takes consecutive pairs of
-one shape (m, l) four at a time on an AVX2 host and two at a time elsewhere,
-one pair per vector lane, and the pairs that do not fill such a group one at
-a time; each lane does the one-pair loop's operations in its order. Pairs of
-several shapes reach it sorted by shape, so curves of mixed lengths fill the
-lanes too. The library's one fallback rule: where it cannot be built, each
-caller runs its numpy reference; here that is ``_grouped_pair_values``,
-which groups, pads and chunks the pairs for ``_accumulate``. It is also the
-reference the compiled loop is tested against. The two give the same bits:
-both take each pointwise distance as the square root of the squared
-coordinate differences summed in order from 0.0, apply the same scale and
-power, and set each DP cell to its cost plus the minimum of its three
-predecessors, which is the same value whichever order the cells are filled
-in.
+Every batched value but the self matrix comes from ``_pair_values``.
+It runs ``dtw_pairs``, one of the five functions of the package's compiled
+library (``_kernels``; the others are ``dtw_self`` for the self matrix, the
+closure's ``floyd_warshall``, the simplification's ``medoid_partition``
+and the k-median's ``swap_costs``). That loop fills each pair's DP row by
+row, in O(l) memory. It takes consecutive pairs of one shape (m, l) four
+at a time on an AVX2 host and two at a time elsewhere, one pair per vector
+lane, and the pairs that do not fill such a group one at a time; each lane
+does the one-pair loop's operations in its order. Pairs of several shapes
+reach it sorted by shape, so curves of mixed lengths fill the lanes too.
+``dtw_self_matrix`` hands the curves to ``dtw_self``, which generates the
+pairs (i, j > i) itself, runs them through the same lanes, a row's columns
+of one length at a time, and fills both triangles of the matrix. The
+library's one fallback rule: where it cannot be built, each caller runs its
+numpy reference; here that is ``_grouped_pair_values``, which groups, pads
+and chunks the pairs for ``_accumulate``, and for the self matrix the pairs
+of ``np.triu_indices`` through it. It is also the reference the compiled
+loops are tested against. The two give the same bits: both take each
+pointwise distance as the square root of the squared coordinate
+differences summed in order from 0.0, apply the same scale and power, and
+set each DP cell to its cost plus the minimum of its three predecessors,
+which is the same value whichever order the cells are filled in.
 
 Costs are accumulated as p-th powers and rooted once, by one rule for every
 entry point: identity for p = 1, square and ``sqrt`` for p = 2, and C
@@ -191,6 +195,26 @@ def _traceback(acc):
     return Traversal(tuple(reversed(pairs)))
 
 
+def _packed(curves):
+    """The curves as the compiled library reads them: their lengths (intp),
+    the offset of each one's first point, and all their points concatenated
+    (None for no curves). Raises ``ValidationError`` when their dimensions
+    differ."""
+    for c in curves:
+        if c.dimension != curves[0].dimension:
+            raise ValidationError(f"dimension mismatch: curve {c.id!r}")
+    lengths = np.array([c.complexity for c in curves], dtype=np.intp)
+    offsets = np.cumsum(lengths) - lengths
+    points = np.concatenate([c.points for c in curves]) if curves else None
+    return lengths, offsets, points
+
+
+def _work(curves, lengths):
+    """The scratch array of ``dtw_pairs`` and ``dtw_self``: 8 (d + 1) (n + 1)
+    doubles for the longest curve n."""
+    return np.empty(8 * (curves[0].dimension + 1) * (int(lengths.max()) + 1))
+
+
 def _pair_values(curves, rows, cols, p):
     """p-DTW values of the pairs (curves[rows[t]], curves[cols[t]]): by the
     compiled ``dtw_pairs``, or by ``_grouped_pair_values`` where the library
@@ -207,9 +231,7 @@ def _pair_values(curves, rows, cols, p):
     rows = np.ascontiguousarray(rows, dtype=np.intp)
     cols = np.ascontiguousarray(cols, dtype=np.intp)
     _check_p(p)
-    for c in curves:
-        if c.dimension != curves[0].dimension:
-            raise ValidationError(f"dimension mismatch: curve {c.id!r}")
+    lengths, offsets, points = _packed(curves)
     if rows.size == 0:
         return np.zeros(0)
     if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= len(curves):
@@ -217,20 +239,16 @@ def _pair_values(curves, rows, cols, p):
     lib = _kernels.library()
     if lib is None:
         return _grouped_pair_values(curves, rows, cols, p)
-    d = curves[0].dimension
-    lengths = np.array([c.complexity for c in curves], dtype=np.intp)
-    offsets = np.cumsum(lengths) - lengths
-    points = np.concatenate([c.points for c in curves])
     order = None
     if lengths.min() != lengths.max():
         shapes = lengths[rows] * (int(lengths.max()) + 1) + lengths[cols]
         if shapes.min() != shapes.max():
             order = np.argsort(shapes, kind="stable")
             rows, cols = rows[order], cols[order]
-    work = np.empty(8 * (d + 1) * (int(lengths.max()) + 1))
+    work = _work(curves, lengths)
     out = np.empty(rows.size)
     lib.dtw_pairs(
-        points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, d,
+        points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, curves[0].dimension,
         rows.ctypes.data, cols.ctypes.data, rows.size, p, out.ctypes.data, work.ctypes.data,
     )
     if order is None:
@@ -329,14 +347,32 @@ def dtw_aligned(curves_a, curves_b, p=1.0):
 def dtw_self_matrix(curves, p=1.0):
     """Symmetric all-pairs p-DTW matrix of one curve list (zero diagonal).
 
-    Every pair above the diagonal is evaluated once and mirrored, so the
-    entries have the bits of per-pair ``dtw_value`` calls; two inputs with
-    the same points are exactly 0 apart, as their DTW is.
+    Every pair (i, j > i) is evaluated once and mirrored, so the entries
+    have the bits of per-pair ``dtw_value`` calls; two inputs with the same
+    points are exactly 0 apart, as their DTW is. The compiled ``dtw_self``
+    fills the whole matrix, generating the pairs itself; it gets the curves
+    in a stable order of their lengths, so that each row's columns of one
+    length fill its vector lanes. Where the library cannot be built, the
+    pairs of ``np.triu_indices`` go through ``_pair_values`` and are
+    scattered into both triangles: the reference, with the same bits.
     """
     curves = list(curves)
-    out = np.zeros((len(curves), len(curves)))
-    rows, cols = np.triu_indices(len(curves), k=1)
-    out[rows, cols] = out[cols, rows] = _pair_values(curves, rows, cols, p)
+    n = len(curves)
+    lib = _kernels.library()
+    if lib is None or n < 2:
+        out = np.zeros((n, n))
+        rows, cols = np.triu_indices(n, k=1)
+        out[rows, cols] = out[cols, rows] = _pair_values(curves, rows, cols, p)
+        return out
+    _check_p(p)
+    lengths, offsets, points = _packed(curves)
+    order = np.argsort(lengths, kind="stable")
+    work = _work(curves, lengths)
+    out = np.empty((n, n))
+    lib.dtw_self(
+        points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, curves[0].dimension,
+        order.ctypes.data, n, p, out.ctypes.data, work.ctypes.data,
+    )
     return out
 
 

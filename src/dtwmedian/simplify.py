@@ -226,6 +226,8 @@ def _medoid_simplifications(curves, ell, p, restrict_to_range):
     The curves of one (complexity m, dimension d) are batched, in chunks of
     at most ``_BLOCK_CELLS`` cells times d per m x m table but at least
     ``_LANES`` curves, and each chunk runs through ``_medoid_partitions``.
+    The simplified curves of a chunk with one part count are gathered from
+    its points at once and built by ``Curve.batch``, which checks them once.
     """
     if ell < 1:
         raise ValidationError("ell must be >= 1")
@@ -240,9 +242,14 @@ def _medoid_simplifications(curves, ell, p, restrict_to_range):
         for start in range(0, len(members), block):
             chunk = members[start : start + block]
             pts = np.stack([curves[i].points for i in chunk])
-            done = zip(chunk, *_medoid_partitions(pts, ell, p, restrict_to_range))
-            for i, parts, centers, cost in done:
-                out[i] = _finish(curves[i], parts, curves[i].points[centers], cost)
+            parts, centers, costs = _medoid_partitions(pts, ell, p, restrict_to_range)
+            counts = np.array([len(own) for own in centers])
+            for count in np.unique(counts):
+                same = np.flatnonzero(counts == count)
+                vertices = np.array([centers[t] for t in same])
+                ids = [curves[chunk[t]].id for t in same]
+                for t, curve in zip(same, Curve.batch(ids, pts[same[:, None], vertices])):
+                    out[chunk[t]] = Simplification(curve, parts[t], float(costs[t]))
     return out
 
 

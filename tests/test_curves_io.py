@@ -142,6 +142,26 @@ def test_gen_synthetic_counts_and_determinism():
         assert np.array_equal(ca.points, cb.points)
 
 
+def test_gen_synthetic_makes_the_draws_of_one_curve_at_a_time():
+    """The curves, built as one batch, have the ids and bits of the loop
+    that built one Curve per draw."""
+    for args in ((3, 4, 5, 2, 0.5, 11), (1000, 1, 32, 2, 0.5, 1), (40, 13, 32, 2, 0.0, 2)):
+        clusters, per_cluster, m, d, noise, seed = args
+        rng = np.random.default_rng(seed)
+        expected = []
+        for c in range(clusters):
+            start = rng.normal(0.0, 8.0, size=d)
+            steps = rng.normal(0.0, 1.0, size=(m, d))
+            steps[0] = 0.0
+            template = start + np.cumsum(steps, axis=0)
+            for r in range(per_cluster):
+                pts = template + rng.normal(0.0, 1.0, size=(m, d)) * noise
+                expected.append(Curve(f"c{c}_r{r}", pts))
+        got = gen_synthetic(*args)
+        assert [c.id for c in got] == [c.id for c in expected]
+        assert all(a.points.tobytes() == b.points.tobytes() for a, b in zip(got, expected))
+
+
 def test_gen_synthetic_zero_noise_replicas_equal_template():
     cs = gen_synthetic(2, 5, 6, 2, 0.0, 3)
     for c in range(2):
@@ -214,3 +234,43 @@ def test_curve_copies_the_callers_array():
     assert x.flags.writeable
     x[0, 0] = 5.0
     assert c.points[0, 0] == 0.0
+
+
+def test_a_batch_builds_the_curves_of_one_curve_construction():
+    rng = np.random.default_rng(5)
+    block = rng.normal(0.0, 2.0, (5, 4, 3))
+    block[1, 2, 0] = -0.0
+    block[3] = block[0]
+    ids = [f"b{t}" for t in range(5)]
+    for given in (block, np.asfortranarray(block), block.tolist()):
+        batch = Curve.batch(ids, given)
+        assert len(batch) == 5
+        for t, c in enumerate(batch):
+            one = Curve(ids[t], block[t])
+            assert c == one and hash(c) == hash(one)
+            assert c.points.tobytes() == one.points.tobytes()
+            assert c.points.flags.c_contiguous and not c.points.flags.writeable
+            with pytest.raises(ValueError):
+                c.points[0, 0] = 5.0
+        assert not np.signbit(batch[1].points[2, 0])
+        assert Curve("x", batch[0].points) == Curve("x", batch[3].points)
+    batch = Curve.batch(ids, block)
+    block[0, 0, 0] = 99.0
+    assert batch[0].points[0, 0] != 99.0
+    assert Curve.batch([], np.zeros((0, 4, 3))) == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_batch_rejects_non_finite_coordinates(bad):
+    block = np.zeros((3, 4, 2))
+    block[2, 3, 1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        Curve.batch(["a", "b", "c"], block)
+
+
+def test_a_batch_needs_one_id_per_curve_and_three_axes():
+    with pytest.raises(ValidationError):
+        Curve.batch(["a"], np.zeros((2, 3, 1)))
+    for shape in ((2, 3), (2, 0, 1), (2, 3, 0)):
+        with pytest.raises(ValidationError):
+            Curve.batch(["a", "b"], np.zeros(shape))

@@ -88,6 +88,45 @@ def assert_lanes_have_the_reference_bits():
                 assert values.tobytes() == np.array(one_by_one).tobytes()
 
 
+def self_matrix_lists(rng, d):
+    """Curve lists for dtw_self: for each n in 0, 1, 2, 3, 5, 9, one list of
+    curves of one length, built as one batch, so that a row's columns end in
+    every tail length, and one of lengths 1-12 given as column-major
+    arrays. From three curves on, the one-length list has a 1e10-scaled
+    curve and the mixed list a duplicate of its first curve under another
+    id."""
+    lists = []
+    for n in (0, 1, 2, 3, 5, 9):
+        block = rng.normal(0, 3, (n, int(rng.integers(1, 13)), d))
+        lengths = rng.integers(1, 13, n)
+        mixed = [Curve(f"m{i}", rng.normal(0, 3, (d, m)).T) for i, m in enumerate(lengths)]
+        if n >= 3:
+            block[n // 2] *= 1e10
+            mixed[-1] = Curve("dup", mixed[0].points)
+        lists += [Curve.batch([f"s{i}" for i in range(n)], block), mixed]
+    return lists
+
+
+def assert_self_matrices_have_the_reference_bits():
+    """Every self-matrix list, at d = 1, 2, 3 and every p in P_VALUES, gives
+    the bits of _grouped_pair_values, of one dtw_value call per pair, and of
+    dtw_self_matrix where the library cannot be built."""
+    for d in (1, 2, 3):
+        for curves in self_matrix_lists(np.random.default_rng(SEED + d), d):
+            n = len(curves)
+            for p in P_VALUES:
+                full = dtw_self_matrix(curves, p)
+                with mock.patch.object(_kernels, "library", lambda: None):
+                    fallback = dtw_self_matrix(curves, p)
+                one_by_one = np.array([[dtw_value(a, b, p) for b in curves] for a in curves])
+                assert full.shape == (n, n)
+                assert full.tobytes() == fallback.tobytes() == one_by_one.tobytes()
+                if n:
+                    rows, cols = np.divmod(np.arange(n * n), n)
+                    grouped = dtw_module._grouped_pair_values(curves, rows, cols, p)
+                    assert full.tobytes() == grouped.tobytes()
+
+
 def medoid_batches(rng, d):
     """Batches of curves of one complexity for the lanes of
     medoid_partition: for each count from 1 to 9, one of normal curves and
@@ -232,6 +271,12 @@ def test_the_dtw_lanes_have_the_reference_bits():
 
 
 @needs_cc
+def test_the_self_matrix_has_the_reference_bits():
+    assert _kernels.library() is not None
+    assert_self_matrices_have_the_reference_bits()
+
+
+@needs_cc
 def test_the_medoid_lanes_have_the_reference_bits():
     assert _kernels.library() is not None
     assert_medoid_lanes_have_the_reference_bits()
@@ -263,25 +308,35 @@ def test_swap_costs_have_the_reference_bits(n, k, duplicates, isolated):
 @needs_cc
 def test_mixed_lengths_reach_the_lanes_sorted_with_the_reference_bits(monkeypatch):
     """Self and cross matrices over curves of 1-12 points, duplicates among
-    them, at d = 1, 2, 3 and every p in P_VALUES: the pairs reach dtw_pairs
-    sorted by shape (m, l), so that runs of one shape fill the lanes, and
-    every value has the bits of _grouped_pair_values and of dtw_value."""
+    them, at d = 1, 2, 3 and every p in P_VALUES: the pairs of a cross
+    matrix reach dtw_pairs sorted by shape (m, l), and each row of a self
+    matrix takes its columns past the diagonal from dtw_self in runs of one
+    length, so that runs of one shape fill the lanes; every value has the
+    bits of _grouped_pair_values and of dtw_value."""
     lib = _kernels.library()
     assert lib is not None
-    shapes = []
+    shapes, row_runs = [], []
+
+    def read(address, size):
+        return np.array((ctypes.c_ssize_t * size).from_address(address))
 
     class Recording:
         def __getattr__(self, name):
             return getattr(lib, name)
 
         def dtw_pairs(self, points, offsets, lengths, d, rows, cols, pairs, *rest):
-            def read(address, size):
-                return np.array((ctypes.c_ssize_t * size).from_address(address))
-
             r, c = read(rows, pairs), read(cols, pairs)
             length = read(lengths, int(max(r.max(), c.max())) + 1)
             shapes.append(list(zip(length[r], length[c])))
             lib.dtw_pairs(points, offsets, lengths, d, rows, cols, pairs, *rest)
+
+        def dtw_self(self, points, offsets, lengths, d, order, n, *rest):
+            o, length = read(order, n), read(lengths, n)
+            assert sorted(o) == list(range(n))
+            # per row i, the lengths of its columns j > i in the order they
+            # come, each with its position in order
+            row_runs.append([[(t, length[j]) for t, j in enumerate(o) if j > i] for i in range(n)])
+            lib.dtw_self(points, offsets, lengths, d, order, n, *rest)
 
     monkeypatch.setattr(_kernels, "library", Recording)
     for d in (1, 2, 3):
@@ -292,9 +347,17 @@ def test_mixed_lengths_reach_the_lanes_sorted_with_the_reference_bits(monkeypatc
         n = len(curves)
         for p in P_VALUES:
             shapes.clear()
+            row_runs.clear()
             full = dtw_self_matrix(curves, p)
             cross = dtw_matrix(curves[:7], curves[7:], p)
-            assert len(shapes) == 2 and all(s == sorted(s) and len(set(s)) > 1 for s in shapes)
+            assert len(shapes) == 1 and shapes[0] == sorted(shapes[0]) and len(set(shapes[0])) > 1
+            assert len(row_runs) == 1 and len({l for _, l in row_runs[0][0]}) > 1
+            for columns in row_runs[0]:
+                # one length at a time, each at consecutive positions of order
+                assert [l for _, l in columns] == sorted(l for _, l in columns)
+                for length in {l for _, l in columns}:
+                    at = [t for t, l in columns if l == length]
+                    assert at == list(range(at[0], at[0] + len(at)))
             rows, cols = np.divmod(np.arange(n * n), n)
             grouped = dtw_module._grouped_pair_values(curves, rows, cols, p).reshape(n, n)
             one_by_one = np.array([[dtw_value(a, b, p) for b in curves] for a in curves])
@@ -362,18 +425,20 @@ def test_the_c_source_compiles_without_warnings(tmp_path):
 
 @needs_cc
 def test_the_sse2_paths_have_the_reference_bits(fresh_library, monkeypatch, tmp_path):
-    """On an AVX2 host the library runs the closure's 4-lane tile pass and
-    4-lane DTW; this builds the source with every AVX2 check replaced by 0,
-    so the 2-lane paths that other x86-64 hosts run are checked too."""
+    """On an AVX2 host the library runs the closure's 4-lane tile pass, the
+    4-lane DTW of pairs and of self matrices, and the 4-lane medoids; this
+    builds the source with every AVX2 check replaced by 0, so the 2-lane
+    paths that other x86-64 hosts run are checked too."""
     check = '__builtin_cpu_supports("avx2")'
     source = Path(_kernels._SOURCE).read_text(encoding="utf-8")
-    assert source.count(check) == 3
+    assert source.count(check) == 4
     (tmp_path / "kernels.c").write_text(source.replace(check, "0"), encoding="utf-8")
     monkeypatch.setattr(_kernels, "_SOURCE", str(tmp_path / "kernels.c"))
     monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path / "cache"))
     lib = _kernels.library()
     assert lib is not None
     assert_lanes_have_the_reference_bits()
+    assert_self_matrices_have_the_reference_bits()
     assert_medoid_lanes_have_the_reference_bits()
     rng = np.random.default_rng(SEED)
     block = closure._BLOCK

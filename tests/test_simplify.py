@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dtwmedian import _kernels, simplify
-from dtwmedian.curves import Curve, ValidationError
+from dtwmedian.curves import Curve, ValidationError, gen_synthetic
 from dtwmedian.dtw import Traversal, _distance_table, _pth_powers, _root, dtw_value, traversal_cost
 from dtwmedian.simplify import (
     _medoid_cost_table,
@@ -443,6 +443,32 @@ def test_simplify_set_equals_one_curve_calls(rng):
                     assert s is c
             assert out[-3].points.tobytes() == out[0].points.tobytes()
             assert out[-2].points.tobytes() == out[4].points.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, m, ell, p", [(60, 32, 4, 1.0), (12, 128, 8, 2.0)], ids=["many_short", "few_long"]
+)
+def test_simplify_set_on_benchmark_inputs_equals_one_curve_calls(n, m, ell, p):
+    """Random walks of the benchmark's shapes, built as one batch, with two
+    constant curves and one of two alternating values, which simplify to
+    fewer parts: the curves of each part count are built as one batch."""
+    curves = list(gen_synthetic(n, 1, m, 2, 0.5, seed=n))
+    curves += [Curve("flat0", np.zeros((m, 2))), Curve("flat1", np.ones((m, 2)))]
+    curves.append(Curve("two", np.arange(m * 2).reshape(m, 2) // m))
+    one_curve = {
+        "two-approx": simplify_2approx_detailed,
+        "vertex": simplify_vertex_restricted_detailed,
+    }
+    for method, simplify_one in one_curve.items():
+        out = simplify_set(curves, ell, p, method)
+        counts = set()
+        for c, s in zip(curves, out):
+            ref = simplify_one(c, ell, p)
+            counts.add(ref.curve.complexity)
+            assert s.id == ref.curve.id
+            assert s.points.tobytes() == ref.curve.points.tobytes()
+            assert s.points.flags.c_contiguous and not s.points.flags.writeable
+        assert len(counts) > 1
 
 
 def test_results_do_not_depend_on_the_chunk_size(rng, monkeypatch):
