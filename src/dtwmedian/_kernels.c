@@ -2,9 +2,10 @@
    p-DTW values of a list of curve pairs and the symmetric p-DTW matrix of
    one list of curves, the medoid simplification of a batch of curves, and
    the costs of the k-median's single swaps. Each does the arithmetic of its
-   numpy reference in the same order, so its results have the reference's
-   bits: see closure.py, dtw.py, simplify.py and kmedian.py. Every array is
-   row-major and contiguous. */
+   numpy reference, every sum with the reference's operands and every
+   chain of additions in its order, taking only exact minima in another
+   order, so its results have the reference's bits: see closure.py, dtw.py,
+   simplify.py and kmedian.py. Every array is row-major and contiguous. */
 #include <math.h>
 #include <stddef.h>
 
@@ -35,7 +36,8 @@ static inline void relax_entries(double *restrict di, const double *restrict row
         }
 }
 
-/* The rows of one tile of floyd_warshall's pass */
+/* The rows of one register tile of floyd_warshall's pass and of the medoid
+   range table (MEDOID_LANES) */
 #define TILE 6
 
 /* One tile's pass over one block of floyd_warshall: for the TILE rows
@@ -427,35 +429,63 @@ void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *l
 /* The tables of the medoid simplification of w = bytes / 8 curves of one
    shape (m, d) at once, curve x in lane x of every vector. points holds the
    curves with their points interleaved: coordinate k of point i of curve x
-   is points[(i * d + k) * w + x]. own and cost hold m * m vectors, suffix
-   max_parts * (m + 1) and sums 2 * m. own[v * m + j] gets the p-th power of
-   the distance from v to j, divided by the curve's scale for p > 32;
-   cost[a * m + b] the cost of the range [a, b] (simplify._medoid_cost_table);
-   suffix[(j - 1) * (m + 1) + i] the least cost of grouping [i, m) into
-   exactly j parts (simplify._partition). scale[x] gets curve x's scale: for
-   p > 32 its largest finite distance, where a 0 stands for 1.0, and 1.0
-   otherwise. Within one curve each prefix sum and each suffix minimum waits
-   on the one before; the lanes do not wait on each other.
+   is points[(i * d + k) * w + x]. own and cost hold m * m vectors and
+   suffix max_parts * (m + 1). own[v * m + j] gets the p-th power of the
+   distance from v to j, divided by the curve's scale for p > 32; with
+   restrict_to_range it is then overwritten by the split sums W below.
+   cost[a * m + b] gets the cost of the range [a, b] for a <= b
+   (simplify._medoid_cost_table); suffix[(j - 1) * (m + 1) + i] the least
+   cost of grouping [i, m) into exactly j parts (simplify._partition).
+   scale[x] gets curve x's scale: for p > 32 its largest finite distance,
+   where a 0 stands for 1.0, and 1.0 otherwise. Within one curve each split
+   sum waits on the one before; the lanes do not wait on each other.
 
-   Each lane does the numpy reference's operations in its order, so every
-   table keeps the reference's bits: the squared differences summed in
-   coordinate order from 0.0, then the square root (sqrtpd rounds
-   correctly, as sqrt does); for p > 32, the division by the lane's scale
-   (dividing by 1.0 changes no bit); powers' power; then the sums and
-   minima of the tables, each entry's sums in the reference's order.
-   min2(a, b) is minpd(b, a), as in DTW_LANES. */
+   Each lane does the numpy reference's operations, so every table keeps
+   the reference's bits: the squared differences summed in coordinate order
+   from 0.0, then the square root (sqrtpd rounds correctly, as sqrt does);
+   for p > 32, the division by the lane's scale (dividing by 1.0 changes no
+   bit); powers' power; then the sums and minima of the tables. own is
+   exactly symmetric ((x - y)^2 and (y - x)^2 round alike), so its upper
+   triangle is computed and mirrored into the lower one.
+
+   The local-medoid table (restrict_to_range) is a (min, +) product. The
+   reference's split sums of center v are L(v, a), own[v][v..a] added
+   leftwards from v, and R(v, b), own[v][v..b] added rightwards, and
+   cost[a][b] is the least L(v, a) + R(v, b) over v in [a, b]. Column v of
+   W takes them in place of own: W[a][v] = W[a + 1][v] + own[a][v] for
+   a < v and W[b][v] = W[b - 1][v] + own[b][v] for b > v, row by row, with
+   W[v][v] = own[v][v]; since own[a][v] = own[v][a], these are the
+   reference's additions with its operands. Then cost[a][b] is the least
+   W[a][v] + W[b][v] over v in [a, b], two contiguous rows, each sum the
+   reference's L + R (IEEE addition is commutative). min is exact, and
+   finite points give no NaN (only sums of nonnegative terms, at most inf),
+   so the order of the minima changes no bit. The rows go in tiles of TILE
+   rows a0 + r by two columns b0 + x, whose 12 accumulators stay in
+   registers over v: each v loads 8 vectors for 12 sums, where the
+   reference's order loads and stores each entry once per v. The leading
+   edge v < a0 + TILE - 1 reaches the rows r <= v - a0 and the trailing
+   edge v = b0 + 1 column 1 only; both are loops of constant trip counts,
+   which gcc unrolls. Each tile row's first columns, an odd one among them
+   so that the tiles take pairs to column m - 1, and the last m mod TILE
+   rows are taken one entry at a time. At m = 128 (200 curves, ell = 8,
+   p = 2, 2-core x86-64, gcc 12.2) the tiles took medoid_partition from
+   35-41 to 23-25 ms; the powers of one triangle and the suffix chains
+   below then took it to 19-20 ms (quartiles of 15 alternating calls).
+
+   Each row of the suffix DP takes its minimum in four accumulators, one
+   for each e - i mod 4, so that four minpd chains overlap; min2(a, b) is
+   minpd(b, a), as in DTW_LANES. */
 #define MEDOID_LANES(name, bytes, vsqrt, vmin)                                 \
     static void name(const double *points, ptrdiff_t m, ptrdiff_t d, double p, \
                      ptrdiff_t max_parts, int restrict_to_range, double *scale, \
-                     double *own_, double *cost_, double *suffix_, double *sums)\
+                     double *own_, double *cost_, double *suffix_)              \
     {                                                                          \
         typedef double vec __attribute__((vector_size(bytes), aligned(8)));    \
         const ptrdiff_t w = bytes / 8;                                         \
         const vec *at = (const vec *)points, zero = {0}, inf = zero + INFINITY;\
         vec *own = (vec *)own_, *cost = (vec *)cost_, *suffix = (vec *)suffix_;\
-        vec *left = (vec *)sums, *right = left + m;                            \
         for (ptrdiff_t i = 0; i < m; i++)                                      \
-            for (ptrdiff_t j = 0; j < m; j++) {                                \
+            for (ptrdiff_t j = i; j < m; j++) {                                \
                 vec c = zero;                                                  \
                 for (ptrdiff_t k = 0; k < d; k++) {                            \
                     const vec t = at[i * d + k] - at[j * d + k];               \
@@ -464,36 +494,71 @@ void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *l
                 own[i * m + j] = vsqrt(c);                                     \
             }                                                                  \
         for (ptrdiff_t x = 0; x < w; x++) {                                    \
-            const double top = p > OVERFLOW_SAFE_P                             \
-                ? finite_max(own_ + x, m * m, w, 0.0) : 0.0;                   \
+            double top = 0.0;                                                  \
+            if (p > OVERFLOW_SAFE_P)                                           \
+                for (ptrdiff_t i = 0; i < m; i++)                              \
+                    top = finite_max(own_ + (i * m + i) * w + x, m - i, w, top);\
             scale[x] = top == 0.0 ? 1.0 : top;                                 \
         }                                                                      \
-        if (p > OVERFLOW_SAFE_P)                                               \
-            for (ptrdiff_t j = 0; j < m * m; j++)                              \
-                own[j] /= *(const vec *)scale;                                 \
-        powers(own_, m * m * w, p, 1.0);                                       \
+        for (ptrdiff_t i = 0; i < m; i++) {                                    \
+            if (p > OVERFLOW_SAFE_P)                                           \
+                for (ptrdiff_t j = i; j < m; j++)                              \
+                    own[i * m + j] /= *(const vec *)scale;                     \
+            powers(own_ + (i * m + i) * w, (m - i) * w, p, 1.0);               \
+            for (ptrdiff_t j = 0; j < i; j++)                                  \
+                own[i * m + j] = own[j * m + i];                               \
+        }                                                                      \
                                                                                \
-        for (ptrdiff_t j = 0; j < m * m; j++)                                  \
-            cost[j] = inf;                                                     \
-        if (restrict_to_range)                                                 \
-            /* cost[a, b] = min over centers v in [a, b] of left[a] + right[b],\
-               the sums of own[v] from v leftwards to a and rightwards to b */ \
-            for (ptrdiff_t v = 0; v < m; v++) {                                \
-                const vec *row = own + v * m;                                  \
-                left[v] = right[v] = row[v];                                   \
-                for (ptrdiff_t a = v - 1; a >= 0; a--)                         \
-                    left[a] = left[a + 1] + row[a];                            \
-                for (ptrdiff_t b = v + 1; b < m; b++)                          \
-                    right[b] = right[b - 1] + row[b];                          \
-                for (ptrdiff_t a = 0; a <= v; a++) {                           \
-                    const vec l = left[a];                                     \
-                    for (ptrdiff_t b = v; b < m; b++)                          \
-                        cost[a * m + b] = vmin(l + right[b], cost[a * m + b]); \
+        if (restrict_to_range) {                                               \
+            for (ptrdiff_t a = m - 2; a >= 0; a--)                             \
+                for (ptrdiff_t v = a + 1; v < m; v++)                          \
+                    own[a * m + v] += own[(a + 1) * m + v];                    \
+            for (ptrdiff_t b = 1; b < m; b++)                                  \
+                for (ptrdiff_t v = 0; v < b; v++)                              \
+                    own[b * m + v] += own[(b - 1) * m + v];                    \
+            for (ptrdiff_t a0 = 0; a0 < m; a0 += TILE) {                       \
+                const ptrdiff_t first = a0 + TILE <= m                         \
+                    ? a0 + TILE - 1 + (m - a0 - TILE + 1) % 2 : m;             \
+                const vec *wa = own + a0 * m;                                  \
+                for (ptrdiff_t b0 = first; b0 < m; b0 += 2) {                  \
+                    const vec *wb = own + b0 * m;                              \
+                    vec acc[TILE][2];                                          \
+                    for (int r = 0; r < TILE; r++)                             \
+                        acc[r][0] = acc[r][1] = inf;                           \
+                    for (int e = 0; e < TILE - 1; e++)                         \
+                        for (int r = 0; r < TILE; r++)                         \
+                            for (int x = 0; x < 2; x++)                        \
+                                if (r <= e)                                    \
+                                    acc[r][x] = vmin(wa[r * m + a0 + e]        \
+                                                     + wb[x * m + a0 + e], acc[r][x]);\
+                    for (ptrdiff_t v = a0 + TILE - 1; v <= b0; v++) {          \
+                        const vec s0 = wb[v], s1 = wb[m + v];                  \
+                        for (int r = 0; r < TILE; r++) {                       \
+                            const vec t = wa[r * m + v];                       \
+                            acc[r][0] = vmin(t + s0, acc[r][0]);               \
+                            acc[r][1] = vmin(t + s1, acc[r][1]);               \
+                        }                                                      \
+                    }                                                          \
+                    for (int r = 0; r < TILE; r++)                             \
+                        acc[r][1] = vmin(wa[r * m + b0 + 1] + wb[m + b0 + 1],  \
+                                         acc[r][1]);                           \
+                    for (int r = 0; r < TILE; r++)                             \
+                        for (int x = 0; x < 2; x++)                            \
+                            cost[(a0 + r) * m + b0 + x] = acc[r][x];           \
                 }                                                              \
+                for (ptrdiff_t a = a0; a < a0 + TILE && a < m; a++)            \
+                    for (ptrdiff_t b = a; b < first; b++) {                    \
+                        vec best = inf;                                        \
+                        for (ptrdiff_t v = a; v <= b; v++)                     \
+                            best = vmin(own[a * m + v] + own[b * m + v], best);\
+                        cost[a * m + b] = best;                                \
+                    }                                                          \
             }                                                                  \
-        else                                                                   \
+        } else {                                                               \
             /* cost[a, b] = min over all vertices v of the sum of own[v] from  \
                a to b */                                                       \
+            for (ptrdiff_t j = 0; j < m * m; j++)                              \
+                cost[j] = inf;                                                 \
             for (ptrdiff_t a = 0; a < m; a++)                                  \
                 for (ptrdiff_t v = 0; v < m; v++) {                            \
                     vec s = zero;                                              \
@@ -502,6 +567,7 @@ void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *l
                         cost[a * m + b] = vmin(s, cost[a * m + b]);            \
                     }                                                          \
                 }                                                              \
+        }                                                                      \
                                                                                \
         for (ptrdiff_t i = 0; i < m; i++)                                      \
             suffix[i] = cost[i * m + m - 1];                                   \
@@ -510,10 +576,15 @@ void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *l
             const vec *prev = suffix + (j - 1) * (m + 1);                      \
             vec *cur = suffix + j * (m + 1);                                   \
             for (ptrdiff_t i = 0; i < m; i++) {                                \
-                vec best = inf;                                                \
-                for (ptrdiff_t e = i; e < m; e++)                              \
-                    best = vmin(cost[i * m + e] + prev[e + 1], best);          \
-                cur[i] = best;                                                 \
+                vec best[4] = {inf, inf, inf, inf};                            \
+                ptrdiff_t e = i;                                               \
+                for (; e + 4 <= m; e += 4)                                     \
+                    for (int x = 0; x < 4; x++)                                \
+                        best[x] = vmin(cost[i * m + e + x] + prev[e + x + 1],  \
+                                       best[x]);                               \
+                for (; e < m; e++)                                             \
+                    best[0] = vmin(cost[i * m + e] + prev[e + 1], best[0]);    \
+                cur[i] = vmin(vmin(best[0], best[1]), vmin(best[2], best[3])); \
             }                                                                  \
             cur[m] = inf;                                                      \
         }                                                                      \
@@ -530,11 +601,13 @@ MEDOID_LANES(medoid_lanes_sse2, 16, __builtin_ia32_sqrtpd, __builtin_ia32_minpd)
    the least total (ties to fewer parts), the forward traceback of the
    lexicographically smallest split, whose inclusive part ends go to
    part_ends, and the center of each part to part_centers. The center of a
-   part is the first vertex whose sum over it, added in the table's order,
-   is least: the vertex that attains the part's entry. Only the chosen
-   parts are summed again: a table loop that kept every entry's vertex took
-   twice as long (m = 128, gcc 12.2). Returns the count; *total gets the
-   least total. */
+   part is the first vertex whose sum over it is least: the vertex that
+   attains the part's entry. With restrict_to_range own holds the split
+   sums W, and a center v of [a, b] sums W[a][v] + W[b][v], the table's
+   operands; otherwise v sums own[v][a..b] in the table's order. Only the
+   chosen parts are summed: a table loop that kept every entry's vertex
+   took twice as long (m = 128, gcc 12.2). Returns the count; *total gets
+   the least total. */
 static ptrdiff_t partition_lane(const double *own, const double *cost, const double *suffix,
                                 ptrdiff_t m, ptrdiff_t max_parts, int restrict_to_range,
                                 ptrdiff_t w, ptrdiff_t *part_ends, ptrdiff_t *part_centers,
@@ -565,17 +638,12 @@ static ptrdiff_t partition_lane(const double *own, const double *cost, const dou
         double least = INFINITY;
         part_centers[q] = restrict_to_range ? a : 0;
         for (ptrdiff_t v = part_centers[q]; v <= last; v++) {
-            const double *row = own + v * m * w;
-            double sum = restrict_to_range ? row[v * w] : 0.0, after = row[v * w];
-            if (restrict_to_range) {
-                for (ptrdiff_t j = v - 1; j >= a; j--)
-                    sum += row[j * w];
-                for (ptrdiff_t j = v + 1; j <= b; j++)
-                    after += row[j * w];
-                sum += after;
-            } else
+            double sum = 0.0;
+            if (restrict_to_range)
+                sum = own[(a * m + v) * w] + own[(b * m + v) * w];
+            else
                 for (ptrdiff_t j = a; j <= b; j++)
-                    sum += row[j * w];
+                    sum += own[(v * m + j) * w];
             if (sum < least)
                 least = sum, part_centers[q] = v;
         }
@@ -595,9 +663,9 @@ static ptrdiff_t partition_lane(const double *own, const double *cost, const dou
    partition_lane then reads each curve's parts and centers from its lane.
    The last group is padded with copies of the last curve, whose results
    are not written; it costs a whole group, so simplify.py hands over at
-   least four curves where it has them. work holds w * (2 * m * m + min(ell, m) * (m + 1)
-   + 2 * m) doubles for the tables and w * m * d for the interleaved
-   points, for the w of the host (at most 4). */
+   least four curves where it has them. work holds
+   w * (2 * m * m + min(ell, m) * (m + 1)) doubles for the tables and
+   w * m * d for the interleaved points, for the w of the host (at most 4). */
 void medoid_partition(const double *points, ptrdiff_t n, ptrdiff_t m, ptrdiff_t d,
                       double p, ptrdiff_t ell, int restrict_to_range, double *work,
                       ptrdiff_t *ends, ptrdiff_t *counts, ptrdiff_t *centers, double *totals)
@@ -605,7 +673,7 @@ void medoid_partition(const double *points, ptrdiff_t n, ptrdiff_t m, ptrdiff_t 
     const int avx2 = __builtin_cpu_supports("avx2");
     const ptrdiff_t w = avx2 ? 4 : 2, max_parts = ell < m ? ell : m;
     double *own = work, *cost = own + w * m * m, *suffix = cost + w * m * m;
-    double *sums = suffix + w * max_parts * (m + 1), *lanes = sums + w * 2 * m;
+    double *lanes = suffix + w * max_parts * (m + 1);
     for (ptrdiff_t t = 0; t < n; t += w) {
         const double *from[4];
         double scale[4];
@@ -613,7 +681,7 @@ void medoid_partition(const double *points, ptrdiff_t n, ptrdiff_t m, ptrdiff_t 
             from[x] = points + (t + x < n ? t + x : n - 1) * m * d;
         interleave(from, m * d, w, lanes);
         (avx2 ? medoid_lanes_avx2 : medoid_lanes_sse2)(
-            lanes, m, d, p, max_parts, restrict_to_range, scale, own, cost, suffix, sums);
+            lanes, m, d, p, max_parts, restrict_to_range, scale, own, cost, suffix);
         for (ptrdiff_t x = 0; x < w && t + x < n; x++) {
             double total;
             counts[t + x] = partition_lane(own + x, cost + x, suffix + x, m, max_parts,

@@ -29,12 +29,15 @@ operands; a tile changes only that order. The textbook blocked order reads
 d[i][k] after the whole block and does not keep the bits; ``closure.py``
 says more.
 
-It is compiled with ``cc -O3 -ffp-contract=off -falign-loops=64 -shared
--fPIC``. ``floyd_warshall``'s tile pass keeps its twelve accumulators in a
-6 x 2 array of vectors, each lane taking ``t < a ? t : a`` as an explicit
+It is compiled with ``cc -O3 -ffp-contract=off -shared -fPIC``.
+``floyd_warshall``'s tile pass keeps its twelve accumulators in a 6 x 2
+array of vectors, each lane taking ``t < a ? t : a`` as an explicit
 ``minpd``; at -O3 gcc unrolls the loops over the array and keeps it in
 registers (gcc 12.2: no stack access in the snapshot loop, and the same
-speed as twelve named variables). It uses 4-lane vectors in a function
+speed as twelve named variables). ``medoid_partition`` builds its
+local-medoid range table, a (min, +) product of one table with itself, in
+the same 6 x 2 tiles (gcc 12.2: 12 minpd and no stack access in the loop
+over centers). It uses 4-lane vectors in a function
 built for AVX2, picked with ``__builtin_cpu_supports`` on a host that has
 it, and 2-lane SSE2 vectors elsewhere. One vector type cannot serve both: without AVX, gcc splits a
 4-lane minimum into single lanes. So the library builds on x86-64 hosts
@@ -50,9 +53,15 @@ other: at p = 1 and 2, four lanes made ``dtw_pairs`` 1.8-3.4x faster and
 two lanes 1.4-2.5x. Four lanes took ``medoid_partition`` from 50-53 to
 26-32 ms on 200 curves of 128 points (ell = 8, p = 2), and from 7.8-9.6 to
 3.7-5.6 ms on 1000 curves of 32 points (ell = 4, p = 1), against one curve
-at a time (medians of two alternating sets, same host). A lone curve fills
-the lanes with copies of itself: 0.58 ms at 128 points, against 0.27 ms
-one curve at a time.
+at a time (medians of two alternating sets, same host). The tiled range
+table, with the powers taken on one triangle and four chains of minima per
+suffix-DP row, then took it from 35-41 to 19-20 ms on the 200 curves, from
+125-140 to 65-70 ms on them at p = 1.5, and from 5.8-6.1 to 3.5-3.7 ms on
+the 1000 (quartiles of 15 alternating calls, same host, more loaded than
+for the lanes' figures). A lone curve fills the lanes with copies of
+itself: a one-curve ``simplify_2approx_detailed`` call on 128 points took
+0.41-0.70 ms, against 0.97-1.00 ms before the tiles (alternating
+processes).
 ``swap_costs`` adds each sum in order, and its avx2 clone ran within 5% of
 the plain loop (same host). Every array the functions read or write is
 row-major and contiguous; ``Curve`` stores its points that way, and
@@ -61,18 +70,14 @@ row-major and contiguous; ``Curve`` stores its points that way, and
 rounds as written. ``-ffast-math`` is excluded: it lets the compiler assume
 there are no infinities and reorder arithmetic, which breaks the closure's
 inf entries and the bits. ``-march=native`` is excluded because a cached
-library can outlive the host it was built on. ``-falign-loops=64`` puts
-loop heads on 64-byte lines, so an inner loop keeps its place in the lines
-when an edit to another function moves this one. The hot loops are short:
-the range-table loop of the medoid lanes, most of the simplification's
-time, is 26 bytes with AVX2 (gcc 12.2), and the flag keeps it on one line.
-A loop of that kind, the 34-byte table loop of the one-curve medoid
-simplification that the lanes replaced, ran 15-25% slower when a longer
-``floyd_warshall`` moved it across two lines (same host). Today's source
-runs as fast without the flag (every kernel within the noise, built both
-ways and timed alternately in one process), so the flag guards against the
-next move rather than a present one.
-The library is built on first use, not at import, and cached in this
+library can outlive the host it was built on. No loop-alignment flag is
+set: built with and without ``-falign-loops=64`` and timed alternately in
+one process, ``dtw_pairs`` ran 9% faster without it (41 of 41 pairs),
+``medoid_partition`` on 128-point curves 2% slower in one set of 41 pairs
+and not in another of 25, and the other kernels within the noise (same
+host).
+The library is built on first use, not at import, which takes 1.6-2.1 s
+(same host), and is cached in this
 package's ``__pycache__`` under a name hashed from the source, the compiler
 and the flags. It is written to a temporary file and renamed into place, so
 concurrent first uses are safe. A build then removes the libraries of
@@ -96,7 +101,7 @@ import warnings
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _CC = "cc"
-_CFLAGS = ("-O3", "-ffp-contract=off", "-falign-loops=64", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 @functools.cache

@@ -11,25 +11,28 @@ geometric median via Weiszfeld (near-optimal groups for p = 1), any-vertex
 medoid (exact among vertex-restricted simplifications), and centroid (exact
 for p = 2; sum of squared distances is minimized by the mean).
 
-The two medoid variants run through ``_medoid_simplifications``, batched
-over every curve of one (complexity, dimension); a one-curve function is a
-batch of one. A batch is chunked by the DTW kernel's cell budget, which
-bounds the numpy reference's batch-last (m, m, n) table of the p-th powers
-of the pointwise distances (scaled per curve for p > 32), but a chunk holds
-at least four curves. ``medoid_partition``, a function of the package's
-compiled library (``_kernels``), builds each curve's table of powers and
-cost table, runs the partition DP and its traceback, and picks each part's
-center: the first vertex that attains the part's table entry. It builds
-the tables of four curves at once (two without AVX2), one per vector lane,
-and fills the lanes of a short last group with copies of its last curve;
-so its scratch array holds four curves' tables, 1.1 MB at m = 128 and
-64 MB at m = 1000, and a chunk of fewer than four curves would pay for
-four. The library's one fallback rule: where it cannot be built, each
-caller runs its numpy reference; here that is the DTW kernel's distance
-table, ``_medoid_cost_table`` (which keeps that vertex for every entry)
-and ``_partition`` on the whole chunk. Each lane adds, compares and
-rounds the same terms in the same order, so both give the same bits, and
-the tests pin them to each other.
+The two medoid variants run through ``_medoid_partitions``, which returns
+each curve's part ends, part count, center vertices and cost as arrays.
+``simplify_set`` batches every curve of one (complexity, dimension) through
+``_medoid_simplifications``, which builds only the simplified curves, by
+gathering their centers; a one-curve ``_detailed`` function runs a batch
+of one and alone builds the parts tuples and a ``Simplification``. A batch is chunked by the DTW kernel's cell budget,
+which bounds the numpy reference's batch-last (m, m, n) table of the p-th
+powers of the pointwise distances (scaled per curve for p > 32), but a
+chunk holds at least four curves. ``medoid_partition``, a function of the
+package's compiled library (``_kernels``), builds each curve's table of
+powers and cost table, runs the partition DP and its traceback, and picks
+each part's center: the first vertex that attains the part's table entry.
+It builds the tables of four curves at once (two without AVX2), one per
+vector lane, and fills the lanes of a short last group with copies of its
+last curve; so its scratch array holds four curves' two m x m tables, 1.1
+MB at m = 128 and 64 MB at m = 1000, and a chunk of fewer than four curves
+would pay for four. The library's one fallback rule: where it cannot be
+built, each caller runs its numpy reference; here that is the DTW kernel's
+distance table, ``_medoid_cost_table`` (which keeps that vertex for every
+entry) and ``_partition`` on the whole chunk. Each lane adds the
+reference's operands and compares the same sums, so both give the same
+bits, and the tests pin them to each other.
 
 The local-medoid table is built from split sums: a range [a, b] with center
 v costs L(v, a) + R(v, b), the sums of dp[v, j] from v leftwards to a and
@@ -39,6 +42,13 @@ The split sums add the same terms as summing each range from a, in another
 order: table entries and grouping costs stay within a relative m * 2^-52 of
 that direct sum, and the parts and curves have equal bits on the tested
 inputs (``tests/test_simplify.py`` keeps the direct sum as the reference).
+The compiled kernel stores L(v, a) at [a, v] and R(v, b) at [b, v] of one
+m x m table W, each added as the reference adds it, since dp is exactly
+symmetric; an entry is then the least W[a, v] + W[b, v] over v in [a, b],
+a (min, +) product of two contiguous rows, taken in register tiles of six
+rows by two columns. Every sum keeps the reference's two operands, IEEE
+addition is commutative, and a minimum is exact and does not depend on the
+order it is taken in, so the tiles keep the reference's bits.
 """
 
 from __future__ import annotations
@@ -219,20 +229,43 @@ def _identity(sigma):
     return Simplification(sigma, parts, 0.0)
 
 
+def _parts(ends):
+    """The inclusive (start, end) index ranges of the parts ending at ends."""
+    return tuple(zip([0, *(e + 1 for e in ends[:-1])], ends))
+
+
+def _medoid_simplification(sigma, ell, p, restrict_to_range):
+    """The best medoid grouping of sigma into at most ell parts, with its
+    parts and grouping cost; a curve of complexity <= ell is its own
+    simplification."""
+    if ell < 1:
+        raise ValidationError("ell must be >= 1")
+    _check_p(p)
+    if sigma.complexity <= ell:
+        return _identity(sigma)
+    ends, (count,), centers, (cost,) = _medoid_partitions(
+        sigma.points[None], ell, p, restrict_to_range
+    )
+    curve = Curve(sigma.id, sigma.points[centers[0, :count]])
+    return Simplification(curve, _parts(ends[0, :count].tolist()), float(cost))
+
+
 def _medoid_simplifications(curves, ell, p, restrict_to_range):
-    """The best medoid grouping into at most ell parts of every curve, in
-    input order; a curve of complexity <= ell is its own simplification.
+    """The simplified curve of the best medoid grouping into at most ell
+    parts of every curve, in input order, under its id; a curve of
+    complexity <= ell is returned as it is.
 
     The curves of one (complexity m, dimension d) are batched, in chunks of
     at most ``_BLOCK_CELLS`` cells times d per m x m table but at least
     ``_LANES`` curves, and each chunk runs through ``_medoid_partitions``.
     The simplified curves of a chunk with one part count are gathered from
-    its points at once and built by ``Curve.batch``, which checks them once.
+    its points by their center indices at once and built by
+    ``Curve.batch``, which checks them once.
     """
     if ell < 1:
         raise ValidationError("ell must be >= 1")
     _check_p(p)
-    out = [_identity(c) if c.complexity <= ell else None for c in curves]
+    out = [c if c.complexity <= ell else None for c in curves]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, c in enumerate(curves):
         if out[i] is None:
@@ -242,56 +275,58 @@ def _medoid_simplifications(curves, ell, p, restrict_to_range):
         for start in range(0, len(members), block):
             chunk = members[start : start + block]
             pts = np.stack([curves[i].points for i in chunk])
-            parts, centers, costs = _medoid_partitions(pts, ell, p, restrict_to_range)
-            counts = np.array([len(own) for own in centers])
+            _, counts, centers, _ = _medoid_partitions(pts, ell, p, restrict_to_range)
             for count in np.unique(counts):
                 same = np.flatnonzero(counts == count)
-                vertices = np.array([centers[t] for t in same])
                 ids = [curves[chunk[t]].id for t in same]
-                for t, curve in zip(same, Curve.batch(ids, pts[same[:, None], vertices])):
-                    out[chunk[t]] = Simplification(curve, parts[t], float(costs[t]))
+                gathered = pts[same[:, None], centers[same, :count]]
+                for t, curve in zip(same.tolist(), Curve.batch(ids, gathered)):
+                    out[chunk[t]] = curve
     return out
 
 
 def _medoid_partitions(pts, ell, p, restrict_to_range):
-    """For the n curves pts (n, m, d): the parts of each curve's best medoid
-    grouping, the center vertex of each part, and the grouping's rooted
-    cost, with the p-th powers scaled per curve for p > 32. The compiled
-    ``medoid_partition`` does the arithmetic of ``_medoid_cost_table`` and
-    ``_partition`` in their order, so its results have their bits; those
-    two run where the library cannot be built. It runs up to ``_LANES``
-    curves at once, and its scratch ``work`` holds their tables and
-    interleaved points: about 4 (2 m^2 + ell m) doubles.
+    """The best medoid grouping of each of the n curves pts (n, m, d) into
+    at most ell parts, with the p-th powers scaled per curve for p > 32, as
+    arrays (ends, counts, centers, costs): curve t has counts[t] parts,
+    which end at ends[t, :counts[t]] (inclusive) and are centered at the
+    vertices centers[t, :counts[t]]; the rest of both (n, ell) rows is 0.
+    costs[t] is the grouping's rooted cost.
+
+    The compiled ``medoid_partition`` does the arithmetic of
+    ``_medoid_cost_table`` and ``_partition`` with their operands, so its
+    results have their bits; those two run where the library cannot be
+    built. It runs up to ``_LANES`` curves at once, and its scratch
+    ``work`` holds their tables and interleaved points: 4 (2 m^2 +
+    min(ell, m) (m + 1) + m d) doubles.
     """
     n, m, d = pts.shape
+    ends = np.zeros((n, ell), dtype=np.intp)
+    centers = np.zeros((n, ell), dtype=np.intp)
+    counts = np.empty(n, dtype=np.intp)
     lib = _kernels.library()
     if lib is None:
         batch = np.moveaxis(pts, 0, -1)
         table = _distance_table(batch, batch)
         scale = _pth_powers(table[1:, 1:], p)
-        cost, centers = _medoid_cost_table(table[1:, 1:], restrict_to_range)
+        cost, vertices = _medoid_cost_table(table[1:, 1:], restrict_to_range)
         all_parts, totals = _partition(cost, ell)
-        chosen = [[int(centers[a, b, t]) for a, b in parts] for t, parts in enumerate(all_parts)]
-        return all_parts, chosen, _root(totals, p, scale)
-    work = np.empty(_LANES * (2 * m * m + min(ell, m) * (m + 1) + 2 * m + m * d))
-    ends = np.empty((n, ell), dtype=np.intp)
-    centers = np.empty((n, ell), dtype=np.intp)
-    counts = np.empty(n, dtype=np.intp)
+        for t, parts in enumerate(all_parts):
+            counts[t] = len(parts)
+            for q, (a, b) in enumerate(parts):
+                ends[t, q], centers[t, q] = b, vertices[a, b, t]
+        return ends, counts, centers, _root(totals, p, scale)
+    work = np.empty(_LANES * (2 * m * m + min(ell, m) * (m + 1) + m * d))
     costs = np.empty(n)
     lib.medoid_partition(
         pts.ctypes.data, n, m, d, p, ell, restrict_to_range, work.ctypes.data,
         ends.ctypes.data, counts.ctypes.data, centers.ctypes.data, costs.ctypes.data,
     )
-    all_parts, chosen = [], []
-    for own, own_centers, count in zip(ends.tolist(), centers.tolist(), counts.tolist()):
-        own = own[:count]
-        all_parts.append(tuple(zip([0] + [e + 1 for e in own[:-1]], own)))
-        chosen.append(own_centers[:count])
-    return all_parts, chosen, costs
+    return ends, counts, centers, costs
 
 
 def simplify_2approx_detailed(sigma: Curve, ell, p=1.0) -> Simplification:
-    return _medoid_simplifications([sigma], ell, p, restrict_to_range=True)[0]
+    return _medoid_simplification(sigma, ell, p, restrict_to_range=True)
 
 
 def simplify_2approx(sigma: Curve, ell, p=1.0) -> Curve:
@@ -332,7 +367,7 @@ def simplify_eps_p1(sigma: Curve, ell) -> Curve:
 def simplify_vertex_restricted_detailed(sigma: Curve, ell, p=1.0) -> Simplification:
     if ell > sigma.complexity:
         raise ValidationError("ell must be <= the curve complexity")
-    return _medoid_simplifications([sigma], ell, p, restrict_to_range=False)[0]
+    return _medoid_simplification(sigma, ell, p, restrict_to_range=False)
 
 
 def simplify_vertex_restricted(sigma: Curve, ell, p=1.0) -> Curve:
@@ -376,4 +411,4 @@ def simplify_set(curves, ell, p=1.0, method="two-approx"):
     curves = list(curves)
     if method == "eps1":
         return [simplify_eps_p1(c, ell) for c in curves]
-    return [s.curve for s in _medoid_simplifications(curves, ell, p, method == "two-approx")]
+    return _medoid_simplifications(curves, ell, p, method == "two-approx")

@@ -3,7 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
-from dtwmedian import _kernels
+from dtwmedian import _kernels, simplify
 from dtwmedian.curves import Curve
 
 needs_cc = pytest.mark.skipif(shutil.which(_kernels._CC) is None, reason="no C compiler on PATH")
@@ -26,6 +26,14 @@ def make_pair(rng, scale=2.0, m_hi=7):
 
 def curve1d(*values, cid="c"):
     return Curve(cid, [[float(v)] for v in values])
+
+
+def medoid_parts(pts, ell, p, restrict_to_range):
+    """The medoid partitions of the curves pts (n, m, d) as lists: each
+    curve's parts tuple and its center indices, and the costs array."""
+    ends, counts, centers, costs = simplify._medoid_partitions(pts, ell, p, restrict_to_range)
+    parts = [simplify._parts(e[:k].tolist()) for e, k in zip(ends, counts)]
+    return parts, [c[:k].tolist() for c, k in zip(centers, counts)], costs
 
 
 def restricted_opt(curves, candidates, k, p):

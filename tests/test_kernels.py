@@ -23,7 +23,7 @@ from dtwmedian.simplify import (
     simplify_set,
     simplify_vertex_restricted_detailed,
 )
-from conftest import needs_cc
+from conftest import medoid_parts, needs_cc
 
 # the package re-exports the function dtw, which shadows the module
 dtw_module = sys.modules["dtwmedian.dtw"]
@@ -129,35 +129,51 @@ def assert_self_matrices_have_the_reference_bits():
 
 def medoid_batches(rng, d):
     """Batches of curves of one complexity for the lanes of
-    medoid_partition: for each count from 1 to 9, one of normal curves and
+    medoid_partition. For each count from 1 to 9, one of normal curves and
     one of integer-grid curves, so that every padded last group occurs for
     4 and 2 lanes. In the normal batches one curve is scaled by 1e10, so
     that from two curves on the lanes of one group take different scales at
     p = 64; in the grid batches many vertices tie for a medoid and many
-    splits tie."""
+    splits tie. Then for each complexity from 1 to 20, and at d = 2 the
+    benchmark's 128, one batch of three normal curves, one of them scaled by
+    1e10, and two grid curves, for the range table's 6 x 2 tiles: below 6
+    points there is no tile, and from there on every complexity mod 6
+    leaves its rows after the last tile, and an even complexity an odd
+    first column in each tile row."""
     batches = []
     for count in range(1, 10):
         m = 6 + count % 3
         normal = rng.normal(0, 3, (count, m, d))
         normal[count // 2] *= 1e10
         batches += [normal, rng.integers(0, 3, (count, m, d)).astype(float)]
+    for m in (*range(1, 21), 128) if d == 2 else range(1, 21):
+        normal = rng.normal(0, 3, (3, m, d))
+        normal[1] *= 1e10
+        batches.append(np.concatenate([normal, rng.integers(0, 3, (2, m, d)).astype(float)]))
     return batches
 
 
 def assert_medoid_lanes_have_the_reference_bits():
-    """Every medoid batch, at d = 1, 2, 3, every p in P_VALUES, ell = 1, 3, 5
-    and with and without restrict_to_range, gives the parts, centers and
-    costs of the numpy reference and of one one-curve call per curve."""
+    """Every medoid batch, at d = 1, 2, 3, every p in P_VALUES, ell = 1, 3,
+    5, 8 and with and without restrict_to_range, gives the part ends,
+    counts, centers and costs of the numpy reference, and, for curves of
+    more than ell points, the parts, curves and costs of one one-curve call
+    per curve."""
     one_curve = {True: simplify_2approx_detailed, False: simplify_vertex_restricted_detailed}
     for d in (1, 2, 3):
         for pts in medoid_batches(np.random.default_rng(SEED + d), d):
-            for p, ell, restrict_to_range in itertools.product(P_VALUES, (1, 3, 5), (True, False)):
+            for p, ell, restrict_to_range in itertools.product(
+                P_VALUES, (1, 3, 5, 8), (True, False)
+            ):
                 args = (pts, ell, p, restrict_to_range)
-                parts, centers, costs = simplify._medoid_partitions(*args)
+                compiled = simplify._medoid_partitions(*args)
                 with mock.patch.object(_kernels, "library", lambda: None):
                     reference = simplify._medoid_partitions(*args)
-                assert (parts, centers) == reference[:2]
-                assert costs.tobytes() == reference[2].tobytes()
+                for a, b in zip(compiled, reference):
+                    assert a.tobytes() == b.tobytes()
+                if pts.shape[1] <= ell:
+                    continue
+                parts, centers, costs = medoid_parts(*args)
                 for t, points in enumerate(pts):
                     s = one_curve[restrict_to_range](Curve("c", points), ell, p)
                     assert s.parts == parts[t]
@@ -193,8 +209,8 @@ def all_results(rng):
         grid = np.stack([c.points for c in grid_curves(rng, d)])
         for p in P_VALUES:
             for ell, restrict_to_range in itertools.product((1, 3), (True, False)):
-                parts, centers, costs = simplify._medoid_partitions(grid, ell, p, restrict_to_range)
-                out.append((parts, centers, np.asarray(costs).tobytes()))
+                parts, centers, costs = medoid_parts(grid, ell, p, restrict_to_range)
+                out.append((parts, centers, costs.tobytes()))
             out.append(dtw_self_matrix(curves, p).tobytes())
             out.append(dtw_matrix(curves[:5], curves, p).tobytes())
             out.append(dtw_aligned(curves, curves[::-1], p).tobytes())

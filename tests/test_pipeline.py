@@ -120,7 +120,8 @@ def test_each_input_is_simplified_once_per_repetition(monkeypatch):
         calls.extend(c.id for c in curves)
         return original(curves, ell, p, restrict_to_range)
 
-    # every medoid simplification, of one curve or of a batch, runs through it
+    # every batch of medoid simplifications runs through it, and the pipeline
+    # simplifies only in batches
     monkeypatch.setattr(simplify, "_medoid_simplifications", counting)
     curves = list(gen_synthetic(2, 8, 6, 1, 0.4, 17))
     kl_median(curves, cfg(k=2, ell=2, repetitions=2))

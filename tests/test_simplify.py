@@ -21,7 +21,7 @@ from dtwmedian.simplify import (
     simplify_vertex_restricted,
     simplify_vertex_restricted_detailed,
 )
-from conftest import curve1d, needs_cc
+from conftest import curve1d, medoid_parts, needs_cc
 
 TOL = 1e-9
 
@@ -395,9 +395,7 @@ def test_each_center_is_the_first_vertex_attaining_its_entry(rng, monkeypatch, c
         monkeypatch.setattr(_kernels, "library", lambda: None)
     tied = curve1d(0, 1, 2, 3)  # at p = 1 the vertices 1 and 2 both cost 4
     for restrict_to_range in (True, False):
-        (parts,), (centers,), _ = simplify._medoid_partitions(
-            tied.points[None], 1, 1.0, restrict_to_range
-        )
+        (parts,), (centers,), _ = medoid_parts(tied.points[None], 1, 1.0, restrict_to_range)
         assert parts == ((0, 3),) and centers == [1]
     curves = [tied, Curve("a", [[0.0], [1e10], [2e10], [3e10], [4e10]])]
     curves += [curve1d(*rng.integers(0, 4, 9)) for _ in range(10)]
@@ -411,9 +409,7 @@ def test_each_center_is_the_first_vertex_attaining_its_entry(rng, monkeypatch, c
             for restrict_to_range in (True, False):
                 cost, _ = _medoid_cost_table(table[1:, 1:], restrict_to_range)
                 ell = int(rng.integers(1, c.complexity + 1))
-                (parts,), (centers,), _ = simplify._medoid_partitions(
-                    c.points[None], ell, p, restrict_to_range
-                )
+                (parts,), (centers,), _ = medoid_parts(c.points[None], ell, p, restrict_to_range)
                 for (a, b), center in zip(parts, centers):
                     vertices = range(a, b + 1) if restrict_to_range else range(c.complexity)
                     sums = {v: table_order_sum(dp, v, a, b, restrict_to_range) for v in vertices}
@@ -480,25 +476,29 @@ def test_results_do_not_depend_on_the_chunk_size(rng, monkeypatch):
     curves = [Curve(f"c{i}", rng.normal(0, 3, (9, 2))) for i in range(12)]
     curves.append(Curve("big", 1e10 * rng.normal(0, 3, (9, 2))))
     curves.append(Curve("dup", curves[0].points.copy()))
+    pts = np.stack([c.points for c in curves])
     partitions = simplify._medoid_partitions
     for library, p in itertools.product((_kernels.library, lambda: None), (1.0, 2.0, 3.0, 64.0)):
         monkeypatch.setattr(_kernels, "library", library)
         for restrict_to_range in (True, False):
             full = simplify._medoid_simplifications(curves, 3, p, restrict_to_range)
-            sizes = []
+            chunks = []
             with monkeypatch.context() as patch:
                 patch.setattr(simplify, "_BLOCK_CELLS", 1)
                 patch.setattr(
                     simplify, "_medoid_partitions",
-                    lambda pts, *args: sizes.append(len(pts)) or partitions(pts, *args),
+                    lambda pts, *args: chunks.append(partitions(pts, *args)) or chunks[-1],
                 )
                 chunked = simplify._medoid_simplifications(curves, 3, p, restrict_to_range)
-            assert sizes == [4, 4, 4, 2]
+            # ends, counts, centers and costs, chunk by chunk and at once
+            assert [len(counts) for _, counts, _, _ in chunks] == [4, 4, 4, 2]
+            whole = partitions(pts, 3, p, restrict_to_range)
+            for at_once, by_chunk in zip(whole, zip(*chunks)):
+                assert at_once.tobytes() == np.concatenate(by_chunk).tobytes()
             for a, b in zip(full, chunked):
-                assert a.parts == b.parts
-                assert a.curve.points.tobytes() == b.curve.points.tobytes()
-                assert a.grouping_cost == b.grouping_cost
-            assert full[-1].curve.points.tobytes() == full[0].curve.points.tobytes()
+                assert a.id == b.id
+                assert a.points.tobytes() == b.points.tobytes()
+            assert full[-1].points.tobytes() == full[0].points.tobytes()
 
 
 def test_determinism(rng):
