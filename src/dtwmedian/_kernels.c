@@ -12,6 +12,36 @@
 /* dtw._OVERFLOW_SAFE_P */
 #define OVERFLOW_SAFE_P 32.0
 
+/* The doubles of one vector, and the rows of one register tile of
+   floyd_warshall's pass and of the medoid range table (medoid_lanes) */
+enum { LANES = 4, TILE = 6 };
+
+/* A vector of LANES doubles. The functions that compute on vectors are
+   built for AVX2, whose vectors hold four doubles: without AVX, gcc splits
+   a 4-lane minimum into single lanes, and that pass ran 3x slower than the
+   unblocked kernel (2-core x86-64, gcc 12.2, n = 250 and 1000). The loader
+   (_kernels.py) calls avx2_host first and does not use the library on a
+   host without AVX2, where the numpy references run. */
+typedef double vec __attribute__((vector_size(LANES * sizeof(double)), aligned(8)));
+
+/* Whether the host has AVX2; built for any x86-64 host */
+int avx2_host(void)
+{
+    return __builtin_cpu_supports("avx2");
+}
+
+/* x < y ? x : y in each lane (minpd), and each lane's correctly rounded
+   square root (sqrtpd), as sqrt gives it */
+__attribute__((target("avx2"))) static inline vec vmin(vec x, vec y)
+{
+    return __builtin_ia32_minpd256(x, y);
+}
+
+__attribute__((target("avx2"))) static inline vec vsqrt(vec x)
+{
+    return __builtin_ia32_sqrtpd256(x);
+}
+
 /* di[j] = min(di[j], dik + dk[j]) for j < n; the rows do not overlap. */
 static inline void relax(double *restrict di, const double *restrict dk,
                          double dik, ptrdiff_t n)
@@ -36,62 +66,48 @@ static inline void relax_entries(double *restrict di, const double *restrict row
         }
 }
 
-/* The rows of one register tile of floyd_warshall's pass and of the medoid
-   range table (MEDOID_LANES) */
-#define TILE 6
-
 /* One tile's pass over one block of floyd_warshall: for the TILE rows
    i + r of the matrix d and every j in (i + r, n), d[i + r][j] becomes the
    least of itself and s[q][i + r] + s[q][j] over the c snapshot rows s[q]
-   (rows is c x n). For each stretch of two vectors of the given bytes from
-   column i + TILE on, the TILE x 2 accumulators a stay in registers through
-   all c snapshots: each snapshot's two vectors are loaded once and serve
-   all TILE rows, and each row takes one broadcast of s[q][i + r]: 12 of the
-   16 vector registers hold accumulators, against 4 in a one-row pass that
-   reloads every snapshot for each row. Each lane takes t < a ? t : a,
-   which is minpd(t, a) (vmin). gcc unrolls the loops over rows and vectors
-   and keeps a in registers (gcc 12.2, -O3: 12 minpd and no stack access in
-   the snapshot loop). The corner entries j in (i + r, i + TILE) and the
-   columns after the last whole stretch are relaxed one at a time. */
-#define TILE_PASS(name, bytes, vmin)                                           \
-    static void name(double *restrict d, const double *restrict rows,          \
-                     ptrdiff_t i, ptrdiff_t c, ptrdiff_t n)                    \
-    {                                                                          \
-        typedef double vec __attribute__((vector_size(bytes), aligned(8)));    \
-        const ptrdiff_t w = bytes / 8;                                         \
-        for (ptrdiff_t r = 0; r < TILE; r++)                                   \
-            relax_entries(d + (i + r) * n, rows, i + r, i + r + 1, i + TILE,   \
-                          c, n);                                               \
-        ptrdiff_t j = i + TILE;                                                \
-        for (; j + 2 * w <= n; j += 2 * w) {                                   \
-            vec a[TILE][2];                                                    \
-            for (int r = 0; r < TILE; r++)                                     \
-                for (int x = 0; x < 2; x++)                                    \
-                    a[r][x] = *(vec *)(d + (i + r) * n + j + x * w);           \
-            for (ptrdiff_t q = 0; q < c; q++) {                                \
-                const double *s = rows + q * n;                                \
-                const vec s0 = *(const vec *)(s + j);                          \
-                const vec s1 = *(const vec *)(s + j + w);                      \
-                for (int r = 0; r < TILE; r++) {                               \
-                    const double b = s[i + r];                                 \
-                    a[r][0] = vmin(b + s0, a[r][0]);                           \
-                    a[r][1] = vmin(b + s1, a[r][1]);                           \
-                }                                                              \
-            }                                                                  \
-            for (int r = 0; r < TILE; r++)                                     \
-                for (int x = 0; x < 2; x++)                                    \
-                    *(vec *)(d + (i + r) * n + j + x * w) = a[r][x];           \
-        }                                                                      \
-        for (ptrdiff_t r = 0; r < TILE; r++)                                   \
-            relax_entries(d + (i + r) * n, rows, i + r, j, n, c, n);           \
+   (rows is c x n). For each stretch of two vectors from column i + TILE on,
+   the TILE x 2 accumulators a stay in registers through all c snapshots:
+   each snapshot's two vectors are loaded once and serve all TILE rows, and
+   each row takes one broadcast of s[q][i + r]: 12 of the 16 vector
+   registers hold accumulators, against 4 in a one-row pass that reloads
+   every snapshot for each row. Each lane takes t < a ? t : a, which is
+   vmin(t, a). gcc unrolls the loops over rows and vectors and keeps a in
+   registers (gcc 12.2, -O3: 12 minpd and no stack access in the snapshot
+   loop). The corner entries j in (i + r, i + TILE) and the columns after
+   the last whole stretch are relaxed one at a time. */
+__attribute__((target("avx2")))
+static void tile_pass(double *restrict d, const double *restrict rows, ptrdiff_t i,
+                      ptrdiff_t c, ptrdiff_t n)
+{
+    for (ptrdiff_t r = 0; r < TILE; r++)
+        relax_entries(d + (i + r) * n, rows, i + r, i + r + 1, i + TILE, c, n);
+    ptrdiff_t j = i + TILE;
+    for (; j + 2 * LANES <= n; j += 2 * LANES) {
+        vec a[TILE][2];
+        for (int r = 0; r < TILE; r++)
+            for (int x = 0; x < 2; x++)
+                a[r][x] = *(vec *)(d + (i + r) * n + j + x * LANES);
+        for (ptrdiff_t q = 0; q < c; q++) {
+            const double *s = rows + q * n;
+            const vec s0 = *(const vec *)(s + j);
+            const vec s1 = *(const vec *)(s + j + LANES);
+            for (int r = 0; r < TILE; r++) {
+                const double b = s[i + r];
+                a[r][0] = vmin(b + s0, a[r][0]);
+                a[r][1] = vmin(b + s1, a[r][1]);
+            }
+        }
+        for (int r = 0; r < TILE; r++)
+            for (int x = 0; x < 2; x++)
+                *(vec *)(d + (i + r) * n + j + x * LANES) = a[r][x];
     }
-
-/* 4-lane vectors where the host has AVX2 and 2-lane ones (SSE2, which every
-   x86-64 host has) elsewhere. Without AVX, gcc splits a 4-lane vector's
-   minimum into single lanes: that pass ran 3x slower than the unblocked
-   kernel (2-core x86-64, gcc 12.2, n = 250 and 1000). */
-__attribute__((target("avx2"))) TILE_PASS(tile_pass_avx2, 32, __builtin_ia32_minpd256)
-TILE_PASS(tile_pass_sse2, 16, __builtin_ia32_minpd)
+    for (ptrdiff_t r = 0; r < TILE; r++)
+        relax_entries(d + (i + r) * n, rows, i + r, j, n, c, n);
+}
 
 /* Copies the upper triangle of the n x n matrix d into the lower one, row
    by row. In dtw_self this copy takes about 1 ms at n = 1000, where
@@ -126,12 +142,12 @@ static void mirror(double *d, ptrdiff_t n)
    reference's d[i][k] and d[k][j]. A row inside the block meets its own
    snapshot, s[q][k] = 0, whose sum is the reference's row value. An inf
    summand changes no entry. The pass takes the rows TILE at a time
-   (tile_pass_avx2 or tile_pass_sse2); the last n mod TILE rows hold fewer
-   than TILE upper entries each and are relaxed one entry at a time. A tile
-   changes only the order in which an entry takes its minima, never the
-   sums, so it changes no bit. At n = 1000 (many_short's closure, 2-core
-   x86-64, gcc 12.2) the 6-row tiles took the kernel from 72-77 to
-   42-49 ms, and at n = 2000 from 583-628 to 346-348 ms.
+   (tile_pass); the last n mod TILE rows hold fewer than TILE upper entries
+   each and are relaxed one entry at a time. A tile changes only the order
+   in which an entry takes its minima, never the sums, so it changes no
+   bit. At n = 1000 (many_short's closure, 2-core x86-64, gcc 12.2) the
+   6-row tiles took the kernel from 72-77 to 42-49 ms, and at n = 2000 from
+   583-628 to 346-348 ms.
 
    The textbook blocked order (Venkataraman, Sahni and Mukhopadhyaya, 2003)
    reads d[i][k] after the whole block has relaxed it, so its sums have
@@ -139,7 +155,6 @@ static void mirror(double *d, ptrdiff_t n)
    block instead of once per k. */
 void floyd_warshall(double *d, ptrdiff_t n, double *rows, ptrdiff_t block)
 {
-    const int avx2 = __builtin_cpu_supports("avx2");
     for (ptrdiff_t k0 = 0; k0 < n; k0 += block) {
         const ptrdiff_t c = n - k0 < block ? n - k0 : block;
         for (ptrdiff_t q = 0; q < c; q++) {
@@ -154,7 +169,7 @@ void floyd_warshall(double *d, ptrdiff_t n, double *rows, ptrdiff_t block)
         }
         ptrdiff_t i = 0;
         for (; i + TILE <= n; i += TILE)
-            (avx2 ? tile_pass_avx2 : tile_pass_sse2)(d, rows, i, c, n);
+            tile_pass(d, rows, i, c, n);
         for (; i < n; i++)
             relax_entries(d + i * n, rows, i, i + 1, n, c, n);
     }
@@ -194,13 +209,10 @@ static inline double finite_max(const double *x, ptrdiff_t n, ptrdiff_t stride,
     return top;
 }
 
-/* x / scale raised to the power p, in place, as dtw._pth_powers; dividing
-   by a scale of 1.0 would change no bit. */
-static inline void powers(double *x, ptrdiff_t n, double p, double scale)
+/* x raised to the power p, in place, as dtw._pth_powers raises the scaled
+   distances */
+static inline void powers(double *x, ptrdiff_t n, double p)
 {
-    if (scale != 1.0)
-        for (ptrdiff_t j = 0; j < n; j++)
-            x[j] /= scale;
     if (p == 2.0)
         for (ptrdiff_t j = 0; j < n; j++)
             x[j] *= x[j];
@@ -234,124 +246,89 @@ static double pair_scale(const double *a, ptrdiff_t m, const double *b, ptrdiff_
     return top == 0.0 ? 1.0 : top;
 }
 
-/* The DP of the p-DTW of the curves a (m points) and b (l points) of d
-   coordinates each, on the p-th powers of their distances divided by
-   scale: the last cell, which root turns into the value. work holds
-   2 * (l + 1) doubles. The DP runs row by row where dtw._accumulate runs
-   by anti-diagonals: a cell is c + min(diagonal, up, left) of the same
-   values either way. */
-static double dtw_total(const double *a, ptrdiff_t m, const double *b, ptrdiff_t l,
-                        ptrdiff_t d, double p, double scale, double *work)
+/* The DP of the p-DTW of LANES pairs of curves of one shape (m, l) at
+   once, pair x in lane x of every vector, on the p-th powers of their
+   distances divided by the pair's scale: total[x] gets pair x's last cell,
+   which root turns into the value. a and b hold the pairs' curves with their
+   points interleaved: coordinate k of point i of pair x's first curve is
+   a[(i * d + k) * LANES + x]. scale[x] is pair x's scale. work holds
+   2 * l + 1 vectors: the DP row and the costs of one row. Within one pair
+   each cell waits on its left neighbour; the lanes do not wait on each
+   other.
+
+   Each lane does the operations of dtw._distance_table, dtw._pth_powers
+   and dtw._accumulate, so every total keeps their bits: the squared
+   differences summed in coordinate order from 0.0, then the square root;
+   for p > 32, the division by the lane's scale (dividing by 1.0 changes no
+   bit); powers' power; then the cells. The DP runs row by row where
+   dtw._accumulate runs by anti-diagonals: a cell is its cost plus the least
+   of its three predecessors, the same values either way, and min is exact,
+   so the order in which vmin takes them changes no bit. */
+__attribute__((target("avx2")))
+static void dtw_lanes(const double *a, const double *b, ptrdiff_t m, ptrdiff_t l,
+                      ptrdiff_t d, double p, const double *scale, double *total,
+                      double *work)
 {
-    /* at point i of a, acc[j] becomes the DP cell (i + 1, j) and cost[j]
-       holds the p-th power of the distance from a[i] to b[j] */
-    double *acc = work, *cost = work + l + 1;
-    acc[0] = 0.0;
+    const vec *at = (const vec *)a, *bt = (const vec *)b;
+    const vec zero = {0}, inf = zero + INFINITY, s = *(const vec *)scale;
+    vec *row = (vec *)work, *cost = row + l + 1;
+    row[0] = zero;
     for (ptrdiff_t j = 1; j <= l; j++)
-        acc[j] = INFINITY;
+        row[j] = inf;
     for (ptrdiff_t i = 0; i < m; i++) {
-        distances(a + i * d, b, l, d, cost);
-        powers(cost, l, p, scale);
-        double diagonal = acc[0];
-        acc[0] = INFINITY;
+        for (ptrdiff_t j = 0; j < l; j++) {
+            vec c = zero;
+            for (ptrdiff_t k = 0; k < d; k++) {
+                const vec t = at[i * d + k] - bt[j * d + k];
+                c += t * t;
+            }
+            cost[j] = vsqrt(c);
+        }
+        if (p > OVERFLOW_SAFE_P)
+            for (ptrdiff_t j = 0; j < l; j++)
+                cost[j] /= s;
+        powers((double *)cost, l * LANES, p);
+        vec diagonal = row[0], left = inf;
+        row[0] = inf;
         for (ptrdiff_t j = 1; j <= l; j++) {
-            const double up = acc[j];
-            acc[j] = cost[j - 1] + min2(min2(diagonal, up), acc[j - 1]);
+            const vec up = row[j];
+            row[j] = left = cost[j - 1] + vmin(left, vmin(up, diagonal));
             diagonal = up;
         }
     }
-    return acc[l];
+    *(vec *)total = row[l];
 }
 
-/* dtw_total for w = bytes / 8 pairs of one shape (m, l) at once, pair x in
-   lane x of every vector. a and b hold the pairs' curves with their points
-   interleaved: coordinate k of point i of pair x's first curve is
-   a[(i * d + k) * w + x]. scale[x] is pair x's scale, and total[x] gets
-   its last cell. work holds 2 * l + 1 vectors: the DP row and the costs of
-   one row. Within one pair each cell waits on its left neighbour; the lanes
-   do not wait on each other.
-
-   Each lane does dtw_total's operations in the same order, so every total
-   keeps its bits: the squared differences summed in coordinate order from
-   0.0, then the square root (sqrtpd rounds correctly, as sqrt does); for
-   p > 32, the division by the lane's scale (powers skips a scale of 1.0,
-   and dividing by 1.0 changes no bit); powers' power; then the cell. A
-   cell is c + min2(min2(diagonal, up), left), and minpd(x, y) gives
-   x < y ? x : y in each lane, which is min2(y, x); so min2(a, b) is
-   minpd(b, a), with the same operand returned when a NaN or two zeros of
-   either sign meet. */
-#define DTW_LANES(name, bytes, vsqrt, vmin)                                    \
-    static void name(const double *a, const double *b, ptrdiff_t m,            \
-                     ptrdiff_t l, ptrdiff_t d, double p, const double *scale,  \
-                     double *total, double *work)                              \
-    {                                                                          \
-        typedef double vec __attribute__((vector_size(bytes), aligned(8)));    \
-        const vec *at = (const vec *)a, *bt = (const vec *)b;                  \
-        const vec zero = {0}, inf = zero + INFINITY, s = *(const vec *)scale;  \
-        vec *row = (vec *)work, *cost = row + l + 1;                           \
-        row[0] = zero;                                                         \
-        for (ptrdiff_t j = 1; j <= l; j++)                                     \
-            row[j] = inf;                                                      \
-        for (ptrdiff_t i = 0; i < m; i++) {                                    \
-            for (ptrdiff_t j = 0; j < l; j++) {                                \
-                vec c = zero;                                                  \
-                for (ptrdiff_t k = 0; k < d; k++) {                            \
-                    const vec t = at[i * d + k] - bt[j * d + k];               \
-                    c += t * t;                                                \
-                }                                                              \
-                cost[j] = vsqrt(c);                                            \
-            }                                                                  \
-            if (p > OVERFLOW_SAFE_P)                                           \
-                for (ptrdiff_t j = 0; j < l; j++)                              \
-                    cost[j] /= s;                                              \
-            powers((double *)cost, l * (bytes / 8), p, 1.0);                   \
-            vec diagonal = row[0], left = inf;                                 \
-            row[0] = inf;                                                      \
-            for (ptrdiff_t j = 1; j <= l; j++) {                               \
-                const vec up = row[j];                                         \
-                row[j] = left = cost[j - 1] + vmin(left, vmin(up, diagonal));  \
-                diagonal = up;                                                 \
-            }                                                                  \
-        }                                                                      \
-        *(vec *)total = row[l];                                                \
-    }
-
-/* 4 lanes where the host has AVX2 and 2 (SSE2, which every x86-64 host has)
-   elsewhere, picked per call as floyd_warshall's tile pass is */
-__attribute__((target("avx2")))
-DTW_LANES(dtw_lanes_avx2, 32, __builtin_ia32_sqrtpd256, __builtin_ia32_minpd256)
-DTW_LANES(dtw_lanes_sse2, 16, __builtin_ia32_sqrtpd, __builtin_ia32_minpd)
-
-/* to[i * w + x] = from[x][i] for i < n and x < w */
-static void interleave(const double *const *from, ptrdiff_t n, ptrdiff_t w, double *to)
+/* to[i * LANES + x] = from[x][i] for i < n and x < LANES */
+static void interleave(const double *const *from, ptrdiff_t n, double *to)
 {
     for (ptrdiff_t i = 0; i < n; i++)
-        for (ptrdiff_t x = 0; x < w; x++)
-            to[i * w + x] = from[x][i];
+        for (ptrdiff_t x = 0; x < LANES; x++)
+            to[i * LANES + x] = from[x][i];
 }
 
 /* values[x] = p-DTW of the curves a[x] (m points) and b[x] (l points), for
-   x < run <= w, all of d coordinates. Each pair takes its scale, the DP's
-   last cell and the root. A whole run of w pairs runs in the w lanes of
-   dtw_lanes_avx2 (w = 4) or dtw_lanes_sse2 (w = 2); a shorter one goes
-   through dtw_total one pair at a time. work holds 8 * (d + 1) * (n + 1)
-   doubles for the longer curve n of m and l. */
-static void pair_run(const double *const *a, const double *const *b, ptrdiff_t run,
-                     ptrdiff_t m, ptrdiff_t l, ptrdiff_t d, double p, int avx2,
-                     double *values, double *work)
+   x < run <= LANES, all of d coordinates, in the lanes of dtw_lanes. Each
+   pair takes its scale, the DP's last cell and the root. a and b hold
+   LANES pointers each; a run of fewer than LANES pairs fills the rest with
+   copies of its last pair, whose totals are neither rooted nor written.
+   work holds 8 * (d + 1) * (n + 1) doubles for the longer curve n of m
+   and l. */
+static void pair_run(const double **a, const double **b, ptrdiff_t run, ptrdiff_t m,
+                     ptrdiff_t l, ptrdiff_t d, double p, double *values, double *work)
 {
-    const ptrdiff_t w = avx2 ? 4 : 2;
-    double scale[4], total[4];
-    for (ptrdiff_t x = 0; x < run; x++)
-        scale[x] = pair_scale(a[x], m, b[x], l, d, p, work);
-    if (run == w) {
-        double *at = work + w * (2 * l + 1), *bt = at + w * m * d;
-        interleave(a, m * d, w, at);
-        interleave(b, l * d, w, bt);
-        (avx2 ? dtw_lanes_avx2 : dtw_lanes_sse2)(at, bt, m, l, d, p, scale, total, work);
-    } else
-        for (ptrdiff_t x = 0; x < run; x++)
-            total[x] = dtw_total(a[x], m, b[x], l, d, p, scale[x], work);
+    double scale[LANES], total[LANES];
+    for (ptrdiff_t x = 0; x < LANES; x++)
+        if (x < run)
+            scale[x] = pair_scale(a[x], m, b[x], l, d, p, work);
+        else {
+            a[x] = a[run - 1], b[x] = b[run - 1];
+            scale[x] = scale[run - 1];
+        }
+    double *at = work + LANES * (2 * l + 1), *bt = at + LANES * m * d;
+    interleave(a, m * d, at);
+    interleave(b, l * d, bt);
+    dtw_lanes(at, bt, m, l, d, p, scale, total, work);
     for (ptrdiff_t x = 0; x < run; x++)
         values[x] = root(total[x], p, scale[x]);
 }
@@ -359,27 +336,25 @@ static void pair_run(const double *const *a, const double *const *b, ptrdiff_t r
 /* out[t] = p-DTW of the curves rows[t] and cols[t], t < pairs, for p >= 1.
    Curve c has lengths[c] points of d coordinates, starting at point
    offsets[c] of points. work holds 8 * (d + 1) * (n + 1) doubles for the
-   longest curve n. Each run of at most w consecutive pairs of one shape
-   (m, l) goes through pair_run, so a pair that breaks a run of w, and the
-   pairs after the last whole run, go through dtw_total one at a time. */
+   longest curve n. Each run of at most LANES consecutive pairs of one shape
+   (m, l) goes through pair_run; a run that a pair of another shape cuts
+   short, and the last run, pad their lanes. */
 void dtw_pairs(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *lengths,
                ptrdiff_t d, const ptrdiff_t *rows, const ptrdiff_t *cols, ptrdiff_t pairs,
                double p, double *out, double *work)
 {
-    const int avx2 = __builtin_cpu_supports("avx2");
-    const ptrdiff_t w = avx2 ? 4 : 2;
     for (ptrdiff_t t = 0; t < pairs;) {
         const ptrdiff_t m = lengths[rows[t]], l = lengths[cols[t]];
         ptrdiff_t run = 1;
-        while (run < w && t + run < pairs && lengths[rows[t + run]] == m
+        while (run < LANES && t + run < pairs && lengths[rows[t + run]] == m
                && lengths[cols[t + run]] == l)
             run++;
-        const double *a[4], *b[4];
+        const double *a[LANES], *b[LANES];
         for (ptrdiff_t x = 0; x < run; x++) {
             a[x] = points + offsets[rows[t + x]] * d;
             b[x] = points + offsets[cols[t + x]] * d;
         }
-        pair_run(a, b, run, m, l, d, p, avx2, out + t, work);
+        pair_run(a, b, run, m, l, d, p, out + t, work);
         t += run;
     }
 }
@@ -388,7 +363,7 @@ void dtw_pairs(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *
    dtw_pairs: out[i * n + j] gets the p-DTW of curve i and curve j > i, in
    that order, out[i * n + i] gets 0, and mirror copies the upper triangle
    into the lower one. Row i takes its columns j > i in the order of the
-   permutation order, in runs of at most w consecutive columns of one
+   permutation order, in runs of at most LANES consecutive columns of one
    length, each through pair_run. Where order sorts the curves stably by
    length, the columns past i of one length follow each other, so they fill
    whole runs but for the last few. work is as in dtw_pairs. */
@@ -396,14 +371,12 @@ void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *l
               ptrdiff_t d, const ptrdiff_t *order, ptrdiff_t n, double p, double *out,
               double *work)
 {
-    const int avx2 = __builtin_cpu_supports("avx2");
-    const ptrdiff_t w = avx2 ? 4 : 2;
     for (ptrdiff_t i = 0; i < n; i++) {
         const ptrdiff_t m = lengths[i];
-        const double *a[4], *b[4];
-        double values[4];
+        const double *a[LANES], *b[LANES];
+        double values[LANES];
         out[i * n + i] = 0.0;
-        for (ptrdiff_t x = 0; x < w; x++)
+        for (ptrdiff_t x = 0; x < LANES; x++)
             a[x] = points + offsets[i] * d;
         for (ptrdiff_t t = 0; t < n;) {
             if (order[t] <= i) {
@@ -412,12 +385,12 @@ void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *l
             }
             const ptrdiff_t l = lengths[order[t]];
             ptrdiff_t run = 1;
-            while (run < w && t + run < n && order[t + run] > i
+            while (run < LANES && t + run < n && order[t + run] > i
                    && lengths[order[t + run]] == l)
                 run++;
             for (ptrdiff_t x = 0; x < run; x++)
                 b[x] = points + offsets[order[t + x]] * d;
-            pair_run(a, b, run, m, l, d, p, avx2, values, work);
+            pair_run(a, b, run, m, l, d, p, values, work);
             for (ptrdiff_t x = 0; x < run; x++)
                 out[i * n + order[t + x]] = values[x];
             t += run;
@@ -426,10 +399,10 @@ void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *l
     mirror(out, n);
 }
 
-/* The tables of the medoid simplification of w = bytes / 8 curves of one
-   shape (m, d) at once, curve x in lane x of every vector. points holds the
+/* The tables of the medoid simplification of LANES curves of one shape
+   (m, d) at once, curve x in lane x of every vector. points holds the
    curves with their points interleaved: coordinate k of point i of curve x
-   is points[(i * d + k) * w + x]. own and cost hold m * m vectors and
+   is points[(i * d + k) * LANES + x]. own and cost hold m * m vectors and
    suffix max_parts * (m + 1). own[v * m + j] gets the p-th power of the
    distance from v to j, divided by the curve's scale for p > 32; with
    restrict_to_range it is then overwritten by the split sums W below.
@@ -442,9 +415,9 @@ void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *l
 
    Each lane does the numpy reference's operations, so every table keeps
    the reference's bits: the squared differences summed in coordinate order
-   from 0.0, then the square root (sqrtpd rounds correctly, as sqrt does);
-   for p > 32, the division by the lane's scale (dividing by 1.0 changes no
-   bit); powers' power; then the sums and minima of the tables. own is
+   from 0.0, then the square root; for p > 32, the division by the lane's
+   scale (dividing by 1.0 changes no bit); powers' power; then the sums and
+   minima of the tables. own is
    exactly symmetric ((x - y)^2 and (y - x)^2 round alike), so its upper
    triangle is computed and mirrored into the lower one.
 
@@ -473,131 +446,119 @@ void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *l
    below then took it to 19-20 ms (quartiles of 15 alternating calls).
 
    Each row of the suffix DP takes its minimum in four accumulators, one
-   for each e - i mod 4, so that four minpd chains overlap; min2(a, b) is
-   minpd(b, a), as in DTW_LANES. */
-#define MEDOID_LANES(name, bytes, vsqrt, vmin)                                 \
-    static void name(const double *points, ptrdiff_t m, ptrdiff_t d, double p, \
-                     ptrdiff_t max_parts, int restrict_to_range, double *scale, \
-                     double *own_, double *cost_, double *suffix_)              \
-    {                                                                          \
-        typedef double vec __attribute__((vector_size(bytes), aligned(8)));    \
-        const ptrdiff_t w = bytes / 8;                                         \
-        const vec *at = (const vec *)points, zero = {0}, inf = zero + INFINITY;\
-        vec *own = (vec *)own_, *cost = (vec *)cost_, *suffix = (vec *)suffix_;\
-        for (ptrdiff_t i = 0; i < m; i++)                                      \
-            for (ptrdiff_t j = i; j < m; j++) {                                \
-                vec c = zero;                                                  \
-                for (ptrdiff_t k = 0; k < d; k++) {                            \
-                    const vec t = at[i * d + k] - at[j * d + k];               \
-                    c += t * t;                                                \
-                }                                                              \
-                own[i * m + j] = vsqrt(c);                                     \
-            }                                                                  \
-        for (ptrdiff_t x = 0; x < w; x++) {                                    \
-            double top = 0.0;                                                  \
-            if (p > OVERFLOW_SAFE_P)                                           \
-                for (ptrdiff_t i = 0; i < m; i++)                              \
-                    top = finite_max(own_ + (i * m + i) * w + x, m - i, w, top);\
-            scale[x] = top == 0.0 ? 1.0 : top;                                 \
-        }                                                                      \
-        for (ptrdiff_t i = 0; i < m; i++) {                                    \
-            if (p > OVERFLOW_SAFE_P)                                           \
-                for (ptrdiff_t j = i; j < m; j++)                              \
-                    own[i * m + j] /= *(const vec *)scale;                     \
-            powers(own_ + (i * m + i) * w, (m - i) * w, p, 1.0);               \
-            for (ptrdiff_t j = 0; j < i; j++)                                  \
-                own[i * m + j] = own[j * m + i];                               \
-        }                                                                      \
-                                                                               \
-        if (restrict_to_range) {                                               \
-            for (ptrdiff_t a = m - 2; a >= 0; a--)                             \
-                for (ptrdiff_t v = a + 1; v < m; v++)                          \
-                    own[a * m + v] += own[(a + 1) * m + v];                    \
-            for (ptrdiff_t b = 1; b < m; b++)                                  \
-                for (ptrdiff_t v = 0; v < b; v++)                              \
-                    own[b * m + v] += own[(b - 1) * m + v];                    \
-            for (ptrdiff_t a0 = 0; a0 < m; a0 += TILE) {                       \
-                const ptrdiff_t first = a0 + TILE <= m                         \
-                    ? a0 + TILE - 1 + (m - a0 - TILE + 1) % 2 : m;             \
-                const vec *wa = own + a0 * m;                                  \
-                for (ptrdiff_t b0 = first; b0 < m; b0 += 2) {                  \
-                    const vec *wb = own + b0 * m;                              \
-                    vec acc[TILE][2];                                          \
-                    for (int r = 0; r < TILE; r++)                             \
-                        acc[r][0] = acc[r][1] = inf;                           \
-                    for (int e = 0; e < TILE - 1; e++)                         \
-                        for (int r = 0; r < TILE; r++)                         \
-                            for (int x = 0; x < 2; x++)                        \
-                                if (r <= e)                                    \
-                                    acc[r][x] = vmin(wa[r * m + a0 + e]        \
-                                                     + wb[x * m + a0 + e], acc[r][x]);\
-                    for (ptrdiff_t v = a0 + TILE - 1; v <= b0; v++) {          \
-                        const vec s0 = wb[v], s1 = wb[m + v];                  \
-                        for (int r = 0; r < TILE; r++) {                       \
-                            const vec t = wa[r * m + v];                       \
-                            acc[r][0] = vmin(t + s0, acc[r][0]);               \
-                            acc[r][1] = vmin(t + s1, acc[r][1]);               \
-                        }                                                      \
-                    }                                                          \
-                    for (int r = 0; r < TILE; r++)                             \
-                        acc[r][1] = vmin(wa[r * m + b0 + 1] + wb[m + b0 + 1],  \
-                                         acc[r][1]);                           \
-                    for (int r = 0; r < TILE; r++)                             \
-                        for (int x = 0; x < 2; x++)                            \
-                            cost[(a0 + r) * m + b0 + x] = acc[r][x];           \
-                }                                                              \
-                for (ptrdiff_t a = a0; a < a0 + TILE && a < m; a++)            \
-                    for (ptrdiff_t b = a; b < first; b++) {                    \
-                        vec best = inf;                                        \
-                        for (ptrdiff_t v = a; v <= b; v++)                     \
-                            best = vmin(own[a * m + v] + own[b * m + v], best);\
-                        cost[a * m + b] = best;                                \
-                    }                                                          \
-            }                                                                  \
-        } else {                                                               \
-            /* cost[a, b] = min over all vertices v of the sum of own[v] from  \
-               a to b */                                                       \
-            for (ptrdiff_t j = 0; j < m * m; j++)                              \
-                cost[j] = inf;                                                 \
-            for (ptrdiff_t a = 0; a < m; a++)                                  \
-                for (ptrdiff_t v = 0; v < m; v++) {                            \
-                    vec s = zero;                                              \
-                    for (ptrdiff_t b = a; b < m; b++) {                        \
-                        s += own[v * m + b];                                   \
-                        cost[a * m + b] = vmin(s, cost[a * m + b]);            \
-                    }                                                          \
-                }                                                              \
-        }                                                                      \
-                                                                               \
-        for (ptrdiff_t i = 0; i < m; i++)                                      \
-            suffix[i] = cost[i * m + m - 1];                                   \
-        suffix[m] = inf;                                                       \
-        for (ptrdiff_t j = 1; j < max_parts; j++) {                            \
-            const vec *prev = suffix + (j - 1) * (m + 1);                      \
-            vec *cur = suffix + j * (m + 1);                                   \
-            for (ptrdiff_t i = 0; i < m; i++) {                                \
-                vec best[4] = {inf, inf, inf, inf};                            \
-                ptrdiff_t e = i;                                               \
-                for (; e + 4 <= m; e += 4)                                     \
-                    for (int x = 0; x < 4; x++)                                \
-                        best[x] = vmin(cost[i * m + e + x] + prev[e + x + 1],  \
-                                       best[x]);                               \
-                for (; e < m; e++)                                             \
-                    best[0] = vmin(cost[i * m + e] + prev[e + 1], best[0]);    \
-                cur[i] = vmin(vmin(best[0], best[1]), vmin(best[2], best[3])); \
-            }                                                                  \
-            cur[m] = inf;                                                      \
-        }                                                                      \
+   for each e - i mod 4, so that four vmin chains overlap. */
+__attribute__((target("avx2")))
+static void medoid_lanes(const double *points, ptrdiff_t m, ptrdiff_t d, double p,
+                         ptrdiff_t max_parts, int restrict_to_range, double *scale,
+                         double *own_, double *cost_, double *suffix_)
+{
+    const vec *at = (const vec *)points, zero = {0}, inf = zero + INFINITY;
+    vec *own = (vec *)own_, *cost = (vec *)cost_, *suffix = (vec *)suffix_;
+    for (ptrdiff_t i = 0; i < m; i++)
+        for (ptrdiff_t j = i; j < m; j++) {
+            vec c = zero;
+            for (ptrdiff_t k = 0; k < d; k++) {
+                const vec t = at[i * d + k] - at[j * d + k];
+                c += t * t;
+            }
+            own[i * m + j] = vsqrt(c);
+        }
+    for (ptrdiff_t x = 0; x < LANES; x++) {
+        double top = 0.0;
+        if (p > OVERFLOW_SAFE_P)
+            for (ptrdiff_t i = 0; i < m; i++)
+                top = finite_max(own_ + (i * m + i) * LANES + x, m - i, LANES, top);
+        scale[x] = top == 0.0 ? 1.0 : top;
+    }
+    for (ptrdiff_t i = 0; i < m; i++) {
+        if (p > OVERFLOW_SAFE_P)
+            for (ptrdiff_t j = i; j < m; j++)
+                own[i * m + j] /= *(const vec *)scale;
+        powers(own_ + (i * m + i) * LANES, (m - i) * LANES, p);
+        for (ptrdiff_t j = 0; j < i; j++)
+            own[i * m + j] = own[j * m + i];
     }
 
-/* 4 lanes where the host has AVX2 and 2 (SSE2) elsewhere, picked per call
-   as dtw_pairs' lanes are */
-__attribute__((target("avx2")))
-MEDOID_LANES(medoid_lanes_avx2, 32, __builtin_ia32_sqrtpd256, __builtin_ia32_minpd256)
-MEDOID_LANES(medoid_lanes_sse2, 16, __builtin_ia32_sqrtpd, __builtin_ia32_minpd)
+    if (restrict_to_range) {
+        for (ptrdiff_t a = m - 2; a >= 0; a--)
+            for (ptrdiff_t v = a + 1; v < m; v++)
+                own[a * m + v] += own[(a + 1) * m + v];
+        for (ptrdiff_t b = 1; b < m; b++)
+            for (ptrdiff_t v = 0; v < b; v++)
+                own[b * m + v] += own[(b - 1) * m + v];
+        for (ptrdiff_t a0 = 0; a0 < m; a0 += TILE) {
+            const ptrdiff_t first =
+                a0 + TILE <= m ? a0 + TILE - 1 + (m - a0 - TILE + 1) % 2 : m;
+            const vec *wa = own + a0 * m;
+            for (ptrdiff_t b0 = first; b0 < m; b0 += 2) {
+                const vec *wb = own + b0 * m;
+                vec acc[TILE][2];
+                for (int r = 0; r < TILE; r++)
+                    acc[r][0] = acc[r][1] = inf;
+                for (int e = 0; e < TILE - 1; e++)
+                    for (int r = 0; r < TILE; r++)
+                        for (int x = 0; x < 2; x++)
+                            if (r <= e)
+                                acc[r][x] = vmin(wa[r * m + a0 + e]
+                                                 + wb[x * m + a0 + e], acc[r][x]);
+                for (ptrdiff_t v = a0 + TILE - 1; v <= b0; v++) {
+                    const vec s0 = wb[v], s1 = wb[m + v];
+                    for (int r = 0; r < TILE; r++) {
+                        const vec t = wa[r * m + v];
+                        acc[r][0] = vmin(t + s0, acc[r][0]);
+                        acc[r][1] = vmin(t + s1, acc[r][1]);
+                    }
+                }
+                for (int r = 0; r < TILE; r++)
+                    acc[r][1] = vmin(wa[r * m + b0 + 1] + wb[m + b0 + 1], acc[r][1]);
+                for (int r = 0; r < TILE; r++)
+                    for (int x = 0; x < 2; x++)
+                        cost[(a0 + r) * m + b0 + x] = acc[r][x];
+            }
+            for (ptrdiff_t a = a0; a < a0 + TILE && a < m; a++)
+                for (ptrdiff_t b = a; b < first; b++) {
+                    vec best = inf;
+                    for (ptrdiff_t v = a; v <= b; v++)
+                        best = vmin(own[a * m + v] + own[b * m + v], best);
+                    cost[a * m + b] = best;
+                }
+        }
+    } else {
+        /* cost[a, b] = min over all vertices v of the sum of own[v] from a to b */
+        for (ptrdiff_t j = 0; j < m * m; j++)
+            cost[j] = inf;
+        for (ptrdiff_t a = 0; a < m; a++)
+            for (ptrdiff_t v = 0; v < m; v++) {
+                vec s = zero;
+                for (ptrdiff_t b = a; b < m; b++) {
+                    s += own[v * m + b];
+                    cost[a * m + b] = vmin(s, cost[a * m + b]);
+                }
+            }
+    }
+
+    for (ptrdiff_t i = 0; i < m; i++)
+        suffix[i] = cost[i * m + m - 1];
+    suffix[m] = inf;
+    for (ptrdiff_t j = 1; j < max_parts; j++) {
+        const vec *prev = suffix + (j - 1) * (m + 1);
+        vec *cur = suffix + j * (m + 1);
+        for (ptrdiff_t i = 0; i < m; i++) {
+            vec best[4] = {inf, inf, inf, inf};
+            ptrdiff_t e = i;
+            for (; e + 4 <= m; e += 4)
+                for (int x = 0; x < 4; x++)
+                    best[x] = vmin(cost[i * m + e + x] + prev[e + x + 1], best[x]);
+            for (; e < m; e++)
+                best[0] = vmin(cost[i * m + e] + prev[e + 1], best[0]);
+            cur[i] = vmin(vmin(best[0], best[1]), vmin(best[2], best[3]));
+        }
+        cur[m] = inf;
+    }
+}
 
 /* The rest of simplify._partition for one curve, reading its tables own,
-   cost and suffix of MEDOID_LANES with a stride of w: the part count with
+   cost and suffix of medoid_lanes with a stride of LANES: the part count with
    the least total (ties to fewer parts), the forward traceback of the
    lexicographically smallest split, whose inclusive part ends go to
    part_ends, and the center of each part to part_centers. The center of a
@@ -610,21 +571,20 @@ MEDOID_LANES(medoid_lanes_sse2, 16, __builtin_ia32_sqrtpd, __builtin_ia32_minpd)
    the least total. */
 static ptrdiff_t partition_lane(const double *own, const double *cost, const double *suffix,
                                 ptrdiff_t m, ptrdiff_t max_parts, int restrict_to_range,
-                                ptrdiff_t w, ptrdiff_t *part_ends, ptrdiff_t *part_centers,
-                                double *total)
+                                ptrdiff_t *part_ends, ptrdiff_t *part_centers, double *total)
 {
     ptrdiff_t best = 0;
     for (ptrdiff_t j = 1; j < max_parts; j++)
-        if (suffix[j * (m + 1) * w] < suffix[best * (m + 1) * w])
+        if (suffix[j * (m + 1) * LANES] < suffix[best * (m + 1) * LANES])
             best = j;
 
     /* each part ends at the first e that attains the suffix minimum */
     ptrdiff_t count = 0, i = 0;
     for (ptrdiff_t j = best; j > 0; j--) {
-        const double *cur = suffix + j * (m + 1) * w, *prev = cur - (m + 1) * w;
+        const double *cur = suffix + j * (m + 1) * LANES, *prev = cur - (m + 1) * LANES;
         ptrdiff_t end = i;
         for (ptrdiff_t e = i; e < m; e++)
-            if (cost[(i * m + e) * w] + prev[(e + 1) * w] == cur[i * w]) {
+            if (cost[(i * m + e) * LANES] + prev[(e + 1) * LANES] == cur[i * LANES]) {
                 end = e;
                 break;
             }
@@ -640,15 +600,15 @@ static ptrdiff_t partition_lane(const double *own, const double *cost, const dou
         for (ptrdiff_t v = part_centers[q]; v <= last; v++) {
             double sum = 0.0;
             if (restrict_to_range)
-                sum = own[(a * m + v) * w] + own[(b * m + v) * w];
+                sum = own[(a * m + v) * LANES] + own[(b * m + v) * LANES];
             else
                 for (ptrdiff_t j = a; j <= b; j++)
-                    sum += own[(v * m + j) * w];
+                    sum += own[(v * m + j) * LANES];
             if (sum < least)
                 least = sum, part_centers[q] = v;
         }
     }
-    *total = suffix[best * (m + 1) * w];
+    *total = suffix[best * (m + 1) * LANES];
     return count;
 }
 
@@ -658,34 +618,31 @@ static ptrdiff_t partition_lane(const double *own, const double *cost, const dou
    part to ends[t] and centers[t] (both n x ell), and the rooted total times
    the scale to totals[t].
 
-   The curves run w at a time, w = 4 in medoid_lanes_avx2 or w = 2 in
-   medoid_lanes_sse2, which build the tables of all w in their lanes;
-   partition_lane then reads each curve's parts and centers from its lane.
-   The last group is padded with copies of the last curve, whose results
-   are not written; it costs a whole group, so simplify.py hands over at
-   least four curves where it has them. work holds
-   w * (2 * m * m + min(ell, m) * (m + 1)) doubles for the tables and
-   w * m * d for the interleaved points, for the w of the host (at most 4). */
+   The curves run LANES at a time through medoid_lanes, which builds the
+   tables of all of them in its lanes; partition_lane then reads each
+   curve's parts and centers from its lane. The last group is padded with
+   copies of the last curve, whose results are not written; it costs a
+   whole group, so simplify.py hands over at least LANES curves where it
+   has them. work holds LANES * (2 * m * m + min(ell, m) * (m + 1)) doubles
+   for the tables and LANES * m * d for the interleaved points. */
 void medoid_partition(const double *points, ptrdiff_t n, ptrdiff_t m, ptrdiff_t d,
                       double p, ptrdiff_t ell, int restrict_to_range, double *work,
                       ptrdiff_t *ends, ptrdiff_t *counts, ptrdiff_t *centers, double *totals)
 {
-    const int avx2 = __builtin_cpu_supports("avx2");
-    const ptrdiff_t w = avx2 ? 4 : 2, max_parts = ell < m ? ell : m;
-    double *own = work, *cost = own + w * m * m, *suffix = cost + w * m * m;
-    double *lanes = suffix + w * max_parts * (m + 1);
-    for (ptrdiff_t t = 0; t < n; t += w) {
-        const double *from[4];
-        double scale[4];
-        for (ptrdiff_t x = 0; x < w; x++)
+    const ptrdiff_t max_parts = ell < m ? ell : m;
+    double *own = work, *cost = own + LANES * m * m, *suffix = cost + LANES * m * m;
+    double *lanes = suffix + LANES * max_parts * (m + 1);
+    for (ptrdiff_t t = 0; t < n; t += LANES) {
+        const double *from[LANES];
+        double scale[LANES];
+        for (ptrdiff_t x = 0; x < LANES; x++)
             from[x] = points + (t + x < n ? t + x : n - 1) * m * d;
-        interleave(from, m * d, w, lanes);
-        (avx2 ? medoid_lanes_avx2 : medoid_lanes_sse2)(
-            lanes, m, d, p, max_parts, restrict_to_range, scale, own, cost, suffix);
-        for (ptrdiff_t x = 0; x < w && t + x < n; x++) {
+        interleave(from, m * d, lanes);
+        medoid_lanes(lanes, m, d, p, max_parts, restrict_to_range, scale, own, cost, suffix);
+        for (ptrdiff_t x = 0; x < LANES && t + x < n; x++) {
             double total;
             counts[t + x] = partition_lane(own + x, cost + x, suffix + x, m, max_parts,
-                                           restrict_to_range, w, ends + (t + x) * ell,
+                                           restrict_to_range, ends + (t + x) * ell,
                                            centers + (t + x) * ell, &total);
             totals[t + x] = root(total, p, scale[x]);
         }

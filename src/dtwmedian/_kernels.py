@@ -1,12 +1,14 @@
 """The package's compiled kernels: one C source, ``_kernels.c``, built into
 one library on first use and loaded with ``ctypes``.
 
-The library holds five functions, each pinned to the bits of a numpy
+The library holds five kernels, each pinned to the bits of a numpy
 reference: ``floyd_warshall`` (the closure, ``closure.py``), ``dtw_pairs``
 (p-DTW values of curve pairs, ``dtw.py``), ``dtw_self`` (the symmetric
 p-DTW matrix of one curve list, ``dtw.py``), ``medoid_partition`` (the
 parts and centers of the medoid simplifications, ``simplify.py``) and
 ``swap_costs`` (every k-median swap's cost in a round, ``kmedian.py``).
+It also exports ``avx2_host``, which the loader asks whether the host has
+AVX2.
 ``dtw_self`` generates the pairs above the diagonal itself, runs them
 through the same lane code as ``dtw_pairs``, and copies the upper triangle
 into the lower one as ``floyd_warshall`` does, so no index array or
@@ -37,20 +39,24 @@ registers (gcc 12.2: no stack access in the snapshot loop, and the same
 speed as twelve named variables). ``medoid_partition`` builds its
 local-medoid range table, a (min, +) product of one table with itself, in
 the same 6 x 2 tiles (gcc 12.2: 12 minpd and no stack access in the loop
-over centers). It uses 4-lane vectors in a function
-built for AVX2, picked with ``__builtin_cpu_supports`` on a host that has
-it, and 2-lane SSE2 vectors elsewhere. One vector type cannot serve both: without AVX, gcc splits a
-4-lane minimum into single lanes. So the library builds on x86-64 hosts
-only; elsewhere the fallback below runs. ``dtw_pairs``, ``dtw_self`` and
-``medoid_partition`` pick their width the same way: they run four (AVX2)
-or two (SSE2) pairs or curves of one shape at once, one per lane, and each
-lane does the operations of the one-pair loop or of the numpy reference in
-their order. An avx2 clone of a DP loop vectorises within one pair, where
+over centers).
+Every vector holds four doubles, and the functions that compute on them are
+built for AVX2 (``target("avx2")``): without AVX, gcc splits a 4-lane
+minimum into single lanes. So each kernel has one width and one DP loop.
+``dtw_pairs``, ``dtw_self`` and ``medoid_partition`` run four pairs or
+curves of one shape at once, one per lane, and each lane does the
+operations of the numpy reference in their order. A run of fewer than four
+pairs of one shape, like the last group of curves, fills the other lanes
+with copies of its last pair or curve, whose results are not written: a
+lone ``dtw_value`` call on two 128-point curves at p = 2 took 0.21-0.23 ms,
+against 0.13-0.21 ms in the one-pair loop this replaced (medians of four
+alternating processes), and the benchmark's pairs nearly all fill whole
+runs. An avx2 clone of a DP loop vectorises within one pair, where
 each cell waits on its left neighbour; such clones were slower in three of
 four measured cases (2-core x86-64 host, gcc 12.2) while they doubled the
 build time. Lanes that hold different pairs or curves do not wait on each
-other: at p = 1 and 2, four lanes made ``dtw_pairs`` 1.8-3.4x faster and
-two lanes 1.4-2.5x. Four lanes took ``medoid_partition`` from 50-53 to
+other: at p = 1 and 2, four lanes made ``dtw_pairs`` 1.8-3.4x faster than
+one pair at a time. Four lanes took ``medoid_partition`` from 50-53 to
 26-32 ms on 200 curves of 128 points (ell = 8, p = 2), and from 7.8-9.6 to
 3.7-5.6 ms on 1000 curves of 32 points (ell = 4, p = 1), against one curve
 at a time (medians of two alternating sets, same host). The tiled range
@@ -76,19 +82,25 @@ one process, ``dtw_pairs`` ran 9% faster without it (41 of 41 pairs),
 ``medoid_partition`` on 128-point curves 2% slower in one set of 41 pairs
 and not in another of 25, and the other kernels within the noise (same
 host).
-The library is built on first use, not at import, which takes 1.6-2.1 s
-(same host), and is cached in this
-package's ``__pycache__`` under a name hashed from the source, the compiler
-and the flags. It is written to a temporary file and renamed into place, so
+The library is built on first use, not at import, which takes 0.9-1.5 s
+(medians of 1.18 and 0.91 s in two sets of five cold builds, same host),
+and is cached in this package's ``__pycache__`` under a name hashed from
+the source, the compiler and the flags. It is written to a temporary file and renamed into place, so
 concurrent first uses are safe. A build then removes the libraries of
 earlier sources from that directory. If that directory cannot be written,
 the library is built in a private temporary directory for the process.
 
 The one fallback rule: when no library can be built or loaded (a host
-without a C compiler), ``library()`` is None and every caller runs its
-numpy reference, with the same bits but 5-50x slower. ``library()`` then
-warns once, with a ``UserWarning`` that names the compiler and its last
-line of error output.
+without a C compiler, or one that is not x86-64, where the AVX2 builtins
+do not compile), or the host has no AVX2, ``library()`` is None and every
+caller runs its numpy reference, with the same bits but 5-50x slower.
+``library()`` asks the loaded library's ``avx2_host``, which is not built
+for AVX2, once. So an x86-64 host without AVX2 loses the compiled speed
+rather than keep a 2-lane copy of every kernel: the closure of 1000
+simplified ``many_short`` walks took 3.1-3.3 s in numpy, against 0.07 s
+compiled (same host). ``library()`` then warns once, with a
+``UserWarning`` that names the compiler and its last line of error
+output, or the missing AVX2.
 """
 
 from __future__ import annotations
@@ -150,6 +162,8 @@ def library():
                 lib = load(private)
         except failures as error:
             return _unavailable(error)
+    if not lib.avx2_host():
+        return _unavailable(OSError("the host has no AVX2"))
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     signatures = {
         "floyd_warshall": (ptr, size, ptr, size),
@@ -169,7 +183,8 @@ def library():
 
 def _unavailable(error):
     """None, after a warning that names the compiler and why no library could
-    be built or loaded: the last line the compiler wrote, or the error."""
+    be built, loaded or used: the last line the compiler wrote, or the
+    error."""
     stderr = getattr(error, "stderr", None) or b""
     lines = stderr.decode(errors="replace").strip().splitlines()
     warnings.warn(

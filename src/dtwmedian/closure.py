@@ -54,8 +54,8 @@ of column i + 6, its columns after the last whole stretch, and the last
 n mod 6 rows are relaxed one entry at a time. The kernel alone went from
 72-77 to 42-49 ms on 1000 ``many_short`` walks simplified to 4 points
 (p = 1), and from 583-628 to 346-348 ms on a random base of n = 2000
-(2-core x86-64, gcc 12.2). It runs 4-lane vectors on a host with AVX2 and
-2-lane SSE2 ones elsewhere (``_kernels`` says why).
+(2-core x86-64, gcc 12.2). It runs 4-lane AVX2 vectors; a host without
+AVX2 runs the reference (``_kernels`` says why).
 
 The argument needs non-negative input without NaN, so those are rejected,
 and a -0.0 entry is made +0.0: the two compare equal, and which one a tie
@@ -71,7 +71,8 @@ values of pairs and ``dtw_self`` for the base matrix that
 simplifications (``simplify``) and ``swap_costs`` for the k-median's swaps
 (``kmedian``).
 Its one fallback rule: when it cannot be built or loaded (a host without a
-C compiler), each caller runs its numpy reference; here the closure is
+C compiler), or the host has no AVX2, each caller runs its numpy
+reference; here the closure is
 ``floyd_warshall_reference`` on the same matrix, with the same bits.
 """
 

@@ -16,17 +16,18 @@ library (``_kernels``; the others are ``dtw_self`` for the self matrix, the
 closure's ``floyd_warshall``, the simplification's ``medoid_partition``
 and the k-median's ``swap_costs``). That loop fills each pair's DP row by
 row, in O(l) memory. It takes consecutive pairs of one shape (m, l) four
-at a time on an AVX2 host and two at a time elsewhere, one pair per vector
-lane, and the pairs that do not fill such a group one at a time; each lane
-does the one-pair loop's operations in its order. Pairs of several shapes
-reach it sorted by shape, so curves of mixed lengths fill the lanes too.
+at a time, one pair per lane of an AVX2 vector, and fills the lanes of a
+shorter run with copies of its last pair; each lane does the numpy
+reference's operations in its order. Pairs of several shapes reach it
+sorted by shape, so curves of mixed lengths fill the lanes too.
 ``dtw_self_matrix`` hands the curves to ``dtw_self``, which generates the
 pairs (i, j > i) itself, runs them through the same lanes, a row's columns
 of one length at a time, and fills both triangles of the matrix. The
-library's one fallback rule: where it cannot be built, each caller runs its
-numpy reference; here that is ``_grouped_pair_values``, which groups, pads
-and chunks the pairs for ``_accumulate``, and for the self matrix the pairs
-of ``np.triu_indices`` through it. It is also the reference the compiled
+library's one fallback rule: where it cannot be built, or the host has no
+AVX2, each caller runs its numpy reference; here that is
+``_grouped_pair_values``, which groups, pads and chunks the pairs for
+``_accumulate``, and for the self matrix the pairs of ``np.triu_indices``
+through it. It is also the reference the compiled
 loops are tested against. The two give the same bits: both take each
 pointwise distance as the square root of the squared coordinate
 differences summed in order from 0.0, apply the same scale and power, and

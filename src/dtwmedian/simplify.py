@@ -16,19 +16,20 @@ each curve's part ends, part count, center vertices and cost as arrays.
 ``simplify_set`` batches every curve of one (complexity, dimension) through
 ``_medoid_simplifications``, which builds only the simplified curves, by
 gathering their centers; a one-curve ``_detailed`` function runs a batch
-of one and alone builds the parts tuples and a ``Simplification``. A batch is chunked by the DTW kernel's cell budget,
-which bounds the numpy reference's batch-last (m, m, n) table of the p-th
-powers of the pointwise distances (scaled per curve for p > 32), but a
-chunk holds at least four curves. ``medoid_partition``, a function of the
-package's compiled library (``_kernels``), builds each curve's table of
-powers and cost table, runs the partition DP and its traceback, and picks
-each part's center: the first vertex that attains the part's table entry.
-It builds the tables of four curves at once (two without AVX2), one per
-vector lane, and fills the lanes of a short last group with copies of its
-last curve; so its scratch array holds four curves' two m x m tables, 1.1
-MB at m = 128 and 64 MB at m = 1000, and a chunk of fewer than four curves
-would pay for four. The library's one fallback rule: where it cannot be
-built, each caller runs its numpy reference; here that is the DTW kernel's
+of one and alone builds the parts tuples and a ``Simplification``. A batch
+is chunked by the DTW kernel's cell budget, which bounds the numpy
+reference's batch-last (m, m, n) table of the p-th powers of the pointwise
+distances (scaled per curve for p > 32), but a chunk holds at least four
+curves. ``medoid_partition``, a function of the package's compiled library
+(``_kernels``), builds each curve's table of powers and cost table, runs
+the partition DP and its traceback, and picks each part's center: the
+first vertex that attains the part's table entry. It builds the tables of
+four curves at once, one per lane of an AVX2 vector, and fills the lanes
+of a short last group with copies of its last curve; so its scratch array
+holds four curves' two m x m tables, 1.1 MB at m = 128 and 64 MB at
+m = 1000, and a chunk of fewer than four curves would pay for four. The
+library's one fallback rule: where it cannot be built, or the host has no
+AVX2, each caller runs its numpy reference; here that is the DTW kernel's
 distance table, ``_medoid_cost_table`` (which keeps that vertex for every
 entry) and ``_partition`` on the whole chunk. Each lane adds the
 reference's operands and compares the same sums, so both give the same

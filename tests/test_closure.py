@@ -169,7 +169,7 @@ def test_triangular_kernel_matches_the_reference(n):
     tiles of TILE rows, and mirrors it; n below one tile (1-5), every
     n mod TILE, a first tile with no stretch of columns and 0-7 entries
     after it (n = 6-13) or with one (n = 14-17), every tail after the last
-    stretch of 8 or 4 columns among the tiles of n = 64 and 257, a last
+    stretch of 8 columns among the tiles of n = 64 and 257, a last
     block of 1, B - 1 or B steps, and an inf block across a tile edge give
     the reference's bits."""
     assert _kernels.library() is not None

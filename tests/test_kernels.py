@@ -1,6 +1,6 @@
-"""The compiled library against its numpy references: the DTW pair loop and
-its lanes, the medoid simplification and the k-median swap costs run
-compiled when a compiler exists, and a host without one gets the same bits
+"""The compiled library against its numpy references: the DTW lanes, the
+medoid simplification and the k-median swap costs run compiled when a
+compiler exists and the host has AVX2, and other hosts get the same bits
 from the references."""
 
 import ctypes
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import dtwmedian
-from dtwmedian import _kernels, closure, kmedian, simplify
-from dtwmedian.curves import Curve, ValidationError, gen_synthetic
+from dtwmedian import _kernels, kmedian, simplify
+from dtwmedian.curves import Curve, ValidationError
 from dtwmedian.dtw import dtw_aligned, dtw_matrix, dtw_self_matrix, dtw_value
 from dtwmedian.kmedian import FiniteMetricInstance, kmedian_local_search
 from dtwmedian.simplify import (
@@ -130,8 +130,8 @@ def assert_self_matrices_have_the_reference_bits():
 def medoid_batches(rng, d):
     """Batches of curves of one complexity for the lanes of
     medoid_partition. For each count from 1 to 9, one of normal curves and
-    one of integer-grid curves, so that every padded last group occurs for
-    4 and 2 lanes. In the normal batches one curve is scaled by 1e10, so
+    one of integer-grid curves, so that every padded last group of the 4
+    lanes occurs. In the normal batches one curve is scaled by 1e10, so
     that from two curves on the lanes of one group take different scales at
     p = 64; in the grid batches many vertices tie for a medoid and many
     splits tie. Then for each complexity from 1 to 20, and at d = 2 the
@@ -440,42 +440,55 @@ def test_the_c_source_compiles_without_warnings(tmp_path):
 
 
 @needs_cc
-def test_the_sse2_paths_have_the_reference_bits(fresh_library, monkeypatch, tmp_path):
-    """On an AVX2 host the library runs the closure's 4-lane tile pass, the
-    4-lane DTW of pairs and of self matrices, and the 4-lane medoids; this
-    builds the source with every AVX2 check replaced by 0, so the 2-lane
-    paths that other x86-64 hosts run are checked too."""
+def test_a_host_without_avx2_runs_the_references(fresh_library, monkeypatch, tmp_path):
+    """The library computes on 4-lane AVX2 vectors only. Built with its one
+    AVX2 check replaced by 0, as a host without AVX2 answers it, the library
+    is not used: library() is None after one warning that names AVX2, and
+    every caller runs its numpy reference, with the compiled results' bits."""
+    assert _kernels.library() is not None
+    compiled = all_results(np.random.default_rng(SEED))
     check = '__builtin_cpu_supports("avx2")'
     source = Path(_kernels._SOURCE).read_text(encoding="utf-8")
-    assert source.count(check) == 4
+    assert source.count(check) == 1
     (tmp_path / "kernels.c").write_text(source.replace(check, "0"), encoding="utf-8")
     monkeypatch.setattr(_kernels, "_SOURCE", str(tmp_path / "kernels.c"))
     monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path / "cache"))
+    _kernels.library.cache_clear()
+    with pytest.warns(UserWarning, match="AVX2") as warned:
+        fallback = all_results(np.random.default_rng(SEED))
+    assert len(warned) == 1
+    assert _kernels.library() is None
+    assert fallback == compiled
+
+
+@needs_cc
+def test_a_short_run_writes_only_its_own_pairs():
+    """dtw_pairs fills the lanes of a run of fewer than four pairs with
+    copies of its last pair. Called directly on 1, 2, 3 and 5 pairs of one
+    shape, it leaves the four NaN sentinels after its pairs as they were,
+    and each value has the bits of _grouped_pair_values, at p = 1, 2 and 64;
+    the last pair's first curve is scaled by 1e10, so at p = 64 the padded
+    lanes take its scale."""
     lib = _kernels.library()
     assert lib is not None
-    assert_lanes_have_the_reference_bits()
-    assert_self_matrices_have_the_reference_bits()
-    assert_medoid_lanes_have_the_reference_bits()
     rng = np.random.default_rng(SEED)
-    block = closure._BLOCK
-    walks = simplify_set(gen_synthetic(150, 1, 32, 2, 0.5, seed=SEED), 4, 1.0)
-    bases = [dtw_self_matrix(walks, 1.0)]
-    # n below one tile of 6 rows, every n mod 6, tails of 0-3 columns after
-    # a tile's last stretch of 4, and blocks cut short
-    for n in (*range(1, block + 2), 2 * block + 1, 67):
-        w = rng.uniform(0.0, 4.0, (n, n))
-        w[rng.random((n, n)) < 1 / 3] = np.inf
-        bases.append(w)
-    # nodes 4 to 8 cut off from the others: an inf block across a tile edge
-    cut = np.zeros(67, dtype=bool)
-    cut[4:9] = True
-    w = bases[-1].copy()
-    w[np.ix_(cut, ~cut)] = w[np.ix_(~cut, cut)] = np.inf
-    bases.append(w)
-    for w in bases:
-        dist = np.minimum(w, w.T, order="C")
-        np.fill_diagonal(dist, 0.0)
-        reference = closure.floyd_warshall_reference(dist)
-        rows = np.empty((block, len(dist)))
-        lib.floyd_warshall(dist.ctypes.data, len(dist), rows.ctypes.data, block)
-        assert dist.tobytes() == reference.tobytes()
+    sentinels = np.full(4, np.nan)
+    for pairs in (1, 2, 3, 5):
+        curves = []
+        for i in range(pairs):
+            a, b = rng.normal(0, 3, (6, 2)), rng.normal(0, 3, (4, 2))
+            curves += [Curve(f"a{i}", a), Curve(f"b{i}", b)]
+        curves[-2] = Curve("big", 1e10 * curves[-2].points)
+        rows = np.arange(0, 2 * pairs, 2, dtype=np.intp)
+        cols = rows + 1
+        lengths, offsets, points = dtw_module._packed(curves)
+        work = dtw_module._work(curves, lengths)
+        for p in (1.0, 2.0, 64.0):
+            out = np.concatenate([np.zeros(pairs), sentinels])
+            lib.dtw_pairs(
+                points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, 2,
+                rows.ctypes.data, cols.ctypes.data, pairs, p, out.ctypes.data, work.ctypes.data,
+            )
+            reference = dtw_module._grouped_pair_values(curves, rows, cols, p)
+            assert out[:pairs].tobytes() == reference.tobytes()
+            assert out[pairs:].tobytes() == sentinels.tobytes()
