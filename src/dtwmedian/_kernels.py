@@ -85,9 +85,10 @@ host).
 The library is built on first use, not at import, which takes 0.9-1.5 s
 (medians of 1.18 and 0.91 s in two sets of five cold builds, same host),
 and is cached in this package's ``__pycache__`` under a name hashed from
-the source, the compiler and the flags. It is written to a temporary file and renamed into place, so
-concurrent first uses are safe. A build then removes the libraries of
-earlier sources from that directory. If that directory cannot be written,
+the source and the command string (``cc`` and the flags): the compiler's
+name, not its version. It is written to a temporary file and renamed into
+place, so concurrent first uses are safe. A build then removes the libraries
+of earlier sources from that directory. If that directory cannot be written,
 the library is built in a private temporary directory for the process.
 
 The one fallback rule: when no library can be built or loaded (a host

@@ -11,6 +11,8 @@ the closure distances that pick the recheck set, and the recheck set's
 closure; the outer level (``k_median_sampled``) picks its recheck set by raw
 p-DTW to the inner level's centers. Closures are only built on sampled
 subsets, or on the whole set when the sample-size formula already covers it.
+A call simplifies each distinct input sequence once (``_prepare``), and each
+repetition reruns only the seeded part (``_bicriteria_run``) on that.
 """
 
 from __future__ import annotations
@@ -52,13 +54,8 @@ class SamplingParams:
 
 @dataclass(frozen=True)
 class BicriteriaSolution:
-    """At most 4k center curves with per-input assignments under p-DTW.
-
-    ``simplified`` holds the ell-simplification of every input, in input
-    order; inputs with equal points share one object, which carries the id
-    of the sequence's first input. The centers are members of it, with
-    pairwise different points.
-    """
+    """At most 4k center curves with per-input assignments under p-DTW; the
+    centers are simplifications of inputs, with pairwise different points."""
 
     centers: tuple[Curve, ...]
     assignment: np.ndarray
@@ -66,7 +63,6 @@ class BicriteriaSolution:
     cost: float
     ell: int
     p: float
-    simplified: tuple[Curve, ...]
 
     @property
     def k_hat(self):
@@ -121,6 +117,24 @@ def k_median_sampled(curves, p, idx, k, eps, seed):
     return np.unique(np.concatenate([c_prime, c_second]))
 
 
+def _prepare(curves, ell, p, method="two-approx"):
+    """A call's seed-free part: ``distinct_curves`` of the inputs, and one
+    ell-simplification per sequence, which carries its first input's id."""
+    distinct, inverse = distinct_curves(curves)
+    return distinct, inverse, simplify_set(distinct, ell, p, method)
+
+
+def _bicriteria_run(prepared, k, ell, p, eps, seed):
+    """One seeded run on a prepared call: the framework draws the n inputs as
+    indices into the simplifications, as it would draw ``np.arange(n)``."""
+    distinct, inverse, simplified = prepared
+    centers_idx = k_median_sampled(simplified, p, inverse, k, eps, seed)
+    center_curves = tuple(simplified[i] for i in centers_idx)
+    assignment, distances = assign_nearest(distinct, center_curves, p)
+    assignment, distances = assignment[inverse], distances[inverse]
+    return BicriteriaSolution(center_curves, assignment, distances, float(distances.sum()), ell, p)
+
+
 def bicriteria_klmedian(
     T,
     k,
@@ -134,30 +148,16 @@ def bicriteria_klmedian(
     framework on their p-DTW; centers are simplification curves, assignments
     and cost are evaluated on the original inputs.
 
-    Each distinct point sequence (``distinct_curves``) is simplified and
-    assigned once; the framework samples the n inputs as indices into them,
-    so its draws are those of ``np.arange(n)`` over the same curves.
-
-    The whole sampled run is repeated ``repetitions`` times (fresh derived
-    seeds) and the cheapest outcome kept.
+    Equal sequences are simplified once per call (``_prepare``); the run is
+    repeated ``repetitions`` times with derived seeds, keeping the first cheapest.
     """
     curves = list(T)
     if not curves:
         raise ValidationError("need at least one curve")
     if k < 1 or ell < 1 or repetitions < 1:
         raise ValidationError("k, ell and repetitions must be >= 1")
-    distinct, inverse = distinct_curves(curves)
-    simplified = simplify_set(distinct, ell, p)
-    best = None
-    for rep_seed in spawn_seeds(seed, repetitions):
-        centers_idx = k_median_sampled(simplified, p, inverse, k, eps, rep_seed)
-        center_curves = tuple(simplified[i] for i in centers_idx)
-        assignment, distances = assign_nearest(distinct, center_curves, p)
-        distances = distances[inverse]
-        cost = float(distances.sum())
-        if best is None or cost < best.cost:
-            best = BicriteriaSolution(
-                center_curves, assignment[inverse], distances, cost, ell, p,
-                tuple(simplified[j] for j in inverse),
-            )
-    return best
+    if not 0.0 < eps < 1.0:
+        raise ValidationError("eps must lie in (0, 1)")
+    prepared = _prepare(curves, ell, p)
+    runs = (_bicriteria_run(prepared, k, ell, p, eps, s) for s in spawn_seeds(seed, repetitions))
+    return min(runs, key=lambda sol: sol.cost)

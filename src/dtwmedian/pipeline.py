@@ -1,11 +1,10 @@
-"""End-to-end (k,l)-median: bicriteria seeding, which ell-simplifies every
-input once, sensitivity sampling of those simplified curves, metric closure
-and weighted k-median, plus the small-n route that clusters the closure of
-the whole simplified set directly. Each route collapses inputs with equal
-points once, at its entry (``distinct_curves``); the layers below evaluate
-what they are given. Both share one back half: one weighted point per
-distinct simplified curve, closure, k-median and the nearest-center
-assignment of each sequence, which all its inputs get.
+"""End-to-end (k,l)-median: bicriteria seeding, sensitivity sampling of the
+simplified inputs, metric closure and weighted k-median, plus the small-n
+route that clusters the closure of the whole simplified set directly. Each
+call collapses equal inputs and ell-simplifies each sequence once, for all
+its repetitions (``bicriteria._prepare``). Both routes share one back half:
+one weighted point per distinct simplified curve, closure, k-median and the
+nearest-center assignment of each sequence, which all its inputs get.
 
 The accuracy knob follows the source construction: the caller's eps is split
 as eps' = eps/46 for the coreset size and the final k-median. The bicriteria
@@ -23,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bicriteria import bicriteria_klmedian
+from .bicriteria import _bicriteria_run, _prepare
 from .closure import build_closure
 from .coreset import (
     bicriteria_alpha_factor,
@@ -42,7 +41,6 @@ from .curves import (
 # dtw_matrix stays bound here: the benchmark's tracer test reads pipeline.dtw_matrix
 from .dtw import assign_nearest, dtw_matrix  # noqa: F401
 from .kmedian import FiniteMetricInstance, kmedian_local_search
-from .simplify import simplify_set
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,8 @@ class ClusteringResult:
 
     Each center is the ell-simplification of an input curve and carries the
     id of the first input with that input's points; ``timings`` holds the
-    per-stage wall times of the run (the repetition) that produced it, and
-    ``config`` the parameters the route used, by name.
+    stage wall times of the repetition that produced it, with the call's one
+    ``"simplify"``, and ``config`` the parameters the route used, by name.
     """
 
     centers: tuple[Curve, ...]
@@ -105,19 +103,18 @@ def _cluster_simplified(distinct, inverse, simplified, weights, k, p, eps, seed,
     return centers, assignment[inverse], distances[inverse]
 
 
-def _coreset_stages(curves, cfg, seed, timings):
-    """Bicriteria and sensitivities (the shared front of the pipeline);
-    returns (bicriteria, profile, size report, sample size, sampling seed)."""
+def _coreset_stages(curves, prepared, cfg, seed, timings):
+    """Bicriteria and sensitivities on a prepared call (the shared front of
+    the pipeline); returns (bicriteria, profile, size report, sample size, sampling seed)."""
     n = len(curves)
     m = max(c.complexity for c in curves)
     d = curves[0].dimension
     eps_prime = cfg.eps / 46.0
     eps_bicrit = min(cfg.eps, 0.999)  # kmedian_local_search needs eps < 1
     seeds = spawn_seeds(seed, 2)
+    run_seed = spawn_seeds(seeds[0], 1)[0]  # as bicriteria_klmedian(seed=seeds[0], repetitions=1)
     with _stage(timings, "bicriteria"):
-        bicrit = bicriteria_klmedian(
-            curves, cfg.k, cfg.ell, cfg.p, eps_bicrit, seeds[0], repetitions=1
-        )
+        bicrit = _bicriteria_run(prepared, cfg.k, cfg.ell, cfg.p, eps_bicrit, run_seed)
     alpha = bicriteria_alpha_factor(m, cfg.ell, cfg.p, eps_bicrit)
     with _stage(timings, "sensitivity"):
         profile = sensitivity_bounds(curves, bicrit, alpha)
@@ -139,8 +136,8 @@ def _coreset_stages(curves, cfg, seed, timings):
 
 
 def kl_median(T, cfg: PipelineConfig) -> ClusteringResult:
-    """Full pipeline: coreset stages, a sensitivity sample of the bicriteria
-    stage's simplified curves, metric closure, weighted k-median at
+    """Full pipeline: coreset stages, a sensitivity sample of the call's
+    simplified inputs, metric closure, weighted k-median at
     eps' = eps/46, exactly k final centers.
 
     Repeated draws, and draws of equal points, become one weighted point of
@@ -149,14 +146,19 @@ def kl_median(T, cfg: PipelineConfig) -> ClusteringResult:
     n = len(curves)
     if n < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} curves, got {n}")
-    distinct, inverse = distinct_curves(curves)
+    preparation: dict = {}
+    with _stage(preparation, "simplify"):
+        prepared = distinct, inverse, simplified = _prepare(curves, cfg.ell, cfg.p)
+    per_input = [simplified[j] for j in inverse]
     best = None
     for rep_seed in spawn_seeds(cfg.seed, cfg.repetitions):
-        timings: dict = {}
+        timings = dict(preparation)
         seeds = spawn_seeds(rep_seed, 2)
-        bicrit, profile, _, size, sample_seed = _coreset_stages(curves, cfg, seeds[0], timings)
+        bicrit, profile, _, size, sample_seed = _coreset_stages(
+            curves, prepared, cfg, seeds[0], timings
+        )
         with _stage(timings, "sampling"):
-            coreset = coreset_sample(bicrit.simplified, profile, size, sample_seed)
+            coreset = coreset_sample(per_input, profile, size, sample_seed)
         centers, assignment, distances = _cluster_simplified(
             distinct, inverse, coreset.curves, coreset.weights, cfg.k, cfg.p, cfg.eps / 46.0,
             seeds[1], timings,
@@ -188,9 +190,8 @@ def cluster_via_closure(T, k, ell, p=1.0, eps=0.5, method="two-approx", seed=0) 
     # the route runs once on every curve: no delta, sample size or repetitions
     config = dict(k=cfg.k, ell=cfg.ell, p=cfg.p, eps=cfg.eps, method=method, seed=cfg.seed)
     timings: dict = {}
-    distinct, inverse = distinct_curves(curves)
     with _stage(timings, "simplify"):
-        simplified = simplify_set(distinct, ell, p, method)
+        distinct, inverse, simplified = _prepare(curves, ell, p, method)
     centers, assignment, distances = _cluster_simplified(
         distinct, inverse, simplified, np.bincount(inverse), k, p, min(eps, 0.999), seed, timings
     )
@@ -205,7 +206,8 @@ def emit_coreset_only(T, cfg: PipelineConfig):
     if len(curves) < 1:
         raise ValidationError("need at least one curve")
     seed = spawn_seeds(cfg.seed, 1)[0]
-    _, profile, report, size, sample_seed = _coreset_stages(curves, cfg, seed, {})
+    prepared = _prepare(curves, cfg.ell, cfg.p)
+    _, profile, report, size, sample_seed = _coreset_stages(curves, prepared, cfg, seed, {})
     return coreset_sample(curves, profile, size, sample_seed), report, profile
 
 

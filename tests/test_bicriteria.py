@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from dtwmedian import bicriteria
 from dtwmedian.curves import Curve, ValidationError, gen_synthetic
 from dtwmedian.bicriteria import (
     BicriteriaSolution,
     SamplingParams,
+    _prepare,
     bicriteria_klmedian,
     k_median_sampled,
     k_routine,
@@ -79,15 +81,18 @@ def test_a_sequence_under_several_ids_is_one_center(rng):
     # 3 sequences, each under 4 ids, interleaved
     seqs = [rng.normal(0, 3, (6, 2)) for _ in range(3)]
     curves = [Curve(f"c{j}_{r}", seqs[j]) for r in range(4) for j in range(3)]
+    # inputs with equal points share one simplification, with the first id
+    _, inverse, simplified = _prepare(curves, 2, 1.0)
+    per_input = [simplified[j] for j in inverse]
+    for i, c in enumerate(curves):
+        assert per_input[i] is per_input[i % 3]
+        assert per_input[i].id == f"c{i % 3}_0"
     for seed in range(6):
         sol = bicriteria_klmedian(curves, 4, 2, 1.0, 0.5, seed, repetitions=2)
         assert sol.k_hat <= 3
         keys = {c.points.tobytes() for c in sol.centers}
         assert len(keys) == sol.k_hat
-        # inputs with equal points share one simplification, with the first id
-        for i, c in enumerate(curves):
-            assert sol.simplified[i] is sol.simplified[i % 3]
-            assert sol.simplified[i].id == f"c{i % 3}_0"
+        assert all(c in simplified for c in sol.centers)
         assert sol.cost == float(sol.distances.sum())
 
 
@@ -138,6 +143,14 @@ def test_repetitions_below_one_raise():
     for repetitions in (0, -1):
         with pytest.raises(ValidationError):
             bicriteria_klmedian(curves, 2, 2, repetitions=repetitions)
+
+
+def test_eps_outside_the_open_unit_interval_raises_before_any_work(monkeypatch):
+    curves = list(gen_synthetic(2, 4, 5, 1, 0.4, 3))
+    monkeypatch.setattr(bicriteria, "_prepare", None)
+    for eps in (0.0, -0.5, 1.0, float("nan")):
+        with pytest.raises(ValidationError, match="eps"):
+            bicriteria_klmedian(curves, 2, 2, eps=eps)
 
 
 def test_determinism(rng):

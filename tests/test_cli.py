@@ -298,6 +298,13 @@ def test_bicriteria_without_repetitions_exits_2(data_file):
     assert "repetitions" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.5", "1.0", "nan"])
+def test_bicriteria_eps_outside_the_open_unit_interval_exits_2(data_file, eps):
+    proc = run_module("bicriteria", "--k", "2", "--ell", "2", "--eps", eps, str(data_file))
+    assert proc.returncode == 2
+    assert "error: eps must lie in (0, 1)" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_exit_code_parse_error(tmp_path):
     f = tmp_path / "bad.jsonl"
     f.write_text("not json\n")

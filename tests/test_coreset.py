@@ -38,7 +38,7 @@ def test_single_curve_formula():
     curve = curve1d(0, 0, cid="q")
     center = curve1d(3, cid="c")
     sol = BicriteriaSolution(
-        (center,), np.array([0]), np.array([6.0]), 6.0, 1, 1.0, (center,)
+        (center,), np.array([0]), np.array([6.0]), 6.0, 1, 1.0
     )
     prof = sensitivity_bounds([curve], sol, alpha=2.0)
     assert prof.gamma[0] == pytest.approx((2 * 1) ** 1.0 * (2 * 2 + 4 + 8 * 2))

@@ -5,6 +5,7 @@ from dtwmedian.curves import (
     Curve,
     PipelineConfig,
     ValidationError,
+    distinct_curves,
     gen_synthetic,
     load_weighted,
     save_weighted,
@@ -101,7 +102,8 @@ def test_timings_are_per_repetition(monkeypatch):
     monkeypatch.setattr(pipeline.time, "perf_counter", lambda: float(next(ticks)))
     curves = list(gen_synthetic(2, 6, 5, 1, 0.4, 3))
     res = kl_median(curves, cfg(repetitions=3))
-    assert len(res.timings) == 6
+    # the call's one preparation is every repetition's "simplify"
+    assert len(res.timings) == 7 and "simplify" in res.timings
     assert all(v == 1.0 for v in res.timings.values())
 
 
@@ -112,29 +114,46 @@ def test_provenance_resolves_to_inputs(rng):
     assert all(center.id in ids for center in res.centers)
 
 
-def test_each_input_is_simplified_once_per_repetition(monkeypatch):
-    calls = []
+def test_each_input_is_simplified_once_per_call(monkeypatch):
+    calls, batches, collapsed = [], [], []
     original = simplify._medoid_simplifications
 
     def counting(curves, ell, p, restrict_to_range):
         calls.extend(c.id for c in curves)
         return original(curves, ell, p, restrict_to_range)
 
+    def batching(curves, *args):
+        batches.append(len(curves))
+        return simplify.simplify_set(curves, *args)
+
+    def collapsing(curves):
+        collapsed.append(list(curves))
+        return distinct_curves(curves)
+
     # every batch of medoid simplifications runs through it, and the pipeline
     # simplifies only in batches
     monkeypatch.setattr(simplify, "_medoid_simplifications", counting)
+    monkeypatch.setattr(bicriteria, "simplify_set", batching)
+    for module in (bicriteria, pipeline):
+        monkeypatch.setattr(module, "distinct_curves", collapsing)
+    routes = [
+        lambda curves: kl_median(curves, cfg(k=2, ell=2, repetitions=2)),
+        lambda curves: bicriteria.bicriteria_klmedian(curves, 2, 2, repetitions=3),
+        lambda curves: cluster_via_closure(curves, 2, 2),
+        lambda curves: emit_coreset_only(curves, cfg(k=2, ell=2, repetitions=2)),
+    ]
     curves = list(gen_synthetic(2, 8, 6, 1, 0.4, 17))
-    kl_median(curves, cfg(k=2, ell=2, repetitions=2))
-    assert len(calls) == 2 * len(curves)
-    # a sequence repeated under other ids is simplified once per repetition
     distinct = len(curves)
-    curves += [Curve(f"dup{i}", c.points) for i, c in enumerate(curves[:5])]
-    calls.clear()
-    kl_median(curves, cfg(k=2, ell=2, repetitions=2))
-    assert len(calls) == 2 * distinct
-    calls.clear()
-    cluster_via_closure(curves, 2, 2)
-    assert len(calls) == distinct
+    for inputs in (curves, curves + [Curve(f"dup{i}", c.points) for i, c in enumerate(curves[:5])]):
+        for route in routes:
+            for log in (calls, batches, collapsed):
+                log.clear()
+            route(inputs)
+            # a sequence repeated under other ids is simplified once per call
+            assert len(calls) == distinct and batches == [distinct]
+            # and the inputs are collapsed once; the other passes are over samples
+            passes = [g for g in collapsed if all(a is b for a, b in zip(g, inputs))]
+            assert len(passes) == 1 and len(passes[0]) == len(inputs)
 
 
 def test_bicriteria_closures_are_built_on_samples(monkeypatch):
