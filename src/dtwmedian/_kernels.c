@@ -13,7 +13,7 @@
 #define OVERFLOW_SAFE_P 32.0
 
 /* The doubles of one vector, and the rows of one register tile of
-   floyd_warshall's pass and of the medoid range table (medoid_lanes) */
+   floyd_warshall's pass */
 enum { LANES = 4, TILE = 6 };
 
 /* A vector of LANES doubles. The functions that compute on vectors are
@@ -399,54 +399,61 @@ void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *l
     mirror(out, n);
 }
 
+/* out[i] = the least rows[i * m + v] + h[v] over v in [i, m), for i < m,
+   in four accumulators, one for each v - i mod 4, so that four vmin chains
+   overlap: one suffix-DP level of medoid_lanes */
+__attribute__((target("avx2")))
+static void row_minima(const vec *rows, const vec *h, ptrdiff_t m, vec *out)
+{
+    const vec inf = (vec){0} + INFINITY;
+    for (ptrdiff_t i = 0; i < m; i++) {
+        vec best[4] = {inf, inf, inf, inf};
+        ptrdiff_t v = i;
+        for (; v + 4 <= m; v += 4)
+            for (int x = 0; x < 4; x++)
+                best[x] = vmin(rows[i * m + v + x] + h[v + x], best[x]);
+        for (; v < m; v++)
+            best[0] = vmin(rows[i * m + v] + h[v], best[0]);
+        out[i] = vmin(vmin(best[0], best[1]), vmin(best[2], best[3]));
+    }
+}
+
 /* The tables of the medoid simplification of LANES curves of one shape
    (m, d) at once, curve x in lane x of every vector. points holds the
    curves with their points interleaved: coordinate k of point i of curve x
-   is points[(i * d + k) * LANES + x]. own and cost hold m * m vectors and
-   suffix max_parts * (m + 1). own[v * m + j] gets the p-th power of the
-   distance from v to j, divided by the curve's scale for p > 32; with
-   restrict_to_range it is then overwritten by the split sums W below.
-   cost[a * m + b] gets the cost of the range [a, b] for a <= b
-   (simplify._medoid_cost_table); suffix[(j - 1) * (m + 1) + i] the least
-   cost of grouping [i, m) into exactly j parts (simplify._partition).
-   scale[x] gets curve x's scale: for p > 32 its largest finite distance,
-   where a 0 stands for 1.0, and 1.0 otherwise. Within one curve each split
-   sum waits on the one before; the lanes do not wait on each other.
+   is points[(i * d + k) * LANES + x]. own holds m * m vectors, cost m * m
+   (m with restrict_to_range) and suffix max_parts * (m + 1). own[v * m + j]
+   gets the p-th power of the distance from v to j, divided by the curve's
+   scale for p > 32; with restrict_to_range it is then overwritten by the
+   split sums W below. suffix[(j - 1) * (m + 1) + i] gets S_j[i], the least
+   cost of grouping [i, m) into exactly j parts. scale[x] gets curve x's
+   scale: for p > 32 its largest finite distance, where a 0 stands for 1.0,
+   and 1.0 otherwise. Within one curve each split sum waits on the one
+   before; the lanes do not wait on each other.
 
    Each lane does the numpy reference's operations, so every table keeps
    the reference's bits: the squared differences summed in coordinate order
    from 0.0, then the square root; for p > 32, the division by the lane's
    scale (dividing by 1.0 changes no bit); powers' power; then the sums and
-   minima of the tables. own is
-   exactly symmetric ((x - y)^2 and (y - x)^2 round alike), so its upper
-   triangle is computed and mirrored into the lower one.
+   minima of the tables. own is exactly symmetric ((x - y)^2 and (y - x)^2
+   round alike), so its upper triangle is computed and mirrored into the
+   lower one. min is exact, and finite points give no NaN (only sums of
+   nonnegative terms, at most inf), so the order of the minima changes no
+   bit. Without restrict_to_range, cost[a * m + b] gets the cost of the
+   range [a, b] (simplify._medoid_cost_table and simplify._partition).
 
-   The local-medoid table (restrict_to_range) is a (min, +) product. The
+   With it, no range table is built (simplify._local_medoid_partition). The
    reference's split sums of center v are L(v, a), own[v][v..a] added
-   leftwards from v, and R(v, b), own[v][v..b] added rightwards, and
-   cost[a][b] is the least L(v, a) + R(v, b) over v in [a, b]. Column v of
-   W takes them in place of own: W[a][v] = W[a + 1][v] + own[a][v] for
-   a < v and W[b][v] = W[b - 1][v] + own[b][v] for b > v, row by row, with
+   leftwards from v, and R(v, b), own[v][v..b] added rightwards, and [a, b]
+   costs the least L(v, a) + R(v, b) over v in [a, b]. Column v of W takes
+   them in place of own: W[a][v] = W[a + 1][v] + own[a][v] for a < v and
+   W[b][v] = W[b - 1][v] + own[b][v] for b > v, row by row, with
    W[v][v] = own[v][v]; since own[a][v] = own[v][a], these are the
-   reference's additions with its operands. Then cost[a][b] is the least
-   W[a][v] + W[b][v] over v in [a, b], two contiguous rows, each sum the
-   reference's L + R (IEEE addition is commutative). min is exact, and
-   finite points give no NaN (only sums of nonnegative terms, at most inf),
-   so the order of the minima changes no bit. The rows go in tiles of TILE
-   rows a0 + r by two columns b0 + x, whose 12 accumulators stay in
-   registers over v: each v loads 8 vectors for 12 sums, where the
-   reference's order loads and stores each entry once per v. The leading
-   edge v < a0 + TILE - 1 reaches the rows r <= v - a0 and the trailing
-   edge v = b0 + 1 column 1 only; both are loops of constant trip counts,
-   which gcc unrolls. Each tile row's first columns, an odd one among them
-   so that the tiles take pairs to column m - 1, and the last m mod TILE
-   rows are taken one entry at a time. At m = 128 (200 curves, ell = 8,
-   p = 2, 2-core x86-64, gcc 12.2) the tiles took medoid_partition from
-   35-41 to 23-25 ms; the powers of one triangle and the suffix chains
-   below then took it to 19-20 ms (quartiles of 15 alternating calls).
-
-   Each row of the suffix DP takes its minimum in four accumulators, one
-   for each e - i mod 4, so that four vmin chains overlap. */
+   reference's additions with its operands. S_1[i] is the least
+   W[i][v] + W[m - 1][v] over v >= i, and for j >= 2 H[v] is the least
+   W[e][v] + S_{j-1}[e + 1] over e in [v, m - 1) and S_j[i] the least
+   W[i][v] + H[v] over v >= i: two O(m^2) passes per level over the rows of
+   W, where the range table took O(m^3). */
 __attribute__((target("avx2")))
 static void medoid_lanes(const double *points, ptrdiff_t m, ptrdiff_t d, double p,
                          ptrdiff_t max_parts, int restrict_to_range, double *scale,
@@ -486,43 +493,6 @@ static void medoid_lanes(const double *points, ptrdiff_t m, ptrdiff_t d, double 
         for (ptrdiff_t b = 1; b < m; b++)
             for (ptrdiff_t v = 0; v < b; v++)
                 own[b * m + v] += own[(b - 1) * m + v];
-        for (ptrdiff_t a0 = 0; a0 < m; a0 += TILE) {
-            const ptrdiff_t first =
-                a0 + TILE <= m ? a0 + TILE - 1 + (m - a0 - TILE + 1) % 2 : m;
-            const vec *wa = own + a0 * m;
-            for (ptrdiff_t b0 = first; b0 < m; b0 += 2) {
-                const vec *wb = own + b0 * m;
-                vec acc[TILE][2];
-                for (int r = 0; r < TILE; r++)
-                    acc[r][0] = acc[r][1] = inf;
-                for (int e = 0; e < TILE - 1; e++)
-                    for (int r = 0; r < TILE; r++)
-                        for (int x = 0; x < 2; x++)
-                            if (r <= e)
-                                acc[r][x] = vmin(wa[r * m + a0 + e]
-                                                 + wb[x * m + a0 + e], acc[r][x]);
-                for (ptrdiff_t v = a0 + TILE - 1; v <= b0; v++) {
-                    const vec s0 = wb[v], s1 = wb[m + v];
-                    for (int r = 0; r < TILE; r++) {
-                        const vec t = wa[r * m + v];
-                        acc[r][0] = vmin(t + s0, acc[r][0]);
-                        acc[r][1] = vmin(t + s1, acc[r][1]);
-                    }
-                }
-                for (int r = 0; r < TILE; r++)
-                    acc[r][1] = vmin(wa[r * m + b0 + 1] + wb[m + b0 + 1], acc[r][1]);
-                for (int r = 0; r < TILE; r++)
-                    for (int x = 0; x < 2; x++)
-                        cost[(a0 + r) * m + b0 + x] = acc[r][x];
-            }
-            for (ptrdiff_t a = a0; a < a0 + TILE && a < m; a++)
-                for (ptrdiff_t b = a; b < first; b++) {
-                    vec best = inf;
-                    for (ptrdiff_t v = a; v <= b; v++)
-                        best = vmin(own[a * m + v] + own[b * m + v], best);
-                    cost[a * m + b] = best;
-                }
-        }
     } else {
         /* cost[a, b] = min over all vertices v of the sum of own[v] from a to b */
         for (ptrdiff_t j = 0; j < m * m; j++)
@@ -537,38 +507,56 @@ static void medoid_lanes(const double *points, ptrdiff_t m, ptrdiff_t d, double 
             }
     }
 
-    for (ptrdiff_t i = 0; i < m; i++)
-        suffix[i] = cost[i * m + m - 1];
+    if (restrict_to_range)
+        row_minima(own, own + (m - 1) * m, m, suffix);
+    else
+        for (ptrdiff_t i = 0; i < m; i++)
+            suffix[i] = cost[i * m + m - 1];
     suffix[m] = inf;
     for (ptrdiff_t j = 1; j < max_parts; j++) {
         const vec *prev = suffix + (j - 1) * (m + 1);
-        vec *cur = suffix + j * (m + 1);
-        for (ptrdiff_t i = 0; i < m; i++) {
-            vec best[4] = {inf, inf, inf, inf};
-            ptrdiff_t e = i;
-            for (; e + 4 <= m; e += 4)
-                for (int x = 0; x < 4; x++)
-                    best[x] = vmin(cost[i * m + e + x] + prev[e + x + 1], best[x]);
-            for (; e < m; e++)
-                best[0] = vmin(cost[i * m + e] + prev[e + 1], best[0]);
-            cur[i] = vmin(vmin(best[0], best[1]), vmin(best[2], best[3]));
+        vec *cur = suffix + j * (m + 1), *h = cost;
+        if (restrict_to_range) {
+            /* H in cost, by rows e of W's lower triangle; s is read once, as gcc
+               reloads it for every v otherwise (h may alias it), 30% slower */
+            for (ptrdiff_t v = 0; v < m; v++)
+                h[v] = inf;
+            for (ptrdiff_t e = 0; e + 1 < m; e++) {
+                const vec s = prev[e + 1];
+                for (ptrdiff_t v = 0; v <= e; v++)
+                    h[v] = vmin(own[e * m + v] + s, h[v]);
+            }
         }
+        row_minima(restrict_to_range ? own : cost, restrict_to_range ? h : prev + 1, m, cur);
         cur[m] = inf;
     }
 }
 
-/* The rest of simplify._partition for one curve, reading its tables own,
-   cost and suffix of medoid_lanes with a stride of LANES: the part count with
-   the least total (ties to fewer parts), the forward traceback of the
+/* The least total of the part [i, e] followed by s, as the levels of
+   medoid_lanes sum it, reading its tables with a stride of LANES: the
+   least W[i][v] + (W[e][v] + s) over v in [i, e] with restrict_to_range,
+   and cost[i][e] + s without */
+static double part_total(const double *own, const double *cost, double s, ptrdiff_t m,
+                         ptrdiff_t i, ptrdiff_t e, int restrict_to_range)
+{
+    double least = restrict_to_range ? INFINITY : cost[(i * m + e) * LANES] + s;
+    for (ptrdiff_t v = i; restrict_to_range && v <= e; v++)
+        least = min2(least, own[(i * m + v) * LANES] + (own[(e * m + v) * LANES] + s));
+    return least;
+}
+
+/* The rest of the medoid partition of one curve, reading its tables own,
+   cost and suffix of medoid_lanes with a stride of LANES: the part count
+   with the least total (ties to fewer parts), the forward traceback of the
    lexicographically smallest split, whose inclusive part ends go to
    part_ends, and the center of each part to part_centers. The center of a
-   part is the first vertex whose sum over it is least: the vertex that
-   attains the part's entry. With restrict_to_range own holds the split
-   sums W, and a center v of [a, b] sums W[a][v] + W[b][v], the table's
-   operands; otherwise v sums own[v][a..b] in the table's order. Only the
-   chosen parts are summed: a table loop that kept every entry's vertex
-   took twice as long (m = 128, gcc 12.2). Returns the count; *total gets
-   the least total. */
+   part is the first vertex whose sum over it is least. With
+   restrict_to_range own holds the split sums W, and a center v of [a, b]
+   sums W[a][v] + W[b][v]; otherwise v sums own[v][a..b] in the table's
+   order, the vertex that attains the part's entry. Only the chosen parts
+   are summed: a table loop that kept every entry's vertex took twice as
+   long (m = 128, gcc 12.2). Returns the count; *total gets the least
+   total. */
 static ptrdiff_t partition_lane(const double *own, const double *cost, const double *suffix,
                                 ptrdiff_t m, ptrdiff_t max_parts, int restrict_to_range,
                                 ptrdiff_t *part_ends, ptrdiff_t *part_centers, double *total)
@@ -584,7 +572,8 @@ static ptrdiff_t partition_lane(const double *own, const double *cost, const dou
         const double *cur = suffix + j * (m + 1) * LANES, *prev = cur - (m + 1) * LANES;
         ptrdiff_t end = i;
         for (ptrdiff_t e = i; e < m; e++)
-            if (cost[(i * m + e) * LANES] + prev[(e + 1) * LANES] == cur[i * LANES]) {
+            if (part_total(own, cost, prev[(e + 1) * LANES], m, i, e, restrict_to_range)
+                == cur[i * LANES]) {
                 end = e;
                 break;
             }
@@ -623,14 +612,16 @@ static ptrdiff_t partition_lane(const double *own, const double *cost, const dou
    curve's parts and centers from its lane. The last group is padded with
    copies of the last curve, whose results are not written; it costs a
    whole group, so simplify.py hands over at least LANES curves where it
-   has them. work holds LANES * (2 * m * m + min(ell, m) * (m + 1)) doubles
-   for the tables and LANES * m * d for the interleaved points. */
+   has them. work holds LANES * (m * m + c + min(ell, m) * (m + 1)) doubles
+   for the tables, where c is m with restrict_to_range and m * m without,
+   and LANES * m * d for the interleaved points. */
 void medoid_partition(const double *points, ptrdiff_t n, ptrdiff_t m, ptrdiff_t d,
                       double p, ptrdiff_t ell, int restrict_to_range, double *work,
                       ptrdiff_t *ends, ptrdiff_t *counts, ptrdiff_t *centers, double *totals)
 {
     const ptrdiff_t max_parts = ell < m ? ell : m;
-    double *own = work, *cost = own + LANES * m * m, *suffix = cost + LANES * m * m;
+    double *own = work, *cost = own + LANES * m * m;
+    double *suffix = cost + LANES * (restrict_to_range ? m : m * m);
     double *lanes = suffix + LANES * max_parts * (m + 1);
     for (ptrdiff_t t = 0; t < n; t += LANES) {
         const double *from[LANES];

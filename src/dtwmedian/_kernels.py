@@ -36,10 +36,7 @@ It is compiled with ``cc -O3 -ffp-contract=off -shared -fPIC``.
 array of vectors, each lane taking ``t < a ? t : a`` as an explicit
 ``minpd``; at -O3 gcc unrolls the loops over the array and keeps it in
 registers (gcc 12.2: no stack access in the snapshot loop, and the same
-speed as twelve named variables). ``medoid_partition`` builds its
-local-medoid range table, a (min, +) product of one table with itself, in
-the same 6 x 2 tiles (gcc 12.2: 12 minpd and no stack access in the loop
-over centers).
+speed as twelve named variables).
 Every vector holds four doubles, and the functions that compute on them are
 built for AVX2 (``target("avx2")``): without AVX, gcc splits a 4-lane
 minimum into single lanes. So each kernel has one width and one DP loop.
@@ -57,17 +54,13 @@ four measured cases (2-core x86-64 host, gcc 12.2) while they doubled the
 build time. Lanes that hold different pairs or curves do not wait on each
 other: at p = 1 and 2, four lanes made ``dtw_pairs`` 1.8-3.4x faster than
 one pair at a time. Four lanes took ``medoid_partition`` from 50-53 to
-26-32 ms on 200 curves of 128 points (ell = 8, p = 2), and from 7.8-9.6 to
-3.7-5.6 ms on 1000 curves of 32 points (ell = 4, p = 1), against one curve
-at a time (medians of two alternating sets, same host). The tiled range
-table, with the powers taken on one triangle and four chains of minima per
-suffix-DP row, then took it from 35-41 to 19-20 ms on the 200 curves, from
-125-140 to 65-70 ms on them at p = 1.5, and from 5.8-6.1 to 3.5-3.7 ms on
-the 1000 (quartiles of 15 alternating calls, same host, more loaded than
-for the lanes' figures). A lone curve fills the lanes with copies of
-itself: a one-curve ``simplify_2approx_detailed`` call on 128 points took
-0.41-0.70 ms, against 0.97-1.00 ms before the tiles (alternating
-processes).
+26-32 ms on 200 curves of 128 points (ell = 8, p = 2), against one curve
+at a time (medians of two alternating sets, same host). Taking the local
+medoid into the partition DP, O(ell m^2) per curve for an O(m^3) range
+table, took those 200 curves from 12-16 to 9-11 ms, and 8 curves of 1000
+points from 261-290 to 71-99 ms (medians of two alternating sets). A lone
+curve fills the lanes with copies of itself: one ``simplify_2approx_detailed``
+call on 128 points then took 0.18-0.28 ms, against 0.25-0.41 ms before.
 ``swap_costs`` adds each sum in order, and its avx2 clone ran within 5% of
 the plain loop (same host). Every array the functions read or write is
 row-major and contiguous; ``Curve`` stores its points that way, and

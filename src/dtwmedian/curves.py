@@ -209,8 +209,8 @@ class PipelineConfig:
             raise ValidationError("k must be a positive integer")
         if self.ell < 1:
             raise ValidationError("ell must be a positive integer")
-        if not self.p >= 1.0:
-            raise ValidationError("p must be >= 1")
+        if not 1.0 <= self.p < np.inf:
+            raise ValidationError("p must be >= 1 and finite")
         if not (0.0 < self.eps <= 1.0):
             raise ValidationError("eps must lie in (0, 1]")
         if not (0.0 < self.delta < 1.0):

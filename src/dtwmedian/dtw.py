@@ -97,8 +97,8 @@ class QuantizedDistance:
 
 
 def _check_p(p):
-    if not p >= 1.0:
-        raise ValidationError("p must be >= 1")
+    if not 1.0 <= p < math.inf:  # at p = inf every scaled power is 0 or 1, and the root 1
+        raise ValidationError("p must be >= 1 and finite")
 
 
 def _check_pair(a: Curve, b: Curve):

@@ -1,6 +1,6 @@
 """Low-complexity curve simplification under p-DTW.
 
-All variants share one scheme: a table C of costs for grouping a contiguous
+All variants share one scheme: a cost C[a, b] for grouping a contiguous
 vertex range under a single center, and a partition DP selecting the best
 split of the curve into at most ell contiguous groups. The returned curve has
 one center per group, so the DP's grouping cost is realized by the lopsided
@@ -21,35 +21,35 @@ is chunked by the DTW kernel's cell budget, which bounds the numpy
 reference's batch-last (m, m, n) table of the p-th powers of the pointwise
 distances (scaled per curve for p > 32), but a chunk holds at least four
 curves. ``medoid_partition``, a function of the package's compiled library
-(``_kernels``), builds each curve's table of powers and cost table, runs
-the partition DP and its traceback, and picks each part's center: the
-first vertex that attains the part's table entry. It builds the tables of
-four curves at once, one per lane of an AVX2 vector, and fills the lanes
-of a short last group with copies of its last curve; so its scratch array
-holds four curves' two m x m tables, 1.1 MB at m = 128 and 64 MB at
-m = 1000, and a chunk of fewer than four curves would pay for four. The
-library's one fallback rule: where it cannot be built, or the host has no
-AVX2, each caller runs its numpy reference; here that is the DTW kernel's
-distance table, ``_medoid_cost_table`` (which keeps that vertex for every
-entry) and ``_partition`` on the whole chunk. Each lane adds the
-reference's operands and compares the same sums, so both give the same
-bits, and the tests pin them to each other.
+(``_kernels``), builds each curve's table of powers, runs the partition DP
+and its traceback, and picks each part's center: the first vertex with the
+least sum over the part. It builds the tables of four curves at once, one
+per lane of an AVX2 vector, and fills the lanes of a short last group with
+copies of its last curve; so its scratch array holds four curves' m x m
+tables, one for the local medoids (0.5 MB at m = 128 and 32 MB at
+m = 1000) and two for the vertex-restricted variant, and a chunk of fewer
+than four curves would pay for four. The library's one fallback rule: where
+it cannot be built, or the host has no AVX2, each caller runs its numpy
+reference; here that is the DTW kernel's distance table and
+``_local_medoid_partition``, or ``_medoid_cost_table`` (which keeps the
+first vertex that attains each entry) and ``_partition``, on the whole
+chunk. Each lane adds the reference's operands and compares the same sums,
+so both give the same bits, and the tests pin them to each other.
 
-The local-medoid table is built from split sums: a range [a, b] with center
-v costs L(v, a) + R(v, b), the sums of dp[v, j] from v leftwards to a and
-from v rightwards to b. Each is a direct sum of nonnegative terms, so no
-prefix sum is subtracted and small terms cannot cancel against large ones.
-The split sums add the same terms as summing each range from a, in another
-order: table entries and grouping costs stay within a relative m * 2^-52 of
-that direct sum, and the parts and curves have equal bits on the tested
-inputs (``tests/test_simplify.py`` keeps the direct sum as the reference).
-The compiled kernel stores L(v, a) at [a, v] and R(v, b) at [b, v] of one
-m x m table W, each added as the reference adds it, since dp is exactly
-symmetric; an entry is then the least W[a, v] + W[b, v] over v in [a, b],
-a (min, +) product of two contiguous rows, taken in register tiles of six
-rows by two columns. Every sum keeps the reference's two operands, IEEE
-addition is commutative, and a minimum is exact and does not depend on the
-order it is taken in, so the tiles keep the reference's bits.
+The local medoids are chosen by split sums: a range [a, b] with center v
+costs L(v, a) + R(v, b), the sums of dp[v, j] from v leftwards to a and
+from v rightwards to b, each a direct sum of nonnegative terms, so small
+terms cannot cancel against large ones. The partition DP takes the center
+into its levels (``_local_medoid_partition``): O(ell m^2) per curve, where a
+range table takes O(m^3). A grouping's total adds L + (R + the rest) part
+by part, the m terms of its parts and one zero per part, so it stays within
+a relative (m + ell) 2^-52 of the direct sums of each range from a; parts
+and curves have equal bits on the tested inputs (``tests/test_simplify.py``
+keeps the direct sums as the reference). The compiled kernel stores L(v, a)
+at [a, v] and R(v, b) at [b, v] of one m x m table W, adding each as the
+reference does (dp is exactly symmetric), and runs the same levels over the
+rows of W; every sum has the reference's operands, and a minimum is exact
+in any order, so the kernel keeps the reference's bits.
 """
 
 from __future__ import annotations
@@ -84,45 +84,56 @@ class Simplification:
     grouping_cost: float
 
 
-def _medoid_cost_table(dp, restrict_to_range):
-    """Cost tables C[a, b, t] = min over center vertices v of
-    sum_{j in [a,b]} dp[v, j, t], for n batch-last tables
+def _medoid_cost_table(dp):
+    """Cost tables C[a, b, t] = min over all vertices v of
+    sum_{j in [a,b]} dp[v, j, t], summed directly from a (the
+    vertex-restricted exact variant), for n batch-last tables
     dp[i, j, t] = |sigma_i - sigma_j|^p of curve t; inf below the diagonal.
-    Returns C and the first v that attains each entry.
-
-    With ``restrict_to_range`` the center must lie inside [a, b] (the local
-    medoid of the 2-approximation). Each range sum then splits at its center
-    v into L(v, a) = sum_{j=a..v} dp[v, j], summed leftwards from v, and
-    R(v, b) = sum_{j=v..b} dp[v, j], summed rightwards (dp[v, v] = 0 is
-    counted in both), and C[a, b] = min_v L(v, a) + R(v, b): one rank-1
-    minimum update of C[:v+1, v:] per center. Without it any vertex of the
-    curve may serve (the vertex-restricted exact variant), and each row a of
-    C is a minimum over all v of the sums from a, summed directly.
-
-    Every sum adds nonnegative terms and none is subtracted, so small terms
-    cannot cancel against large ones. A split sum adds the same terms as the
-    direct sum from a to b, in another order, so the two may differ by a
-    relative 2(b-a) * 2^-53, less than m * 2^-52; the grouping costs built
-    from the table keep that tolerance.
-    """
+    Returns C and the first v that attains each entry."""
     m = dp.shape[0]
     cost = np.full(dp.shape, np.inf)
     centers = np.zeros(dp.shape, dtype=np.intp)
-    if restrict_to_range:
-        centers += np.arange(m)[:, None, None]  # a, the first v of [a, b]
-        for v in range(m):
-            left = np.cumsum(dp[v, v::-1], axis=0)[::-1]
-            right = np.cumsum(dp[v, v:], axis=0)
-            sums = left[:, None] + right[None]
-            less = sums < cost[: v + 1, v:]
-            np.copyto(cost[: v + 1, v:], sums, where=less)
-            np.copyto(centers[: v + 1, v:], v, where=less)
-    else:
-        for a in range(m):
-            sums = np.cumsum(dp[:, a:], axis=1)
-            cost[a, a:] = sums.min(axis=0)
-            centers[a, a:] = sums.argmin(axis=0)
+    for a in range(m):
+        sums = np.cumsum(dp[:, a:], axis=1)
+        cost[a, a:] = sums.min(axis=0)
+        centers[a, a:] = sums.argmin(axis=0)
     return cost, centers
+
+
+def _local_medoid_partition(dp, max_parts):
+    """``_partition`` over the local-medoid range costs of each of the n
+    batch-last tables dp[i, j, t] = |sigma_i - sigma_j|^p of curve t, with
+    W[a, v] = L(v, a) for a <= v and W[b, v] = R(v, b) for b >= v (the
+    module docstring): S_1[i] = min_{v >= i} W[i, v] + W[m-1, v], and for
+    j >= 2, H[v] = min_{e in [v, m-1)} W[e, v] + S_{j-1}[e+1] and
+    S_j[i] = min_{v >= i} W[i, v] + H[v]. Returns (the parts of each table,
+    their centers (the first v with the least W[a, v] + W[b, v]), the total
+    cost of each in cell units)."""
+    m, n = dp.shape[0], dp.shape[2]
+    w = np.empty(dp.shape)
+    for v in range(m):
+        w[v::-1, v] = np.cumsum(dp[v, v::-1], axis=0)
+        w[v:, v] = np.cumsum(dp[v, v:], axis=0)
+
+    def level(h):  # S[i] = min_{v >= i} W[i, v] + h[v], and S[m] = inf
+        return np.array([*((w[i, i:] + h[i:]).min(axis=0) for i in range(m)), np.full(n, np.inf)])
+
+    suffix, h = [level(w[m - 1])], np.full((m, n), np.inf)
+    for _ in range(1, min(max_parts, m)):
+        for v in range(m - 1):
+            h[v] = (w[v : m - 1, v] + suffix[-1][v + 1 : m]).min(axis=0)
+        suffix.append(level(h))
+
+    def attains(t, i, prev, target):  # some v in [i, e] with W[i, v] + (W[e, v] + prev[e + 1])
+        ws = w[i:, i:, t]
+        return np.triu(ws[0][:, None] + (ws.T + prev[i + 1 :]) == target).any(axis=0)
+
+    all_parts, totals = _traceback(suffix, attains)
+    centers = [
+        [a + int(np.argmin(w[a, a : b + 1, t] + w[b, a : b + 1, t])) for a, b in parts]
+        for t, parts in enumerate(all_parts)
+    ]
+    return all_parts, centers, totals
 
 
 def _centroid_cost_table(points):
@@ -185,37 +196,36 @@ def _geometric_median_cost_table(points):
 
 def _partition(cost, max_parts):
     """Best split of [0, m) into at most ``max_parts`` contiguous groups, for
-    each of the n batch-last cost tables cost[:, :, t].
-
-    Returns (the parts of each table, the total cost of each in cell units).
-    Ties between part counts go to the fewer parts; ties between splits go
-    to the lexicographically smallest split vector (recovered forward over
-    the suffix DP, one table at a time).
-    """
+    each of the n batch-last cost tables cost[:, :, t]: the parts and total
+    cost of each, as ``_traceback`` returns and breaks ties."""
     m, n = cost.shape[0], cost.shape[2]
-    max_parts = min(max_parts, m)
-    # suffix[j][i, t] = best cost of grouping [i, m) of table t into exactly j groups
-    suffix = [np.full((m + 1, n), np.inf)]
-    first = np.full((m + 1, n), np.inf)
-    first[:m] = cost[:, m - 1]
-    suffix.append(first)
-    for _ in range(2, max_parts + 1):
+    # suffix[j - 1][i, t] = best cost of grouping [i, m) of table t into exactly j groups
+    suffix = [np.vstack([cost[:, m - 1], np.full(n, np.inf)])]
+    for _ in range(1, min(max_parts, m)):
         prev, cur = suffix[-1], np.full((m + 1, n), np.inf)
         for i in range(m):
             cur[i] = (cost[i, i:] + prev[i + 1 :]).min(axis=0)
         suffix.append(cur)
+    return _traceback(suffix, lambda t, i, prev, target: cost[i, i:, t] + prev[i + 1 :] == target)
 
-    totals = np.array([s[0] for s in suffix[1:]])
+
+def _traceback(suffix, attains):
+    """The parts and total cost (in cell units) of each of n curves, from
+    suffix[j][i, t], the least cost of grouping [i, m) of curve t into
+    exactly j + 1 groups: ties between part counts go to the fewer parts,
+    and a group [i, e] ends at the first e for which attains(t, i, prev,
+    target) says that its total with prev[e + 1] is the level's entry, so
+    ties between splits go to the lexicographically smallest split vector."""
+    m, n = suffix[0].shape[0] - 1, suffix[0].shape[1]
+    totals = np.array([s[0] for s in suffix])
     best = np.argmin(totals, axis=0)
     all_parts = []
     for t in range(n):
-        parts = []
-        i, j = 0, 1 + int(best[t])
-        while j > 1:
-            targets = cost[i, i:, t] + suffix[j - 1][i + 1 :, t]
-            e = i + int(np.argmax(targets == suffix[j][i, t]))
+        parts, i = [], 0
+        for j in range(best[t], 0, -1):
+            e = i + int(np.argmax(attains(t, i, suffix[j - 1][:, t], suffix[j][i, t])))
             parts.append((i, e))
-            i, j = e + 1, j - 1
+            i = e + 1
         parts.append((i, m - 1))
         all_parts.append(tuple(parts))
     return all_parts, totals[best, np.arange(n)]
@@ -295,11 +305,12 @@ def _medoid_partitions(pts, ell, p, restrict_to_range):
     costs[t] is the grouping's rooted cost.
 
     The compiled ``medoid_partition`` does the arithmetic of
-    ``_medoid_cost_table`` and ``_partition`` with their operands, so its
-    results have their bits; those two run where the library cannot be
-    built. It runs up to ``_LANES`` curves at once, and its scratch
-    ``work`` holds their tables and interleaved points: 4 (2 m^2 +
-    min(ell, m) (m + 1) + m d) doubles.
+    ``_local_medoid_partition``, or without ``restrict_to_range`` of
+    ``_medoid_cost_table`` and ``_partition``, with their operands, so its
+    results have their bits; those run where the library cannot be built.
+    It runs up to ``_LANES`` curves at once, and its scratch ``work`` holds
+    their tables and interleaved points: 4 (m^2 + c + min(ell, m) (m + 1) +
+    m d) doubles, c being m (one level's H) or m^2 (the range table).
     """
     n, m, d = pts.shape
     ends = np.zeros((n, ell), dtype=np.intp)
@@ -310,14 +321,19 @@ def _medoid_partitions(pts, ell, p, restrict_to_range):
         batch = np.moveaxis(pts, 0, -1)
         table = _distance_table(batch, batch)
         scale = _pth_powers(table[1:, 1:], p)
-        cost, vertices = _medoid_cost_table(table[1:, 1:], restrict_to_range)
-        all_parts, totals = _partition(cost, ell)
+        if restrict_to_range:
+            all_parts, vertices, totals = _local_medoid_partition(table[1:, 1:], ell)
+        else:
+            cost, first = _medoid_cost_table(table[1:, 1:])
+            all_parts, totals = _partition(cost, ell)
+            vertices = [[first[a, b, t] for a, b in parts] for t, parts in enumerate(all_parts)]
         for t, parts in enumerate(all_parts):
             counts[t] = len(parts)
-            for q, (a, b) in enumerate(parts):
-                ends[t, q], centers[t, q] = b, vertices[a, b, t]
+            ends[t, : len(parts)] = [b for _, b in parts]
+            centers[t, : len(parts)] = vertices[t]
         return ends, counts, centers, _root(totals, p, scale)
-    work = np.empty(_LANES * (2 * m * m + min(ell, m) * (m + 1) + m * d))
+    tables = m * m + (m if restrict_to_range else m * m) + min(ell, m) * (m + 1)
+    work = np.empty(_LANES * (tables + m * d))
     costs = np.empty(n)
     lib.medoid_partition(
         pts.ctypes.data, n, m, d, p, ell, restrict_to_range, work.ctypes.data,

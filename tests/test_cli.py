@@ -292,6 +292,16 @@ def test_exit_code_validation_error(tmp_path):
     assert "p must be >= 1" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["simplify", "--ell", "3"], ["dtw"]])
+def test_an_infinite_p_exits_2(data_file, command):
+    # p = inf used to simplify every curve to one point and exit 0
+    files = [str(data_file)] * (2 if command == ["dtw"] else 1)
+    proc = run_module(*command, "--p", "inf", *files)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: p must be >= 1 and finite")
+    assert "Traceback" not in proc.stderr
+
+
 def test_bicriteria_without_repetitions_exits_2(data_file):
     proc = run_module("bicriteria", "--k", "2", "--ell", "2", "--repetitions", "0", str(data_file))
     assert proc.returncode == 2

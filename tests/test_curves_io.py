@@ -184,6 +184,8 @@ def test_gen_synthetic_validation():
         dict(k=0, ell=1),
         dict(k=1, ell=0),
         dict(k=1, ell=1, p=0.5),
+        dict(k=1, ell=1, p=float("inf")),
+        dict(k=1, ell=1, p=float("nan")),
         dict(k=1, ell=1, eps=0.0),
         dict(k=1, ell=1, eps=1.5),
         dict(k=1, ell=1, delta=1.0),

@@ -132,6 +132,17 @@ def test_matrices_give_dtw_value_bits_and_zero_between_duplicates(rng):
         assert cross[0, 2] == cross[2, 0] == 0.0
 
 
+@pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+def test_p_below_one_infinite_or_nan_raises(p):
+    # at p = inf each pair's scaled powers are 0 or 1 and the root is 1, so
+    # [0, 10] against [0, 0, 10] would give 10, where p = 64 gives 0
+    a, b = curve1d(0, 10), curve1d(0, 0, 10)
+    for call in (dtw, dtw_value, lambda a, b, p: dtw_matrix([a], [b], p)):
+        with pytest.raises(ValidationError, match="p must be >= 1 and finite"):
+            call(a, b, p)
+    assert dtw_value(a, b, 64.0) == 0.0
+
+
 def test_large_p_overflow_safe():
     # a distance of 1e10 overflows x**64 (1e640) unless rescaled by the max
     a = curve1d(0, 2e10)

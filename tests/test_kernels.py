@@ -136,10 +136,10 @@ def medoid_batches(rng, d):
     p = 64; in the grid batches many vertices tie for a medoid and many
     splits tie. Then for each complexity from 1 to 20, and at d = 2 the
     benchmark's 128, one batch of three normal curves, one of them scaled by
-    1e10, and two grid curves, for the range table's 6 x 2 tiles: below 6
-    points there is no tile, and from there on every complexity mod 6
-    leaves its rows after the last tile, and an even complexity an odd
-    first column in each tile row."""
+    1e10, and two grid curves: up to 8 points they meet ell = 1, 3, 5 and
+    8 below, at and above their own length, and the longer ones run up to
+    eight levels of the partition DP, each a pass over rows of every length
+    from 1 to the complexity."""
     batches = []
     for count in range(1, 10):
         m = 6 + count % 3
@@ -236,6 +236,7 @@ def test_the_compiled_loops_run_with_the_reference_bits(monkeypatch):
         (dtw_module, "_grouped_pair_values"),
         (dtw_module, "_accumulate"),
         (simplify, "_medoid_cost_table"),
+        (simplify, "_local_medoid_partition"),
         (simplify, "_partition"),
         (kmedian, "_swap_costs_reference"),
     ):

@@ -347,12 +347,13 @@ def test_grouping_cost_is_the_lopsided_traversal_cost(rng):
 
 
 def test_split_sums_match_the_direct_sums(rng):
-    # the split sums add each range's terms in another order: table entries
-    # and grouping costs stay within a relative m * 2^-52 of the direct sums
-    # (the _medoid_cost_table docstring), and parts are equal. A center
-    # attains its split-sum entry, so its direct sum is within that
-    # tolerance of the direct medoid's, and it is the direct medoid where no
-    # other vertex comes that close
+    # a grouping total adds L(v, a) + (R(v, b) + the rest) for each part: the
+    # m terms of its parts and one zero per part, in another order than the
+    # direct sums from a, so the two stay within a relative (m + ell) 2^-52
+    # (the simplify module docstring), and parts are equal. A center
+    # attains the least split sum of its part, so its direct sum is within
+    # a relative m 2^-52 of the direct medoid's, and it is the direct
+    # medoid where no other vertex comes that close
     curves = [Curve("a", [[0.0], [1e10], [2e10], [3e10], [4e10]])]
     curves += [
         Curve("x", rng.normal(0, 3, (int(rng.integers(2, 40)), int(rng.integers(1, 4)))))
@@ -366,13 +367,7 @@ def test_split_sums_match_the_direct_sums(rng):
             table = _distance_table(c.points[:, :, None], c.points[:, :, None])
             scale = _pth_powers(table[1:, 1:], p)
             dp = table[1:, 1:]
-            direct = direct_medoid_table(dp[:, :, 0])
-            split = _medoid_cost_table(dp, True)[0][:, :, 0]
-            finite = np.isfinite(direct)
-            assert np.array_equal(np.isfinite(split), finite)
-            assert np.all(np.abs(split[finite] - direct[finite]) <= tol * direct[finite])
-
-            (parts,), total = _partition(direct[:, :, None], ell)
+            (parts,), total = _partition(direct_medoid_table(dp[:, :, 0])[:, :, None], ell)
             s = simplify_2approx_detailed(c, ell, p)
             assert s.parts == parts
             for (a, b), center in zip(parts, s.curve.points):
@@ -383,7 +378,29 @@ def test_split_sums_match_the_direct_sums(rng):
                 if close.size == 1:
                     assert center.tobytes() == c.points[old].tobytes()
             reference = float(_root(total, p, scale)[0])
-            assert abs(s.grouping_cost - reference) <= tol * reference
+            assert abs(s.grouping_cost - reference) <= (m + ell) * 2.0**-52 * reference
+
+
+@pytest.mark.parametrize(
+    "compiled", [pytest.param(True, marks=needs_cc), False], ids=["compiled", "reference"]
+)
+@pytest.mark.parametrize("m, ell, p", [(32, 4, 1.0), (128, 8, 2.0)], ids=["m32", "m128"])
+def test_fused_partition_equals_the_direct_range_table(monkeypatch, compiled, m, ell, p):
+    # random walks of the benchmark's shapes, 20 at each of 3 seeds: the DP
+    # that picks each local medoid inside its levels gives the parts of
+    # _partition over the direct range table, centered at the direct medoids
+    if not compiled:
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+    for seed in (1, 2, 3):
+        pts = np.stack([c.points for c in gen_synthetic(20, 1, m, 2, 0.5, seed)])
+        parts, centers, _ = medoid_parts(pts, ell, p, True)
+        for t, points in enumerate(pts):
+            table = _distance_table(points[:, :, None], points[:, :, None])
+            _pth_powers(table[1:, 1:], p)
+            dp = table[1:, 1:, 0]
+            (direct,), _ = _partition(direct_medoid_table(dp)[:, :, None], ell)
+            assert parts[t] == direct
+            assert centers[t] == [direct_medoid_center(dp, a, b) for a, b in direct]
 
 
 @pytest.mark.parametrize(
@@ -406,15 +423,16 @@ def test_each_center_is_the_first_vertex_attaining_its_entry(rng, monkeypatch, c
             table = _distance_table(c.points[:, :, None], c.points[:, :, None])
             _pth_powers(table[1:, 1:], p)
             dp = table[1:, 1:, 0]
+            cost, _ = _medoid_cost_table(table[1:, 1:])  # the vertex-restricted table
             for restrict_to_range in (True, False):
-                cost, _ = _medoid_cost_table(table[1:, 1:], restrict_to_range)
                 ell = int(rng.integers(1, c.complexity + 1))
                 (parts,), (centers,), _ = medoid_parts(c.points[None], ell, p, restrict_to_range)
                 for (a, b), center in zip(parts, centers):
                     vertices = range(a, b + 1) if restrict_to_range else range(c.complexity)
                     sums = {v: table_order_sum(dp, v, a, b, restrict_to_range) for v in vertices}
-                    assert cost[a, b, 0] == min(sums.values())
-                    assert center == min(v for v in vertices if sums[v] == cost[a, b, 0])
+                    entry = min(sums.values())  # a local-medoid entry is its least split sum
+                    assert restrict_to_range or cost[a, b, 0] == entry
+                    assert center == min(v for v in vertices if sums[v] == entry)
 
 
 def test_simplify_set_equals_one_curve_calls(rng):
