@@ -63,8 +63,13 @@ curve fills the lanes with copies of itself: one ``simplify_2approx_detailed``
 call on 128 points then took 0.18-0.28 ms, against 0.25-0.41 ms before.
 ``swap_costs`` adds each sum in order, and its avx2 clone ran within 5% of
 the plain loop (same host). Every array the functions read or write is
-row-major and contiguous; ``Curve`` stores its points that way, and
-``FiniteMetricInstance`` its distances and weights.
+row-major and contiguous; ``FiniteMetricInstance`` stores its distances and
+weights that way. Curves reach ``dtw_pairs`` and ``dtw_self`` as a packed
+store (``dtw.Packed``): one row-major points array, with each curve's
+offset and length. ``dtw_pairs`` takes index arrays into the store, and
+``dtw_self`` the gathered offsets and lengths of its curves, so a subset
+is selected without copying points; ``medoid_partition`` gets each batch's
+points gathered into an (n, m, d) array.
 ``-ffp-contract=off`` forbids fused multiply-adds, so every operation
 rounds as written. ``-ffast-math`` is excluded: it lets the compiler assume
 there are no infinities and reorder arithmetic, which breaks the closure's

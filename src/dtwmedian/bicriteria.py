@@ -3,16 +3,24 @@ curve-level wrapper producing a (factor, 4)-approximation with at most 4k
 centers of complexity <= ell.
 
 The two-level scheme samples a subset, clusters its metric closure, rechecks
-the worst-served points, and recurses once. The framework works on a curve
-list and index arrays into it, which may repeat an index; it returns
-distinct indices. The inner level (``k_routine``) computes the
-p-DTW matrix of its index set once and slices it for the sample's closure,
-the closure distances that pick the recheck set, and the recheck set's
-closure; the outer level (``k_median_sampled``) picks its recheck set by raw
-p-DTW to the inner level's centers. Closures are only built on sampled
-subsets, or on the whole set when the sample-size formula already covers it.
-A call simplifies each distinct input sequence once (``_prepare``), and each
-repetition reruns only the seeded part (``_bicriteria_run``) on that.
+the worst-served points, and recurses once. The framework works on a packed
+curve store (``dtw.Packed``) and index arrays into it, which may repeat an
+index; it returns distinct indices, and builds no curve list: the inner
+level (``k_routine``) computes the p-DTW matrix of its index set once
+(``dtw._self_values``) and slices it for the sample's closure, the closure
+distances that pick the recheck set, and the recheck set's closure; the
+outer level (``k_median_sampled``) picks its recheck set by raw p-DTW to
+the inner level's centers (``dtw._cross_values``). Closures are only built
+on sampled subsets, or on the whole set when the sample-size formula
+already covers it.
+
+A call prepares once (``_prepare``): it collapses equal inputs
+(``distinct_curves``), ell-simplifies each distinct sequence, and packs the
+sequences and their simplifications into one store, with each sequence's
+label among the distinct simplified point sequences, which the pipeline's
+final instance reads. Each repetition reruns only the seeded part
+(``_bicriteria_run``) on it, and builds a ``Curve`` only for each of its at
+most 4k centers.
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ import numpy as np
 
 from .curves import Curve, ValidationError, distinct_curves, new_rng, spawn_seeds
 from .closure import distances_from_set, shortest_path_closure
-from .dtw import assign_nearest, dtw_matrix, dtw_self_matrix
+from .dtw import Packed, _cross_values, _nearest, _packed, _self_values
 from .kmedian import FiniteMetricInstance, kmedian_local_search
-from .simplify import simplify_set
+from .simplify import _simplified_block
 
 
 @dataclass(frozen=True)
@@ -77,16 +85,16 @@ def _solve_on_closure(base, k, eps, seed):
     return np.sort(np.asarray(kmedian_local_search(inst, eps, seed).centers, dtype=np.intp))
 
 
-def k_routine(curves, p, idx, k, eps, seed):
-    """Inner level over curves[idx]: sample, cluster the sample's closure,
-    recluster the m_size worst points by closure distance. Returns <= 2k
-    indices into ``curves``."""
+def k_routine(store, p, idx, k, eps, seed):
+    """Inner level over the curves idx of a packed store: sample, cluster the
+    sample's closure, recluster the m_size worst points by closure distance.
+    Returns <= 2k indices into the store."""
     idx = np.asarray(idx, dtype=np.intp)
     n = idx.size
     params = SamplingParams.for_instance(n, k, eps)
     rng = new_rng(seed)
     seeds = spawn_seeds(seed, 2)
-    base = dtw_self_matrix([curves[i] for i in idx], p)
+    base = _self_values(store, idx, p)
     if n <= params.s:
         return np.unique(idx[_solve_on_closure(base, k, eps, seeds[0])])
     sample = np.sort(rng.choice(n, size=params.s, replace=False))
@@ -98,40 +106,81 @@ def k_routine(curves, p, idx, k, eps, seed):
     return np.unique(idx[np.concatenate([c_prime, c_second])])
 
 
-def k_median_sampled(curves, p, idx, k, eps, seed):
+def k_median_sampled(store, p, idx, k, eps, seed):
     """Outer level: like k_routine but recursing into it, with the recheck
-    set selected by raw distances. Returns <= 4k indices into ``curves``."""
+    set selected by raw distances. Returns <= 4k indices into the store."""
     idx = np.asarray(idx, dtype=np.intp)
     n = idx.size
     params = SamplingParams.for_instance(n, k, eps)
     rng = new_rng(seed)
     seeds = spawn_seeds(seed, 2)
     if n <= params.s:
-        return k_routine(curves, p, idx, k, eps, seeds[0])
+        return k_routine(store, p, idx, k, eps, seeds[0])
     sample = np.sort(rng.choice(n, size=params.s, replace=False))
-    c_prime = k_routine(curves, p, idx[sample], k, eps, seeds[0])
-    raw = dtw_matrix([curves[i] for i in idx], [curves[j] for j in c_prime], p).min(axis=1)
+    c_prime = k_routine(store, p, idx[sample], k, eps, seeds[0])
+    raw = _cross_values(store, idx, c_prime, p).min(axis=1)
     order = np.lexsort((np.arange(n), -raw))
     m_idx = idx[np.sort(order[: params.m_size])]
-    c_second = k_routine(curves, p, m_idx, k, eps, seeds[1])
+    c_second = k_routine(store, p, m_idx, k, eps, seeds[1])
     return np.unique(np.concatenate([c_prime, c_second]))
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """A call's seed-free part. ``store`` packs the u distinct input
+    sequences, then their ell-simplifications: sequence j is curve j and its
+    simplification curve u + j, under ``ids[j]``, the id of its first input.
+    ``inverse`` gives each input's sequence, ``labels`` each sequence's
+    simplification among the distinct simplified point sequences (in order
+    of first occurrence), and ``m`` the inputs' largest complexity."""
+
+    store: Packed
+    ids: tuple[str, ...]
+    inverse: np.ndarray
+    labels: np.ndarray
+    m: int
+
+    def simplified(self, j):
+        """The simplification of sequence j, as a curve."""
+        i = len(self.ids) + j
+        start = self.store.offsets[i]
+        return Curve(self.ids[j], self.store.points[start : start + self.store.lengths[i]])
+
+
 def _prepare(curves, ell, p, method="two-approx"):
-    """A call's seed-free part: ``distinct_curves`` of the inputs, and one
-    ell-simplification per sequence, which carries its first input's id."""
+    """``distinct_curves`` of the inputs and one ell-simplification per
+    sequence, packed into one store (``_Prepared``)."""
     distinct, inverse = distinct_curves(curves)
-    return distinct, inverse, simplify_set(distinct, ell, p, method)
+    inputs = _packed(distinct)
+    lengths, block = _simplified_block(distinct, inputs, ell, p, method)
+    u, width, d = block.shape
+    start = inputs.points.shape[0]
+    store = Packed(
+        np.concatenate([inputs.points, block.reshape(u * width, d)]),
+        np.concatenate([inputs.offsets, start + width * np.arange(u, dtype=np.intp)]),
+        np.concatenate([inputs.lengths, lengths]),
+    )
+    # equal simplified points have equal bytes: each simplification is made of
+    # a ``Curve``'s points, which are finite and hold no -0.0
+    raw, point = block.tobytes(), d * block.itemsize
+    first: dict[bytes, int] = {}
+    labels = [
+        first.setdefault(raw[j * width * point : (j * width + length) * point], len(first))
+        for j, length in enumerate(lengths.tolist())
+    ]
+    ids = tuple(c.id for c in distinct)
+    m = int(inputs.lengths.max())
+    return _Prepared(store, ids, inverse, np.array(labels, dtype=np.intp), m)
 
 
 def _bicriteria_run(prepared, k, ell, p, eps, seed):
     """One seeded run on a prepared call: the framework draws the n inputs as
-    indices into the simplifications, as it would draw ``np.arange(n)``."""
-    distinct, inverse, simplified = prepared
-    centers_idx = k_median_sampled(simplified, p, inverse, k, eps, seed)
-    center_curves = tuple(simplified[i] for i in centers_idx)
-    assignment, distances = assign_nearest(distinct, center_curves, p)
+    indices of their simplifications, as it would draw ``np.arange(n)``."""
+    store, u, inverse = prepared.store, len(prepared.ids), prepared.inverse
+    centers = k_median_sampled(store, p, u + inverse, k, eps, seed)
+    assignment, distances = _nearest(store, np.arange(u), centers, p)
     assignment, distances = assignment[inverse], distances[inverse]
+    center_curves = tuple(prepared.simplified(i - u) for i in centers.tolist())
     return BicriteriaSolution(center_curves, assignment, distances, float(distances.sum()), ell, p)
 
 

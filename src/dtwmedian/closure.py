@@ -84,7 +84,7 @@ import numpy as np
 
 from . import _kernels
 from .curves import ResourceGuardError, ValidationError
-from .dtw import dtw_self_matrix
+from .dtw import _packed, _self_values
 
 CLOSURE_SIZE_CAP = 20000
 # the steps k that one pass of the compiled kernel takes at a time
@@ -129,29 +129,43 @@ def shortest_path_closure(base):
     return dist
 
 
-def build_closure(curves, p=1.0, size_cap=CLOSURE_SIZE_CAP) -> MetricClosure:
-    """Pairwise p-DTW matrix plus its shortest-path closure for a curve set."""
-    curve_list = list(curves)
-    n = len(curve_list)
+def _closed(store, idx, p, size_cap=CLOSURE_SIZE_CAP):
+    """The p-DTW matrix of the curves idx of a packed store
+    (``dtw._packed``) and its shortest-path closure; raises
+    ``ResourceGuardError`` past ``size_cap`` curves."""
+    n = len(idx)
     if n < 1:
         raise ValidationError("need at least one curve")
     if n > size_cap:
         raise ResourceGuardError(f"closure of {n} curves exceeds the cap of {size_cap}")
-    base = dtw_self_matrix(curve_list, p)
-    return MetricClosure(tuple(c.id for c in curve_list), shortest_path_closure(base), base)
+    base = _self_values(store, idx, p)
+    return base, shortest_path_closure(base)
+
+
+def build_closure(curves, p=1.0, size_cap=CLOSURE_SIZE_CAP) -> MetricClosure:
+    """Pairwise p-DTW matrix plus its shortest-path closure for a curve set."""
+    curve_list = list(curves)
+    base, dist = _closed(_packed(curve_list), np.arange(len(curve_list)), p, size_cap)
+    return MetricClosure(tuple(c.id for c in curve_list), dist, base)
 
 
 def distances_from_set(base, C):
     """Minimum closure distance from every point to the index set C of a
-    dense matrix of non-negative weights (edge u -> v weighs base[u, v]), by
-    one multi-source Dijkstra run; unreachable points stay inf.
+    dense matrix of non-negative weights (edge u -> v weighs base[u, v]);
+    unreachable points stay inf.
 
-    Every point is settled once, at its final value, so dist[v] is the
-    minimum over the settled u of the rounded sum dist[u] + base[u, v],
-    whatever the order among ties: the bits of scipy's ``dijkstra`` with
-    ``min_only=True``. A NaN or negative entry raises ``ValidationError``, as
-    in ``shortest_path_closure``: Dijkstra's settled values would not be
-    final."""
+    Bellman-Ford passes from C: each pass sets dist[v] = min(dist[v],
+    dist[u] + base[u, v]) over the points u whose distance the last pass
+    lowered (C itself first), until no entry falls. After pass t, dist[v]
+    is the least rounded left-to-right sum over the paths of at most t hops,
+    because rounding is monotone; a sum of non-negative terms never falls
+    when a hop is added, so the least over all paths is a least over simple
+    paths and the passes end. That least sum is what Dijkstra returns, so
+    the result has the bits of scipy's ``dijkstra`` with ``min_only=True``.
+    A pass per hop of the longest shortest path: 2-3 passes on the
+    bicriteria's closures, but n passes of up to n rows, O(n^3), in the
+    worst case. A NaN or negative entry raises ``ValidationError``, as in
+    ``shortest_path_closure``."""
     base = np.asarray(base, dtype=np.float64)
     if not np.all(base >= 0):
         raise ValidationError("base entries must be non-negative, not NaN")
@@ -162,14 +176,12 @@ def distances_from_set(base, C):
         raise ValidationError("C contains out-of-range indices")
     dist = np.full(base.shape[0], np.inf)
     dist[C] = 0.0
-    settled = np.zeros(base.shape[0], dtype=bool)
-    while True:
-        unsettled = np.where(settled, np.inf, dist)
-        u = int(np.argmin(unsettled))
-        if unsettled[u] == np.inf:
-            return dist
-        settled[u] = True
-        np.minimum(dist, dist[u] + base[u], out=dist)
+    lowered = np.unique(C)
+    while lowered.size:
+        relaxed = (dist[lowered, None] + base[lowered]).min(axis=0)
+        lowered = np.flatnonzero(relaxed < dist)
+        dist[lowered] = relaxed[lowered]
+    return dist
 
 
 def floyd_warshall_reference(base):

@@ -52,7 +52,8 @@ def sensitivity_bounds(T, sol: BicriteriaSolution, alpha) -> SensitivityProfile:
     """Per-curve sensitivity bounds from a bicriteria solution.
 
     gamma = (m*ell)^(1/p) * (2*alpha*d_i/total + 4/|cell| + 8*alpha*cell_cost/(total*|cell|))
-    with the 0/0 := 0 convention when the total bicriteria cost is zero.
+    with the 0/0 := 0 convention when the total bicriteria cost is zero;
+    m is the largest complexity among the curves.
     """
     curves = list(T)
     n = len(curves)
@@ -62,9 +63,13 @@ def sensitivity_bounds(T, sol: BicriteriaSolution, alpha) -> SensitivityProfile:
         raise ValidationError("solution assignments do not cover the input")
     if not alpha >= 1.0:
         raise ValidationError("alpha must be >= 1")
-    m = max(c.complexity for c in curves)
-    ell, p, k_hat = sol.ell, sol.p, sol.k_hat
+    return _sensitivities(sol, alpha, max(c.complexity for c in curves))
 
+
+def _sensitivities(sol, alpha, m):
+    """``sensitivity_bounds`` of the curves ``sol`` assigns, whose largest
+    complexity is m."""
+    ell, p, k_hat = sol.ell, sol.p, sol.k_hat
     cell_sizes = np.bincount(sol.assignment, minlength=k_hat).astype(np.float64)
     cell_costs = np.bincount(sol.assignment, weights=sol.distances, minlength=k_hat)
     total = float(sol.distances.sum())
@@ -138,6 +143,18 @@ def coreset_size(n, m, ell, d, k, p, eps, delta, alpha, Lambda, constant=0.05):
     return CoresetSizeReport(d_ball, d_range, float(Lambda), eta, eps_eff, size, uncapped)
 
 
+def _draw(profile: SensitivityProfile, size, seed):
+    """``size`` i.i.d. draws from psi (inverse-transform over the cumulative
+    distribution), as (the drawn indices, their weights Lambda/(size*lambda_i)),
+    in draw order."""
+    rng = new_rng(seed)
+    cum = np.cumsum(profile.psi)
+    cum[-1] = 1.0
+    draws = np.searchsorted(cum, rng.random(size), side="right")
+    draws = np.minimum(draws, cum.size - 1)
+    return draws, profile.Lambda / (size * profile.lam[draws])
+
+
 def coreset_sample(T, profile: SensitivityProfile, size, seed) -> WeightedCurveSet:
     """``size`` i.i.d. draws from psi (inverse-transform over the cumulative
     distribution), each carrying weight Lambda/(size*lambda_i); duplicates are
@@ -147,16 +164,8 @@ def coreset_sample(T, profile: SensitivityProfile, size, seed) -> WeightedCurveS
     curves = list(T)
     if len(curves) != profile.psi.shape[0]:
         raise ValidationError("profile does not match the curve set")
-    rng = new_rng(seed)
-    cum = np.cumsum(profile.psi)
-    cum[-1] = 1.0
-    draws = np.searchsorted(cum, rng.random(size), side="right")
-    draws = np.minimum(draws, len(curves) - 1)
-    Lambda = profile.Lambda
-    entries = tuple(
-        (curves[i], Lambda / (size * profile.lam[i])) for i in draws
-    )
-    return WeightedCurveSet(entries)
+    draws, weights = _draw(profile, size, seed)
+    return WeightedCurveSet(tuple((curves[i], w) for i, w in zip(draws, weights)))
 
 
 def cost(T, C, p=1.0):

@@ -10,6 +10,15 @@ pairs per numpy step. ``dtw`` walks its traversal back from the table and
 matrices evaluate every pair they are given; collapsing equal point
 sequences is left to the clustering entry points (``distinct_curves``).
 
+The batched paths read curves from a packed store (``Packed``: all points
+in one buffer, with each curve's offset and length), as the compiled
+loops do, and take index arrays into it: ``_pair_values`` for pairs,
+``_cross_values`` and ``_nearest`` for cross matrices, ``_self_values`` for
+self matrices. The public ``dtw_matrix``, ``assign_nearest``,
+``dtw_aligned`` and ``dtw_self_matrix`` pack their lists once (``_packed``);
+the clustering entry points pack one store per call
+(``bicriteria._prepare``) and select its curves by index.
+
 Every batched value but the self matrix comes from ``_pair_values``.
 It runs ``dtw_pairs``, one of the five functions of the package's compiled
 library (``_kernels``; the others are ``dtw_self`` for the self matrix, the
@@ -20,15 +29,16 @@ at a time, one pair per lane of an AVX2 vector, and fills the lanes of a
 shorter run with copies of its last pair; each lane does the numpy
 reference's operations in its order. Pairs of several shapes reach it
 sorted by shape, so curves of mixed lengths fill the lanes too.
-``dtw_self_matrix`` hands the curves to ``dtw_self``, which generates the
-pairs (i, j > i) itself, runs them through the same lanes, a row's columns
-of one length at a time, and fills both triangles of the matrix. The
-library's one fallback rule: where it cannot be built, or the host has no
-AVX2, each caller runs its numpy reference; here that is
-``_grouped_pair_values``, which groups, pads and chunks the pairs for
+``_self_values`` hands ``dtw_self`` the gathered offsets and lengths of
+its curves, and ``dtw_self`` generates the pairs (i, j > i) itself, runs
+them through the same lanes, a row's columns of one length at a time, and
+fills both triangles of the matrix. The library's one fallback rule: where
+it cannot be built, or the host has no AVX2, each caller runs its numpy
+reference; here that is ``_grouped_pair_values``, which groups the pairs
+by shape, gathers their curves from the store and chunks them for
 ``_accumulate``, and for the self matrix the pairs of ``np.triu_indices``
-through it. It is also the reference the compiled
-loops are tested against. The two give the same bits: both take each
+through it. It is also the reference the compiled loops are tested
+against. The two give the same bits: both take each
 pointwise distance as the square root of the squared coordinate
 differences summed in order from 0.0, apply the same scale and power, and
 set each DP cell to its cost plus the minimum of its three predecessors,
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,61 +207,69 @@ def _traceback(acc):
     return Traversal(tuple(reversed(pairs)))
 
 
+class Packed(NamedTuple):
+    """Curves as the compiled library reads them: all their points in one
+    row-major (total, d) array, and each curve's offset (the row of its
+    first point) and length, as intp arrays. The batched paths take a store
+    and index arrays into it, so the compiled loops read a subset of its
+    curves, repeats included, without copying their points."""
+
+    points: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+
+
 def _packed(curves):
-    """The curves as the compiled library reads them: their lengths (intp),
-    the offset of each one's first point, and all their points concatenated
-    (None for no curves). Raises ``ValidationError`` when their dimensions
+    """The curves as a ``Packed`` store, their points concatenated in order
+    (d = 0 for no curves). Raises ``ValidationError`` when their dimensions
     differ."""
+    d = curves[0].dimension if curves else 0
     for c in curves:
-        if c.dimension != curves[0].dimension:
+        if c.dimension != d:
             raise ValidationError(f"dimension mismatch: curve {c.id!r}")
     lengths = np.array([c.complexity for c in curves], dtype=np.intp)
-    offsets = np.cumsum(lengths) - lengths
-    points = np.concatenate([c.points for c in curves]) if curves else None
-    return lengths, offsets, points
+    points = np.concatenate([c.points for c in curves]) if curves else np.empty((0, 0))
+    return Packed(points, np.cumsum(lengths) - lengths, lengths)
 
 
-def _work(curves, lengths):
+def _work(store):
     """The scratch array of ``dtw_pairs`` and ``dtw_self``: 8 (d + 1) (n + 1)
-    doubles for the longest curve n."""
-    return np.empty(8 * (curves[0].dimension + 1) * (int(lengths.max()) + 1))
+    doubles for the store's longest curve n."""
+    return np.empty(8 * (store.points.shape[1] + 1) * (int(store.lengths.max()) + 1))
 
 
-def _pair_values(curves, rows, cols, p):
-    """p-DTW values of the pairs (curves[rows[t]], curves[cols[t]]): by the
-    compiled ``dtw_pairs``, or by ``_grouped_pair_values`` where the library
-    cannot be built, with the same bits. p and the dimensions are checked
-    even when there are no pairs.
+def _pair_values(store, rows, cols, p):
+    """p-DTW values of the pairs of curves (rows[t], cols[t]) of a packed
+    store: by the compiled ``dtw_pairs``, or by ``_grouped_pair_values``
+    where the library cannot be built, with the same bits. p is checked even
+    when there are no pairs, and an index out of range raises ``IndexError``.
 
     Where the pairs have more than one shape (m, l), the compiled loop gets
     them in a stable order of their shapes, so that consecutive pairs of one
     shape fill its vector lanes, and the values go back in pair order. A
-    value depends on its pair alone, so the order changes no bit. The shape
-    of every pair is computed whenever the curves have more than one length;
-    that includes a cross matrix of m-point curves against ell-point
-    centers, whose pairs all have one shape and so stay in their order."""
+    value depends on its pair alone, so the order changes no bit."""
     rows = np.ascontiguousarray(rows, dtype=np.intp)
     cols = np.ascontiguousarray(cols, dtype=np.intp)
     _check_p(p)
-    lengths, offsets, points = _packed(curves)
     if rows.size == 0:
         return np.zeros(0)
-    if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= len(curves):
+    count = store.lengths.size
+    if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= count:
         raise IndexError("pair index out of range")
     lib = _kernels.library()
     if lib is None:
-        return _grouped_pair_values(curves, rows, cols, p)
+        return _grouped_pair_values(store, rows, cols, p)
     order = None
-    if lengths.min() != lengths.max():
-        shapes = lengths[rows] * (int(lengths.max()) + 1) + lengths[cols]
-        if shapes.min() != shapes.max():
-            order = np.argsort(shapes, kind="stable")
-            rows, cols = rows[order], cols[order]
-    work = _work(curves, lengths)
+    shapes = store.lengths[rows] * (int(store.lengths.max()) + 1) + store.lengths[cols]
+    if shapes.min() != shapes.max():
+        order = np.argsort(shapes, kind="stable")
+        rows, cols = rows[order], cols[order]
+    work = _work(store)
     out = np.empty(rows.size)
     lib.dtw_pairs(
-        points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, curves[0].dimension,
-        rows.ctypes.data, cols.ctypes.data, rows.size, p, out.ctypes.data, work.ctypes.data,
+        store.points.ctypes.data, store.offsets.ctypes.data, store.lengths.ctypes.data,
+        store.points.shape[1], rows.ctypes.data, cols.ctypes.data, rows.size, p,
+        out.ctypes.data, work.ctypes.data,
     )
     if order is None:
         return out
@@ -259,26 +278,75 @@ def _pair_values(curves, rows, cols, p):
     return values
 
 
-def _grouped_pair_values(curves, rows, cols, p):
+def _grouped_pair_values(store, rows, cols, p):
     """The numpy reference of ``_pair_values``: pairs are grouped by their
-    complexities and evaluated by ``_accumulate`` in chunks of at most
-    ``_BLOCK_CELLS`` cells times the dimension."""
+    complexities, and each group's curves are gathered from the store and
+    evaluated by ``_accumulate`` in chunks of at most ``_BLOCK_CELLS`` cells
+    times the dimension."""
     out = np.zeros(rows.size)
-    d = curves[0].dimension
-    comp = np.array([c.complexity for c in curves])
-    mmax = int(comp.max())
-    padded = np.zeros((mmax, d, len(curves)))
-    for i, c in enumerate(curves):
-        padded[: c.complexity, :, i] = c.points
-    keys = comp[rows] * (mmax + 1) + comp[cols]
+    d = store.points.shape[1]
+    lengths = store.lengths
+    mmax = int(lengths.max())
+    keys = lengths[rows] * (mmax + 1) + lengths[cols]
+
+    def gathered(idx, m):  # the curves idx of m points, as an (m, d, len(idx)) array
+        return store.points[store.offsets[idx] + np.arange(m)[:, None]].transpose(0, 2, 1)
+
     for key in np.unique(keys):
         members = np.flatnonzero(keys == key)
         ma, mb = divmod(int(key), mmax + 1)
         block = max(1, _BLOCK_CELLS // (ma * mb * d))
         for start in range(0, members.size, block):
             chunk = members[start : start + block]
-            table = _distance_table(padded[:ma, :, rows[chunk]], padded[:mb, :, cols[chunk]])
+            table = _distance_table(gathered(rows[chunk], ma), gathered(cols[chunk], mb))
             out[chunk] = _accumulate(table, p)
+    return out
+
+
+def _cross_values(store, a, b, p):
+    """The (len(a), len(b)) p-DTW matrix between the curves a and b of a
+    packed store."""
+    a = np.asarray(a, dtype=np.intp)
+    b = np.asarray(b, dtype=np.intp)
+    return _pair_values(store, np.repeat(a, b.size), np.tile(b, a.size), p).reshape(a.size, b.size)
+
+
+def _nearest(store, a, b, p):
+    """Each curve of a's nearest curve of b (a position in b, ties to the
+    lowest) and the p-DTW distance to it, for index arrays into a packed
+    store."""
+    cross = _cross_values(store, a, b, p)
+    assignment = np.argmin(cross, axis=1)
+    return assignment, cross[np.arange(cross.shape[0]), assignment]
+
+
+def _self_values(store, idx, p):
+    """The symmetric p-DTW matrix of the curves idx of a packed store (zero
+    diagonal); idx may repeat a curve, whose copies are exactly 0 apart.
+
+    The compiled ``dtw_self`` reads the store's points through the gathered
+    offsets and lengths of idx, and generates the pairs (i, j > i) itself; it
+    gets them in a stable order of their lengths, so that each row's columns
+    of one length fill its vector lanes. Where the library cannot be built,
+    the pairs of ``np.triu_indices`` go through ``_pair_values`` and are
+    scattered into both triangles: the reference, with the same bits."""
+    idx = np.asarray(idx, dtype=np.intp)
+    n = idx.size
+    lib = _kernels.library()
+    if lib is None or n < 2:
+        out = np.zeros((n, n))
+        rows, cols = np.triu_indices(n, k=1)
+        out[rows, cols] = out[cols, rows] = _pair_values(store, idx[rows], idx[cols], p)
+        return out
+    _check_p(p)
+    offsets, lengths = store.offsets[idx], store.lengths[idx]
+    order = np.argsort(lengths, kind="stable")
+    work = _work(store)
+    out = np.empty((n, n))
+    lib.dtw_self(
+        store.points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data,
+        store.points.shape[1], order.ctypes.data, n, p, out.ctypes.data, work.ctypes.data,
+    )
     return out
 
 
@@ -300,7 +368,7 @@ def dtw(a: Curve, b: Curve, p=1.0) -> DtwResult:
 
 def dtw_value(a: Curve, b: Curve, p=1.0) -> float:
     """p-DTW value only (no traversal recovery)."""
-    return float(_pair_values([a, b], [0], [1], p)[0])
+    return float(_pair_values(_packed([a, b]), [0], [1], p)[0])
 
 
 def traversal_cost(a: Curve, b: Curve, traversal: Traversal, p=1.0) -> float:
@@ -321,18 +389,17 @@ def dtw_matrix(curves_a, curves_b, p=1.0):
     ``dtw_value`` calls.
     """
     curves_a, curves_b = list(curves_a), list(curves_b)
-    na, nb = len(curves_a), len(curves_b)
-    rows = np.repeat(np.arange(na), nb)
-    cols = na + np.tile(np.arange(nb), na)
-    return _pair_values(curves_a + curves_b, rows, cols, p).reshape(na, nb)
+    na = len(curves_a)
+    store = _packed(curves_a + curves_b)
+    return _cross_values(store, np.arange(na), na + np.arange(len(curves_b)), p)
 
 
 def assign_nearest(curves, centers, p=1.0):
     """Nearest-center assignment under p-DTW: (index of each curve's nearest
     center, ties to the lowest index; the p-DTW distance to it)."""
-    cross = dtw_matrix(curves, centers, p)
-    assignment = np.argmin(cross, axis=1)
-    return assignment, cross[np.arange(cross.shape[0]), assignment]
+    curves, centers = list(curves), list(centers)
+    n = len(curves)
+    return _nearest(_packed(curves + centers), np.arange(n), n + np.arange(len(centers)), p)
 
 
 def dtw_aligned(curves_a, curves_b, p=1.0):
@@ -342,7 +409,7 @@ def dtw_aligned(curves_a, curves_b, p=1.0):
     n = len(curves_a)
     if n != len(curves_b):
         raise ValidationError("aligned lists must have equal length")
-    return _pair_values(curves_a + curves_b, np.arange(n), n + np.arange(n), p)
+    return _pair_values(_packed(curves_a + curves_b), np.arange(n), n + np.arange(n), p)
 
 
 def dtw_self_matrix(curves, p=1.0):
@@ -350,31 +417,10 @@ def dtw_self_matrix(curves, p=1.0):
 
     Every pair (i, j > i) is evaluated once and mirrored, so the entries
     have the bits of per-pair ``dtw_value`` calls; two inputs with the same
-    points are exactly 0 apart, as their DTW is. The compiled ``dtw_self``
-    fills the whole matrix, generating the pairs itself; it gets the curves
-    in a stable order of their lengths, so that each row's columns of one
-    length fill its vector lanes. Where the library cannot be built, the
-    pairs of ``np.triu_indices`` go through ``_pair_values`` and are
-    scattered into both triangles: the reference, with the same bits.
+    points are exactly 0 apart, as their DTW is (``_self_values``).
     """
     curves = list(curves)
-    n = len(curves)
-    lib = _kernels.library()
-    if lib is None or n < 2:
-        out = np.zeros((n, n))
-        rows, cols = np.triu_indices(n, k=1)
-        out[rows, cols] = out[cols, rows] = _pair_values(curves, rows, cols, p)
-        return out
-    _check_p(p)
-    lengths, offsets, points = _packed(curves)
-    order = np.argsort(lengths, kind="stable")
-    work = _work(curves, lengths)
-    out = np.empty((n, n))
-    lib.dtw_self(
-        points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, curves[0].dimension,
-        order.ctypes.data, n, p, out.ctypes.data, work.ctypes.data,
-    )
-    return out
+    return _self_values(_packed(curves), np.arange(len(curves)), p)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 simplified inputs, metric closure and weighted k-median, plus the small-n
 route that clusters the closure of the whole simplified set directly. Each
 call collapses equal inputs and ell-simplifies each sequence once, for all
-its repetitions (``bicriteria._prepare``). Both routes share one back half:
-one weighted point per distinct simplified curve, closure, k-median and the
-nearest-center assignment of each sequence, which all its inputs get.
+its repetitions, into one packed store (``bicriteria._prepare``), and every
+later stage selects curves from it by index. The coreset route's sample is
+a draw of input indices with their weights (``coreset._draw``, which the
+public ``coreset_sample`` wraps). Both routes share one back half: one
+weighted point per distinct simplified curve (the store's labels, in order
+of first draw), closure, k-median and the nearest-center assignment of each
+sequence, which all its inputs get.
 
 The accuracy knob follows the source construction: the caller's eps is split
 as eps' = eps/46 for the coreset size and the final k-median. The bicriteria
@@ -23,23 +27,23 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bicriteria import _bicriteria_run, _prepare
-from .closure import build_closure
+from .closure import _closed
 from .coreset import (
+    _draw,
+    _sensitivities,
     bicriteria_alpha_factor,
     coreset_sample,
     coreset_size,
-    sensitivity_bounds,
 )
 from .curves import (
     Curve,
     PipelineConfig,
     ValidationError,
     curve_record,
-    distinct_curves,
     spawn_seeds,
 )
 # dtw_matrix stays bound here: the benchmark's tracer test reads pipeline.dtw_matrix
-from .dtw import assign_nearest, dtw_matrix  # noqa: F401
+from .dtw import _nearest, assign_nearest, dtw_matrix  # noqa: F401
 from .kmedian import FiniteMetricInstance, kmedian_local_search
 
 
@@ -79,36 +83,41 @@ def _stage(timings, name):
     timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
 
 
-def _cluster_simplified(distinct, inverse, simplified, weights, k, p, eps, seed, timings):
-    """The back half of both routes, one weighted instance: the simplified
-    curves with equal points become one point, their weights summed in
-    order; weighted k-median on its closure; then the nearest-center
-    assignment of the distinct inputs, given to every input by ``inverse``.
-    Returns (centers, assignment, distances) per input.
+def _cluster_simplified(prepared, drawn, weights, k, p, eps, seed, timings):
+    """The back half of both routes, one weighted instance over the
+    simplifications of the sequences ``drawn`` (with repeats): the entries
+    with equal simplified points become one point, in order of first entry,
+    their weights summed in entry order; weighted k-median on its closure;
+    then the nearest-center assignment of the distinct inputs, given to
+    every input by ``inverse``. Returns (centers, assignment, distances) per
+    input.
 
     The local search returns min(k, n) centers for n points, all of them
     when n < k; the missing slots then repeat the first center, so there are
     always exactly k."""
+    store, u = prepared.store, len(prepared.ids)
     with _stage(timings, "closure"):
-        points, which = distinct_curves(simplified)
-        weights = np.bincount(which, weights=weights)
-        closure = build_closure(points, p)
+        _, first, which = np.unique(prepared.labels[drawn], return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the points in order of first entry
+        points = drawn[first[order]]
+        weights = np.bincount(np.argsort(order)[which], weights=weights)
+        _, dist = _closed(store, u + points, p)
     with _stage(timings, "kmedian"):
-        inst = FiniteMetricInstance(closure.dist, weights, min(k, len(points)))
+        inst = FiniteMetricInstance(dist, weights, min(k, points.size))
         sol = kmedian_local_search(inst, eps=eps, seed=seed)
         slots = sol.centers + (sol.centers[0],) * (k - len(sol.centers))
-        centers = tuple(points[i] for i in slots)
+        centers = tuple(prepared.simplified(points[i]) for i in slots)
     with _stage(timings, "assignment"):
-        assignment, distances = assign_nearest(distinct, centers, p)
-    return centers, assignment[inverse], distances[inverse]
+        assignment, distances = _nearest(store, np.arange(u), u + points[list(slots)], p)
+    return centers, assignment[prepared.inverse], distances[prepared.inverse]
 
 
-def _coreset_stages(curves, prepared, cfg, seed, timings):
+def _coreset_stages(prepared, cfg, seed, timings):
     """Bicriteria and sensitivities on a prepared call (the shared front of
     the pipeline); returns (bicriteria, profile, size report, sample size, sampling seed)."""
-    n = len(curves)
-    m = max(c.complexity for c in curves)
-    d = curves[0].dimension
+    n = prepared.inverse.size
+    m = prepared.m
+    d = prepared.store.points.shape[1]
     eps_prime = cfg.eps / 46.0
     eps_bicrit = min(cfg.eps, 0.999)  # kmedian_local_search needs eps < 1
     seeds = spawn_seeds(seed, 2)
@@ -117,7 +126,7 @@ def _coreset_stages(curves, prepared, cfg, seed, timings):
         bicrit = _bicriteria_run(prepared, cfg.k, cfg.ell, cfg.p, eps_bicrit, run_seed)
     alpha = bicriteria_alpha_factor(m, cfg.ell, cfg.p, eps_bicrit)
     with _stage(timings, "sensitivity"):
-        profile = sensitivity_bounds(curves, bicrit, alpha)
+        profile = _sensitivities(bicrit, alpha, m)
     report = coreset_size(
         n,
         m,
@@ -140,27 +149,25 @@ def kl_median(T, cfg: PipelineConfig) -> ClusteringResult:
     simplified inputs, metric closure, weighted k-median at
     eps' = eps/46, exactly k final centers.
 
-    Repeated draws, and draws of equal points, become one weighted point of
-    the final instance, with the weights summed in draw order."""
+    Repeated draws, and draws of equal simplified points, become one
+    weighted point of the final instance, with the weights summed in draw
+    order."""
     curves = list(T)
     n = len(curves)
     if n < cfg.k:
         raise ValidationError(f"need at least k={cfg.k} curves, got {n}")
     preparation: dict = {}
     with _stage(preparation, "simplify"):
-        prepared = distinct, inverse, simplified = _prepare(curves, cfg.ell, cfg.p)
-    per_input = [simplified[j] for j in inverse]
+        prepared = _prepare(curves, cfg.ell, cfg.p)
     best = None
     for rep_seed in spawn_seeds(cfg.seed, cfg.repetitions):
         timings = dict(preparation)
         seeds = spawn_seeds(rep_seed, 2)
-        bicrit, profile, _, size, sample_seed = _coreset_stages(
-            curves, prepared, cfg, seeds[0], timings
-        )
+        bicrit, profile, _, size, sample_seed = _coreset_stages(prepared, cfg, seeds[0], timings)
         with _stage(timings, "sampling"):
-            coreset = coreset_sample(per_input, profile, size, sample_seed)
+            draws, weights = _draw(profile, size, sample_seed)
         centers, assignment, distances = _cluster_simplified(
-            distinct, inverse, coreset.curves, coreset.weights, cfg.k, cfg.p, cfg.eps / 46.0,
+            prepared, prepared.inverse[draws], weights, cfg.k, cfg.p, cfg.eps / 46.0,
             seeds[1], timings,
         )
         total = float(distances.sum())
@@ -191,9 +198,10 @@ def cluster_via_closure(T, k, ell, p=1.0, eps=0.5, method="two-approx", seed=0) 
     config = dict(k=cfg.k, ell=cfg.ell, p=cfg.p, eps=cfg.eps, method=method, seed=cfg.seed)
     timings: dict = {}
     with _stage(timings, "simplify"):
-        distinct, inverse, simplified = _prepare(curves, ell, p, method)
+        prepared = _prepare(curves, ell, p, method)
     centers, assignment, distances = _cluster_simplified(
-        distinct, inverse, simplified, np.bincount(inverse), k, p, min(eps, 0.999), seed, timings
+        prepared, np.arange(len(prepared.ids)), np.bincount(prepared.inverse), k, p,
+        min(eps, 0.999), seed, timings,
     )
     return ClusteringResult(centers, assignment, distances, float(distances.sum()), timings, config)
 
@@ -207,7 +215,7 @@ def emit_coreset_only(T, cfg: PipelineConfig):
         raise ValidationError("need at least one curve")
     seed = spawn_seeds(cfg.seed, 1)[0]
     prepared = _prepare(curves, cfg.ell, cfg.p)
-    _, profile, report, size, sample_seed = _coreset_stages(curves, prepared, cfg, seed, {})
+    _, profile, report, size, sample_seed = _coreset_stages(prepared, cfg, seed, {})
     return coreset_sample(curves, profile, size, sample_seed), report, profile
 
 

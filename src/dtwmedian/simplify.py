@@ -13,9 +13,11 @@ for p = 2; sum of squared distances is minimized by the mean).
 
 The two medoid variants run through ``_medoid_partitions``, which returns
 each curve's part ends, part count, center vertices and cost as arrays.
-``simplify_set`` batches every curve of one (complexity, dimension) through
-``_medoid_simplifications``, which builds only the simplified curves, by
-gathering their centers; a one-curve ``_detailed`` function runs a batch
+``_medoid_simplifications`` batches every curve of one complexity of a
+packed store (``dtw._packed``) and writes only the simplified points, by
+gathering their centers into one block; ``simplify_set`` builds curves
+from that block, and the clustering entry points keep it packed
+(``bicriteria._prepare``). A one-curve ``_detailed`` function runs a batch
 of one and alone builds the parts tuples and a ``Simplification``. A batch
 is chunked by the DTW kernel's cell budget, which bounds the numpy
 reference's batch-last (m, m, n) table of the p-th powers of the pointwise
@@ -60,7 +62,7 @@ import numpy as np
 
 from . import _kernels
 from .curves import Curve, ValidationError
-from .dtw import _BLOCK_CELLS, _check_p, _distance_table, _pth_powers, _root
+from .dtw import _BLOCK_CELLS, _check_p, _distance_table, _packed, _pth_powers, _root
 
 WEISZFELD_MAX_ITER = 200
 WEISZFELD_REL_TOL = 1e-10
@@ -261,39 +263,33 @@ def _medoid_simplification(sigma, ell, p, restrict_to_range):
     return Simplification(curve, _parts(ends[0, :count].tolist()), float(cost))
 
 
-def _medoid_simplifications(curves, ell, p, restrict_to_range):
-    """The simplified curve of the best medoid grouping into at most ell
-    parts of every curve, in input order, under its id; a curve of
-    complexity <= ell is returned as it is.
+def _medoid_simplifications(store, ell, p, restrict_to_range, out):
+    """Write the simplified curve of the best medoid grouping into at most
+    ell parts of every curve of a packed store (``dtw._packed``) into out
+    (n, w, d), curve i into out[i, :lengths[i]], and return the lengths; a
+    curve of complexity <= ell is copied as it is.
 
-    The curves of one (complexity m, dimension d) are batched, in chunks of
+    The curves of one complexity m are gathered from the store, in chunks of
     at most ``_BLOCK_CELLS`` cells times d per m x m table but at least
-    ``_LANES`` curves, and each chunk runs through ``_medoid_partitions``.
-    The simplified curves of a chunk with one part count are gathered from
-    its points by their center indices at once and built by
-    ``Curve.batch``, which checks them once.
+    ``_LANES`` curves, and each chunk runs through ``_medoid_partitions``;
+    its centers are gathered from the chunk's points into out at once.
     """
-    if ell < 1:
-        raise ValidationError("ell must be >= 1")
     _check_p(p)
-    out = [c if c.complexity <= ell else None for c in curves]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, c in enumerate(curves):
-        if out[i] is None:
-            groups.setdefault((c.complexity, c.dimension), []).append(i)
-    for (m, d), members in groups.items():
+    d = store.points.shape[1]
+    lengths = store.lengths.copy()
+    for m in np.unique(store.lengths).tolist():
+        members = np.flatnonzero(store.lengths == m)
+        if m <= ell:
+            out[members, :m] = store.points[store.offsets[members, None] + np.arange(m)]
+            continue
         block = max(_LANES, _BLOCK_CELLS // (m * m * d))
-        for start in range(0, len(members), block):
+        for start in range(0, members.size, block):
             chunk = members[start : start + block]
-            pts = np.stack([curves[i].points for i in chunk])
+            pts = store.points[store.offsets[chunk, None] + np.arange(m)]
             _, counts, centers, _ = _medoid_partitions(pts, ell, p, restrict_to_range)
-            for count in np.unique(counts):
-                same = np.flatnonzero(counts == count)
-                ids = [curves[chunk[t]].id for t in same]
-                gathered = pts[same[:, None], centers[same, :count]]
-                for t, curve in zip(same.tolist(), Curve.batch(ids, gathered)):
-                    out[chunk[t]] = curve
-    return out
+            lengths[chunk] = counts
+            out[chunk] = pts[np.arange(chunk.size)[:, None], centers]
+    return lengths
 
 
 def _medoid_partitions(pts, ell, p, restrict_to_range):
@@ -411,21 +407,50 @@ def simplify_exact_p2(sigma: Curve, ell) -> Curve:
     return simplify_exact_p2_detailed(sigma, ell).curve
 
 
+def _simplified_block(curves, store, ell, p, method):
+    """The ell-simplification of every curve of a packed store, which holds
+    the curve list ``curves``, as (their lengths, an (n, min(ell, longest),
+    d) block): simplification i is block[i, :lengths[i]]. The medoid
+    methods run ``_medoid_simplifications`` on the store, "eps1" runs
+    ``simplify_eps_p1`` on each curve."""
+    if method not in ("two-approx", "eps1", "vertex"):
+        raise ValidationError(f"unknown simplification method {method!r}")
+    if method == "eps1" and p != 1:
+        raise ValidationError("method 'eps1' (geometric medians) needs p = 1")
+    if ell < 1:
+        raise ValidationError("ell must be >= 1")
+    n = store.lengths.size
+    block = np.empty((n, min(ell, int(store.lengths.max(initial=0))), store.points.shape[1]))
+    if method != "eps1":
+        return _medoid_simplifications(store, ell, p, method == "two-approx", block), block
+    lengths = np.empty(n, dtype=np.intp)
+    for i, c in enumerate(curves):
+        points = simplify_eps_p1(c, ell).points
+        lengths[i] = points.shape[0]
+        block[i, : lengths[i]] = points
+    return lengths, block
+
+
 def simplify_set(curves, ell, p=1.0, method="two-approx"):
     """Apply one simplification method to every curve, preserving order.
 
     Every curve given is simplified, under its own id; equal point
     sequences are collapsed by the clustering entry points, not here. A
     result depends on the points alone, so it has the bits of a one-curve
-    call. The medoid methods ("two-approx", "vertex") simplify the curves of
-    one (complexity, dimension) in one batch. A curve of complexity <= ell
-    is returned as it is.
+    call. The curves of one dimension are packed into one store, and the
+    medoid methods ("two-approx", "vertex") simplify its curves of one
+    complexity in one batch (``_simplified_block``). A curve of complexity
+    <= ell is returned as it is.
     """
-    if method not in ("two-approx", "eps1", "vertex"):
-        raise ValidationError(f"unknown simplification method {method!r}")
-    if method == "eps1" and p != 1:
-        raise ValidationError("method 'eps1' (geometric medians) needs p = 1")
     curves = list(curves)
-    if method == "eps1":
-        return [simplify_eps_p1(c, ell) for c in curves]
-    return _medoid_simplifications(curves, ell, p, method == "two-approx")
+    out = list(curves)
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(curves):
+        groups.setdefault(c.dimension, []).append(i)
+    for members in groups.values() or [[]]:  # no curves: the arguments are still checked
+        group = [curves[i] for i in members]
+        lengths, block = _simplified_block(group, _packed(group), ell, p, method)
+        for t, i in enumerate(members):
+            if curves[i].complexity > ell:
+                out[i] = Curve(curves[i].id, block[t, : lengths[t]])
+    return out

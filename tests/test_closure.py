@@ -351,6 +351,21 @@ def test_distances_from_set_examples(rng):
     assert distances_from_set(base, [3])[63] == 0.0
 
 
+def test_distances_from_set_on_a_chain_of_n_minus_one_hops():
+    """The worst case of the passes: on a chain whose direct edges cost more
+    than the hops between, the shortest path from one end to point v takes v
+    hops, so the passes run n - 1 times, and the bits are scipy's; with
+    sources at both ends, the paths meet in the middle."""
+    n = 60
+    hops = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    base = hops**2 * 0.1 + np.random.default_rng(7).uniform(0.0, 1e-3, (n, n))
+    for C in ([0], [n - 1], [0, n - 1]):
+        assert np.array_equal(distances_from_set(base, C), _scipy_distances(base, C))
+    # from 0, each point past the first is nearer through the chain than directly
+    d = distances_from_set(base, [0])
+    assert np.all(d[2:] < base[0, 2:]) and np.all(np.diff(d) > 0)
+
+
 def test_distances_from_set_single_point():
     assert distances_from_set(np.zeros((1, 1)), [0]).tolist() == [0.0]
 

@@ -81,8 +81,9 @@ def assert_lanes_have_the_reference_bits():
     for d in (1, 2, 3):
         for curves, rows, cols in lane_batches(np.random.default_rng(SEED + d), d):
             for p in P_VALUES:
-                values = dtw_module._pair_values(curves, rows, cols, p)
-                reference = dtw_module._grouped_pair_values(curves, rows, cols, p)
+                store = dtw_module._packed(curves)
+                values = dtw_module._pair_values(store, rows, cols, p)
+                reference = dtw_module._grouped_pair_values(store, rows, cols, p)
                 one_by_one = [dtw_value(curves[r], curves[c], p) for r, c in zip(rows, cols)]
                 assert values.tobytes() == reference.tobytes()
                 assert values.tobytes() == np.array(one_by_one).tobytes()
@@ -123,7 +124,8 @@ def assert_self_matrices_have_the_reference_bits():
                 assert full.tobytes() == fallback.tobytes() == one_by_one.tobytes()
                 if n:
                     rows, cols = np.divmod(np.arange(n * n), n)
-                    grouped = dtw_module._grouped_pair_values(curves, rows, cols, p)
+                    store = dtw_module._packed(curves)
+                    grouped = dtw_module._grouped_pair_values(store, rows, cols, p)
                     assert full.tobytes() == grouped.tobytes()
 
 
@@ -376,7 +378,8 @@ def test_mixed_lengths_reach_the_lanes_sorted_with_the_reference_bits(monkeypatc
                     at = [t for t, l in columns if l == length]
                     assert at == list(range(at[0], at[0] + len(at)))
             rows, cols = np.divmod(np.arange(n * n), n)
-            grouped = dtw_module._grouped_pair_values(curves, rows, cols, p).reshape(n, n)
+            store = dtw_module._packed(curves)
+            grouped = dtw_module._grouped_pair_values(store, rows, cols, p).reshape(n, n)
             one_by_one = np.array([[dtw_value(a, b, p) for b in curves] for a in curves])
             for reference in (grouped, one_by_one):
                 assert full.tobytes() == reference.tobytes()
@@ -417,7 +420,7 @@ def test_a_pair_index_out_of_range_raises(rng, monkeypatch, compiled):
     curves = [Curve(f"c{i}", rng.normal(0, 1, (5, 2))) for i in range(3)]
     for rows, cols in (([-1], [0]), ([0], [-3]), ([3], [0]), ([0, 1], [1, 3])):
         with pytest.raises(IndexError):
-            dtw_module._pair_values(curves, rows, cols, 1.0)
+            dtw_module._pair_values(dtw_module._packed(curves), rows, cols, 1.0)
 
 
 def test_every_c_source_is_package_data():
@@ -482,14 +485,14 @@ def test_a_short_run_writes_only_its_own_pairs():
         curves[-2] = Curve("big", 1e10 * curves[-2].points)
         rows = np.arange(0, 2 * pairs, 2, dtype=np.intp)
         cols = rows + 1
-        lengths, offsets, points = dtw_module._packed(curves)
-        work = dtw_module._work(curves, lengths)
+        store = dtw_module._packed(curves)
+        work = dtw_module._work(store)
         for p in (1.0, 2.0, 64.0):
             out = np.concatenate([np.zeros(pairs), sentinels])
             lib.dtw_pairs(
-                points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, 2,
+                store.points.ctypes.data, store.offsets.ctypes.data, store.lengths.ctypes.data, 2,
                 rows.ctypes.data, cols.ctypes.data, pairs, p, out.ctypes.data, work.ctypes.data,
             )
-            reference = dtw_module._grouped_pair_values(curves, rows, cols, p)
+            reference = dtw_module._grouped_pair_values(store, rows, cols, p)
             assert out[:pairs].tobytes() == reference.tobytes()
             assert out[pairs:].tobytes() == sentinels.tobytes()

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
 
+from dtwmedian.bicriteria import bicriteria_klmedian
+from dtwmedian.closure import build_closure
+from dtwmedian.coreset import (
+    bicriteria_alpha_factor,
+    coreset_sample,
+    coreset_size,
+    sensitivity_bounds,
+)
 from dtwmedian.curves import (
     Curve,
     PipelineConfig,
@@ -9,11 +17,13 @@ from dtwmedian.curves import (
     gen_synthetic,
     load_weighted,
     save_weighted,
+    spawn_seeds,
 )
-from dtwmedian.dtw import dtw_brute, dtw_value
+from dtwmedian.dtw import assign_nearest, dtw_brute, dtw_value
 from dtwmedian import _kernels, bicriteria, pipeline, simplify
+from dtwmedian.kmedian import FiniteMetricInstance, kmedian_local_search
 from dtwmedian.pipeline import cluster_via_closure, emit_coreset_only, evaluate, kl_median
-from dtwmedian.simplify import simplify_2approx
+from dtwmedian.simplify import simplify_2approx, simplify_set
 from conftest import curve1d, needs_cc
 
 TOL = 1e-9
@@ -118,13 +128,13 @@ def test_each_input_is_simplified_once_per_call(monkeypatch):
     calls, batches, collapsed = [], [], []
     original = simplify._medoid_simplifications
 
-    def counting(curves, ell, p, restrict_to_range):
-        calls.extend(c.id for c in curves)
-        return original(curves, ell, p, restrict_to_range)
+    def counting(store, *args):
+        calls.append(store.lengths.size)
+        return original(store, *args)
 
     def batching(curves, *args):
         batches.append(len(curves))
-        return simplify.simplify_set(curves, *args)
+        return simplify._simplified_block(curves, *args)
 
     def collapsing(curves):
         collapsed.append(list(curves))
@@ -133,9 +143,8 @@ def test_each_input_is_simplified_once_per_call(monkeypatch):
     # every batch of medoid simplifications runs through it, and the pipeline
     # simplifies only in batches
     monkeypatch.setattr(simplify, "_medoid_simplifications", counting)
-    monkeypatch.setattr(bicriteria, "simplify_set", batching)
-    for module in (bicriteria, pipeline):
-        monkeypatch.setattr(module, "distinct_curves", collapsing)
+    monkeypatch.setattr(bicriteria, "_simplified_block", batching)
+    monkeypatch.setattr(bicriteria, "distinct_curves", collapsing)
     routes = [
         lambda curves: kl_median(curves, cfg(k=2, ell=2, repetitions=2)),
         lambda curves: bicriteria.bicriteria_klmedian(curves, 2, 2, repetitions=3),
@@ -144,16 +153,17 @@ def test_each_input_is_simplified_once_per_call(monkeypatch):
     ]
     curves = list(gen_synthetic(2, 8, 6, 1, 0.4, 17))
     distinct = len(curves)
-    for inputs in (curves, curves + [Curve(f"dup{i}", c.points) for i, c in enumerate(curves[:5])]):
+    repeated = [Curve(f"dup{i}", c.points) for i, c in enumerate(curves[:5])]
+    for inputs in (curves, curves + repeated):
         for route in routes:
             for log in (calls, batches, collapsed):
                 log.clear()
             route(inputs)
             # a sequence repeated under other ids is simplified once per call
-            assert len(calls) == distinct and batches == [distinct]
-            # and the inputs are collapsed once; the other passes are over samples
-            passes = [g for g in collapsed if all(a is b for a, b in zip(g, inputs))]
-            assert len(passes) == 1 and len(passes[0]) == len(inputs)
+            assert calls == [distinct] and batches == [distinct]
+            # and the inputs are collapsed once, all of them
+            assert len(collapsed) == 1 and all(a is b for a, b in zip(collapsed[0], inputs))
+            assert len(collapsed[0]) == len(inputs)
 
 
 def test_bicriteria_closures_are_built_on_samples(monkeypatch):
@@ -215,18 +225,18 @@ def test_k_equal_to_n_with_fewer_distinct_curves():
 
 def test_one_weighted_point_per_distinct_sequence(monkeypatch):
     drawn, instances = [], []
-    sample, solve = pipeline.coreset_sample, pipeline.kmedian_local_search
+    draw, solve = pipeline._draw, pipeline.kmedian_local_search
 
-    def recording_sample(*args):
-        out = sample(*args)
-        drawn.append(sum(w for _, w in out))
+    def recording_draw(*args):
+        out = draw(*args)
+        drawn.append(out[1].sum())
         return out
 
     def recording_solve(inst, **kw):
         instances.append(inst)
         return solve(inst, **kw)
 
-    monkeypatch.setattr(pipeline, "coreset_sample", recording_sample)
+    monkeypatch.setattr(pipeline, "_draw", recording_draw)
     monkeypatch.setattr(pipeline, "kmedian_local_search", recording_solve)
     base = list(gen_synthetic(3, 4, 6, 2, 0.4, 21))
     # every sequence again under two other ids, after all first inputs
@@ -291,6 +301,91 @@ def _partition_signature(assignment):
     for i, a in enumerate(assignment):
         groups.setdefault(int(a), set()).add(i)
     return frozenset(frozenset(g) for g in groups.values())
+
+
+def _composed_back_half(curves, drawn, weights, k, p, eps, seed):
+    """The back half of both routes from the public functions: one weighted
+    point per distinct drawn curve, its closure, the weighted k-median and
+    the assignment of every input."""
+    points, which = distinct_curves(drawn)
+    closure = build_closure(points, p)
+    weights = np.bincount(which, weights=weights)
+    inst = FiniteMetricInstance(closure.dist, weights, min(k, len(points)))
+    sol = kmedian_local_search(inst, eps=eps, seed=seed)
+    slots = sol.centers + (sol.centers[0],) * (k - len(sol.centers))
+    centers = [points[i] for i in slots]
+    return centers, *assign_nearest(curves, centers, p)
+
+
+def _composed_kl_median(curves, c):
+    """kl_median composed from the public functions, seeded as it seeds its
+    stages: (cost, centers, assignment, distances, bicriteria cost)."""
+    distinct, inverse = distinct_curves(curves)
+    simplified = simplify_set(distinct, c.ell, c.p)
+    n, m, d = len(curves), max(x.complexity for x in curves), curves[0].dimension
+    eps_bicrit = min(c.eps, 0.999)
+    alpha = bicriteria_alpha_factor(m, c.ell, c.p, eps_bicrit)
+    best = None
+    for rep_seed in spawn_seeds(c.seed, c.repetitions):
+        seeds = spawn_seeds(rep_seed, 2)
+        front = spawn_seeds(seeds[0], 2)
+        bicrit = bicriteria_klmedian(curves, c.k, c.ell, c.p, eps_bicrit, front[0], repetitions=1)
+        profile = sensitivity_bounds(curves, bicrit, alpha)
+        report = coreset_size(
+            n, m, c.ell, d, c.k, c.p, c.eps / 46.0, c.delta, alpha, profile.Lambda,
+            c.sample_constant,
+        )
+        size = c.size_override or report.sample_size
+        sample = coreset_sample([simplified[j] for j in inverse], profile, size, front[1])
+        centers, assignment, distances = _composed_back_half(
+            curves, sample.curves, sample.weights, c.k, c.p, c.eps / 46.0, seeds[1]
+        )
+        cost = float(distances.sum())
+        if best is None or cost < best[0]:
+            best = (cost, centers, assignment, distances, bicrit.cost)
+    return best
+
+
+def _bits(cost, centers, assignment, distances, bicriteria_cost=None):
+    return (
+        cost.hex(), [(c.id, c.points.tobytes()) for c in centers], assignment.tobytes(),
+        distances.tobytes(), bicriteria_cost,
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 2.0, 40.0])
+def test_the_packed_path_has_the_bits_of_the_public_functions(d, p):
+    """Both routes keep their curves in one packed store and select them by
+    index; composed from the public functions, as they seed them, the
+    stages give the same costs, centers, assignments and distances. The
+    inputs have lengths 1-9 (some at or below ell), one sequence under
+    several ids, and sequences of other lengths with one simplification."""
+    rng = np.random.default_rng(2024 + d)
+    lengths = rng.integers(1, 10, 24)
+    curves = [Curve(f"c{i}", rng.normal(0, 3, (m, d))) for i, m in enumerate(lengths)]
+    x = rng.normal(0, 3, (2, d))
+    alike = [[0, 1], [0, 0, 1], [0, 1, 1, 1]], [[0], [0, 0, 0]]
+    for group, rows in enumerate(alike):
+        curves += [Curve(f"x{group}_{i}", x[r]) for i, r in enumerate(rows)]
+    curves += [Curve(f"again{r}", curves[3].points) for r in range(3)]
+    ell, k = 2, 3
+    # sequences of different lengths with one simplification: 2 points, then 1
+    simplified = [s.points.tobytes() for s in simplify_set(curves[-8:-3], ell, p)]
+    assert len(set(simplified[:3])) == len(set(simplified[3:])) == 1
+    for repetitions, size in ((1, None), (3, None), (1, 12), (3, 12)):
+        c = cfg(k=k, ell=ell, p=p, seed=5, repetitions=repetitions, size_override=size)
+        res = kl_median(curves, c)
+        got = _bits(res.cost, res.centers, res.assignment, res.distances, res.bicriteria_cost)
+        assert got == _bits(*_composed_kl_median(curves, c))
+    res = cluster_via_closure(curves, k, ell, p, eps=0.5, seed=5)
+    distinct, inverse = distinct_curves(curves)
+    centers, assignment, distances = _composed_back_half(
+        curves, simplify_set(distinct, ell, p), np.bincount(inverse), k, p, 0.5, 5
+    )
+    assert _bits(res.cost, res.centers, res.assignment, res.distances) == _bits(
+        float(distances.sum()), centers, assignment, distances
+    )
 
 
 @needs_cc

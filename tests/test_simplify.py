@@ -499,7 +499,8 @@ def test_results_do_not_depend_on_the_chunk_size(rng, monkeypatch):
     for library, p in itertools.product((_kernels.library, lambda: None), (1.0, 2.0, 3.0, 64.0)):
         monkeypatch.setattr(_kernels, "library", library)
         for restrict_to_range in (True, False):
-            full = simplify._medoid_simplifications(curves, 3, p, restrict_to_range)
+            method = "two-approx" if restrict_to_range else "vertex"
+            full = simplify_set(curves, 3, p, method)
             chunks = []
             with monkeypatch.context() as patch:
                 patch.setattr(simplify, "_BLOCK_CELLS", 1)
@@ -507,7 +508,7 @@ def test_results_do_not_depend_on_the_chunk_size(rng, monkeypatch):
                     simplify, "_medoid_partitions",
                     lambda pts, *args: chunks.append(partitions(pts, *args)) or chunks[-1],
                 )
-                chunked = simplify._medoid_simplifications(curves, 3, p, restrict_to_range)
+                chunked = simplify_set(curves, 3, p, method)
             # ends, counts, centers and costs, chunk by chunk and at once
             assert [len(counts) for _, counts, _, _ in chunks] == [4, 4, 4, 2]
             whole = partitions(pts, 3, p, restrict_to_range)
