@@ -110,10 +110,11 @@ static void tile_pass(double *restrict d, const double *restrict rows, ptrdiff_t
 }
 
 /* Copies the upper triangle of the n x n matrix d into the lower one, row
-   by row. In dtw_self this copy takes about 1 ms at n = 1000, where
-   writing each value down its column as it was computed took 5 ms
-   (2-core x86-64, gcc 12.2). */
-static void mirror(double *d, ptrdiff_t n)
+   by row: the last step of floyd_warshall, and of dtw._self_values after
+   dtw_self. This copy takes about 1 ms at n = 1000, where writing each
+   value down its column as it was computed took 5 ms (2-core x86-64,
+   gcc 12.2). */
+void mirror(double *d, ptrdiff_t n)
 {
     for (ptrdiff_t i = 1; i < n; i++)
         for (ptrdiff_t j = 0; j < i; j++)
@@ -122,9 +123,10 @@ static void mirror(double *d, ptrdiff_t n)
 
 /* Floyd-Warshall in place on an n x n matrix d that is exactly symmetric,
    with a zero diagonal and no negative entry, NaN or -0.0, in blocks of
-   `block` steps k; rows holds block x n doubles. Only the upper triangle is
-   relaxed, in tiles of TILE rows, and the last step mirrors it into the
-   lower one.
+   `block` steps k; rows holds block x n doubles. Only the diagonal and the
+   upper triangle are read, so the lower one may hold anything, as dtw_self
+   leaves it; the upper triangle is relaxed, in tiles of TILE rows, and the
+   last step mirrors it into the lower one.
 
    The reference's step k sets d[i][j] = min(d[i][j], d[i][k] + d[k][j]),
    all read before the step. Its matrix stays symmetric: d[j][i] gets
@@ -359,44 +361,82 @@ void dtw_pairs(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *
     }
 }
 
-/* The n x n p-DTW matrix out of the n curves, for p >= 1, laid out as in
-   dtw_pairs: out[i * n + j] gets the p-DTW of curve i and curve j > i, in
-   that order, out[i * n + i] gets 0, and mirror copies the upper triangle
-   into the lower one. Row i takes its columns j > i in the order of the
-   permutation order, in runs of at most LANES consecutive columns of one
-   length, each through pair_run. Where order sorts the curves stably by
-   length, the columns past i of one length follow each other, so they fill
-   whole runs but for the last few. work is as in dtw_pairs. */
+/* The length of the group of columns of dtw_self that starts at position t
+   of order: at most LANES consecutive columns of one length */
+static ptrdiff_t group_size(const ptrdiff_t *lengths, const ptrdiff_t *order, ptrdiff_t t,
+                            ptrdiff_t n)
+{
+    ptrdiff_t run = 1;
+    while (run < LANES && t + run < n && lengths[order[t + run]] == lengths[order[t]])
+        run++;
+    return run;
+}
+
+/* The diagonal (0) and upper triangle of the n x n p-DTW matrix out of the
+   n curves, for p >= 1, laid out as in dtw_pairs: out[i * n + j] gets the
+   p-DTW of curve i and curve j > i. The lower triangle is not written:
+   floyd_warshall does not read it, and mirror copies it where wanted.
+
+   The columns, in the order of the permutation order, form groups of at
+   most LANES consecutive columns of one length (group_size), padded with
+   copies of their last column as pair_run pads; they are interleaved into
+   lanes once per call, and row i's curve once per row. Row i runs every
+   group that holds a column j > i through dtw_lanes, with pair_run's scale
+   and root in each lane, so each value has dtw_pairs' bits; a lane whose
+   column is not past i takes the scale 1.0 and is not written. With order
+   a stable sort by length, only a group that straddles i has such lanes.
+
+   work holds LANES * (2 * L + 1 + (L + G) * d) doubles, for the longest
+   curve L and the sum G of the groups' lengths: the row and costs of
+   dtw_lanes (whose first L also serve pair_scale), row i's lanes and the
+   groups' lanes. */
 void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *lengths,
               ptrdiff_t d, const ptrdiff_t *order, ptrdiff_t n, double p, double *out,
               double *work)
 {
+    ptrdiff_t longest = 0;
+    for (ptrdiff_t i = 0; i < n; i++)
+        longest = lengths[i] > longest ? lengths[i] : longest;
+    double *at = work + LANES * (2 * longest + 1), *groups = at + LANES * longest * d;
+    const double *from[LANES];
+    double *bt = groups;
+    for (ptrdiff_t t = 0, run; t < n; t += run) {
+        run = group_size(lengths, order, t, n);
+        for (ptrdiff_t x = 0; x < LANES; x++)
+            from[x] = points + offsets[order[t + (x < run ? x : run - 1)]] * d;
+        interleave(from, lengths[order[t]] * d, bt);
+        bt += LANES * lengths[order[t]] * d;
+    }
+
     for (ptrdiff_t i = 0; i < n; i++) {
         const ptrdiff_t m = lengths[i];
-        const double *a[LANES], *b[LANES];
-        double values[LANES];
+        const double *a = points + offsets[i] * d;
         out[i * n + i] = 0.0;
         for (ptrdiff_t x = 0; x < LANES; x++)
-            a[x] = points + offsets[i] * d;
-        for (ptrdiff_t t = 0; t < n;) {
-            if (order[t] <= i) {
-                t++;
-                continue;
-            }
+            from[x] = a;
+        interleave(from, m * d, at);
+        bt = groups;
+        for (ptrdiff_t t = 0, run; t < n; t += run) {
+            run = group_size(lengths, order, t, n);
             const ptrdiff_t l = lengths[order[t]];
-            ptrdiff_t run = 1;
-            while (run < LANES && t + run < n && order[t + run] > i
-                   && lengths[order[t + run]] == l)
-                run++;
-            for (ptrdiff_t x = 0; x < run; x++)
-                b[x] = points + offsets[order[t + x]] * d;
-            pair_run(a, b, run, m, l, d, p, values, work);
-            for (ptrdiff_t x = 0; x < run; x++)
-                out[i * n + order[t + x]] = values[x];
-            t += run;
+            double scale[LANES], total[LANES];
+            int writes = 0;
+            for (ptrdiff_t x = 0; x < LANES; x++) {
+                const int written = x < run && order[t + x] > i;
+                scale[x] = written ? pair_scale(a, m, points + offsets[order[t + x]] * d, l, d,
+                                                p, work)
+                                   : 1.0;
+                writes |= written;
+            }
+            if (writes) {
+                dtw_lanes(at, bt, m, l, d, p, scale, total, work);
+                for (ptrdiff_t x = 0; x < run; x++)
+                    if (order[t + x] > i)
+                        out[i * n + order[t + x]] = root(total[x], p, scale[x]);
+            }
+            bt += LANES * l * d;
         }
     }
-    mirror(out, n);
 }
 
 /* out[i] = the least rows[i * m + v] + h[v] over v in [i, m), for i < m,

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, ValidationError, distinct_curves, new_rng, spawn_seeds
-from .closure import distances_from_set, shortest_path_closure
-from .dtw import Packed, _cross_values, _nearest, _packed, _self_values
+from .closure import _close, distances_from_set
+from .dtw import Packed, _cross_values, _dimension, _nearest, _self_values
 from .kmedian import FiniteMetricInstance, kmedian_local_search
-from .simplify import _simplified_block
+from .simplify import _block_width, _simplified_block
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,11 @@ class BicriteriaSolution:
 
 def _solve_on_closure(base, k, eps, seed):
     """Run the metric k-median local search on the closure of a p-DTW
-    matrix; returns the sorted positions of its centers (at most k)."""
+    matrix, a fresh array of ``_self_values`` or a slice of one, which is
+    closed in place; returns the sorted positions of its centers (at most
+    k)."""
     n = base.shape[0]
-    inst = FiniteMetricInstance(shortest_path_closure(base), np.ones(n), min(k, n))
+    inst = FiniteMetricInstance(_close(base), np.ones(n), min(k, n))
     return np.sort(np.asarray(kmedian_local_search(inst, eps, seed).centers, dtype=np.intp))
 
 
@@ -149,16 +151,24 @@ class _Prepared:
 
 def _prepare(curves, ell, p, method="two-approx"):
     """``distinct_curves`` of the inputs and one ell-simplification per
-    sequence, packed into one store (``_Prepared``)."""
+    sequence, packed into one store (``_Prepared``). The store's points are
+    allocated once: the sequences are concatenated into its head, and the
+    simplifications are written into its tail, viewed as a (u, width, d)
+    block."""
     distinct, inverse = distinct_curves(curves)
-    inputs = _packed(distinct)
-    lengths, block = _simplified_block(distinct, inputs, ell, p, method)
-    u, width, d = block.shape
-    start = inputs.points.shape[0]
+    lengths = np.array([c.complexity for c in distinct], dtype=np.intp)
+    u, d = lengths.size, _dimension(distinct)
+    width = _block_width(lengths, ell, p, method)
+    start = int(lengths.sum())
+    points = np.empty((start + u * width, d))
+    np.concatenate([c.points for c in distinct], out=points[:start])
+    offsets = np.cumsum(lengths) - lengths
+    block = points[start:].reshape(u, width, d)
+    simple = _simplified_block(distinct, Packed(points, offsets, lengths), ell, p, method, block)
     store = Packed(
-        np.concatenate([inputs.points, block.reshape(u * width, d)]),
-        np.concatenate([inputs.offsets, start + width * np.arange(u, dtype=np.intp)]),
-        np.concatenate([inputs.lengths, lengths]),
+        points,
+        np.concatenate([offsets, start + width * np.arange(u, dtype=np.intp)]),
+        np.concatenate([lengths, simple]),
     )
     # equal simplified points have equal bytes: each simplification is made of
     # a ``Curve``'s points, which are finite and hold no -0.0
@@ -166,10 +176,10 @@ def _prepare(curves, ell, p, method="two-approx"):
     first: dict[bytes, int] = {}
     labels = [
         first.setdefault(raw[j * width * point : (j * width + length) * point], len(first))
-        for j, length in enumerate(lengths.tolist())
+        for j, length in enumerate(simple.tolist())
     ]
     ids = tuple(c.id for c in distinct)
-    m = int(inputs.lengths.max())
+    m = int(lengths.max())
     return _Prepared(store, ids, inverse, np.array(labels, dtype=np.intp), m)
 
 

@@ -61,13 +61,31 @@ The argument needs non-negative input without NaN, so those are rejected,
 and a -0.0 entry is made +0.0: the two compare equal, and which one a tie
 keeps would be up to the order.
 
+Each closure lives in one n x n buffer, closed in place by ``_close``,
+the one Floyd-Warshall helper. Its three callers: ``shortest_path_closure``
+on its checked, symmetrised copy of the caller's matrix;
+``bicriteria._solve_on_closure`` on a fresh p-DTW matrix or its ``np.ix_``
+slice, already an exactly symmetric copy; and ``_closed``, the final
+closure of both routes, where ``dtw_self`` writes the diagonal and upper
+triangle of a new buffer (``dtw._self_triangle``), the kernel closes and
+mirrors it, and the k-median reads it. ``_closed`` checks its output
+once, raising unless the minimum is >= 0: a NaN or negative input entry
+survives the closure (``t < a`` is false against a NaN, and minima never
+rise). It needs no +0.0 pass, as a p-DTW value is never -0.0 (a square
+root of +0.0, or sums and products of non-negative terms). Against a route
+that symmetrised and checked a second matrix, ``_closed`` on many_short's
+1000 simplified walks took 61-87 ms instead of 74-94 ms (medians of 15
+calls in each of seven alternating processes, 2-core x86-64, gcc 12.2),
+and a formula-size ``kl_median`` at n = 4000 (k = ell = 4, one
+repetition) peaked at 53 MB of traced memory instead of 109 MB.
+
 scipy's ``floyd_warshall`` does the same arithmetic; the tests keep it as
 an independent cross-check, and the package does not import scipy.
 
 The library is one C source built once, on first use (``_kernels`` says
 how), and holds five functions: this closure, ``dtw_pairs`` for the p-DTW
-values of pairs and ``dtw_self`` for the base matrix that
-``build_closure`` closes (``dtw``), ``medoid_partition`` for the medoid
+values of pairs and ``dtw_self`` for the p-DTW matrix that ``_closed``
+and ``build_closure`` close (``dtw``), ``medoid_partition`` for the medoid
 simplifications (``simplify``) and ``swap_costs`` for the k-median's swaps
 (``kmedian``).
 Its one fallback rule: when it cannot be built or loaded (a host without a
@@ -84,7 +102,7 @@ import numpy as np
 
 from . import _kernels
 from .curves import ResourceGuardError, ValidationError
-from .dtw import _packed, _self_values
+from .dtw import _packed, _self_triangle, _self_values
 
 CLOSURE_SIZE_CAP = 20000
 # the steps k that one pass of the compiled kernel takes at a time
@@ -120,6 +138,16 @@ def shortest_path_closure(base):
         raise ValidationError("closure base entries must be non-negative, not NaN")
     dist += 0.0  # -0.0 becomes +0.0
     np.fill_diagonal(dist, 0.0)
+    return _close(dist)
+
+
+def _close(dist):
+    """The shortest-path closure of dist, an exactly symmetric row-major
+    matrix with a zero diagonal and no negative entry, NaN or -0.0: closed
+    in place by the compiled ``floyd_warshall``, which reads only the
+    diagonal and the upper triangle and mirrors the result, or a new
+    ``floyd_warshall_reference`` of the whole matrix where the library
+    cannot be built."""
     lib = _kernels.library()
     if lib is None:
         return floyd_warshall_reference(dist)
@@ -129,24 +157,32 @@ def shortest_path_closure(base):
     return dist
 
 
-def _closed(store, idx, p, size_cap=CLOSURE_SIZE_CAP):
-    """The p-DTW matrix of the curves idx of a packed store
-    (``dtw._packed``) and its shortest-path closure; raises
-    ``ResourceGuardError`` past ``size_cap`` curves."""
-    n = len(idx)
+def _check_size(n, size_cap):
     if n < 1:
         raise ValidationError("need at least one curve")
     if n > size_cap:
         raise ResourceGuardError(f"closure of {n} curves exceeds the cap of {size_cap}")
-    base = _self_values(store, idx, p)
-    return base, shortest_path_closure(base)
+
+
+def _closed(store, idx, p, size_cap=CLOSURE_SIZE_CAP):
+    """The shortest-path closure of the p-DTW matrix of the curves idx of a
+    packed store (``dtw._packed``), in one n x n buffer: ``_self_triangle``
+    fills its upper triangle and ``_close`` closes it in place. Raises
+    ``ResourceGuardError`` past ``size_cap`` curves, and ``ValidationError``
+    if the closure holds a NaN or negative entry."""
+    _check_size(len(idx), size_cap)
+    dist = _close(_self_triangle(store, idx, p))
+    if not dist.min() >= 0:  # a NaN compares false
+        raise ValidationError("closure entries must be non-negative, not NaN")
+    return dist
 
 
 def build_closure(curves, p=1.0, size_cap=CLOSURE_SIZE_CAP) -> MetricClosure:
     """Pairwise p-DTW matrix plus its shortest-path closure for a curve set."""
     curve_list = list(curves)
-    base, dist = _closed(_packed(curve_list), np.arange(len(curve_list)), p, size_cap)
-    return MetricClosure(tuple(c.id for c in curve_list), dist, base)
+    _check_size(len(curve_list), size_cap)
+    base = _self_values(_packed(curve_list), np.arange(len(curve_list)), p)
+    return MetricClosure(tuple(c.id for c in curve_list), shortest_path_closure(base), base)
 
 
 def distances_from_set(base, C):

@@ -29,16 +29,18 @@ at a time, one pair per lane of an AVX2 vector, and fills the lanes of a
 shorter run with copies of its last pair; each lane does the numpy
 reference's operations in its order. Pairs of several shapes reach it
 sorted by shape, so curves of mixed lengths fill the lanes too.
-``_self_values`` hands ``dtw_self`` the gathered offsets and lengths of
-its curves, and ``dtw_self`` generates the pairs (i, j > i) itself, runs
-them through the same lanes, a row's columns of one length at a time, and
-fills both triangles of the matrix. The library's one fallback rule: where
-it cannot be built, or the host has no AVX2, each caller runs its numpy
-reference; here that is ``_grouped_pair_values``, which groups the pairs
-by shape, gathers their curves from the store and chunks them for
-``_accumulate``, and for the self matrix the pairs of ``np.triu_indices``
-through it. It is also the reference the compiled loops are tested
-against. The two give the same bits: both take each
+``_self_triangle`` hands ``dtw_self`` the gathered offsets and lengths of
+its curves, and ``dtw_self`` generates the pairs (i, j > i) itself and
+runs them through the same lanes, in groups of columns of one length that
+it interleaves once per call. It fills the diagonal and the upper
+triangle, which the closure closes in place; ``_self_values`` copies that
+triangle into the lower one (the compiled ``mirror``). The library's one
+fallback rule: where it cannot be built, or the host has no AVX2, each
+caller runs its numpy reference; here that is ``_grouped_pair_values``,
+which groups the pairs by shape, gathers their curves from the store and
+chunks them for ``_accumulate``, and for the self matrix the pairs of
+``np.triu_indices`` through it. It is also the reference the compiled
+loops are tested against. The two give the same bits: both take each
 pointwise distance as the square root of the squared coordinate
 differences summed in order from 0.0, apply the same scale and power, and
 set each DP cell to its cost plus the minimum of its three predecessors,
@@ -219,21 +221,28 @@ class Packed(NamedTuple):
     lengths: np.ndarray
 
 
-def _packed(curves):
-    """The curves as a ``Packed`` store, their points concatenated in order
-    (d = 0 for no curves). Raises ``ValidationError`` when their dimensions
-    differ."""
+def _dimension(curves):
+    """The curves' common dimension (0 for no curves); raises
+    ``ValidationError`` when their dimensions differ."""
     d = curves[0].dimension if curves else 0
     for c in curves:
         if c.dimension != d:
             raise ValidationError(f"dimension mismatch: curve {c.id!r}")
+    return d
+
+
+def _packed(curves):
+    """The curves as a ``Packed`` store, their points concatenated in order
+    (d = 0 for no curves). Raises ``ValidationError`` when their dimensions
+    differ."""
+    _dimension(curves)
     lengths = np.array([c.complexity for c in curves], dtype=np.intp)
     points = np.concatenate([c.points for c in curves]) if curves else np.empty((0, 0))
     return Packed(points, np.cumsum(lengths) - lengths, lengths)
 
 
 def _work(store):
-    """The scratch array of ``dtw_pairs`` and ``dtw_self``: 8 (d + 1) (n + 1)
+    """The scratch array of ``dtw_pairs``: 8 (d + 1) (n + 1)
     doubles for the store's longest curve n."""
     return np.empty(8 * (store.points.shape[1] + 1) * (int(store.lengths.max()) + 1))
 
@@ -324,12 +333,26 @@ def _self_values(store, idx, p):
     """The symmetric p-DTW matrix of the curves idx of a packed store (zero
     diagonal); idx may repeat a curve, whose copies are exactly 0 apart.
 
-    The compiled ``dtw_self`` reads the store's points through the gathered
-    offsets and lengths of idx, and generates the pairs (i, j > i) itself; it
-    gets them in a stable order of their lengths, so that each row's columns
-    of one length fill its vector lanes. Where the library cannot be built,
-    the pairs of ``np.triu_indices`` go through ``_pair_values`` and are
-    scattered into both triangles: the reference, with the same bits."""
+    It is ``_self_triangle`` with the upper triangle copied into the lower
+    one by the compiled ``mirror``; where the library cannot be built,
+    ``_self_triangle`` already gives the whole matrix."""
+    out = _self_triangle(store, idx, p)
+    lib = _kernels.library()
+    if lib is not None:
+        lib.mirror(out.ctypes.data, out.shape[0])
+    return out
+
+
+def _self_triangle(store, idx, p):
+    """A fresh n x n array whose diagonal (0) and upper triangle hold the
+    p-DTW matrix of the curves idx of a packed store; the compiled
+    ``dtw_self`` leaves the lower triangle unwritten. It gets the curves in
+    a stable order of their lengths, so that columns of one length fill its
+    lanes in groups of 4, and a scratch for the lanes of the DP row, of one
+    row curve and of every group (ceil(c / 4) groups for c curves of one
+    length). Where the library cannot be built, the pairs of
+    ``np.triu_indices`` go through ``_pair_values`` and are scattered into
+    both triangles: the reference, with the same bits."""
     idx = np.asarray(idx, dtype=np.intp)
     n = idx.size
     lib = _kernels.library()
@@ -341,11 +364,14 @@ def _self_values(store, idx, p):
     _check_p(p)
     offsets, lengths = store.offsets[idx], store.lengths[idx]
     order = np.argsort(lengths, kind="stable")
-    work = _work(store)
+    d = store.points.shape[1]
+    classes, counts = np.unique(lengths, return_counts=True)
+    longest, grouped = int(classes[-1]), int(((counts + 3) // 4 * classes).sum())
+    work = np.empty(4 * (2 * longest + 1 + (longest + grouped) * d))
     out = np.empty((n, n))
     lib.dtw_self(
-        store.points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data,
-        store.points.shape[1], order.ctypes.data, n, p, out.ctypes.data, work.ctypes.data,
+        store.points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, d,
+        order.ctypes.data, n, p, out.ctypes.data, work.ctypes.data,
     )
     return out
 

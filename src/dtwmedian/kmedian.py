@@ -43,7 +43,12 @@ MAX_BRUTE_SUBSETS = 10**6
 @dataclass(frozen=True)
 class FiniteMetricInstance:
     """Symmetric nonnegative distance matrix, inf allowed and NaN not, with
-    positive finite point weights."""
+    positive finite point weights.
+
+    A row-major float64 ``dist`` is kept as it is, not copied: the
+    pipeline's closure buffer becomes the instance. NaN is tested through
+    ``dist.min()``, which a NaN anywhere makes NaN, so no n x n boolean
+    array is built; the symmetry and the signs are not checked."""
 
     dist: np.ndarray
     weights: np.ndarray
@@ -63,7 +68,7 @@ class FiniteMetricInstance:
         if not np.all((weights > 0) & (weights < np.inf)):
             raise ValidationError("weights must be positive and finite")
         # inf is allowed: an isolated point is inf away from the others
-        if np.isnan(dist).any():
+        if np.isnan(dist.min(initial=np.inf)):  # min propagates NaN
             raise ValidationError("dist must not hold NaN")
         if self.k < 1:
             raise ValidationError("k must be >= 1")

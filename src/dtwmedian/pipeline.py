@@ -101,7 +101,7 @@ def _cluster_simplified(prepared, drawn, weights, k, p, eps, seed, timings):
         order = np.argsort(first)  # the points in order of first entry
         points = drawn[first[order]]
         weights = np.bincount(np.argsort(order)[which], weights=weights)
-        _, dist = _closed(store, u + points, p)
+        dist = _closed(store, u + points, p)
     with _stage(timings, "kmedian"):
         inst = FiniteMetricInstance(dist, weights, min(k, points.size))
         sol = kmedian_local_search(inst, eps=eps, seed=seed)

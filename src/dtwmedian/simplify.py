@@ -407,28 +407,34 @@ def simplify_exact_p2(sigma: Curve, ell) -> Curve:
     return simplify_exact_p2_detailed(sigma, ell).curve
 
 
-def _simplified_block(curves, store, ell, p, method):
-    """The ell-simplification of every curve of a packed store, which holds
-    the curve list ``curves``, as (their lengths, an (n, min(ell, longest),
-    d) block): simplification i is block[i, :lengths[i]]. The medoid
-    methods run ``_medoid_simplifications`` on the store, "eps1" runs
-    ``simplify_eps_p1`` on each curve."""
+def _block_width(lengths, ell, p, method):
+    """The width min(ell, longest of lengths) of the block that holds the
+    ell-simplifications of curves of these lengths (``_simplified_block``);
+    raises ``ValidationError`` for an unknown method, for "eps1" at p != 1
+    and for ell < 1."""
     if method not in ("two-approx", "eps1", "vertex"):
         raise ValidationError(f"unknown simplification method {method!r}")
     if method == "eps1" and p != 1:
         raise ValidationError("method 'eps1' (geometric medians) needs p = 1")
     if ell < 1:
         raise ValidationError("ell must be >= 1")
-    n = store.lengths.size
-    block = np.empty((n, min(ell, int(store.lengths.max(initial=0))), store.points.shape[1]))
+    return min(ell, int(lengths.max(initial=0)))
+
+
+def _simplified_block(curves, store, ell, p, method, block):
+    """Write the ell-simplification of every curve of a packed store, which
+    holds the curve list ``curves``, into block, an (n, ``_block_width``,
+    d) array: simplification i into block[i, :lengths[i]]; returns the
+    lengths. The medoid methods run ``_medoid_simplifications`` on the
+    store, "eps1" runs ``simplify_eps_p1`` on each curve."""
     if method != "eps1":
-        return _medoid_simplifications(store, ell, p, method == "two-approx", block), block
-    lengths = np.empty(n, dtype=np.intp)
+        return _medoid_simplifications(store, ell, p, method == "two-approx", block)
+    lengths = np.empty(len(curves), dtype=np.intp)
     for i, c in enumerate(curves):
         points = simplify_eps_p1(c, ell).points
         lengths[i] = points.shape[0]
         block[i, : lengths[i]] = points
-    return lengths, block
+    return lengths
 
 
 def simplify_set(curves, ell, p=1.0, method="two-approx"):
@@ -449,7 +455,10 @@ def simplify_set(curves, ell, p=1.0, method="two-approx"):
         groups.setdefault(c.dimension, []).append(i)
     for members in groups.values() or [[]]:  # no curves: the arguments are still checked
         group = [curves[i] for i in members]
-        lengths, block = _simplified_block(group, _packed(group), ell, p, method)
+        store = _packed(group)
+        width = _block_width(store.lengths, ell, p, method)
+        block = np.empty((len(group), width, store.points.shape[1]))
+        lengths = _simplified_block(group, store, ell, p, method, block)
         for t, i in enumerate(members):
             if curves[i].complexity > ell:
                 out[i] = Curve(curves[i].id, block[t, : lengths[t]])

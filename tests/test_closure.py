@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from dtwmedian.simplify import simplify_set
 from conftest import curve1d, needs_cc
 
 TOL = 1e-9
+# the package attribute dtwmedian.dtw is the function
+dtw_module = importlib.import_module("dtwmedian.dtw")
 
 
 def random_set(rng, n, m_hi=5, d=2, scale=3.0):
@@ -413,3 +416,83 @@ def test_base_matrix_matches_scalar_dtw(rng):
             assert mc.base[i, j] == pytest.approx(
                 dtw_value(curves[i], curves[j], 2.0), abs=1e-10
             )
+
+
+def _fused_case(n, d):
+    """n curves of d coordinates and an index list over them: the lengths
+    hold classes of one, two and three curves (padded lane groups) beside
+    classes of four and more, one sequence is under three indices, and at
+    p = 40 one curve scaled by 1e10 makes the lanes of a group take
+    different scales."""
+    rng = np.random.default_rng(100 * n + d)
+    pattern = [5, 2, 7, 2, 7, 3, 7, 3, 3]
+    lengths = pattern[:n] + rng.integers(1, 9, max(0, n - len(pattern))).tolist()
+    curves = [Curve(f"c{i}", rng.normal(0, 3, (m, d))) for i, m in enumerate(lengths)]
+    if n >= 5:
+        curves[n // 2] = Curve("big", 1e10 * curves[n // 2].points)
+    idx = np.arange(n)
+    if n >= 3:
+        idx = np.concatenate([idx, [n - 1, 1]])  # curve 1 three times, n - 1 twice
+        idx[0] = 1
+    return curves, idx
+
+
+def _fused_closures():
+    """For n in 1, 2, 3, 5, 9 and 50, d = 1 and 2 and p = 1, 2 and 40, the
+    bytes of _closed, after checking that it has the bits of
+    shortest_path_closure on dtw_self_matrix, that dtw_self_matrix has the
+    bits of the np.triu_indices reference, and that _self_triangle's
+    diagonal and upper triangle are dtw_self_matrix's."""
+    out = []
+    for n in (1, 2, 3, 5, 9, 50):
+        for d in (1, 2):
+            curves, idx = _fused_case(n, d)
+            store = dtw_module._packed(curves)
+            chosen = [curves[i] for i in idx]
+            upper = np.triu(np.ones((idx.size, idx.size), dtype=bool))
+            rows, cols = np.triu_indices(idx.size, k=1)
+            for p in (1.0, 2.0, 40.0):
+                base = dtw_self_matrix(chosen, p)
+                reference = np.zeros_like(base)
+                values = dtw_module._pair_values(store, idx[rows], idx[cols], p)
+                reference[rows, cols] = reference[cols, rows] = values
+                assert base.tobytes() == reference.tobytes()
+                triangle = dtw_module._self_triangle(store, idx, p)
+                assert triangle[upper].tobytes() == base[upper].tobytes()
+                fused = closure._closed(store, idx, p)
+                assert fused.tobytes() == shortest_path_closure(base).tobytes()
+                out.append(fused.tobytes())
+    return out
+
+
+def test_the_fused_closure_has_the_bits_of_the_checked_route(fresh_library, monkeypatch, tmp_path):
+    """On the compiled kernels where they can be built, and after a failed
+    build, with the same bits on both."""
+    compiled = _fused_closures()
+    monkeypatch.setattr(_kernels, "_CC", "dtwmedian-no-such-compiler")
+    monkeypatch.setattr(_kernels, "_CACHE", str(tmp_path / "cache"))
+    _kernels.library.cache_clear()
+    with pytest.warns(UserWarning, match="dtwmedian-no-such-compiler"):
+        fallback = _fused_closures()
+    assert _kernels.library() is None
+    assert fallback == compiled
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])
+def test_the_fused_closure_rejects_nan_and_negative_entries(monkeypatch, compiled):
+    """DTW values of finite curves are never NaN or negative; a matrix that
+    holds one anyway still raises, checked once on the closed matrix."""
+    if not compiled:
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+    curves, idx = _fused_case(9, 2)
+    store = dtw_module._packed(curves)
+    for bad in (np.nan, -0.5):
+        def triangle(store, idx, p, bad=bad):
+            base = dtw_module._self_values(store, idx, p)
+            base[2, 7] = base[7, 2] = bad
+            return base
+
+        with monkeypatch.context() as patch:
+            patch.setattr(closure, "_self_triangle", triangle)
+            with pytest.raises(ValidationError):
+                closure._closed(store, idx, 1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,16 +170,35 @@ def test_each_input_is_simplified_once_per_call(monkeypatch):
 
 def test_bicriteria_closures_are_built_on_samples(monkeypatch):
     sizes = []
-    original = bicriteria.shortest_path_closure
+    original = bicriteria._close
 
     def recording(base):
         sizes.append(base.shape[0])
         return original(base)
 
-    monkeypatch.setattr(bicriteria, "shortest_path_closure", recording)
+    monkeypatch.setattr(bicriteria, "_close", recording)
     curves = list(gen_synthetic(300, 1, 8, 2, 0.5, 5))
     kl_median(curves, PipelineConfig(k=4, ell=2, eps=0.5, repetitions=1, seed=1))
     assert sizes and max(sizes) < len(curves)
+
+
+@needs_cc
+def test_the_exact_route_holds_one_closure_matrix():
+    """The final closure is built, closed and read by the k-median in one
+    n x n buffer: the traced peak of the route on 300 short walks stays
+    below 1.5 such matrices."""
+    curves = list(gen_synthetic(300, 1, 32, 2, 0.5, 1))
+    assert _kernels.library() is not None
+    # the library, and the modules numpy imports on first use, outside the trace
+    cluster_via_closure(curves[:8], 4, 4)
+    tracemalloc.start()
+    try:
+        result = cluster_via_closure(curves, 4, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.centers) == 4
+    assert peak < 1.5 * len(curves) ** 2 * 8
 
 
 def test_runs_at_eps_one():
