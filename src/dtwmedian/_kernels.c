@@ -1,7 +1,7 @@
 /* The package's compiled kernels: the metric closure's Floyd-Warshall, the
    p-DTW values of a list of curve pairs and the symmetric p-DTW matrix of
    one list of curves, the medoid simplification of a batch of curves, and
-   the costs of the k-median's single swaps. Each does the arithmetic of its
+   the k-median's single-swap local search. Each does the arithmetic of its
    numpy reference, every sum with the reference's operands and every
    chain of additions in its order, taking only exact minima in another
    order, so its results have the reference's bits: see closure.py, dtw.py,
@@ -680,34 +680,126 @@ void medoid_partition(const double *points, ptrdiff_t n, ptrdiff_t m, ptrdiff_t 
     }
 }
 
-/* Candidates whose sums run together, each its own chain of additions */
+/* Candidate rows per pass of kmedian_search, each with its own sums */
 #define SWAP_BLOCK 8
 
-/* The costs of the single swaps of kmedian.kmedian_local_search, for k
-   centers and m candidates: out[r * m + t] is the sum over j of
-   min(base[r * n + j], dist[cand[t] * n + j]) * w[j], added in index order
-   from 0.0, where base row r holds each point's distance to the nearest
-   center other than center r. The rows of SWAP_BLOCK candidates are read in
-   place from dist, and their k sums run one after another while the rows
-   sit in cache. Each sum keeps its order; the SWAP_BLOCK sums of one base
-   row are independent, so their additions overlap. */
-void swap_costs(const double *dist, ptrdiff_t n, const ptrdiff_t *cand, ptrdiff_t m,
-                const double *base, ptrdiff_t k, const double *w, double *out)
+/* base[j * kv + r] for the kv = ceil(k / LANES) * LANES centers of each
+   point j: the distance from j to the nearest of the k sorted centers
+   other than centers[r], where lanes r >= k repeat center k - 1. The
+   nearest center is the first that attains the least distance d1, and d2
+   is the least distance to the other centers (inf for k = 1), as the
+   stable argsort of kmedian._swap_arguments orders them. */
+static void swap_bases(const double *dist, ptrdiff_t n, const ptrdiff_t *centers, ptrdiff_t k,
+                       ptrdiff_t kv, double *base)
 {
-    for (ptrdiff_t t = 0; t < m; t += SWAP_BLOCK) {
-        const ptrdiff_t count = m - t < SWAP_BLOCK ? m - t : SWAP_BLOCK;
-        /* a short last block sums its first row again and keeps none of it */
-        const double *row[SWAP_BLOCK];
-        for (ptrdiff_t b = 0; b < SWAP_BLOCK; b++)
-            row[b] = dist + cand[t + (b < count ? b : 0)] * n;
-        for (ptrdiff_t r = 0; r < k; r++) {
-            const double *br = base + r * n;
-            double acc[SWAP_BLOCK] = {0.0};
-            for (ptrdiff_t j = 0; j < n; j++)
-                for (ptrdiff_t b = 0; b < SWAP_BLOCK; b++)
-                    acc[b] += min2(br[j], row[b][j]) * w[j];
-            for (ptrdiff_t b = 0; b < count; b++)
-                out[r * m + t + b] = acc[b];
+    for (ptrdiff_t j = 0; j < n; j++) {
+        double d1 = dist[centers[0] * n + j], d2 = INFINITY;
+        ptrdiff_t first = 0;
+        for (ptrdiff_t r = 1; r < k; r++) {
+            const double v = dist[centers[r] * n + j];
+            if (v < d1)
+                d2 = d1, d1 = v, first = r;
+            else if (v < d2)
+                d2 = v;
         }
+        for (ptrdiff_t r = 0; r < kv; r++)
+            base[j * kv + r] = (r < k ? r : k - 1) == first ? d2 : d1;
+    }
+}
+
+/* One pass of kmedian_search over the SWAP_BLOCK candidate rows row and
+   the center group g: lane x of out[b] gets the cost of swapping center
+   LANES * g + x for the candidate of row b, the sum over j of
+   vmin(row[b][j], base[j][r]) * w[j] added in index order from 0.0 (on a
+   tie vmin gives the base, an equal value). One base vector serves all
+   SWAP_BLOCK rows, and the SWAP_BLOCK chains of additions overlap. */
+__attribute__((target("avx2")))
+static void swap_pass(const double *const *row, ptrdiff_t n, const double *base, ptrdiff_t kv,
+                      ptrdiff_t g, const double *w, vec *out)
+{
+    vec acc[SWAP_BLOCK] = {{0}};
+    for (ptrdiff_t j = 0; j < n; j++) {
+        const vec b = *(const vec *)(base + j * kv + g * LANES);
+        const vec wj = {w[j], w[j], w[j], w[j]};
+        for (int c = 0; c < SWAP_BLOCK; c++) {
+            const double d = row[c][j];
+            acc[c] += vmin((vec){d, d, d, d}, b) * wj;
+        }
+    }
+    for (int c = 0; c < SWAP_BLOCK; c++)
+        out[c] = acc[c];
+}
+
+/* The single-swap local search of kmedian.kmedian_local_search, with its
+   rounds: the k sorted centers start at the given cost, and each round
+   scores every swap of a center r for a non-center a, the sum over j of
+   min(d(a, j), base_r[j]) * w[j] added in index order from 0.0, where
+   base_r[j] is j's distance to the nearest center other than r. The swap
+   applied is that of the first r, in center order, whose least cost (at
+   its first candidate in ascending order, a NaN counting as least, as
+   numpy's argmin takes it) is below the best so far; the search stops
+   when no cost is below the current one, when the best exceeds threshold
+   times the current cost, or after max_swaps rounds. Otherwise the swap
+   is applied, the centers are sorted again, and the best cost becomes the
+   current one. centers is updated in place.
+
+   Each pass reads SWAP_BLOCK candidate rows of dist in place, where a
+   short last pass repeats its first row and keeps none of its sums, and
+   takes the centers LANES at a time in the lanes of its vectors. work
+   holds kv * (n + 1) doubles, kv being k rounded up to a multiple of
+   LANES: the bases and each center's least cost; index holds n - k + kv:
+   the candidates and each center's least candidate. */
+__attribute__((target("avx2")))
+void kmedian_search(const double *dist, ptrdiff_t n, const double *w, ptrdiff_t *centers,
+                    ptrdiff_t k, double cost, double threshold, ptrdiff_t max_swaps,
+                    double *work, ptrdiff_t *index)
+{
+    const ptrdiff_t kv = (k + LANES - 1) / LANES * LANES, m = n - k;
+    double *base = work, *least = work + n * kv;
+    ptrdiff_t *cand = index, *at = index + m;
+    for (ptrdiff_t step = 0; step < max_swaps; step++) {
+        swap_bases(dist, n, centers, k, kv, base);
+        for (ptrdiff_t j = 0, c = 0, t = 0; j < n; j++)
+            if (c < k && centers[c] == j)
+                c++;
+            else
+                cand[t++] = j;
+        for (ptrdiff_t r = 0; r < k; r++)
+            least[r] = INFINITY;
+
+        for (ptrdiff_t t = 0; t < m; t += SWAP_BLOCK) {
+            const ptrdiff_t count = m - t < SWAP_BLOCK ? m - t : SWAP_BLOCK;
+            const double *row[SWAP_BLOCK];
+            for (ptrdiff_t b = 0; b < SWAP_BLOCK; b++)
+                row[b] = dist + cand[t + (b < count ? b : 0)] * n;
+            for (ptrdiff_t g = 0; g < kv / LANES; g++) {
+                vec sums[SWAP_BLOCK];
+                swap_pass(row, n, base, kv, g, w, sums);
+                for (ptrdiff_t b = 0; b < count; b++)
+                    for (ptrdiff_t x = 0; x < LANES && g * LANES + x < k; x++) {
+                        const ptrdiff_t r = g * LANES + x;
+                        const double s = sums[b][x];
+                        if (s < least[r] || s != s)
+                            least[r] = s, at[r] = t + b;
+                    }
+            }
+        }
+
+        double best = cost;
+        ptrdiff_t swap = -1;
+        for (ptrdiff_t r = 0; r < k; r++)
+            if (least[r] < best)
+                best = least[r], swap = r;
+        if (swap < 0 || best > threshold * cost)
+            return;
+        /* drop centers[swap] and insert the candidate in order */
+        const ptrdiff_t a = cand[at[swap]];
+        ptrdiff_t i = swap;
+        for (; i + 1 < k && centers[i + 1] < a; i++)
+            centers[i] = centers[i + 1];
+        for (; i > 0 && centers[i - 1] > a; i--)
+            centers[i] = centers[i - 1];
+        centers[i] = a;
+        cost = best;
     }
 }

@@ -86,8 +86,8 @@ The library is one C source built once, on first use (``_kernels`` says
 how), and holds five functions: this closure, ``dtw_pairs`` for the p-DTW
 values of pairs and ``dtw_self`` for the p-DTW matrix that ``_closed``
 and ``build_closure`` close (``dtw``), ``medoid_partition`` for the medoid
-simplifications (``simplify``) and ``swap_costs`` for the k-median's swaps
-(``kmedian``).
+simplifications (``simplify``) and ``kmedian_search`` for the k-median's
+local search (``kmedian``).
 Its one fallback rule: when it cannot be built or loaded (a host without a
 C compiler), or the host has no AVX2, each caller runs its numpy
 reference; here the closure is

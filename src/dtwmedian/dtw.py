@@ -23,8 +23,8 @@ Every batched value but the self matrix comes from ``_pair_values``.
 It runs ``dtw_pairs``, one of the five functions of the package's compiled
 library (``_kernels``; the others are ``dtw_self`` for the self matrix, the
 closure's ``floyd_warshall``, the simplification's ``medoid_partition``
-and the k-median's ``swap_costs``). That loop fills each pair's DP row by
-row, in O(l) memory. It takes consecutive pairs of one shape (m, l) four
+and the k-median's ``kmedian_search``). That loop fills each pair's DP
+row by row, in O(l) memory. It takes consecutive pairs of one shape (m, l) four
 at a time, one pair per lane of an AVX2 vector, and fills the lanes of a
 shorter run with copies of its last pair; each lane does the numpy
 reference's operations in its order. Pairs of several shapes reach it

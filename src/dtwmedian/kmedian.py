@@ -8,13 +8,25 @@ enumerator serves as the exact oracle at desk scale. Centers are medoids
 Each round of the local search scores every swap of a center r for a
 non-center a. With base_r[j] the distance from point j to the nearest
 center other than r, the swap costs sum_j w_j * min(base_r[j], D[a, j]),
-added in index order from 0.0. The ``swap_costs`` function of the
-package's compiled library (``_kernels``) computes all of them in one call
-per round, reading each candidate row of ``dist`` in place; where the
-library cannot be built, ``_swap_costs_reference`` gives the same bits with
-a cumulative sum. The applied swap is chosen in numpy: the first r with a
-strict improvement over the best so far, the lowest candidate at its
-minimum, then the threshold test.
+added in index order from 0.0. The whole search, every round of it, is one
+call of ``kmedian_search`` in the package's compiled library (``_kernels``).
+Each round there finds each point's nearest and second-nearest center (the
+nearest is the first sorted center at the least distance, as a stable
+argsort orders them), scores the swaps of four centers at once, one per
+vector lane, reading eight candidate rows of ``dist`` in place per pass,
+and applies the swap of the first r whose least cost, at its lowest
+candidate, beats the best so far, unless it fails the threshold test. A
+tie in the minimum takes base_r[j], the same value. Two parts stay in
+numpy, whose bits C would have to copy: the farthest-point start, drawn
+from numpy's rng, and the starting cost and final solution of
+``_assign``, whose ``np.sum`` adds pairwise. Where the library cannot be
+built or the host has no AVX2, ``_rounds_reference`` runs the same rounds
+in numpy, with a cumulative sum per swap, and gives the same centers; the
+tests pin the two to each other. The compiled search took
+random planar instances at k = 4 from 267 to 116 us at n = 40, 304 to
+125 us at n = 55, 766 to 323 us at n = 200 and 8.8 to 4.8 ms at n = 1000
+(medians, 2-core x86-64, gcc 12.2), against a Python loop of rounds that
+called a compiled scalar swap-cost loop.
 
 No BLAS call is on this path. As a matrix-vector product per center, the
 costs run on a second OpenBLAS thread from about 680 points on. On a
@@ -39,6 +51,9 @@ from .curves import ResourceGuardError, ValidationError, new_rng
 
 MAX_BRUTE_SUBSETS = 10**6
 
+# the centers that the compiled kmedian_search scores at once, one per vector lane
+_LANES = 4
+
 
 @dataclass(frozen=True)
 class FiniteMetricInstance:
@@ -55,7 +70,7 @@ class FiniteMetricInstance:
     k: int
 
     def __post_init__(self):
-        # the compiled swap_costs reads both row-major and contiguous
+        # the compiled kmedian_search reads both row-major and contiguous
         dist = np.ascontiguousarray(self.dist, dtype=np.float64)
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "dist", dist)
@@ -146,57 +161,23 @@ def _swap_arguments(inst, centers):
     return cand, np.where(order[0] == np.arange(len(centers))[:, None], d2, d1)
 
 
-def _swap_costs(inst, cand, base):
-    """costs[r, t]: the cost of the centers with center r swapped for the
-    point cand[t], by the compiled ``swap_costs``, or by its reference where
-    the library cannot be built; both give the same bits."""
-    lib = _kernels.library()
-    if lib is None:
-        return _swap_costs_reference(inst.dist, inst.weights, cand, base)
-    costs = np.empty((len(base), len(cand)))
-    lib.swap_costs(
-        inst.dist.ctypes.data, inst.n, cand.ctypes.data, len(cand), base.ctypes.data,
-        len(base), inst.weights.ctypes.data, costs.ctypes.data,
-    )
-    return costs
+def _rounds_reference(inst, centers, cost, threshold):
+    """The rounds of the compiled ``kmedian_search`` in numpy, with its bits,
+    from the sorted ``centers`` at ``cost``; returns the last centers.
 
-
-def _swap_costs_reference(dist, w, cand, base):
-    """The reference of the compiled ``swap_costs``: costs[r, t] is the sum of
-    min(base[r], dist[cand[t]]) * w in index order, a cumulative sum."""
-    rows = dist[cand]
-    trial = np.empty_like(rows)
-    costs = np.empty((len(base), len(cand)))
-    for r, base_r in enumerate(base):
-        np.minimum(base_r, rows, out=trial)
-        trial *= w
-        costs[r] = np.cumsum(trial, axis=1, out=trial)[:, -1]
-    return costs
-
-
-def kmedian_local_search(inst: FiniteMetricInstance, eps=0.5, seed=0) -> MedianSolution:
-    """Single-swap local search from a farthest-point initialization.
-
-    A swap is applied only if it drops the cost to at most (1 - eps/(8k))
-    times the current one; stops at such a local optimum or after 10*n*k
-    applied swaps. Every round scores all k * (n - k) swaps, each cost a
-    weighted sum in index order from 0.0, by one compiled call (see the
-    module docstring). Deterministic for a fixed seed, with the same result
-    where the library cannot be built.
-    """
-    if not (0.0 < eps < 1.0):
-        raise ValidationError("eps must lie in (0, 1)")
+    costs[r, t] is the sum of min(base[r], dist[cand[t]]) * w in index
+    order, a cumulative sum. The swap applied is that of the first r whose
+    first argmin beats the best so far; then the threshold test."""
     n, k = inst.n, inst.k
-    if k == n:
-        return solution_for_centers(inst, range(n))
-    rng = new_rng(seed)
-    centers = sorted(_farthest_point_init(inst, rng))
-    threshold = 1.0 - eps / (8.0 * k)
-
-    _, cost = _assign(inst, centers)
     for _ in range(10 * n * k):
         cand, base = _swap_arguments(inst, centers)
-        costs = _swap_costs(inst, cand, base)
+        rows = inst.dist[cand]
+        trial = np.empty_like(rows)
+        costs = np.empty((k, len(cand)))
+        for r, base_r in enumerate(base):
+            np.minimum(base_r, rows, out=trial)
+            trial *= inst.weights
+            costs[r] = np.cumsum(trial, axis=1, out=trial)[:, -1]
 
         best_new, best_swap = cost, None
         for r_pos in range(k):
@@ -210,4 +191,39 @@ def kmedian_local_search(inst: FiniteMetricInstance, eps=0.5, seed=0) -> MedianS
         r_pos, a = best_swap
         centers = sorted(centers[:r_pos] + centers[r_pos + 1 :] + [a])
         cost = best_new
-    return solution_for_centers(inst, centers)
+    return centers
+
+
+def kmedian_local_search(inst: FiniteMetricInstance, eps=0.5, seed=0) -> MedianSolution:
+    """Single-swap local search from a farthest-point initialization.
+
+    A swap is applied only if it drops the cost to at most (1 - eps/(8k))
+    times the current one; stops at such a local optimum or after 10*n*k
+    applied swaps. Every round scores all k * (n - k) swaps, each cost a
+    weighted sum in index order from 0.0; all rounds run in one compiled
+    call (see the module docstring). Deterministic for a fixed seed, with
+    the same result where the library cannot be built.
+    """
+    if not (0.0 < eps < 1.0):
+        raise ValidationError("eps must lie in (0, 1)")
+    n, k = inst.n, inst.k
+    if k == n:
+        return solution_for_centers(inst, range(n))
+    rng = new_rng(seed)
+    centers = sorted(_farthest_point_init(inst, rng))
+    threshold = 1.0 - eps / (8.0 * k)
+
+    _, cost = _assign(inst, centers)
+    lib = _kernels.library()
+    if lib is None:
+        return solution_for_centers(inst, _rounds_reference(inst, centers, cost, threshold))
+    # the scratch of kmedian_search, with k rounded up to whole vectors
+    lanes = -(-k // _LANES) * _LANES
+    found = np.array(centers, dtype=np.intp)
+    work = np.empty(lanes * (n + 1))
+    index = np.empty(n - k + lanes, dtype=np.intp)
+    lib.kmedian_search(
+        inst.dist.ctypes.data, n, inst.weights.ctypes.data, found.ctypes.data, k, cost,
+        threshold, 10 * n * k, work.ctypes.data, index.ctypes.data,
+    )
+    return solution_for_centers(inst, found.tolist())

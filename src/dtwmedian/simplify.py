@@ -269,10 +269,11 @@ def _medoid_simplifications(store, ell, p, restrict_to_range, out):
     (n, w, d), curve i into out[i, :lengths[i]], and return the lengths; a
     curve of complexity <= ell is copied as it is.
 
-    The curves of one complexity m are gathered from the store, in chunks of
-    at most ``_BLOCK_CELLS`` cells times d per m x m table but at least
-    ``_LANES`` curves, and each chunk runs through ``_medoid_partitions``;
-    its centers are gathered from the chunk's points into out at once.
+    The curves of one complexity m are taken from the store
+    (``_chunk_points``), in chunks of at most ``_BLOCK_CELLS`` cells times d
+    per m x m table but at least ``_LANES`` curves, and each chunk runs
+    through ``_medoid_partitions``; its centers are gathered from the
+    chunk's points into out at once.
     """
     _check_p(p)
     d = store.points.shape[1]
@@ -280,16 +281,27 @@ def _medoid_simplifications(store, ell, p, restrict_to_range, out):
     for m in np.unique(store.lengths).tolist():
         members = np.flatnonzero(store.lengths == m)
         if m <= ell:
-            out[members, :m] = store.points[store.offsets[members, None] + np.arange(m)]
+            out[members, :m] = _chunk_points(store, members, m)
             continue
         block = max(_LANES, _BLOCK_CELLS // (m * m * d))
         for start in range(0, members.size, block):
             chunk = members[start : start + block]
-            pts = store.points[store.offsets[chunk, None] + np.arange(m)]
+            pts = _chunk_points(store, chunk, m)
             _, counts, centers, _ = _medoid_partitions(pts, ell, p, restrict_to_range)
             lengths[chunk] = counts
             out[chunk] = pts[np.arange(chunk.size)[:, None], centers]
     return lengths
+
+
+def _chunk_points(store, chunk, m):
+    """The points of the curves ``chunk`` of a packed store, m each, as an
+    (n, m, d) array: a view of the store where the curves lie back to back,
+    as curves of one length packed in order do, and a gathered copy
+    otherwise."""
+    first, d = store.offsets[chunk[0]], store.points.shape[1]
+    if np.array_equal(store.offsets[chunk], first + m * np.arange(chunk.size)):
+        return store.points[first : first + m * chunk.size].reshape(chunk.size, m, d)
+    return store.points[store.offsets[chunk, None] + np.arange(m)]
 
 
 def _medoid_partitions(pts, ell, p, restrict_to_range):

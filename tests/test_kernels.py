@@ -1,10 +1,11 @@
 """The compiled library against its numpy references: the DTW lanes, the
-medoid simplification and the k-median swap costs run compiled when a
+medoid simplification and the k-median local search run compiled when a
 compiler exists and the host has AVX2, and other hosts get the same bits
 from the references."""
 
 import ctypes
 import itertools
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -240,7 +241,7 @@ def test_the_compiled_loops_run_with_the_reference_bits(monkeypatch):
         (simplify, "_medoid_cost_table"),
         (simplify, "_local_medoid_partition"),
         (simplify, "_partition"),
-        (kmedian, "_swap_costs_reference"),
+        (kmedian, "_rounds_reference"),
     ):
         monkeypatch.setattr(module, name, no_fallback)
     assert _kernels.library() is not None
@@ -301,27 +302,85 @@ def test_the_medoid_lanes_have_the_reference_bits():
     assert_medoid_lanes_have_the_reference_bits()
 
 
+def assert_the_search_has_the_reference_bits(inst, eps, seed):
+    """The compiled search and the numpy rounds give the same centers, cost
+    bits and assignment; returns the compiled solution."""
+    compiled = kmedian_local_search(inst, eps, seed)
+    with mock.patch.object(_kernels, "library", lambda: None):
+        reference = kmedian_local_search(inst, eps, seed)
+    assert compiled.centers == reference.centers
+    assert compiled.cost.hex() == reference.cost.hex()
+    assert compiled.assignment.tobytes() == reference.assignment.tobytes()
+    return compiled
+
+
 @needs_cc
 @pytest.mark.parametrize(
     "n, k, duplicates, isolated",
     [(2, 1, 0, False), (7, 1, 3, True), (13, 12, 0, True), (30, 4, 10, True),
-     (100, 70, 20, True), (203, 9, 0, False)],
+     (100, 70, 20, True), (203, 9, 0, False), (12, 5, 3, False), (15, 8, 0, True),
+     (17, 9, 4, False), (14, 5, 0, True)],
 )
-def test_swap_costs_have_the_reference_bits(n, k, duplicates, isolated):
-    """Any k (k = 70 and k = n - 1 among them), blocks of candidates cut
-    short, exact duplicates, and inf distances and costs."""
+def test_the_search_has_the_reference_bits(n, k, duplicates, isolated):
+    """Any k (k = 70 and k = n - 1 among them, and k = 5 and 9, whose last
+    vector of centers is padded), passes of candidates cut short (n - k = 1,
+    7, 8 and 9 among them), exact duplicates, and inf distances and costs."""
     assert _kernels.library() is not None
     rng = np.random.default_rng(n * 100 + k)
     inst = metric_instance(rng, n, k, duplicates, isolated)
-    infinite = False
-    for _ in range(3):
-        cand, base = kmedian._swap_arguments(inst, sorted(rng.choice(n, k, replace=False)))
-        compiled = kmedian._swap_costs(inst, cand, base)
-        reference = kmedian._swap_costs_reference(inst.dist, inst.weights, cand, base)
-        assert compiled.shape == (k, n - k)
-        assert compiled.tobytes() == reference.tobytes()
-        infinite |= bool(np.isinf(compiled).any())
-    assert infinite == isolated
+    for seed in range(3):
+        for eps in (0.5, 0.05):
+            assert_the_search_has_the_reference_bits(inst, eps, seed)
+
+
+def line_instance(n, at, seed):
+    """Unit weights on the line 0, 1, ..., n - 1 with k = 1, and the index of
+    the farthest-point start for ``seed``, which sits at position ``at``."""
+    start = kmedian._farthest_point_init(
+        FiniteMetricInstance(np.zeros((n, n)), np.ones(n), 1), kmedian.new_rng(seed)
+    )[0]
+    position = (np.arange(n) - start + at) % n
+    dist = np.abs(position[:, None] - position[None, :]).astype(float)
+    return FiniteMetricInstance(dist, np.ones(n), 1), start
+
+
+@needs_cc
+def test_the_search_keeps_the_reference_ties_and_threshold():
+    """The all-zero and two-group matrices, where swaps tie, and the first
+    round's threshold test on lines: at 18 of 40 points the best swap saves
+    2 of 402, so eps = 0.05 (threshold 0.99375) stops the search and
+    eps = 0.03 takes the swap; at 11 of 31 it saves 16 of 256, exactly
+    eps / 8 of the cost at eps = 0.5, and the swap is taken."""
+    assert _kernels.library() is not None
+    zeros = np.zeros((6, 6))
+    two_groups = np.array(
+        [[0.0, 0.0, 5.0, 5.0], [0.0, 0.0, 5.0, 5.0], [5.0, 5.0, 0.0, 0.0], [5.0, 5.0, 0.0, 0.0]]
+    )
+    for dist in (zeros, two_groups):
+        for seed in range(6):
+            inst = FiniteMetricInstance(dist, np.ones(len(dist)), 3)
+            assert_the_search_has_the_reference_bits(inst, 0.5, seed)
+    for n, at, eps, start_cost, cost in (
+        (40, 18, 0.05, 402.0, 402.0), (40, 18, 0.03, 402.0, 400.0), (31, 11, 0.5, 256.0, 240.0)
+    ):
+        inst, start = line_instance(n, at, seed=3)
+        assert kmedian.solution_for_centers(inst, [start]).cost == start_cost
+        assert assert_the_search_has_the_reference_bits(inst, eps, 3).cost == cost
+
+
+def c_functions(source):
+    """The names of the non-static functions that a C source defines, an
+    attribute line before one allowed."""
+    pattern = r"^(?:__attribute__\(\(.*\)\)\s*)?(?!static\b)\w+[\s*]+(\w+)\("
+    return set(re.findall(pattern, source, re.M))
+
+
+def test_every_exported_function_has_a_signature():
+    """A function without a signature would be called with ctypes' default
+    int arguments, and a signature without a function fails the load."""
+    source = Path(_kernels._SOURCE).read_text(encoding="utf-8")
+    assert c_functions("__attribute__((x))\nvoid f(int a)\nstatic void g(void)\n") == {"f"}
+    assert c_functions(source) == {"avx2_host", *_kernels._signatures(ctypes)}
 
 
 @needs_cc

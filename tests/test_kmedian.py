@@ -176,7 +176,7 @@ def test_centers_stay_distinct_when_every_distance_is_zero():
 
 
 def test_the_layout_of_dist_does_not_change_the_solution(rng):
-    # the compiled swap costs read dist and weights row-major and contiguous:
+    # the compiled search reads dist and weights row-major and contiguous:
     # a transposed (Fortran-ordered) or a strided input is stored that way
     big = random_metric(rng, 60)
     d = np.ascontiguousarray(big[:40, :40])
