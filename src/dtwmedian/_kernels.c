@@ -110,7 +110,7 @@ static void tile_pass(double *restrict d, const double *restrict rows, ptrdiff_t
 }
 
 /* Copies the upper triangle of the n x n matrix d into the lower one, row
-   by row: the last step of floyd_warshall, and of dtw._self_values after
+   by row: the last step of floyd_warshall, and of dtw.dtw_self_matrix after
    dtw_self. This copy takes about 1 ms at n = 1000, where writing each
    value down its column as it was computed took 5 ms (2-core x86-64,
    gcc 12.2). */
@@ -335,26 +335,28 @@ static void pair_run(const double **a, const double **b, ptrdiff_t run, ptrdiff_
         values[x] = root(total[x], p, scale[x]);
 }
 
-/* out[t] = p-DTW of the curves rows[t] and cols[t], t < pairs, for p >= 1.
-   Curve c has lengths[c] points of d coordinates, starting at point
-   offsets[c] of points. work holds 8 * (d + 1) * (n + 1) doubles for the
-   longest curve n. Each run of at most LANES consecutive pairs of one shape
-   (m, l) goes through pair_run; a run that a pair of another shape cuts
-   short, and the last run, pad their lanes. */
-void dtw_pairs(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *lengths,
+/* out[t] = p-DTW of curve rows[t] of the first store and curve cols[t] of
+   the second, t < pairs, for p >= 1. Curve c of a store has lengths[c]
+   points of d coordinates, starting at point offsets[c] of its points; the
+   two stores may be one. work holds 8 * (d + 1) * (n + 1) doubles for the
+   longest curve n of both. Each run of at most LANES consecutive pairs of
+   one shape (m, l) goes through pair_run; a run that a pair of another
+   shape cuts short, and the last run, pad their lanes. */
+void dtw_pairs(const double *points_a, const ptrdiff_t *offsets_a, const ptrdiff_t *lengths_a,
+               const double *points_b, const ptrdiff_t *offsets_b, const ptrdiff_t *lengths_b,
                ptrdiff_t d, const ptrdiff_t *rows, const ptrdiff_t *cols, ptrdiff_t pairs,
                double p, double *out, double *work)
 {
     for (ptrdiff_t t = 0; t < pairs;) {
-        const ptrdiff_t m = lengths[rows[t]], l = lengths[cols[t]];
+        const ptrdiff_t m = lengths_a[rows[t]], l = lengths_b[cols[t]];
         ptrdiff_t run = 1;
-        while (run < LANES && t + run < pairs && lengths[rows[t + run]] == m
-               && lengths[cols[t + run]] == l)
+        while (run < LANES && t + run < pairs && lengths_a[rows[t + run]] == m
+               && lengths_b[cols[t + run]] == l)
             run++;
         const double *a[LANES], *b[LANES];
         for (ptrdiff_t x = 0; x < run; x++) {
-            a[x] = points + offsets[rows[t + x]] * d;
-            b[x] = points + offsets[cols[t + x]] * d;
+            a[x] = points_a + offsets_a[rows[t + x]] * d;
+            b[x] = points_b + offsets_b[cols[t + x]] * d;
         }
         pair_run(a, b, run, m, l, d, p, out + t, work);
         t += run;

@@ -17,7 +17,7 @@ upper triangle, which ``floyd_warshall`` closes in place. It interleaves
 the column curves into lanes once per call, in groups of up to four
 columns of one length, and each row's curve once per row, where
 ``pair_run`` interleaved both curves of every run again. On many_short's
-1000 simplified walks (p = 1) ``dtw._self_values``, which adds ``mirror``,
+1000 simplified walks (p = 1) ``dtw.dtw_self_matrix``, which adds ``mirror``,
 went from 17-25 to 13-19 ms, and the triangle alone takes 11-13 ms
 (medians of 15 calls in each of seven alternating processes, 2-core
 x86-64, gcc 12.2).
@@ -77,13 +77,14 @@ against 267 us at n = 40 and 4.8 against 8.8 ms at n = 1000, where a
 Python loop of rounds called a scalar swap-cost loop (medians, same
 host). Every array the functions read or write is row-major and
 contiguous; ``FiniteMetricInstance`` stores its distances and weights that
-way. Curves reach ``dtw_pairs`` and ``dtw_self`` as a packed store
-(``dtw.Packed``): one row-major points array, with each curve's offset and
-length. ``dtw_pairs`` takes index arrays into the store, and ``dtw_self``
-the gathered offsets and lengths of its curves, so a subset is selected
-without copying points; ``medoid_partition`` gets each batch's points as
-an (n, m, d) array, a view of the store where the batch's curves lie back
-to back and a gathered copy otherwise.
+way. Curves reach ``dtw_pairs`` and ``dtw_self`` as curve sets
+(``curves.CurveSet``): one row-major points array, with each curve's
+offset and length, gathered where the set is a selection, so a subset
+costs no copy of points. ``dtw_pairs`` takes a row set and a column set
+and index arrays into each, and ``dtw_self`` one set;
+``medoid_partition`` gets each batch's points as an (n, m, d) array, a
+view of the set's buffer where the batch's curves lie back to back and a
+gathered copy otherwise.
 ``-ffp-contract=off`` forbids fused multiply-adds, so every operation
 rounds as written. ``-ffast-math`` is excluded: it lets the compiler assume
 there are no infinities and reorder arithmetic, which breaks the closure's
@@ -190,7 +191,9 @@ def _signatures(ctypes):
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     return {
         "floyd_warshall": (ptr, size, ptr, size),
-        "dtw_pairs": (ptr, ptr, ptr, size, ptr, ptr, size, ctypes.c_double, ptr, ptr),
+        "dtw_pairs": (
+            ptr, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr, size, ctypes.c_double, ptr, ptr
+        ),
         "dtw_self": (ptr, ptr, ptr, size, ptr, size, ctypes.c_double, ptr, ptr),
         "mirror": (ptr, size),
         "medoid_partition": (

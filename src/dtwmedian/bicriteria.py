@@ -3,24 +3,23 @@ curve-level wrapper producing a (factor, 4)-approximation with at most 4k
 centers of complexity <= ell.
 
 The two-level scheme samples a subset, clusters its metric closure, rechecks
-the worst-served points, and recurses once. The framework works on a packed
-curve store (``dtw.Packed``) and index arrays into it, which may repeat an
-index; it returns distinct indices, and builds no curve list: the inner
-level (``k_routine``) computes the p-DTW matrix of its index set once
-(``dtw._self_values``) and slices it for the sample's closure, the closure
-distances that pick the recheck set, and the recheck set's closure; the
-outer level (``k_median_sampled``) picks its recheck set by raw p-DTW to
-the inner level's centers (``dtw._cross_values``). Closures are only built
-on sampled subsets, or on the whole set when the sample-size formula
-already covers it.
+the worst-served points, and recurses once. The framework works on a curve
+set (``curves.CurveSet``) and index arrays into it, which may repeat an
+index; it returns distinct indices. The inner level (``k_routine``)
+computes the p-DTW matrix of its selection once (``dtw_self_matrix``) and
+slices it for the sample's closure, the closure distances that pick the
+recheck set, and the recheck set's closure; the outer level
+(``k_median_sampled``) picks its recheck set by raw p-DTW to the inner
+level's centers (``dtw_matrix``). Closures are only built on sampled
+subsets, or on the whole set when the sample-size formula already covers
+it.
 
 A call prepares once (``_prepare``): it collapses equal inputs
-(``distinct_curves``), ell-simplifies each distinct sequence, and packs the
-sequences and their simplifications into one store, with each sequence's
-label among the distinct simplified point sequences, which the pipeline's
-final instance reads. Each repetition reruns only the seeded part
-(``_bicriteria_run``) on it, and builds a ``Curve`` only for each of its at
-most 4k centers.
+(``distinct_curves``, a selection of the input set) and ell-simplifies each
+distinct sequence (``simplify_set``), with each sequence's label among the
+distinct simplified point sequences, which the pipeline's final instance
+reads. Each repetition reruns only the seeded part (``_bicriteria_run``)
+on it, and builds a ``Curve`` only for each of its at most 4k centers.
 """
 
 from __future__ import annotations
@@ -30,11 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, ValidationError, distinct_curves, new_rng, spawn_seeds
+from .curves import (
+    Curve,
+    CurveSet,
+    ValidationError,
+    as_curve_set,
+    distinct_curves,
+    new_rng,
+    spawn_seeds,
+)
 from .closure import _close, distances_from_set
-from .dtw import Packed, _cross_values, _dimension, _nearest, _self_values
+from .dtw import assign_nearest, dtw_matrix, dtw_self_matrix
 from .kmedian import FiniteMetricInstance, kmedian_local_search
-from .simplify import _block_width, _simplified_block
+from .simplify import simplify_set
 
 
 @dataclass(frozen=True)
@@ -79,24 +86,24 @@ class BicriteriaSolution:
 
 def _solve_on_closure(base, k, eps, seed):
     """Run the metric k-median local search on the closure of a p-DTW
-    matrix, a fresh array of ``_self_values`` or a slice of one, which is
-    closed in place; returns the sorted positions of its centers (at most
-    k)."""
+    matrix, a fresh array of ``dtw_self_matrix`` or a slice of one, which
+    is closed in place; returns the sorted positions of its centers (at
+    most k)."""
     n = base.shape[0]
     inst = FiniteMetricInstance(_close(base), np.ones(n), min(k, n))
     return np.sort(np.asarray(kmedian_local_search(inst, eps, seed).centers, dtype=np.intp))
 
 
 def k_routine(store, p, idx, k, eps, seed):
-    """Inner level over the curves idx of a packed store: sample, cluster the
+    """Inner level over the curves idx of a curve set: sample, cluster the
     sample's closure, recluster the m_size worst points by closure distance.
-    Returns <= 2k indices into the store."""
+    Returns <= 2k indices into the set."""
     idx = np.asarray(idx, dtype=np.intp)
     n = idx.size
     params = SamplingParams.for_instance(n, k, eps)
     rng = new_rng(seed)
     seeds = spawn_seeds(seed, 2)
-    base = _self_values(store, idx, p)
+    base = dtw_self_matrix(store.take(idx), p)
     if n <= params.s:
         return np.unique(idx[_solve_on_closure(base, k, eps, seeds[0])])
     sample = np.sort(rng.choice(n, size=params.s, replace=False))
@@ -110,7 +117,7 @@ def k_routine(store, p, idx, k, eps, seed):
 
 def k_median_sampled(store, p, idx, k, eps, seed):
     """Outer level: like k_routine but recursing into it, with the recheck
-    set selected by raw distances. Returns <= 4k indices into the store."""
+    set selected by raw distances. Returns <= 4k indices into the set."""
     idx = np.asarray(idx, dtype=np.intp)
     n = idx.size
     params = SamplingParams.for_instance(n, k, eps)
@@ -120,7 +127,7 @@ def k_median_sampled(store, p, idx, k, eps, seed):
         return k_routine(store, p, idx, k, eps, seeds[0])
     sample = np.sort(rng.choice(n, size=params.s, replace=False))
     c_prime = k_routine(store, p, idx[sample], k, eps, seeds[0])
-    raw = _cross_values(store, idx, c_prime, p).min(axis=1)
+    raw = dtw_matrix(store.take(idx), store.take(c_prime), p).min(axis=1)
     order = np.lexsort((np.arange(n), -raw))
     m_idx = idx[np.sort(order[: params.m_size])]
     c_second = k_routine(store, p, m_idx, k, eps, seeds[1])
@@ -129,69 +136,40 @@ def k_median_sampled(store, p, idx, k, eps, seed):
 
 @dataclass(frozen=True)
 class _Prepared:
-    """A call's seed-free part. ``store`` packs the u distinct input
-    sequences, then their ell-simplifications: sequence j is curve j and its
-    simplification curve u + j, under ``ids[j]``, the id of its first input.
+    """A call's seed-free part: ``distinct``, the u distinct input sequences
+    (a selection of the input set, each sequence's first input), and
+    ``simplified``, their ell-simplifications under the same ids.
     ``inverse`` gives each input's sequence, ``labels`` each sequence's
     simplification among the distinct simplified point sequences (in order
     of first occurrence), and ``m`` the inputs' largest complexity."""
 
-    store: Packed
-    ids: tuple[str, ...]
+    distinct: CurveSet
     inverse: np.ndarray
+    simplified: CurveSet
     labels: np.ndarray
     m: int
 
-    def simplified(self, j):
-        """The simplification of sequence j, as a curve."""
-        i = len(self.ids) + j
-        start = self.store.offsets[i]
-        return Curve(self.ids[j], self.store.points[start : start + self.store.lengths[i]])
-
 
 def _prepare(curves, ell, p, method="two-approx"):
-    """``distinct_curves`` of the inputs and one ell-simplification per
-    sequence, packed into one store (``_Prepared``). The store's points are
-    allocated once: the sequences are concatenated into its head, and the
-    simplifications are written into its tail, viewed as a (u, width, d)
-    block."""
+    """``distinct_curves`` of the input set and one ell-simplification per
+    sequence (``simplify_set``), with the labels of the simplifications
+    (``distinct_curves`` again)."""
     distinct, inverse = distinct_curves(curves)
-    lengths = np.array([c.complexity for c in distinct], dtype=np.intp)
-    u, d = lengths.size, _dimension(distinct)
-    width = _block_width(lengths, ell, p, method)
-    start = int(lengths.sum())
-    points = np.empty((start + u * width, d))
-    np.concatenate([c.points for c in distinct], out=points[:start])
-    offsets = np.cumsum(lengths) - lengths
-    block = points[start:].reshape(u, width, d)
-    simple = _simplified_block(distinct, Packed(points, offsets, lengths), ell, p, method, block)
-    store = Packed(
-        points,
-        np.concatenate([offsets, start + width * np.arange(u, dtype=np.intp)]),
-        np.concatenate([lengths, simple]),
-    )
-    # equal simplified points have equal bytes: each simplification is made of
-    # a ``Curve``'s points, which are finite and hold no -0.0
-    raw, point = block.tobytes(), d * block.itemsize
-    first: dict[bytes, int] = {}
-    labels = [
-        first.setdefault(raw[j * width * point : (j * width + length) * point], len(first))
-        for j, length in enumerate(simple.tolist())
-    ]
-    ids = tuple(c.id for c in distinct)
-    m = int(lengths.max())
-    return _Prepared(store, ids, inverse, np.array(labels, dtype=np.intp), m)
+    simplified = simplify_set(distinct, ell, p, method)
+    labels = distinct_curves(simplified)[1]
+    return _Prepared(distinct, inverse, simplified, labels, int(distinct.lengths.max()))
 
 
 def _bicriteria_run(prepared, k, ell, p, eps, seed):
     """One seeded run on a prepared call: the framework draws the n inputs as
     indices of their simplifications, as it would draw ``np.arange(n)``."""
-    store, u, inverse = prepared.store, len(prepared.ids), prepared.inverse
-    centers = k_median_sampled(store, p, u + inverse, k, eps, seed)
-    assignment, distances = _nearest(store, np.arange(u), centers, p)
+    simplified, inverse = prepared.simplified, prepared.inverse
+    centers = simplified.take(k_median_sampled(simplified, p, inverse, k, eps, seed))
+    assignment, distances = assign_nearest(prepared.distinct, centers, p)
     assignment, distances = assignment[inverse], distances[inverse]
-    center_curves = tuple(prepared.simplified(i - u) for i in centers.tolist())
-    return BicriteriaSolution(center_curves, assignment, distances, float(distances.sum()), ell, p)
+    return BicriteriaSolution(
+        tuple(centers), assignment, distances, float(distances.sum()), ell, p
+    )
 
 
 def bicriteria_klmedian(
@@ -210,8 +188,8 @@ def bicriteria_klmedian(
     Equal sequences are simplified once per call (``_prepare``); the run is
     repeated ``repetitions`` times with derived seeds, keeping the first cheapest.
     """
-    curves = list(T)
-    if not curves:
+    curves = as_curve_set(T)
+    if not len(curves):
         raise ValidationError("need at least one curve")
     if k < 1 or ell < 1 or repetitions < 1:
         raise ValidationError("k, ell and repetitions must be >= 1")

@@ -29,7 +29,7 @@ from .curves import (
     save_curves,
     save_weighted,
 )
-from .dtw import adtw, dtw
+from .dtw import adtw, dtw, dtw_self_matrix
 from .pipeline import cluster_via_closure, emit_coreset_only, evaluate, kl_median
 from .simplify import simplify_set
 
@@ -155,7 +155,8 @@ def closure_cmd(p, file, output, fmt):
     curves = _load(file)
     mc = build_closure(curves, p)
     if fmt == "json":
-        doc = {"ids": list(mc.ids), "dist": mc.dist.tolist(), "base": mc.base.tolist()}
+        base = dtw_self_matrix(curves, p)
+        doc = {"ids": list(mc.ids), "dist": mc.dist.tolist(), "base": base.tolist()}
         _emit(_json(doc), output)
         return
     rows = [[cid, *map(float, mc.dist[i])] for i, cid in enumerate(mc.ids)]
@@ -246,7 +247,7 @@ def coreset_cmd(file, output, **options):
 
 
 def _assignment_table(curves, result):
-    rows = zip((c.id for c in curves), map(int, result.assignment), map(float, result.distances))
+    rows = zip(curves.ids, map(int, result.assignment), map(float, result.distances))
     return _table(["curve_id", "center_index", "distance"], rows)
 
 

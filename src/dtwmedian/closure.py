@@ -65,27 +65,29 @@ Each closure lives in one n x n buffer, closed in place by ``_close``,
 the one Floyd-Warshall helper. Its three callers: ``shortest_path_closure``
 on its checked, symmetrised copy of the caller's matrix;
 ``bicriteria._solve_on_closure`` on a fresh p-DTW matrix or its ``np.ix_``
-slice, already an exactly symmetric copy; and ``_closed``, the final
-closure of both routes, where ``dtw_self`` writes the diagonal and upper
-triangle of a new buffer (``dtw._self_triangle``), the kernel closes and
-mirrors it, and the k-median reads it. ``_closed`` checks its output
-once, raising unless the minimum is >= 0: a NaN or negative input entry
-survives the closure (``t < a`` is false against a NaN, and minima never
-rise). It needs no +0.0 pass, as a p-DTW value is never -0.0 (a square
-root of +0.0, or sums and products of non-negative terms). Against a route
-that symmetrised and checked a second matrix, ``_closed`` on many_short's
-1000 simplified walks took 61-87 ms instead of 74-94 ms (medians of 15
-calls in each of seven alternating processes, 2-core x86-64, gcc 12.2),
-and a formula-size ``kl_median`` at n = 4000 (k = ell = 4, one
-repetition) peaked at 53 MB of traced memory instead of 109 MB.
+slice, already an exactly symmetric copy; and ``build_closure``, the
+final closure of both routes, where ``dtw_self`` writes the diagonal and
+upper triangle of a new buffer (``dtw._self_triangle``), the kernel
+closes and mirrors it, and the k-median reads it. ``build_closure`` keeps
+no second matrix: a caller that wants the p-DTW matrix itself asks
+``dtw.dtw_self_matrix`` for it. It checks its output once, raising unless
+the minimum is >= 0: a NaN or negative input entry survives the closure
+(``t < a`` is false against a NaN, and minima never rise). It needs no
++0.0 pass, as a p-DTW value is never -0.0 (a square root of +0.0, or sums
+and products of non-negative terms). Against a route that symmetrised and
+checked a second matrix, the one buffer on many_short's 1000 simplified
+walks took 61-87 ms instead of 74-94 ms (medians of 15 calls in each of
+seven alternating processes, 2-core x86-64, gcc 12.2), and a formula-size
+``kl_median`` at n = 4000 (k = ell = 4, one repetition) peaked at 53 MB of
+traced memory instead of 109 MB.
 
 scipy's ``floyd_warshall`` does the same arithmetic; the tests keep it as
 an independent cross-check, and the package does not import scipy.
 
 The library is one C source built once, on first use (``_kernels`` says
 how), and holds five functions: this closure, ``dtw_pairs`` for the p-DTW
-values of pairs and ``dtw_self`` for the p-DTW matrix that ``_closed``
-and ``build_closure`` close (``dtw``), ``medoid_partition`` for the medoid
+values of pairs and ``dtw_self`` for the p-DTW matrix that
+``build_closure`` closes (``dtw``), ``medoid_partition`` for the medoid
 simplifications (``simplify``) and ``kmedian_search`` for the k-median's
 local search (``kmedian``).
 Its one fallback rule: when it cannot be built or loaded (a host without a
@@ -101,8 +103,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .curves import ResourceGuardError, ValidationError
-from .dtw import _packed, _self_triangle, _self_values
+from .curves import ResourceGuardError, ValidationError, as_curve_set
+from .dtw import _self_triangle
 
 CLOSURE_SIZE_CAP = 20000
 # the steps k that one pass of the compiled kernel takes at a time
@@ -111,16 +113,16 @@ _BLOCK = 16
 
 @dataclass(frozen=True)
 class MetricClosure:
-    """Shortest-path closure ``dist`` over the pairwise p-DTW matrix ``base``."""
+    """Shortest-path closure ``dist`` of the pairwise p-DTW matrix of the
+    curves ``ids``."""
 
     ids: tuple[str, ...]
     dist: np.ndarray
-    base: np.ndarray
 
     def __post_init__(self):
         n = len(self.ids)
-        if self.dist.shape != (n, n) or self.base.shape != (n, n):
-            raise ValidationError("closure matrices must be n x n")
+        if self.dist.shape != (n, n):
+            raise ValidationError("the closure matrix must be n x n")
 
 
 def shortest_path_closure(base):
@@ -164,25 +166,18 @@ def _check_size(n, size_cap):
         raise ResourceGuardError(f"closure of {n} curves exceeds the cap of {size_cap}")
 
 
-def _closed(store, idx, p, size_cap=CLOSURE_SIZE_CAP):
-    """The shortest-path closure of the p-DTW matrix of the curves idx of a
-    packed store (``dtw._packed``), in one n x n buffer: ``_self_triangle``
-    fills its upper triangle and ``_close`` closes it in place. Raises
-    ``ResourceGuardError`` past ``size_cap`` curves, and ``ValidationError``
-    if the closure holds a NaN or negative entry."""
-    _check_size(len(idx), size_cap)
-    dist = _close(_self_triangle(store, idx, p))
+def build_closure(curves, p=1.0, size_cap=CLOSURE_SIZE_CAP) -> MetricClosure:
+    """The shortest-path closure of the p-DTW matrix of a curve set, in one
+    n x n buffer: ``dtw._self_triangle`` fills its upper triangle and
+    ``_close`` closes it in place. Raises ``ResourceGuardError`` past
+    ``size_cap`` curves, and ``ValidationError`` if the closure holds a NaN
+    or negative entry."""
+    curves = as_curve_set(curves)
+    _check_size(len(curves), size_cap)
+    dist = _close(_self_triangle(curves, p))
     if not dist.min() >= 0:  # a NaN compares false
         raise ValidationError("closure entries must be non-negative, not NaN")
-    return dist
-
-
-def build_closure(curves, p=1.0, size_cap=CLOSURE_SIZE_CAP) -> MetricClosure:
-    """Pairwise p-DTW matrix plus its shortest-path closure for a curve set."""
-    curve_list = list(curves)
-    _check_size(len(curve_list), size_cap)
-    base = _self_values(_packed(curve_list), np.arange(len(curve_list)), p)
-    return MetricClosure(tuple(c.id for c in curve_list), shortest_path_closure(base), base)
+    return MetricClosure(tuple(curves.ids), dist)
 
 
 def distances_from_set(base, C):

@@ -4,6 +4,12 @@ importance sampling with reweighting, and empirical coreset verification.
 
 Sensitivities and weights are computed against exact p-DTW; the quantized
 approximate distance is an analysis device and is never evaluated here.
+
+The functions take curve sets (``curves.CurveSet``; a list of curves is
+packed once). ``sensitivity_bounds`` reads m from the set's lengths, and a
+sample (``coreset_sample``) is a selection of its set's curves, in draw
+order, with their weights: ``kl_median`` draws from its simplified inputs
+and reads the sample as it is, with no copy of points.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ValidationError, WeightedCurveSet, new_rng
+from .curves import ValidationError, WeightedCurveSet, as_curve_set, new_rng
 from .bicriteria import BicriteriaSolution
 from .dtw import assign_nearest
 
@@ -55,7 +61,7 @@ def sensitivity_bounds(T, sol: BicriteriaSolution, alpha) -> SensitivityProfile:
     with the 0/0 := 0 convention when the total bicriteria cost is zero;
     m is the largest complexity among the curves.
     """
-    curves = list(T)
+    curves = as_curve_set(T)
     n = len(curves)
     if n < 1:
         raise ValidationError("need at least one curve")
@@ -63,12 +69,7 @@ def sensitivity_bounds(T, sol: BicriteriaSolution, alpha) -> SensitivityProfile:
         raise ValidationError("solution assignments do not cover the input")
     if not alpha >= 1.0:
         raise ValidationError("alpha must be >= 1")
-    return _sensitivities(sol, alpha, max(c.complexity for c in curves))
-
-
-def _sensitivities(sol, alpha, m):
-    """``sensitivity_bounds`` of the curves ``sol`` assigns, whose largest
-    complexity is m."""
+    m = int(curves.lengths.max())
     ell, p, k_hat = sol.ell, sol.p, sol.k_hat
     cell_sizes = np.bincount(sol.assignment, minlength=k_hat).astype(np.float64)
     cell_costs = np.bincount(sol.assignment, weights=sol.distances, minlength=k_hat)
@@ -143,43 +144,36 @@ def coreset_size(n, m, ell, d, k, p, eps, delta, alpha, Lambda, constant=0.05):
     return CoresetSizeReport(d_ball, d_range, float(Lambda), eta, eps_eff, size, uncapped)
 
 
-def _draw(profile: SensitivityProfile, size, seed):
+def coreset_sample(T, profile: SensitivityProfile, size, seed) -> WeightedCurveSet:
     """``size`` i.i.d. draws from psi (inverse-transform over the cumulative
-    distribution), as (the drawn indices, their weights Lambda/(size*lambda_i)),
-    in draw order."""
+    distribution), each carrying weight Lambda/(size*lambda_i), in draw
+    order: a selection of T's curves, duplicates kept as separate entries."""
+    if size < 1:
+        raise ValidationError("size must be >= 1")
+    curves = as_curve_set(T)
+    if len(curves) != profile.psi.shape[0]:
+        raise ValidationError("profile does not match the curve set")
     rng = new_rng(seed)
     cum = np.cumsum(profile.psi)
     cum[-1] = 1.0
     draws = np.searchsorted(cum, rng.random(size), side="right")
     draws = np.minimum(draws, cum.size - 1)
-    return draws, profile.Lambda / (size * profile.lam[draws])
-
-
-def coreset_sample(T, profile: SensitivityProfile, size, seed) -> WeightedCurveSet:
-    """``size`` i.i.d. draws from psi (inverse-transform over the cumulative
-    distribution), each carrying weight Lambda/(size*lambda_i); duplicates are
-    kept as separate entries."""
-    if size < 1:
-        raise ValidationError("size must be >= 1")
-    curves = list(T)
-    if len(curves) != profile.psi.shape[0]:
-        raise ValidationError("profile does not match the curve set")
-    draws, weights = _draw(profile, size, seed)
-    return WeightedCurveSet(tuple((curves[i], w) for i, w in zip(draws, weights)))
+    weights = profile.Lambda / (size * profile.lam[draws])
+    return WeightedCurveSet(curves.take(draws), weights)
 
 
 def cost(T, C, p=1.0):
     """Clustering cost: sum over inputs of (weight times) the nearest p-DTW
     distance to a center of C."""
     if isinstance(T, WeightedCurveSet):
-        curves, weights = list(T.curves), T.weights
+        curves, weights = T.curves, T.weights
     else:
-        curves = list(T)
+        curves = as_curve_set(T)
         weights = np.ones(len(curves))
-    centers = list(C)
-    if not centers:
+    centers = as_curve_set(C)
+    if not len(centers):
         raise ValidationError("C must be non-empty")
-    if not curves:
+    if not len(curves):
         return 0.0
     _, distances = assign_nearest(curves, centers, p)
     return float(np.sum(weights * distances))

@@ -2,6 +2,19 @@
 
 All curve coordinates are float64. Types are immutable after construction
 and safe to share across threads.
+
+A ``CurveSet`` is the store every batched stage reads: the points of all
+its curves in one read-only row-major buffer, with each curve's offset,
+length and id in arrays, as the compiled kernels read them. Its curves are
+selected by index (``take``): a selection gathers the offsets, lengths and
+ids and shares the buffer, so a subset, or a multiset with repeats, costs
+no copy of points. ``gen_synthetic`` builds a set straight from its block
+of points, the loaders pack the parsed curves once, and a public function
+given a sequence of ``Curve``s packs it once (``as_curve_set``). A set
+builds a ``Curve`` only when one is asked for (``S[i]``, iteration), as a
+view of its buffer. Ids are labels, not keys: a selection repeats the ids
+of the curves it repeats, and two inputs may share an id and still be
+different curves. Only ``load_curves`` rejects a file that repeats an id.
 """
 
 from __future__ import annotations
@@ -67,24 +80,6 @@ class Curve:
             self, "points", _as_point_array(self.points, context=f"curve {self.id!r}")
         )
 
-    @classmethod
-    def batch(cls, ids, block):
-        """One curve per row of block (n, m, d), curve t under ids[t], equal
-        to ``Curve(ids[t], block[t])``. The checks of one curve run once
-        over the whole block, and each curve's points are a read-only row
-        view of the checked copy."""
-        block = _as_point_array(block, context="curve batch", ndim=3)
-        ids = list(ids)
-        if len(ids) != block.shape[0]:
-            raise ValidationError(f"curve batch: {len(ids)} ids for {block.shape[0]} curves")
-        curves = []
-        for cid, points in zip(ids, block):
-            curve = object.__new__(cls)
-            object.__setattr__(curve, "id", cid)
-            object.__setattr__(curve, "points", points)
-            curves.append(curve)
-        return curves
-
     @property
     def complexity(self):
         return self.points.shape[0]
@@ -104,86 +99,166 @@ class Curve:
         return hash((self.id, self.points.shape, self.points.tobytes()))
 
 
-def distinct_curves(curves):
-    """The curves with distinct point sequences, each first occurrence in
-    input order, and for every input curve the index of its sequence among
-    them (an intp array): curves[i] has the points of distinct[inverse[i]].
-
-    Sequences are compared by shape and bytes, ids are ignored. An input
-    without duplicates gives back its curves and inverse == arange(n).
-    """
-    first: dict[tuple, int] = {}
-    distinct = []
-    inverse = np.empty(len(curves), dtype=np.intp)
-    for i, c in enumerate(curves):
-        j = first.setdefault((c.points.shape, c.points.tobytes()), len(distinct))
-        if j == len(distinct):
-            distinct.append(c)
-        inverse[i] = j
-    return distinct, inverse
+def _view(cid, points):
+    """The curve cid over points that are already checked: a read-only
+    row-major view of a set's buffer."""
+    curve = object.__new__(Curve)
+    object.__setattr__(curve, "id", cid)
+    object.__setattr__(curve, "points", points)
+    return curve
 
 
-@dataclass(frozen=True)
+def _id_array(ids):
+    """ids as a one-dimensional object array."""
+    ids = list(ids)
+    out = np.empty(len(ids), dtype=object)
+    out[:] = ids
+    return out
+
+
 class CurveSet:
-    """An ordered set of curves sharing one ambient dimension, with unique ids."""
+    """An ordered set of curves sharing one ambient dimension, packed.
 
-    curves: tuple[Curve, ...]
+    ``points`` is one read-only row-major (total, d) float64 buffer; curve i
+    is the ``lengths[i]`` rows from row ``offsets[i]`` (intp arrays), under
+    ``ids[i]`` (an object array). ``CurveSet(curves)`` packs a sequence of
+    ``Curve``s; ``S[i]`` is curve i, its points a view of the buffer; and
+    ``S.take(idx)``, or ``S[idx]`` for an index array or a slice, is a
+    selection: the same buffer with the gathered offsets, lengths and ids.
+    An id may repeat (see the module docstring).
+    """
+
+    __slots__ = ("points", "offsets", "lengths", "ids")
+
+    def __new__(cls, curves=()):
+        curves = tuple(curves)
+        d = curves[0].dimension if curves else 0
+        for c in curves:
+            if c.dimension != d:
+                raise ValidationError(
+                    f"dimension mismatch: curve {c.id!r} has d={c.dimension}, expected d={d}"
+                )
+        lengths = np.fromiter((c.complexity for c in curves), dtype=np.intp, count=len(curves))
+        points = np.concatenate([c.points for c in curves]) if curves else np.empty((0, 0))
+        ids = _id_array(c.id for c in curves)
+        return cls._of(points, np.cumsum(lengths) - lengths, lengths, ids)
+
+    @classmethod
+    def _of(cls, points, offsets, lengths, ids):
+        """The set over a checked buffer, without packing; the arrays are
+        made read-only."""
+        out = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (points, offsets, lengths, ids)):
+            value.setflags(write=False)
+            object.__setattr__(out, name, value)
+        return out
+
+    @classmethod
+    def _from_block(cls, ids, block):
+        """One curve per row of block (n, m, d), curve t under ids[t], equal
+        to ``Curve(ids[t], block[t])``: the checks of one curve run once over
+        the whole block, and the set's buffer is the checked copy."""
+        block = _as_point_array(block, context="curve batch", ndim=3)
+        n, m, d = block.shape
+        ids = _id_array(ids)
+        if ids.size != n:
+            raise ValidationError(f"curve batch: {ids.size} ids for {n} curves")
+        lengths = np.full(n, m, dtype=np.intp)
+        return cls._of(block.reshape(n * m, d), m * np.arange(n, dtype=np.intp), lengths, ids)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CurveSet is immutable: cannot set {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild the set without packing
+        return CurveSet._of, (self.points, self.offsets, self.lengths, self.ids)
+
+    @property
+    def dimension(self):
+        return self.points.shape[1]
+
+    def take(self, idx):
+        """The curves idx (an index array, repeats allowed), sharing this
+        set's buffer."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return CurveSet._of(self.points, self.offsets[idx], self.lengths[idx], self.ids[idx])
+
+    def __len__(self):
+        return self.lengths.size
+
+    def __iter__(self):
+        for cid, start, length in zip(self.ids, self.offsets.tolist(), self.lengths.tolist()):
+            yield _view(cid, self.points[start : start + length])
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            start = self.offsets[i]
+            return _view(self.ids[i], self.points[start : start + self.lengths[i]])
+        return self.take(np.arange(len(self))[i])
+
+    def __repr__(self):
+        return f"CurveSet(n={len(self)}, d={self.dimension}, points={self.points.shape[0]})"
+
+
+def as_curve_set(curves):
+    """curves as a ``CurveSet``: a set is returned as it is, and a sequence
+    of ``Curve``s is packed once. Every public function that takes curves
+    calls it on them."""
+    return curves if isinstance(curves, CurveSet) else CurveSet(curves)
+
+
+def distinct_curves(curves):
+    """The curves with distinct point sequences, as a selection of their
+    first occurrences in input order, and for every input curve the index of
+    its sequence among them (an intp array): curves[i] has the points of
+    distinct[inverse[i]].
+
+    Sequences are compared by their bytes, which fix their length, and ids
+    are ignored; no ``Curve`` is built. An input without duplicates gives
+    back all its curves, with inverse == arange(n).
+    """
+    curves = as_curve_set(curves)
+    width = curves.points.itemsize * curves.dimension
+    starts = curves.offsets * width
+    raw = memoryview(curves.points.reshape(-1).view(np.uint8))
+    first: dict[bytes, int] = {}
+    inverse = [
+        first.setdefault(bytes(raw[a:b]), len(first))
+        for a, b in zip(starts.tolist(), (starts + curves.lengths * width).tolist())
+    ]
+    inverse = np.array(inverse, dtype=np.intp)
+    return curves.take(np.unique(inverse, return_index=True)[1]), inverse
+
+
+@dataclass(frozen=True, eq=False)
+class WeightedCurveSet:
+    """Curves with strictly positive finite weights: a weighted multiset, in
+    which a curve and an id may repeat. ``curves`` is a ``CurveSet`` (a
+    sequence of ``Curve``s is packed) and ``weights`` a read-only float64
+    array; iterating yields (curve, weight) pairs."""
+
+    curves: CurveSet
+    weights: np.ndarray
 
     def __post_init__(self):
-        curves = tuple(self.curves)
-        object.__setattr__(self, "curves", curves)
-        seen = set()
-        for c in curves:
-            if c.id in seen:
-                raise ValidationError(f"duplicate curve id {c.id!r}")
-            seen.add(c.id)
-        dims = {c.dimension for c in curves}
-        if len(dims) > 1:
-            offender = next(c for c in curves if c.dimension != curves[0].dimension)
+        curves = as_curve_set(self.curves)
+        weights = np.array(self.weights, dtype=np.float64).reshape(-1)
+        if weights.size != len(curves):
+            raise ValidationError(f"{weights.size} weights for {len(curves)} curves")
+        bad = np.flatnonzero(~((weights > 0.0) & (weights < np.inf)))
+        if bad.size:
+            i = bad[0]
             raise ValidationError(
-                f"dimension mismatch: curve {offender.id!r} has d={offender.dimension}, "
-                f"expected d={curves[0].dimension}"
+                f"curve {curves.ids[i]!r}: weight must be positive, got {weights[i]}"
             )
+        weights.setflags(write=False)
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self):
         return len(self.curves)
 
     def __iter__(self):
-        return iter(self.curves)
-
-    def __getitem__(self, i):
-        return self.curves[i]
-
-
-@dataclass(frozen=True)
-class WeightedCurveSet:
-    """Curves with strictly positive weights (a weighted multiset; ids may repeat)."""
-
-    entries: tuple[tuple[Curve, float], ...]
-
-    def __post_init__(self):
-        entries = tuple((c, float(w)) for c, w in self.entries)
-        object.__setattr__(self, "entries", entries)
-        for c, w in entries:
-            if not (w > 0.0) or not np.isfinite(w):
-                raise ValidationError(f"curve {c.id!r}: weight must be positive, got {w}")
-        dims = {c.dimension for c, _ in entries}
-        if len(dims) > 1:
-            raise ValidationError("dimension mismatch among weighted entries")
-
-    @property
-    def curves(self):
-        return tuple(c for c, _ in self.entries)
-
-    @property
-    def weights(self):
-        return np.array([w for _, w in self.entries], dtype=np.float64)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
+        return zip(self.curves, self.weights.tolist())
 
 
 @dataclass(frozen=True)
@@ -244,18 +319,27 @@ def load_curves(path, format="jsonl"):
     Formats: ``jsonl`` (one {"id","points"[,"weight"]} object per line) or
     ``csv-long`` (header curve_id,seq,x0..x{d-1}; rows of one curve need not
     be contiguous, they are sorted by seq on load; curve order is order of
-    first appearance).
+    first appearance). Ids must be unique within the file.
     """
     if format == "jsonl":
-        return CurveSet(tuple(c for c, _ in _read_jsonl(path)))
-    if format == "csv-long":
-        return _load_csv_long(path)
-    raise ValidationError(f"unknown format {format!r}")
+        curves = CurveSet(c for c, _ in _read_jsonl(path))
+    elif format == "csv-long":
+        curves = _load_csv_long(path)
+    else:
+        raise ValidationError(f"unknown format {format!r}")
+    seen = set()
+    for cid in curves.ids:
+        if cid in seen:
+            raise ValidationError(f"duplicate curve id {cid!r}")
+        seen.add(cid)
+    return curves
 
 
 def load_weighted(path):
     """Load a WeightedCurveSet from jsonl; missing weights default to 1."""
-    return WeightedCurveSet(tuple((c, 1.0 if w is None else w) for c, w in _read_jsonl(path)))
+    entries = _read_jsonl(path)
+    weights = [1.0 if w is None else w for _, w in entries]
+    return WeightedCurveSet(CurveSet(c for c, _ in entries), weights)
 
 
 def _read_jsonl(path):
@@ -320,7 +404,7 @@ def _load_csv_long(path):
     for cid in order:
         pts = [coords for _, coords in sorted(rows[cid], key=lambda t: t[0])]
         curves.append(Curve(cid, pts))
-    return CurveSet(tuple(curves))
+    return CurveSet(curves)
 
 
 def curve_record(c: Curve):
@@ -368,4 +452,4 @@ def gen_synthetic(clusters, per_cluster, m, d, noise, seed):
         for r in range(per_cluster):
             block[len(ids)] = template + rng.normal(0.0, 1.0, size=(m, d)) * noise
             ids.append(f"c{c}_r{r}")
-    return CurveSet(tuple(Curve.batch(ids, block)))
+    return CurveSet._from_block(ids, block)

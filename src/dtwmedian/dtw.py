@@ -10,35 +10,37 @@ pairs per numpy step. ``dtw`` walks its traversal back from the table and
 matrices evaluate every pair they are given; collapsing equal point
 sequences is left to the clustering entry points (``distinct_curves``).
 
-The batched paths read curves from a packed store (``Packed``: all points
-in one buffer, with each curve's offset and length), as the compiled
-loops do, and take index arrays into it: ``_pair_values`` for pairs,
-``_cross_values`` and ``_nearest`` for cross matrices, ``_self_values`` for
-self matrices. The public ``dtw_matrix``, ``assign_nearest``,
-``dtw_aligned`` and ``dtw_self_matrix`` pack their lists once (``_packed``);
-the clustering entry points pack one store per call
-(``bicriteria._prepare``) and select its curves by index.
+The batched functions take curve sets (``curves.CurveSet``): all points
+in one buffer, with each curve's offset and length, as the compiled loops
+read them, and a list of curves is packed once on the way in. Each has one
+public function: ``dtw_matrix`` for a cross matrix, which reads its two
+sets where they lie, ``assign_nearest`` (its argmin), ``dtw_aligned`` for
+aligned pairs and ``dtw_self_matrix`` for a self matrix. The clustering
+entry points select the curves they need from their sets by index and
+call these functions, so a subset costs no copy of points.
 
 Every batched value but the self matrix comes from ``_pair_values``.
 It runs ``dtw_pairs``, one of the five functions of the package's compiled
 library (``_kernels``; the others are ``dtw_self`` for the self matrix, the
 closure's ``floyd_warshall``, the simplification's ``medoid_partition``
-and the k-median's ``kmedian_search``). That loop fills each pair's DP
+and the k-median's ``kmedian_search``), on the points, offsets and lengths
+of the row set and of the column set. That loop fills each pair's DP
 row by row, in O(l) memory. It takes consecutive pairs of one shape (m, l) four
 at a time, one pair per lane of an AVX2 vector, and fills the lanes of a
 shorter run with copies of its last pair; each lane does the numpy
 reference's operations in its order. Pairs of several shapes reach it
 sorted by shape, so curves of mixed lengths fill the lanes too.
-``_self_triangle`` hands ``dtw_self`` the gathered offsets and lengths of
-its curves, and ``dtw_self`` generates the pairs (i, j > i) itself and
-runs them through the same lanes, in groups of columns of one length that
-it interleaves once per call. It fills the diagonal and the upper
-triangle, which the closure closes in place; ``_self_values`` copies that
-triangle into the lower one (the compiled ``mirror``). The library's one
-fallback rule: where it cannot be built, or the host has no AVX2, each
-caller runs its numpy reference; here that is ``_grouped_pair_values``,
-which groups the pairs by shape, gathers their curves from the store and
-chunks them for ``_accumulate``, and for the self matrix the pairs of
+``_self_triangle`` hands ``dtw_self`` the offsets and lengths of its set,
+gathered where the set is a selection, and ``dtw_self`` generates the
+pairs (i, j > i) itself and runs them through the same lanes, in groups of
+columns of one length that it interleaves once per call. It fills the
+diagonal and the upper triangle, which the closure closes in place;
+``dtw_self_matrix`` copies that triangle into the lower one (the compiled
+``mirror``). The library's one fallback rule: where it cannot be built,
+or the host has no AVX2, each caller runs its numpy reference; here that
+is ``_grouped_pair_values``,
+which groups the pairs by shape, gathers their curves from the two sets
+and chunks them for ``_accumulate``, and for the self matrix the pairs of
 ``np.triu_indices`` through it. It is also the reference the compiled
 loops are tested against. The two give the same bits: both take each
 pointwise distance as the square root of the squared coordinate
@@ -58,12 +60,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .curves import Curve, ValidationError
+from .curves import Curve, CurveSet, ValidationError, as_curve_set
 
 _OVERFLOW_SAFE_P = 32.0
 _BLOCK_CELLS = 2**21  # per-chunk budget of DP cells times the dimension
@@ -209,47 +210,23 @@ def _traceback(acc):
     return Traversal(tuple(reversed(pairs)))
 
 
-class Packed(NamedTuple):
-    """Curves as the compiled library reads them: all their points in one
-    row-major (total, d) array, and each curve's offset (the row of its
-    first point) and length, as intp arrays. The batched paths take a store
-    and index arrays into it, so the compiled loops read a subset of its
-    curves, repeats included, without copying their points."""
-
-    points: np.ndarray
-    offsets: np.ndarray
-    lengths: np.ndarray
+def _check_sets(a, b):
+    """Raise ``ValidationError`` unless two curve sets share a dimension
+    (an empty set has any)."""
+    if len(a) and len(b) and a.dimension != b.dimension:
+        raise ValidationError(f"dimension mismatch: d={a.dimension} against d={b.dimension}")
 
 
-def _dimension(curves):
-    """The curves' common dimension (0 for no curves); raises
-    ``ValidationError`` when their dimensions differ."""
-    d = curves[0].dimension if curves else 0
-    for c in curves:
-        if c.dimension != d:
-            raise ValidationError(f"dimension mismatch: curve {c.id!r}")
-    return d
+def _work(a, b):
+    """The scratch array of ``dtw_pairs``: 8 (d + 1) (n + 1) doubles for the
+    longest curve n of the two sets."""
+    longest = max(int(a.lengths.max(initial=0)), int(b.lengths.max(initial=0)))
+    return np.empty(8 * (a.dimension + 1) * (longest + 1))
 
 
-def _packed(curves):
-    """The curves as a ``Packed`` store, their points concatenated in order
-    (d = 0 for no curves). Raises ``ValidationError`` when their dimensions
-    differ."""
-    _dimension(curves)
-    lengths = np.array([c.complexity for c in curves], dtype=np.intp)
-    points = np.concatenate([c.points for c in curves]) if curves else np.empty((0, 0))
-    return Packed(points, np.cumsum(lengths) - lengths, lengths)
-
-
-def _work(store):
-    """The scratch array of ``dtw_pairs``: 8 (d + 1) (n + 1)
-    doubles for the store's longest curve n."""
-    return np.empty(8 * (store.points.shape[1] + 1) * (int(store.lengths.max()) + 1))
-
-
-def _pair_values(store, rows, cols, p):
-    """p-DTW values of the pairs of curves (rows[t], cols[t]) of a packed
-    store: by the compiled ``dtw_pairs``, or by ``_grouped_pair_values``
+def _pair_values(a, b, rows, cols, p):
+    """p-DTW values of the pairs of curves (a[rows[t]], b[cols[t]]) of two
+    curve sets: by the compiled ``dtw_pairs``, or by ``_grouped_pair_values``
     where the library cannot be built, with the same bits. p is checked even
     when there are no pairs, and an index out of range raises ``IndexError``.
 
@@ -260,24 +237,25 @@ def _pair_values(store, rows, cols, p):
     rows = np.ascontiguousarray(rows, dtype=np.intp)
     cols = np.ascontiguousarray(cols, dtype=np.intp)
     _check_p(p)
+    _check_sets(a, b)
     if rows.size == 0:
         return np.zeros(0)
-    count = store.lengths.size
-    if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= count:
+    if min(rows.min(), cols.min()) < 0 or rows.max() >= len(a) or cols.max() >= len(b):
         raise IndexError("pair index out of range")
     lib = _kernels.library()
     if lib is None:
-        return _grouped_pair_values(store, rows, cols, p)
+        return _grouped_pair_values(a, b, rows, cols, p)
     order = None
-    shapes = store.lengths[rows] * (int(store.lengths.max()) + 1) + store.lengths[cols]
+    shapes = a.lengths[rows] * (int(b.lengths.max()) + 1) + b.lengths[cols]
     if shapes.min() != shapes.max():
         order = np.argsort(shapes, kind="stable")
         rows, cols = rows[order], cols[order]
-    work = _work(store)
+    work = _work(a, b)
     out = np.empty(rows.size)
     lib.dtw_pairs(
-        store.points.ctypes.data, store.offsets.ctypes.data, store.lengths.ctypes.data,
-        store.points.shape[1], rows.ctypes.data, cols.ctypes.data, rows.size, p,
+        a.points.ctypes.data, a.offsets.ctypes.data, a.lengths.ctypes.data,
+        b.points.ctypes.data, b.offsets.ctypes.data, b.lengths.ctypes.data,
+        a.dimension, rows.ctypes.data, cols.ctypes.data, rows.size, p,
         out.ctypes.data, work.ctypes.data,
     )
     if order is None:
@@ -287,90 +265,57 @@ def _pair_values(store, rows, cols, p):
     return values
 
 
-def _grouped_pair_values(store, rows, cols, p):
+def _grouped_pair_values(a, b, rows, cols, p):
     """The numpy reference of ``_pair_values``: pairs are grouped by their
-    complexities, and each group's curves are gathered from the store and
-    evaluated by ``_accumulate`` in chunks of at most ``_BLOCK_CELLS`` cells
-    times the dimension."""
+    complexities, and each group's curves are gathered from the two sets
+    and evaluated by ``_accumulate`` in chunks of at most ``_BLOCK_CELLS``
+    cells times the dimension."""
     out = np.zeros(rows.size)
-    d = store.points.shape[1]
-    lengths = store.lengths
-    mmax = int(lengths.max())
-    keys = lengths[rows] * (mmax + 1) + lengths[cols]
+    d = a.dimension
+    lmax = int(b.lengths.max())
+    keys = a.lengths[rows] * (lmax + 1) + b.lengths[cols]
 
-    def gathered(idx, m):  # the curves idx of m points, as an (m, d, len(idx)) array
-        return store.points[store.offsets[idx] + np.arange(m)[:, None]].transpose(0, 2, 1)
+    def gathered(s, idx, m):  # the curves idx of set s, m points each, as (m, d, len(idx))
+        return s.points[s.offsets[idx] + np.arange(m)[:, None]].transpose(0, 2, 1)
 
     for key in np.unique(keys):
         members = np.flatnonzero(keys == key)
-        ma, mb = divmod(int(key), mmax + 1)
+        ma, mb = divmod(int(key), lmax + 1)
         block = max(1, _BLOCK_CELLS // (ma * mb * d))
         for start in range(0, members.size, block):
             chunk = members[start : start + block]
-            table = _distance_table(gathered(rows[chunk], ma), gathered(cols[chunk], mb))
+            table = _distance_table(gathered(a, rows[chunk], ma), gathered(b, cols[chunk], mb))
             out[chunk] = _accumulate(table, p)
     return out
 
 
-def _cross_values(store, a, b, p):
-    """The (len(a), len(b)) p-DTW matrix between the curves a and b of a
-    packed store."""
-    a = np.asarray(a, dtype=np.intp)
-    b = np.asarray(b, dtype=np.intp)
-    return _pair_values(store, np.repeat(a, b.size), np.tile(b, a.size), p).reshape(a.size, b.size)
-
-
-def _nearest(store, a, b, p):
-    """Each curve of a's nearest curve of b (a position in b, ties to the
-    lowest) and the p-DTW distance to it, for index arrays into a packed
-    store."""
-    cross = _cross_values(store, a, b, p)
-    assignment = np.argmin(cross, axis=1)
-    return assignment, cross[np.arange(cross.shape[0]), assignment]
-
-
-def _self_values(store, idx, p):
-    """The symmetric p-DTW matrix of the curves idx of a packed store (zero
-    diagonal); idx may repeat a curve, whose copies are exactly 0 apart.
-
-    It is ``_self_triangle`` with the upper triangle copied into the lower
-    one by the compiled ``mirror``; where the library cannot be built,
-    ``_self_triangle`` already gives the whole matrix."""
-    out = _self_triangle(store, idx, p)
-    lib = _kernels.library()
-    if lib is not None:
-        lib.mirror(out.ctypes.data, out.shape[0])
-    return out
-
-
-def _self_triangle(store, idx, p):
+def _self_triangle(curves, p):
     """A fresh n x n array whose diagonal (0) and upper triangle hold the
-    p-DTW matrix of the curves idx of a packed store; the compiled
-    ``dtw_self`` leaves the lower triangle unwritten. It gets the curves in
-    a stable order of their lengths, so that columns of one length fill its
-    lanes in groups of 4, and a scratch for the lanes of the DP row, of one
-    row curve and of every group (ceil(c / 4) groups for c curves of one
-    length). Where the library cannot be built, the pairs of
-    ``np.triu_indices`` go through ``_pair_values`` and are scattered into
-    both triangles: the reference, with the same bits."""
-    idx = np.asarray(idx, dtype=np.intp)
-    n = idx.size
+    p-DTW matrix of a curve set; the compiled ``dtw_self`` leaves the lower
+    triangle unwritten. It gets the curves in a stable order of their
+    lengths, so that columns of one length fill its lanes in groups of 4,
+    and a scratch for the lanes of the DP row, of one row curve and of
+    every group (ceil(c / 4) groups for c curves of one length). Where the
+    library cannot be built, the pairs of ``np.triu_indices`` go through
+    ``_pair_values`` and are scattered into both triangles: the reference,
+    with the same bits."""
+    n = len(curves)
     lib = _kernels.library()
     if lib is None or n < 2:
         out = np.zeros((n, n))
         rows, cols = np.triu_indices(n, k=1)
-        out[rows, cols] = out[cols, rows] = _pair_values(store, idx[rows], idx[cols], p)
+        out[rows, cols] = out[cols, rows] = _pair_values(curves, curves, rows, cols, p)
         return out
     _check_p(p)
-    offsets, lengths = store.offsets[idx], store.lengths[idx]
+    lengths = curves.lengths
     order = np.argsort(lengths, kind="stable")
-    d = store.points.shape[1]
+    d = curves.dimension
     classes, counts = np.unique(lengths, return_counts=True)
     longest, grouped = int(classes[-1]), int(((counts + 3) // 4 * classes).sum())
     work = np.empty(4 * (2 * longest + 1 + (longest + grouped) * d))
     out = np.empty((n, n))
     lib.dtw_self(
-        store.points.ctypes.data, offsets.ctypes.data, lengths.ctypes.data, d,
+        curves.points.ctypes.data, curves.offsets.ctypes.data, lengths.ctypes.data, d,
         order.ctypes.data, n, p, out.ctypes.data, work.ctypes.data,
     )
     return out
@@ -394,7 +339,7 @@ def dtw(a: Curve, b: Curve, p=1.0) -> DtwResult:
 
 def dtw_value(a: Curve, b: Curve, p=1.0) -> float:
     """p-DTW value only (no traversal recovery)."""
-    return float(_pair_values(_packed([a, b]), [0], [1], p)[0])
+    return float(_pair_values(CurveSet([a]), CurveSet([b]), [0], [0], p)[0])
 
 
 def traversal_cost(a: Curve, b: Curve, traversal: Traversal, p=1.0) -> float:
@@ -408,45 +353,50 @@ def traversal_cost(a: Curve, b: Curve, traversal: Traversal, p=1.0) -> float:
 
 
 def dtw_matrix(curves_a, curves_b, p=1.0):
-    """All-pairs p-DTW values between two curve lists, as an (na, nb) array.
+    """All-pairs p-DTW values between two curve sets, as an (na, nb) array.
 
-    Every pair is evaluated, equal point sequences included. A value depends
-    on its pair alone, so the entries have the bits of per-pair
-    ``dtw_value`` calls.
+    Every pair is evaluated, equal point sequences included, and each set
+    is read where it lies. A value depends on its pair alone, so the
+    entries have the bits of per-pair ``dtw_value`` calls.
     """
-    curves_a, curves_b = list(curves_a), list(curves_b)
-    na = len(curves_a)
-    store = _packed(curves_a + curves_b)
-    return _cross_values(store, np.arange(na), na + np.arange(len(curves_b)), p)
+    a, b = as_curve_set(curves_a), as_curve_set(curves_b)
+    rows = np.repeat(np.arange(len(a)), len(b))
+    cols = np.tile(np.arange(len(b)), len(a))
+    return _pair_values(a, b, rows, cols, p).reshape(len(a), len(b))
 
 
 def assign_nearest(curves, centers, p=1.0):
     """Nearest-center assignment under p-DTW: (index of each curve's nearest
-    center, ties to the lowest index; the p-DTW distance to it)."""
-    curves, centers = list(curves), list(centers)
-    n = len(curves)
-    return _nearest(_packed(curves + centers), np.arange(n), n + np.arange(len(centers)), p)
+    center, ties to the lowest index; the p-DTW distance to it), from
+    ``dtw_matrix``."""
+    cross = dtw_matrix(curves, centers, p)
+    assignment = np.argmin(cross, axis=1)
+    return assignment, cross[np.arange(cross.shape[0]), assignment]
 
 
 def dtw_aligned(curves_a, curves_b, p=1.0):
     """Elementwise p-DTW values dtw(curves_a[i], curves_b[i]), batched."""
-    curves_a = list(curves_a)
-    curves_b = list(curves_b)
-    n = len(curves_a)
-    if n != len(curves_b):
+    a, b = as_curve_set(curves_a), as_curve_set(curves_b)
+    if len(a) != len(b):
         raise ValidationError("aligned lists must have equal length")
-    return _pair_values(_packed(curves_a + curves_b), np.arange(n), n + np.arange(n), p)
+    return _pair_values(a, b, np.arange(len(a)), np.arange(len(b)), p)
 
 
 def dtw_self_matrix(curves, p=1.0):
-    """Symmetric all-pairs p-DTW matrix of one curve list (zero diagonal).
+    """Symmetric all-pairs p-DTW matrix of one curve set (zero diagonal).
 
     Every pair (i, j > i) is evaluated once and mirrored, so the entries
-    have the bits of per-pair ``dtw_value`` calls; two inputs with the same
-    points are exactly 0 apart, as their DTW is (``_self_values``).
+    have the bits of per-pair ``dtw_value`` calls; two curves with the same
+    points, a repeat of a selection included, are exactly 0 apart, as their
+    DTW is. It is ``_self_triangle`` with the upper triangle copied into
+    the lower one by the compiled ``mirror``; where the library cannot be
+    built, ``_self_triangle`` already gives the whole matrix.
     """
-    curves = list(curves)
-    return _self_values(_packed(curves), np.arange(len(curves)), p)
+    out = _self_triangle(as_curve_set(curves), p)
+    lib = _kernels.library()
+    if lib is not None:
+        lib.mirror(out.ctypes.data, out.shape[0])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,10 @@ class FiniteMetricInstance:
     positive finite point weights.
 
     A row-major float64 ``dist`` is kept as it is, not copied: the
-    pipeline's closure buffer becomes the instance. NaN is tested through
-    ``dist.min()``, which a NaN anywhere makes NaN, so no n x n boolean
-    array is built; the symmetry and the signs are not checked."""
+    pipeline's closure buffer becomes the instance. NaN, negative and -inf
+    entries are rejected by one test of ``dist.min()``, which a NaN
+    anywhere makes NaN and a negative entry negative, so no n x n boolean
+    array is built; the symmetry is not checked."""
 
     dist: np.ndarray
     weights: np.ndarray
@@ -83,8 +84,8 @@ class FiniteMetricInstance:
         if not np.all((weights > 0) & (weights < np.inf)):
             raise ValidationError("weights must be positive and finite")
         # inf is allowed: an isolated point is inf away from the others
-        if np.isnan(dist.min(initial=np.inf)):  # min propagates NaN
-            raise ValidationError("dist must not hold NaN")
+        if not dist.min(initial=np.inf) >= 0:  # min propagates NaN
+            raise ValidationError("dist must be non-negative, not NaN")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
         if self.k > n:

@@ -14,9 +14,9 @@ for p = 2; sum of squared distances is minimized by the mean).
 The two medoid variants run through ``_medoid_partitions``, which returns
 each curve's part ends, part count, center vertices and cost as arrays.
 ``_medoid_simplifications`` batches every curve of one complexity of a
-packed store (``dtw._packed``) and writes only the simplified points, by
-gathering their centers into one block; ``simplify_set`` builds curves
-from that block, and the clustering entry points keep it packed
+curve set and writes only the simplified points, by gathering their
+centers into one block; ``simplify_set`` returns the curve set over that
+block, which the clustering entry points read as it is
 (``bicriteria._prepare``). A one-curve ``_detailed`` function runs a batch
 of one and alone builds the parts tuples and a ``Simplification``. A batch
 is chunked by the DTW kernel's cell budget, which bounds the numpy
@@ -61,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .curves import Curve, ValidationError
-from .dtw import _BLOCK_CELLS, _check_p, _distance_table, _packed, _pth_powers, _root
+from .curves import Curve, CurveSet, ValidationError, as_curve_set
+from .dtw import _BLOCK_CELLS, _check_p, _distance_table, _pth_powers, _root
 
 WEISZFELD_MAX_ITER = 200
 WEISZFELD_REL_TOL = 1e-10
@@ -263,45 +263,45 @@ def _medoid_simplification(sigma, ell, p, restrict_to_range):
     return Simplification(curve, _parts(ends[0, :count].tolist()), float(cost))
 
 
-def _medoid_simplifications(store, ell, p, restrict_to_range, out):
+def _medoid_simplifications(curves, ell, p, restrict_to_range, out):
     """Write the simplified curve of the best medoid grouping into at most
-    ell parts of every curve of a packed store (``dtw._packed``) into out
-    (n, w, d), curve i into out[i, :lengths[i]], and return the lengths; a
-    curve of complexity <= ell is copied as it is.
+    ell parts of every curve of a set into out (n, w, d), curve i into
+    out[i, :lengths[i]], and return the lengths; a curve of complexity
+    <= ell is copied as it is.
 
-    The curves of one complexity m are taken from the store
+    The curves of one complexity m are taken from the set
     (``_chunk_points``), in chunks of at most ``_BLOCK_CELLS`` cells times d
     per m x m table but at least ``_LANES`` curves, and each chunk runs
     through ``_medoid_partitions``; its centers are gathered from the
     chunk's points into out at once.
     """
     _check_p(p)
-    d = store.points.shape[1]
-    lengths = store.lengths.copy()
-    for m in np.unique(store.lengths).tolist():
-        members = np.flatnonzero(store.lengths == m)
+    d = curves.dimension
+    lengths = curves.lengths.copy()
+    for m in np.unique(curves.lengths).tolist():
+        members = np.flatnonzero(curves.lengths == m)
         if m <= ell:
-            out[members, :m] = _chunk_points(store, members, m)
+            out[members, :m] = _chunk_points(curves, members, m)
             continue
         block = max(_LANES, _BLOCK_CELLS // (m * m * d))
         for start in range(0, members.size, block):
             chunk = members[start : start + block]
-            pts = _chunk_points(store, chunk, m)
+            pts = _chunk_points(curves, chunk, m)
             _, counts, centers, _ = _medoid_partitions(pts, ell, p, restrict_to_range)
             lengths[chunk] = counts
             out[chunk] = pts[np.arange(chunk.size)[:, None], centers]
     return lengths
 
 
-def _chunk_points(store, chunk, m):
-    """The points of the curves ``chunk`` of a packed store, m each, as an
-    (n, m, d) array: a view of the store where the curves lie back to back,
-    as curves of one length packed in order do, and a gathered copy
+def _chunk_points(curves, chunk, m):
+    """The points of the curves ``chunk`` of a set, m each, as an (n, m, d)
+    array: a view of the set's buffer where the curves lie back to back, as
+    curves of one length packed in order do, and a gathered copy
     otherwise."""
-    first, d = store.offsets[chunk[0]], store.points.shape[1]
-    if np.array_equal(store.offsets[chunk], first + m * np.arange(chunk.size)):
-        return store.points[first : first + m * chunk.size].reshape(chunk.size, m, d)
-    return store.points[store.offsets[chunk, None] + np.arange(m)]
+    first, d = curves.offsets[chunk[0]], curves.dimension
+    if np.array_equal(curves.offsets[chunk], first + m * np.arange(chunk.size)):
+        return curves.points[first : first + m * chunk.size].reshape(chunk.size, m, d)
+    return curves.points[curves.offsets[chunk, None] + np.arange(m)]
 
 
 def _medoid_partitions(pts, ell, p, restrict_to_range):
@@ -419,59 +419,38 @@ def simplify_exact_p2(sigma: Curve, ell) -> Curve:
     return simplify_exact_p2_detailed(sigma, ell).curve
 
 
-def _block_width(lengths, ell, p, method):
-    """The width min(ell, longest of lengths) of the block that holds the
-    ell-simplifications of curves of these lengths (``_simplified_block``);
-    raises ``ValidationError`` for an unknown method, for "eps1" at p != 1
-    and for ell < 1."""
+def simplify_set(curves, ell, p=1.0, method="two-approx"):
+    """Apply one simplification method to every curve of a set, preserving
+    order; returns a ``CurveSet`` over its own (n, min(ell, longest), d)
+    block, simplification i in row i under the id of curve i.
+
+    Every curve given is simplified; equal point sequences are collapsed by
+    the clustering entry points, not here. A result depends on the points
+    alone, so it has the bits of a one-curve call, and a curve of
+    complexity <= ell keeps its points. The medoid methods ("two-approx",
+    "vertex") simplify the curves of one complexity in one batch
+    (``_medoid_simplifications``); "eps1" runs ``simplify_eps_p1`` on each
+    curve. Raises ``ValidationError`` for an unknown method, for "eps1" at
+    p != 1 and for ell < 1.
+    """
     if method not in ("two-approx", "eps1", "vertex"):
         raise ValidationError(f"unknown simplification method {method!r}")
     if method == "eps1" and p != 1:
         raise ValidationError("method 'eps1' (geometric medians) needs p = 1")
     if ell < 1:
         raise ValidationError("ell must be >= 1")
-    return min(ell, int(lengths.max(initial=0)))
-
-
-def _simplified_block(curves, store, ell, p, method, block):
-    """Write the ell-simplification of every curve of a packed store, which
-    holds the curve list ``curves``, into block, an (n, ``_block_width``,
-    d) array: simplification i into block[i, :lengths[i]]; returns the
-    lengths. The medoid methods run ``_medoid_simplifications`` on the
-    store, "eps1" runs ``simplify_eps_p1`` on each curve."""
+    curves = as_curve_set(curves)
+    n, d = len(curves), curves.dimension
+    width = min(ell, int(curves.lengths.max(initial=0)))
+    block = np.empty((n, width, d))
     if method != "eps1":
-        return _medoid_simplifications(store, ell, p, method == "two-approx", block)
-    lengths = np.empty(len(curves), dtype=np.intp)
-    for i, c in enumerate(curves):
-        points = simplify_eps_p1(c, ell).points
-        lengths[i] = points.shape[0]
-        block[i, : lengths[i]] = points
-    return lengths
-
-
-def simplify_set(curves, ell, p=1.0, method="two-approx"):
-    """Apply one simplification method to every curve, preserving order.
-
-    Every curve given is simplified, under its own id; equal point
-    sequences are collapsed by the clustering entry points, not here. A
-    result depends on the points alone, so it has the bits of a one-curve
-    call. The curves of one dimension are packed into one store, and the
-    medoid methods ("two-approx", "vertex") simplify its curves of one
-    complexity in one batch (``_simplified_block``). A curve of complexity
-    <= ell is returned as it is.
-    """
-    curves = list(curves)
-    out = list(curves)
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(curves):
-        groups.setdefault(c.dimension, []).append(i)
-    for members in groups.values() or [[]]:  # no curves: the arguments are still checked
-        group = [curves[i] for i in members]
-        store = _packed(group)
-        width = _block_width(store.lengths, ell, p, method)
-        block = np.empty((len(group), width, store.points.shape[1]))
-        lengths = _simplified_block(group, store, ell, p, method, block)
-        for t, i in enumerate(members):
-            if curves[i].complexity > ell:
-                out[i] = Curve(curves[i].id, block[t, : lengths[t]])
-    return out
+        lengths = _medoid_simplifications(curves, ell, p, method == "two-approx", block)
+    else:
+        lengths = np.empty(n, dtype=np.intp)
+        for i, c in enumerate(curves):
+            points = simplify_eps_p1(c, ell).points
+            lengths[i] = points.shape[0]
+            block[i, : lengths[i]] = points
+    return CurveSet._of(
+        block.reshape(n * width, d), width * np.arange(n, dtype=np.intp), lengths, curves.ids
+    )

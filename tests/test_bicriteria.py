@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dtwmedian import bicriteria
-from dtwmedian.curves import Curve, ValidationError, gen_synthetic
+from dtwmedian.curves import Curve, CurveSet, ValidationError, gen_synthetic
 from dtwmedian.bicriteria import (
     BicriteriaSolution,
     SamplingParams,
@@ -13,7 +13,7 @@ from dtwmedian.bicriteria import (
 )
 from dtwmedian.closure import build_closure
 from dtwmedian.coreset import bicriteria_alpha_factor
-from dtwmedian.dtw import _packed, dtw_matrix, dtw_value
+from dtwmedian.dtw import dtw_matrix, dtw_value
 from dtwmedian.kmedian import FiniteMetricInstance, kmedian_brute
 from dtwmedian.simplify import simplify_2approx
 from conftest import curve1d, restricted_opt
@@ -41,13 +41,13 @@ def test_sampling_params_formulas():
 def test_k_routine_degenerate_branch(rng):
     curves = planted_points_1d(rng, 8)
     # n <= s short-circuits to the local search on the whole closure
-    out = k_routine(_packed(curves), 1.0, np.arange(8), 2, 0.5, 0)
+    out = k_routine(CurveSet(curves), 1.0, np.arange(8), 2, 0.5, 0)
     assert out.size <= 2
 
 
 def test_k_routine_cardinality_and_cost(rng):
     curves = planted_points_1d(rng, 30)
-    out = k_routine(_packed(curves), 1.0, np.arange(30), 2, 0.5, 5)
+    out = k_routine(CurveSet(curves), 1.0, np.arange(30), 2, 0.5, 5)
     assert out.size <= 4  # 2k
     mc = build_closure(curves, 1.0)
     inst = FiniteMetricInstance(mc.dist, np.ones(30), 2)
@@ -60,7 +60,7 @@ def test_k_routine_cardinality_and_cost(rng):
 def test_k_median_sampled_cardinality_and_cost(rng):
     curves = planted_points_1d(rng, 40)
     m = max(c.complexity for c in curves)
-    out = k_median_sampled(_packed(curves), 1.0, np.arange(40), 2, 0.5, 9)
+    out = k_median_sampled(CurveSet(curves), 1.0, np.arange(40), 2, 0.5, 9)
     assert out.size <= 8  # 4k
     mc = build_closure(curves, 1.0)
     opt = kmedian_brute(FiniteMetricInstance(mc.dist, np.ones(40), 2)).cost
@@ -83,7 +83,7 @@ def test_a_sequence_under_several_ids_is_one_center(rng):
     curves = [Curve(f"c{j}_{r}", seqs[j]) for r in range(4) for j in range(3)]
     # inputs with equal points share one simplification, with the first id
     prepared = _prepare(curves, 2, 1.0)
-    simplified = [prepared.simplified(j) for j in range(len(prepared.ids))]
+    simplified = list(prepared.simplified)
     assert len(simplified) == 3
     for i, c in enumerate(curves):
         assert prepared.inverse[i] == prepared.inverse[i % 3]

@@ -6,7 +6,7 @@ import pytest
 from scipy.sparse.csgraph import csgraph_from_dense, dijkstra, floyd_warshall
 
 from dtwmedian import _kernels, closure
-from dtwmedian.curves import Curve, ResourceGuardError, ValidationError, gen_synthetic
+from dtwmedian.curves import Curve, CurveSet, ResourceGuardError, ValidationError, gen_synthetic
 from dtwmedian.closure import (
     build_closure,
     distances_from_set,
@@ -38,8 +38,9 @@ def test_single_curve():
 
 
 def test_two_curves_dist_equals_base():
-    mc = build_closure([curve1d(0), curve1d(5)], 1.0)
-    assert np.array_equal(mc.dist, mc.base)
+    curves = [curve1d(0), curve1d(5)]
+    mc = build_closure(curves, 1.0)
+    assert np.array_equal(mc.dist, dtw_self_matrix(curves, 1.0))
     assert mc.dist[0, 1] == 5.0
 
 
@@ -52,8 +53,9 @@ def test_triangle_violation_makes_closure_strictly_smaller():
         s, t, 1.0
     ).value - 1.0
     mc = build_closure([s, x, t], 1.0)
-    assert mc.dist[0, 2] < mc.base[0, 2] - 1.0
-    assert mc.dist[0, 2] == pytest.approx(mc.base[0, 1] + mc.base[1, 2], abs=TOL)
+    base = dtw_self_matrix([s, x, t], 1.0)
+    assert mc.dist[0, 2] < base[0, 2] - 1.0
+    assert mc.dist[0, 2] == pytest.approx(base[0, 1] + base[1, 2], abs=TOL)
 
 
 def test_invariants_random(rng):
@@ -62,13 +64,14 @@ def test_invariants_random(rng):
         m = max(c.complexity for c in curves)
         p = float(rng.choice([1.0, 2.0]))
         mc = build_closure(curves, p)
+        base = dtw_self_matrix(curves, p)
         n = len(curves)
         assert np.allclose(np.diag(mc.dist), 0.0)
         assert np.array_equal(mc.dist, mc.dist.T)
-        assert np.all(mc.dist <= mc.base + TOL)
+        assert np.all(mc.dist <= base + TOL)
         # sandwich constants: dtw <= (2m)^(1/p) * closure <= (2m)^(1/p) * dtw
         zeta = (2 * m) ** (1.0 / p)
-        assert np.all(mc.base <= zeta * mc.dist + TOL)
+        assert np.all(base <= zeta * mc.dist + TOL)
         # closure satisfies the triangle inequality
         for i in range(n):
             assert np.all(
@@ -321,25 +324,26 @@ def _scipy_distances(base, C):
 def test_distances_from_set_examples(rng):
     curves = random_set(rng, 6)
     mc = build_closure(curves, 1.0)
+    mc_base = dtw_self_matrix(curves, 1.0)
     # C = everything -> all zeros
-    assert np.allclose(distances_from_set(mc.base, range(6)), 0.0)
+    assert np.allclose(distances_from_set(mc_base, range(6)), 0.0)
     # n = 2, C = {i}: the other curve sits at base distance
-    two = build_closure(curves[:2], 1.0)
-    assert distances_from_set(two.base, [0])[1] == pytest.approx(two.base[0, 1])
+    two = dtw_self_matrix(curves[:2], 1.0)
+    assert distances_from_set(two, [0])[1] == pytest.approx(two[0, 1])
     # |C| = 2 cross-check against the column minimum of the full closure
-    d = distances_from_set(mc.base, [1, 4])
+    d = distances_from_set(mc_base, [1, 4])
     assert np.max(np.abs(d - mc.dist[[1, 4]].min(axis=0))) <= TOL
 
     # equal bits to scipy's multi-source Dijkstra
     walks = simplify_set(gen_synthetic(60, 1, 16, 2, 0.5, seed=5), 6, 2.0)
     # the last ten curves repeat the first ten: duplicate rows, zero edges
-    base = dtw_self_matrix(walks + walks[:10], 2.0)
+    base = dtw_self_matrix(walks.take(np.r_[0:60, 0:10]), 2.0)
     # an asymmetric base whose last four points no source reaches
     split = rng.uniform(0.0, 4.0, (12, 12))
     split[:8, 8:] = np.inf
     cases = [
         (np.zeros((1, 1)), [0]),
-        (mc.base, [1, 4]),
+        (mc_base, [1, 4]),
         (base, [3]),
         (base, [0, 17, 65]),
         (base, range(70)),
@@ -374,14 +378,14 @@ def test_distances_from_set_single_point():
 
 
 def test_distances_from_set_validation(rng):
-    mc = build_closure(random_set(rng, 3), 1.0)
+    base = dtw_self_matrix(random_set(rng, 3), 1.0)
     with pytest.raises(ValidationError):
-        distances_from_set(mc.base, [])
+        distances_from_set(base, [])
     with pytest.raises(ValidationError):
-        distances_from_set(mc.base, [5])
+        distances_from_set(base, [5])
     # a negative edge gave [0, -2, -5], a NaN edge NaN everywhere
     negative = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, -3.0], [1.0, -3.0, 0.0]])
-    nan = mc.base.copy()
+    nan = base.copy()
     nan[0, 2] = nan[2, 0] = np.nan
     for base in (negative, nan):
         with pytest.raises(ValidationError):
@@ -397,7 +401,7 @@ def test_subset_monotonicity(rng):
         restricted = mc_full.dist[np.ix_(sub, sub)]
         # closure-on-X restricted to Y <= closure-on-Y <= base on Y
         assert np.all(restricted <= mc_sub.dist + TOL)
-        assert np.all(mc_sub.dist <= mc_full.base[np.ix_(sub, sub)] + TOL)
+        assert np.all(mc_sub.dist <= dtw_self_matrix(curves, 1.0)[np.ix_(sub, sub)] + TOL)
 
 
 def test_size_guard():
@@ -410,10 +414,10 @@ def test_size_guard():
 
 def test_base_matrix_matches_scalar_dtw(rng):
     curves = random_set(rng, 6)
-    mc = build_closure(curves, 2.0)
+    base = dtw_self_matrix(curves, 2.0)
     for i in range(6):
         for j in range(6):
-            assert mc.base[i, j] == pytest.approx(
+            assert base[i, j] == pytest.approx(
                 dtw_value(curves[i], curves[j], 2.0), abs=1e-10
             )
 
@@ -439,27 +443,26 @@ def _fused_case(n, d):
 
 def _fused_closures():
     """For n in 1, 2, 3, 5, 9 and 50, d = 1 and 2 and p = 1, 2 and 40, the
-    bytes of _closed, after checking that it has the bits of
-    shortest_path_closure on dtw_self_matrix, that dtw_self_matrix has the
-    bits of the np.triu_indices reference, and that _self_triangle's
-    diagonal and upper triangle are dtw_self_matrix's."""
+    bytes of build_closure on a selection with repeats, after checking that
+    it has the bits of shortest_path_closure on dtw_self_matrix, that
+    dtw_self_matrix has the bits of the np.triu_indices reference, and that
+    _self_triangle's diagonal and upper triangle are dtw_self_matrix's."""
     out = []
     for n in (1, 2, 3, 5, 9, 50):
         for d in (1, 2):
             curves, idx = _fused_case(n, d)
-            store = dtw_module._packed(curves)
-            chosen = [curves[i] for i in idx]
+            chosen = CurveSet(curves).take(idx)
             upper = np.triu(np.ones((idx.size, idx.size), dtype=bool))
             rows, cols = np.triu_indices(idx.size, k=1)
             for p in (1.0, 2.0, 40.0):
                 base = dtw_self_matrix(chosen, p)
                 reference = np.zeros_like(base)
-                values = dtw_module._pair_values(store, idx[rows], idx[cols], p)
+                values = dtw_module._pair_values(chosen, chosen, rows, cols, p)
                 reference[rows, cols] = reference[cols, rows] = values
                 assert base.tobytes() == reference.tobytes()
-                triangle = dtw_module._self_triangle(store, idx, p)
+                triangle = dtw_module._self_triangle(chosen, p)
                 assert triangle[upper].tobytes() == base[upper].tobytes()
-                fused = closure._closed(store, idx, p)
+                fused = build_closure(chosen, p).dist
                 assert fused.tobytes() == shortest_path_closure(base).tobytes()
                 out.append(fused.tobytes())
     return out
@@ -485,14 +488,14 @@ def test_the_fused_closure_rejects_nan_and_negative_entries(monkeypatch, compile
     if not compiled:
         monkeypatch.setattr(_kernels, "library", lambda: None)
     curves, idx = _fused_case(9, 2)
-    store = dtw_module._packed(curves)
+    chosen = CurveSet(curves).take(idx)
     for bad in (np.nan, -0.5):
-        def triangle(store, idx, p, bad=bad):
-            base = dtw_module._self_values(store, idx, p)
+        def triangle(curves, p, bad=bad):
+            base = dtw_self_matrix(curves, p)
             base[2, 7] = base[7, 2] = bad
             return base
 
         with monkeypatch.context() as patch:
             patch.setattr(closure, "_self_triangle", triangle)
             with pytest.raises(ValidationError):
-                closure._closed(store, idx, 1.0)
+                build_closure(chosen, 1.0)

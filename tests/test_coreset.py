@@ -138,28 +138,28 @@ def test_cost_examples(rng):
 
 
 def test_cost_weighted():
-    ws = WeightedCurveSet(((curve1d(0, cid="a"), 2.0), (curve1d(4, cid="b"), 3.0)))
+    ws = WeightedCurveSet([curve1d(0, cid="a"), curve1d(4, cid="b")], [2.0, 3.0])
     center = [curve1d(1, cid="c")]
     assert cost(ws, center, 1.0) == pytest.approx(2 * 1 + 3 * 3)
 
 
 def test_verify_coreset_identity_and_duplicates(rng):
     curves = list(gen_synthetic(2, 5, 4, 1, 0.5, 8))
-    unit = WeightedCurveSet(tuple((c, 1.0) for c in curves))
+    unit = WeightedCurveSet(curves, np.ones(len(curves)))
     cands = [[simplify] for simplify in curves[:3]]
     rep = verify_coreset(curves, unit, cands, eps=0.0, p=1.0)
     assert rep.max_error == 0.0 and rep.ok
 
     # duplicated dataset: half the curves at weight 2 is exact
     doubled = curves + [Curve(c.id + "_dup", c.points) for c in curves]
-    half = WeightedCurveSet(tuple((c, 2.0) for c in curves))
+    half = WeightedCurveSet(curves, np.full(len(curves), 2.0))
     rep = verify_coreset(doubled, half, cands, eps=1e-12, p=1.0)
     assert rep.max_error <= 1e-12
 
 
 def test_verify_coreset_flags_failures():
     base = [curve1d(0, cid="a"), curve1d(10, cid="b")]
-    bad = WeightedCurveSet(((base[0], 5.0),))  # ignores the far curve
+    bad = WeightedCurveSet(base[:1], [5.0])  # ignores the far curve
     rep = verify_coreset(base, bad, [[curve1d(0, cid="x")]], eps=0.1, p=1.0)
     assert rep.failing and not rep.ok
 

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -74,10 +75,17 @@ def test_nonfinite_coordinates_rejected():
         Curve("a", [[float("inf")]])
 
 
-def test_duplicate_ids_rejected():
+def test_duplicate_ids_rejected(tmp_path):
+    f = tmp_path / "a.jsonl"
+    f.write_text('{"id":"a","points":[[0.0]]}\n{"id":"a","points":[[1.0]]}\n')
+    with pytest.raises(ValidationError, match="duplicate"):
+        load_curves(f, "jsonl")
+    f = tmp_path / "a.csv"
+    f.write_text("curve_id,seq,x0\na,0,0.0\nb,0,1.0\n")
+    assert list(load_curves(f, "csv-long").ids) == ["a", "b"]
+    # a set may repeat an id, as a selection repeats its curves
     a = Curve("a", [[0.0]])
-    with pytest.raises(ValidationError):
-        CurveSet((a, Curve("a", [[1.0]])))
+    assert list(CurveSet((a, Curve("a", [[1.0]]))).ids) == ["a", "a"]
 
 
 coords = st.floats(
@@ -98,7 +106,7 @@ coords = st.floats(
 )
 def test_save_weighted_roundtrip_is_identity(tmp_path_factory, entries):
     wset = WeightedCurveSet(
-        tuple((Curve(f"c{i}", pts), w) for i, (pts, w) in enumerate(entries))
+        [Curve(f"c{i}", pts) for i, (pts, _) in enumerate(entries)], [w for _, w in entries]
     )
     path = tmp_path_factory.mktemp("rt") / "w.jsonl"
     save_weighted(wset, path)
@@ -112,12 +120,12 @@ def test_save_weighted_roundtrip_is_identity(tmp_path_factory, entries):
 
 def test_zero_weight_rejected_before_write():
     with pytest.raises(ValidationError):
-        WeightedCurveSet(((Curve("a", [[0.0]]), 0.0),))
+        WeightedCurveSet([Curve("a", [[0.0]])], [0.0])
 
 
 def test_empty_weighted_set_roundtrip(tmp_path):
     path = tmp_path / "e.jsonl"
-    save_weighted(WeightedCurveSet(()), path)
+    save_weighted(WeightedCurveSet([], []), path)
     assert path.read_text() == ""
     assert len(load_weighted(path)) == 0
 
@@ -239,27 +247,44 @@ def test_curve_copies_the_callers_array():
 
 
 def test_a_batch_builds_the_curves_of_one_curve_construction():
+    """A set built from a block of curves of one shape, as gen_synthetic
+    builds its set, holds the curves of one Curve construction each: its
+    curves and its selections are read-only row-major views of one checked
+    copy of the block."""
     rng = np.random.default_rng(5)
     block = rng.normal(0.0, 2.0, (5, 4, 3))
     block[1, 2, 0] = -0.0
     block[3] = block[0]
     ids = [f"b{t}" for t in range(5)]
     for given in (block, np.asfortranarray(block), block.tolist()):
-        batch = Curve.batch(ids, given)
-        assert len(batch) == 5
+        batch = CurveSet._from_block(ids, given)
+        assert len(batch) == 5 and batch.points.shape == (20, 3)
         for t, c in enumerate(batch):
             one = Curve(ids[t], block[t])
-            assert c == one and hash(c) == hash(one)
+            assert c == one and hash(c) == hash(one) and batch[t] == one
             assert c.points.tobytes() == one.points.tobytes()
             assert c.points.flags.c_contiguous and not c.points.flags.writeable
+            assert np.shares_memory(c.points, batch.points)
             with pytest.raises(ValueError):
                 c.points[0, 0] = 5.0
         assert not np.signbit(batch[1].points[2, 0])
         assert Curve("x", batch[0].points) == Curve("x", batch[3].points)
-    batch = Curve.batch(ids, block)
+        chosen = batch.take([4, 0, 4])
+        assert list(chosen.ids) == ["b4", "b0", "b4"] and chosen.points is batch.points
+        assert [c.points.tobytes() for c in chosen] == [
+            batch[t].points.tobytes() for t in (4, 0, 4)
+        ]
+        assert [c.id for c in batch[1:4:2]] == ["b1", "b3"] and batch[-1].id == "b4"
+        again = pickle.loads(pickle.dumps(chosen))
+        assert list(again.ids) == list(chosen.ids)
+        assert again.points.tobytes() == batch.points.tobytes()
+    batch = CurveSet._from_block(ids, block)
     block[0, 0, 0] = 99.0
     assert batch[0].points[0, 0] != 99.0
-    assert Curve.batch([], np.zeros((0, 4, 3))) == []
+    assert len(CurveSet._from_block([], np.zeros((0, 4, 3)))) == 0
+    made = gen_synthetic(3, 2, 4, 2, 0.5, 1)
+    assert made.points.shape == (24, 2) and not made.points.flags.writeable
+    assert all(np.shares_memory(c.points, made.points) for c in made)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -267,12 +292,12 @@ def test_a_batch_rejects_non_finite_coordinates(bad):
     block = np.zeros((3, 4, 2))
     block[2, 3, 1] = bad
     with pytest.raises(ValidationError, match="finite"):
-        Curve.batch(["a", "b", "c"], block)
+        CurveSet._from_block(["a", "b", "c"], block)
 
 
 def test_a_batch_needs_one_id_per_curve_and_three_axes():
     with pytest.raises(ValidationError):
-        Curve.batch(["a"], np.zeros((2, 3, 1)))
+        CurveSet._from_block(["a"], np.zeros((2, 3, 1)))
     for shape in ((2, 3), (2, 0, 1), (2, 3, 0)):
         with pytest.raises(ValidationError):
-            Curve.batch(["a", "b"], np.zeros(shape))
+            CurveSet._from_block(["a", "b"], np.zeros(shape))

@@ -16,7 +16,7 @@ import pytest
 
 import dtwmedian
 from dtwmedian import _kernels, kmedian, simplify
-from dtwmedian.curves import Curve, ValidationError
+from dtwmedian.curves import Curve, CurveSet, ValidationError
 from dtwmedian.dtw import dtw_aligned, dtw_matrix, dtw_self_matrix, dtw_value
 from dtwmedian.kmedian import FiniteMetricInstance, kmedian_local_search
 from dtwmedian.simplify import (
@@ -82,9 +82,9 @@ def assert_lanes_have_the_reference_bits():
     for d in (1, 2, 3):
         for curves, rows, cols in lane_batches(np.random.default_rng(SEED + d), d):
             for p in P_VALUES:
-                store = dtw_module._packed(curves)
-                values = dtw_module._pair_values(store, rows, cols, p)
-                reference = dtw_module._grouped_pair_values(store, rows, cols, p)
+                store = CurveSet(curves)
+                values = dtw_module._pair_values(store, store, rows, cols, p)
+                reference = dtw_module._grouped_pair_values(store, store, rows, cols, p)
                 one_by_one = [dtw_value(curves[r], curves[c], p) for r, c in zip(rows, cols)]
                 assert values.tobytes() == reference.tobytes()
                 assert values.tobytes() == np.array(one_by_one).tobytes()
@@ -92,7 +92,7 @@ def assert_lanes_have_the_reference_bits():
 
 def self_matrix_lists(rng, d):
     """Curve lists for dtw_self: for each n in 0, 1, 2, 3, 5, 9, one list of
-    curves of one length, built as one batch, so that a row's columns end in
+    curves of one length, from one block, so that a row's columns end in
     every tail length, and one of lengths 1-12 given as column-major
     arrays. From three curves on, the one-length list has a 1e10-scaled
     curve and the mixed list a duplicate of its first curve under another
@@ -105,7 +105,7 @@ def self_matrix_lists(rng, d):
         if n >= 3:
             block[n // 2] *= 1e10
             mixed[-1] = Curve("dup", mixed[0].points)
-        lists += [Curve.batch([f"s{i}" for i in range(n)], block), mixed]
+        lists += [[Curve(f"s{i}", points) for i, points in enumerate(block)], mixed]
     return lists
 
 
@@ -125,8 +125,8 @@ def assert_self_matrices_have_the_reference_bits():
                 assert full.tobytes() == fallback.tobytes() == one_by_one.tobytes()
                 if n:
                     rows, cols = np.divmod(np.arange(n * n), n)
-                    store = dtw_module._packed(curves)
-                    grouped = dtw_module._grouped_pair_values(store, rows, cols, p)
+                    store = CurveSet(curves)
+                    grouped = dtw_module._grouped_pair_values(store, store, rows, cols, p)
                     assert full.tobytes() == grouped.tobytes()
 
 
@@ -402,11 +402,13 @@ def test_mixed_lengths_reach_the_lanes_sorted_with_the_reference_bits(monkeypatc
         def __getattr__(self, name):
             return getattr(lib, name)
 
-        def dtw_pairs(self, points, offsets, lengths, d, rows, cols, pairs, *rest):
+        def dtw_pairs(self, *args):
+            lengths_a, lengths_b, rows, cols, pairs = args[2], args[5], args[7], args[8], args[9]
             r, c = read(rows, pairs), read(cols, pairs)
-            length = read(lengths, int(max(r.max(), c.max())) + 1)
-            shapes.append(list(zip(length[r], length[c])))
-            lib.dtw_pairs(points, offsets, lengths, d, rows, cols, pairs, *rest)
+            length_a = read(lengths_a, int(r.max()) + 1)
+            length_b = read(lengths_b, int(c.max()) + 1)
+            shapes.append(list(zip(length_a[r], length_b[c])))
+            lib.dtw_pairs(*args)
 
         def dtw_self(self, points, offsets, lengths, d, order, n, *rest):
             o, length = read(order, n), read(lengths, n)
@@ -437,12 +439,45 @@ def test_mixed_lengths_reach_the_lanes_sorted_with_the_reference_bits(monkeypatc
                     at = [t for t, l in columns if l == length]
                     assert at == list(range(at[0], at[0] + len(at)))
             rows, cols = np.divmod(np.arange(n * n), n)
-            store = dtw_module._packed(curves)
-            grouped = dtw_module._grouped_pair_values(store, rows, cols, p).reshape(n, n)
+            store = CurveSet(curves)
+            grouped = dtw_module._grouped_pair_values(store, store, rows, cols, p).reshape(n, n)
             one_by_one = np.array([[dtw_value(a, b, p) for b in curves] for a in curves])
             for reference in (grouped, one_by_one):
                 assert full.tobytes() == reference.tobytes()
                 assert cross.tobytes() == np.ascontiguousarray(reference[:7, 7:]).tobytes()
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])
+def test_a_cross_matrix_reads_two_sets_with_the_bits_of_one_store(monkeypatch, compiled):
+    """dtw_matrix(A, B) reads each set in its own buffer, B a selection with
+    repeats; curves of 1-9 points, one scaled by 1e10, at d = 1 and 3 and
+    every p in P_VALUES. Each value has the bits of its pair packed into one
+    store with the other, and the repeats of B give equal columns."""
+    if not compiled:
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+    for d in (1, 3):
+        rng = np.random.default_rng(SEED + d)
+        def curves(prefix, count):
+            lengths = rng.integers(1, 10, count)
+            return [Curve(f"{prefix}{i}", rng.normal(0, 3, (m, d))) for i, m in enumerate(lengths)]
+
+        rows_of = curves("a", 11)
+        rows_of[4] = Curve("big", 1e10 * rows_of[4].points)
+        a, pool = CurveSet(rows_of), CurveSet(curves("b", 7))
+        chosen = np.array([3, 0, 3, 6, 1, 1, 5, 2, 3, 4, 0, 6, 2])
+        b = pool.take(chosen)
+        assert not np.shares_memory(a.points, b.points) and b.points is pool.points
+        one = CurveSet([*a, *b])
+        rows = np.repeat(np.arange(len(a)), len(b))
+        cols = len(a) + np.tile(np.arange(len(b)), len(a))
+        for p in P_VALUES:
+            cross = dtw_matrix(a, b, p)
+            packed = dtw_module._pair_values(one, one, rows, cols, p).reshape(len(a), len(b))
+            assert cross.tobytes() == packed.tobytes()
+            assert cross.tobytes() == dtw_matrix(list(a), list(b), p).tobytes()
+            for j, c in enumerate(chosen):
+                first = int(np.flatnonzero(chosen == c)[0])
+                assert cross[:, j].tobytes() == cross[:, first].tobytes()
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])
@@ -476,10 +511,10 @@ def test_p_below_one_and_mixed_dimensions_raise(rng, monkeypatch, compiled):
 def test_a_pair_index_out_of_range_raises(rng, monkeypatch, compiled):
     if not compiled:
         monkeypatch.setattr(_kernels, "library", lambda: None)
-    curves = [Curve(f"c{i}", rng.normal(0, 1, (5, 2))) for i in range(3)]
+    store = CurveSet([Curve(f"c{i}", rng.normal(0, 1, (5, 2))) for i in range(3)])
     for rows, cols in (([-1], [0]), ([0], [-3]), ([3], [0]), ([0, 1], [1, 3])):
         with pytest.raises(IndexError):
-            dtw_module._pair_values(dtw_module._packed(curves), rows, cols, 1.0)
+            dtw_module._pair_values(store, store, rows, cols, 1.0)
 
 
 def test_every_c_source_is_package_data():
@@ -544,14 +579,15 @@ def test_a_short_run_writes_only_its_own_pairs():
         curves[-2] = Curve("big", 1e10 * curves[-2].points)
         rows = np.arange(0, 2 * pairs, 2, dtype=np.intp)
         cols = rows + 1
-        store = dtw_module._packed(curves)
-        work = dtw_module._work(store)
+        store = CurveSet(curves)
+        work = dtw_module._work(store, store)
         for p in (1.0, 2.0, 64.0):
             out = np.concatenate([np.zeros(pairs), sentinels])
             lib.dtw_pairs(
+                store.points.ctypes.data, store.offsets.ctypes.data, store.lengths.ctypes.data,
                 store.points.ctypes.data, store.offsets.ctypes.data, store.lengths.ctypes.data, 2,
                 rows.ctypes.data, cols.ctypes.data, pairs, p, out.ctypes.data, work.ctypes.data,
             )
-            reference = dtw_module._grouped_pair_values(store, rows, cols, p)
+            reference = dtw_module._grouped_pair_values(store, store, rows, cols, p)
             assert out[:pairs].tobytes() == reference.tobytes()
             assert out[pairs:].tobytes() == sentinels.tobytes()

@@ -71,12 +71,14 @@ def test_validation_and_guards():
     with_nan[0, 2] = with_nan[2, 0] = np.nan
     with pytest.raises(ValidationError):
         FiniteMetricInstance(with_nan, np.ones(3), 1)
-    # the NaN test reads the minimum, which one NaN anywhere makes NaN
-    for at in ((2, 2), (0, 0), (2, 0), (1, 2)):
-        with_nan = LINE.copy()
-        with_nan[at] = np.nan
-        with pytest.raises(ValidationError):
-            FiniteMetricInstance(with_nan, np.ones(3), 1)
+    # the test reads the minimum, which one NaN anywhere makes NaN, and one
+    # negative or -inf entry negative
+    for bad in (np.nan, -1.0, -np.inf):
+        for at in ((2, 2), (0, 0), (2, 0), (1, 2)):
+            with_bad = LINE.copy()
+            with_bad[at] = bad
+            with pytest.raises(ValidationError):
+                FiniteMetricInstance(with_bad, np.ones(3), 1)
     big = np.zeros((80, 80))
     with pytest.raises(ResourceGuardError):
         kmedian_brute(FiniteMetricInstance(big, np.ones(80), 30))

@@ -1,3 +1,5 @@
+import collections
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from dtwmedian.coreset import (
 )
 from dtwmedian.curves import (
     Curve,
+    CurveSet,
     PipelineConfig,
     ValidationError,
     distinct_curves,
@@ -127,25 +130,25 @@ def test_provenance_resolves_to_inputs(rng):
 
 
 def test_each_input_is_simplified_once_per_call(monkeypatch):
-    calls, batches, collapsed = [], [], []
+    calls, simplified, collapsed = [], [], []
     original = simplify._medoid_simplifications
 
     def counting(store, *args):
         calls.append(store.lengths.size)
         return original(store, *args)
 
-    def batching(curves, *args):
-        batches.append(len(curves))
-        return simplify._simplified_block(curves, *args)
+    def simplifying(curves, *args):
+        simplified.append(len(curves))
+        return simplify_set(curves, *args)
 
     def collapsing(curves):
-        collapsed.append(list(curves))
+        collapsed.append(curves)
         return distinct_curves(curves)
 
     # every batch of medoid simplifications runs through it, and the pipeline
     # simplifies only in batches
     monkeypatch.setattr(simplify, "_medoid_simplifications", counting)
-    monkeypatch.setattr(bicriteria, "_simplified_block", batching)
+    monkeypatch.setattr(bicriteria, "simplify_set", simplifying)
     monkeypatch.setattr(bicriteria, "distinct_curves", collapsing)
     routes = [
         lambda curves: kl_median(curves, cfg(k=2, ell=2, repetitions=2)),
@@ -153,19 +156,96 @@ def test_each_input_is_simplified_once_per_call(monkeypatch):
         lambda curves: cluster_via_closure(curves, 2, 2),
         lambda curves: emit_coreset_only(curves, cfg(k=2, ell=2, repetitions=2)),
     ]
-    curves = list(gen_synthetic(2, 8, 6, 1, 0.4, 17))
+    curves = gen_synthetic(2, 8, 6, 1, 0.4, 17)
     distinct = len(curves)
     repeated = [Curve(f"dup{i}", c.points) for i, c in enumerate(curves[:5])]
-    for inputs in (curves, curves + repeated):
+    for inputs in (curves, list(curves), list(curves) + repeated):
         for route in routes:
-            for log in (calls, batches, collapsed):
+            for log in (calls, simplified, collapsed):
                 log.clear()
             route(inputs)
             # a sequence repeated under other ids is simplified once per call
-            assert calls == [distinct] and batches == [distinct]
-            # and the inputs are collapsed once, all of them
-            assert len(collapsed) == 1 and all(a is b for a, b in zip(collapsed[0], inputs))
-            assert len(collapsed[0]) == len(inputs)
+            assert calls == [distinct] and simplified == [distinct]
+            # the inputs are collapsed once, all of them, and then their
+            # simplifications, for their labels
+            assert [len(c) for c in collapsed] == [len(inputs), distinct]
+            assert [c.points.tobytes() for c in collapsed[0]] == [
+                c.points.tobytes() for c in inputs
+            ]
+            # a set is read as it is; a list is packed once
+            if isinstance(inputs, CurveSet):
+                assert collapsed[0] is inputs
+
+
+PUBLIC_STAGES = (
+    "dtw_matrix", "dtw_self_matrix", "simplify_set", "build_closure", "sensitivity_bounds",
+    "coreset_sample",
+)
+
+
+def _count_public_calls(monkeypatch):
+    """Wrap every binding of each public stage function in the loaded
+    dtwmedian modules, as the benchmark's tracer does; returns the counts of
+    their calls by name."""
+    calls = collections.Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "dtwmedian"]
+    for name in PUBLIC_STAGES:
+        original = next(
+            getattr(m, name) for m in modules
+            if getattr(getattr(m, name, None), "__module__", None) == m.__name__
+        )
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_every_layer_enters_through_its_public_function(monkeypatch):
+    """The routes reach each stage through the one public function that a
+    tracer wraps: kl_median every one of them, with one simplify_set per
+    call, and cluster_via_closure the DTW, simplification and closure."""
+    calls = _count_public_calls(monkeypatch)
+    curves = gen_synthetic(300, 1, 8, 2, 0.5, 5)
+    kl_median(curves, PipelineConfig(k=4, ell=2, repetitions=2, seed=1))
+    assert all(calls[name] for name in PUBLIC_STAGES), calls
+    assert calls["simplify_set"] == 1
+    calls.clear()
+    cluster_via_closure(curves, 4, 2)
+    assert calls["simplify_set"] == calls["build_closure"] == 1 and calls["dtw_matrix"], calls
+
+
+def test_the_routes_build_no_curve_per_input(monkeypatch):
+    """Given a curve set, neither route iterates or indexes it, or a
+    selection of it, one curve at a time: the only curves built are the
+    centers, at most 4k per bicriteria run and k per clustering."""
+    built = []
+    iterate, getitem = CurveSet.__iter__, CurveSet.__getitem__
+
+    def counting_iter(self):
+        for curve in iterate(self):
+            built.append(curve)
+            yield curve
+
+    def counting_getitem(self, i):
+        out = getitem(self, i)
+        if isinstance(out, Curve):
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(CurveSet, "__iter__", counting_iter)
+    monkeypatch.setattr(CurveSet, "__getitem__", counting_getitem)
+    curves, k = gen_synthetic(300, 1, 8, 2, 0.5, 5), 4
+    kl_median(curves, PipelineConfig(k=k, ell=2, repetitions=2, seed=1))
+    assert 0 < len(built) <= 2 * (4 * k + k)
+    built.clear()
+    cluster_via_closure(curves, k, 2)
+    assert len(built) == k
 
 
 def test_bicriteria_closures_are_built_on_samples(monkeypatch):
@@ -246,18 +326,18 @@ def test_k_equal_to_n_with_fewer_distinct_curves():
 
 def test_one_weighted_point_per_distinct_sequence(monkeypatch):
     drawn, instances = [], []
-    draw, solve = pipeline._draw, pipeline.kmedian_local_search
+    draw, solve = pipeline.coreset_sample, pipeline.kmedian_local_search
 
     def recording_draw(*args):
         out = draw(*args)
-        drawn.append(out[1].sum())
+        drawn.append(out.weights.sum())
         return out
 
     def recording_solve(inst, **kw):
         instances.append(inst)
         return solve(inst, **kw)
 
-    monkeypatch.setattr(pipeline, "_draw", recording_draw)
+    monkeypatch.setattr(pipeline, "coreset_sample", recording_draw)
     monkeypatch.setattr(pipeline, "kmedian_local_search", recording_solve)
     base = list(gen_synthetic(3, 4, 6, 2, 0.4, 21))
     # every sequence again under two other ids, after all first inputs

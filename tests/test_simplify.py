@@ -184,10 +184,10 @@ def test_validation_errors():
 def test_simplify_set_methods(rng):
     curves = [Curve(f"c{i}", rng.normal(0, 3, (int(rng.integers(1, 7)), 2))) for i in range(6)]
     # the vertex method caps ell at each curve's complexity
-    assert simplify_set(curves, 4, 2.0, "vertex") == [
+    assert list(simplify_set(curves, 4, 2.0, "vertex")) == [
         simplify_vertex_restricted(c, min(4, c.complexity), 2.0) for c in curves
     ]
-    assert simplify_set(curves, 2, 1.0, "eps1") == [simplify_eps_p1(c, 2) for c in curves]
+    assert list(simplify_set(curves, 2, 1.0, "eps1")) == [simplify_eps_p1(c, 2) for c in curves]
     with pytest.raises(ValidationError):
         simplify_set(curves, 2, 1.0, "nearest")
 
@@ -445,16 +445,24 @@ def test_simplify_set_equals_one_curve_calls(rng):
         "two-approx": simplify_2approx,
         "vertex": lambda c, ell, p: simplify_vertex_restricted(c, min(ell, c.complexity), p),
     }
+    # a set holds curves of one dimension: each dimension is one call
+    by_dimension = {}
+    for i, c in enumerate(curves):
+        by_dimension.setdefault(c.dimension, []).append(i)
     for method, simplify_one in one_curve.items():
         for p in (1.0, 2.0):
-            out = simplify_set(curves, ell, p, method)
-            assert len(out) == len(curves)
+            with pytest.raises(ValidationError, match="dimension"):
+                simplify_set(curves, ell, p, method)
+            out = [None] * len(curves)
+            for members in by_dimension.values():
+                simplified = simplify_set([curves[i] for i in members], ell, p, method)
+                assert len(simplified) == len(members)
+                for i, s in zip(members, simplified):
+                    out[i] = s
             for c, s in zip(curves, out):
                 ref = simplify_one(c, ell, p)
                 assert s.id == ref.id
                 assert s.points.tobytes() == ref.points.tobytes()
-                if c.complexity <= ell:
-                    assert s is c
             assert out[-3].points.tobytes() == out[0].points.tobytes()
             assert out[-2].points.tobytes() == out[4].points.tobytes()
 
