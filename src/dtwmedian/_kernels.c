@@ -1,7 +1,7 @@
 /* The package's compiled kernels: the metric closure's Floyd-Warshall, the
-   p-DTW values of a list of curve pairs and the symmetric p-DTW matrix of
-   one list of curves, the medoid simplification of a batch of curves, and
-   the k-median's single-swap local search. Each does the arithmetic of its
+   p-DTW matrix of two curve sets or the upper triangle of one (one driver
+   for both), the medoid simplification of a batch of curves, and the
+   k-median's single-swap local search. Each does the arithmetic of its
    numpy reference, every sum with the reference's operands and every
    chain of additions in its order, taking only exact minima in another
    order, so its results have the reference's bits: see closure.py, dtw.py,
@@ -111,7 +111,7 @@ static void tile_pass(double *restrict d, const double *restrict rows, ptrdiff_t
 
 /* Copies the upper triangle of the n x n matrix d into the lower one, row
    by row: the last step of floyd_warshall, and of dtw.dtw_self_matrix after
-   dtw_self. This copy takes about 1 ms at n = 1000, where writing each
+   dtw_grid. This copy takes about 1 ms at n = 1000, where writing each
    value down its column as it was computed took 5 ms (2-core x86-64,
    gcc 12.2). */
 void mirror(double *d, ptrdiff_t n)
@@ -124,7 +124,7 @@ void mirror(double *d, ptrdiff_t n)
 /* Floyd-Warshall in place on an n x n matrix d that is exactly symmetric,
    with a zero diagonal and no negative entry, NaN or -0.0, in blocks of
    `block` steps k; rows holds block x n doubles. Only the diagonal and the
-   upper triangle are read, so the lower one may hold anything, as dtw_self
+   upper triangle are read, so the lower one may hold anything, as dtw_grid
    leaves it; the upper triangle is relaxed, in tiles of TILE rows, and the
    last step mirrors it into the lower one.
 
@@ -248,30 +248,33 @@ static double pair_scale(const double *a, ptrdiff_t m, const double *b, ptrdiff_
     return top == 0.0 ? 1.0 : top;
 }
 
-/* The DP of the p-DTW of LANES pairs of curves of one shape (m, l) at
-   once, pair x in lane x of every vector, on the p-th powers of their
-   distances divided by the pair's scale: total[x] gets pair x's last cell,
-   which root turns into the value. a and b hold the pairs' curves with their
-   points interleaved: coordinate k of point i of pair x's first curve is
-   a[(i * d + k) * LANES + x]. scale[x] is pair x's scale. work holds
+/* The DP of the p-DTW of LANES row curves of m points against one column
+   curve b of l points at once, row x in lane x of every vector, on the
+   p-th powers of their distances divided by the pair's scale: total[x]
+   gets pair x's last cell, which root turns into the value. a holds the
+   rows with their points interleaved: coordinate k of point i of row x is
+   a[(i * d + k) * LANES + x]. b is read where it lies, and each of its
+   coordinates b[j * d + k] is broadcast to all lanes, so every lane
+   subtracts the same double. scale[x] is pair x's scale. work holds
    2 * l + 1 vectors: the DP row and the costs of one row. Within one pair
    each cell waits on its left neighbour; the lanes do not wait on each
    other.
 
    Each lane does the operations of dtw._distance_table, dtw._pth_powers
-   and dtw._accumulate, so every total keeps their bits: the squared
-   differences summed in coordinate order from 0.0, then the square root;
-   for p > 32, the division by the lane's scale (dividing by 1.0 changes no
-   bit); powers' power; then the cells. The DP runs row by row where
-   dtw._accumulate runs by anti-diagonals: a cell is its cost plus the least
-   of its three predecessors, the same values either way, and min is exact,
-   so the order in which vmin takes them changes no bit. */
+   and dtw._accumulate, with the row as the first curve, so every total
+   keeps their bits: the squared differences summed in coordinate order
+   from 0.0, then the square root; for p > 32, the division by the lane's
+   scale (dividing by 1.0 changes no bit); powers' power; then the cells.
+   The DP runs row by row where dtw._accumulate runs by anti-diagonals: a
+   cell is its cost plus the least of its three predecessors, the same
+   values either way, and min is exact, so the order in which vmin takes
+   them changes no bit. */
 __attribute__((target("avx2")))
 static void dtw_lanes(const double *a, const double *b, ptrdiff_t m, ptrdiff_t l,
                       ptrdiff_t d, double p, const double *scale, double *total,
                       double *work)
 {
-    const vec *at = (const vec *)a, *bt = (const vec *)b;
+    const vec *at = (const vec *)a;
     const vec zero = {0}, inf = zero + INFINITY, s = *(const vec *)scale;
     vec *row = (vec *)work, *cost = row + l + 1;
     row[0] = zero;
@@ -281,7 +284,8 @@ static void dtw_lanes(const double *a, const double *b, ptrdiff_t m, ptrdiff_t l
         for (ptrdiff_t j = 0; j < l; j++) {
             vec c = zero;
             for (ptrdiff_t k = 0; k < d; k++) {
-                const vec t = at[i * d + k] - bt[j * d + k];
+                const double x = b[j * d + k];
+                const vec t = at[i * d + k] - (vec){x, x, x, x};
                 c += t * t;
             }
             cost[j] = vsqrt(c);
@@ -309,62 +313,8 @@ static void interleave(const double *const *from, ptrdiff_t n, double *to)
             to[i * LANES + x] = from[x][i];
 }
 
-/* values[x] = p-DTW of the curves a[x] (m points) and b[x] (l points), for
-   x < run <= LANES, all of d coordinates, in the lanes of dtw_lanes. Each
-   pair takes its scale, the DP's last cell and the root. a and b hold
-   LANES pointers each; a run of fewer than LANES pairs fills the rest with
-   copies of its last pair, whose totals are neither rooted nor written.
-   work holds 8 * (d + 1) * (n + 1) doubles for the longer curve n of m
-   and l. */
-static void pair_run(const double **a, const double **b, ptrdiff_t run, ptrdiff_t m,
-                     ptrdiff_t l, ptrdiff_t d, double p, double *values, double *work)
-{
-    double scale[LANES], total[LANES];
-    for (ptrdiff_t x = 0; x < LANES; x++)
-        if (x < run)
-            scale[x] = pair_scale(a[x], m, b[x], l, d, p, work);
-        else {
-            a[x] = a[run - 1], b[x] = b[run - 1];
-            scale[x] = scale[run - 1];
-        }
-    double *at = work + LANES * (2 * l + 1), *bt = at + LANES * m * d;
-    interleave(a, m * d, at);
-    interleave(b, l * d, bt);
-    dtw_lanes(at, bt, m, l, d, p, scale, total, work);
-    for (ptrdiff_t x = 0; x < run; x++)
-        values[x] = root(total[x], p, scale[x]);
-}
-
-/* out[t] = p-DTW of curve rows[t] of the first store and curve cols[t] of
-   the second, t < pairs, for p >= 1. Curve c of a store has lengths[c]
-   points of d coordinates, starting at point offsets[c] of its points; the
-   two stores may be one. work holds 8 * (d + 1) * (n + 1) doubles for the
-   longest curve n of both. Each run of at most LANES consecutive pairs of
-   one shape (m, l) goes through pair_run; a run that a pair of another
-   shape cuts short, and the last run, pad their lanes. */
-void dtw_pairs(const double *points_a, const ptrdiff_t *offsets_a, const ptrdiff_t *lengths_a,
-               const double *points_b, const ptrdiff_t *offsets_b, const ptrdiff_t *lengths_b,
-               ptrdiff_t d, const ptrdiff_t *rows, const ptrdiff_t *cols, ptrdiff_t pairs,
-               double p, double *out, double *work)
-{
-    for (ptrdiff_t t = 0; t < pairs;) {
-        const ptrdiff_t m = lengths_a[rows[t]], l = lengths_b[cols[t]];
-        ptrdiff_t run = 1;
-        while (run < LANES && t + run < pairs && lengths_a[rows[t + run]] == m
-               && lengths_b[cols[t + run]] == l)
-            run++;
-        const double *a[LANES], *b[LANES];
-        for (ptrdiff_t x = 0; x < run; x++) {
-            a[x] = points_a + offsets_a[rows[t + x]] * d;
-            b[x] = points_b + offsets_b[cols[t + x]] * d;
-        }
-        pair_run(a, b, run, m, l, d, p, out + t, work);
-        t += run;
-    }
-}
-
-/* The length of the group of columns of dtw_self that starts at position t
-   of order: at most LANES consecutive columns of one length */
+/* The length of the group of rows of dtw_grid that starts at position t
+   of order: at most LANES consecutive rows of one length */
 static ptrdiff_t group_size(const ptrdiff_t *lengths, const ptrdiff_t *order, ptrdiff_t t,
                             ptrdiff_t n)
 {
@@ -374,69 +324,63 @@ static ptrdiff_t group_size(const ptrdiff_t *lengths, const ptrdiff_t *order, pt
     return run;
 }
 
-/* The diagonal (0) and upper triangle of the n x n p-DTW matrix out of the
-   n curves, for p >= 1, laid out as in dtw_pairs: out[i * n + j] gets the
-   p-DTW of curve i and curve j > i. The lower triangle is not written:
-   floyd_warshall does not read it, and mirror copies it where wanted.
+/* out[r * nb + j] = p-DTW of curve r of set a (the row) and curve j of set
+   b (the column), for r < na, j < nb and p >= 1. Curve c of a set has
+   lengths[c] points of d coordinates, starting at point offsets[c] of its
+   points; the two sets may be one. With upper (one set, na = nb) only the
+   diagonal (0) and the upper triangle j > r are written: floyd_warshall
+   does not read the lower one, and mirror copies it where wanted.
 
-   The columns, in the order of the permutation order, form groups of at
-   most LANES consecutive columns of one length (group_size), padded with
-   copies of their last column as pair_run pads; they are interleaved into
-   lanes once per call, and row i's curve once per row. Row i runs every
-   group that holds a column j > i through dtw_lanes, with pair_run's scale
-   and root in each lane, so each value has dtw_pairs' bits; a lane whose
-   column is not past i takes the scale 1.0 and is not written. With order
-   a stable sort by length, only a group that straddles i has such lanes.
+   The rows, in the order of the permutation order, form groups of at most
+   LANES consecutive rows of one length (group_size). Each group is
+   interleaved into lanes once and padded with copies of its last row; then
+   every column j (with upper, from the group's least row + 1 on) runs
+   through dtw_lanes against the group, read where it lies. A lane that
+   holds a real row r (with upper, r < j) takes pair_scale and root and is
+   written; any other lane takes the scale 1.0 and is not. With order a
+   stable sort by length, the rows of a group of one set are consecutive
+   where the lengths are equal, so with upper only the groups that meet
+   the diagonal hold unwritten lanes. Rows go in the lanes, not columns:
+   the routes' cross matrices have 40-1000 rows against 4-16 columns, so
+   the lanes stay full whatever the column count.
 
-   work holds LANES * (2 * L + 1 + (L + G) * d) doubles, for the longest
-   curve L and the sum G of the groups' lengths: the row and costs of
-   dtw_lanes (whose first L also serve pair_scale), row i's lanes and the
-   groups' lanes. */
-void dtw_self(const double *points, const ptrdiff_t *offsets, const ptrdiff_t *lengths,
-              ptrdiff_t d, const ptrdiff_t *order, ptrdiff_t n, double p, double *out,
-              double *work)
+   work holds LANES * (2 * L + 1 + M * d) doubles, for the longest column L
+   and the longest row M: the row and costs of dtw_lanes (whose first L
+   also serve pair_scale) and the group's lanes. */
+void dtw_grid(const double *points_a, const ptrdiff_t *offsets_a, const ptrdiff_t *lengths_a,
+              const ptrdiff_t *order, ptrdiff_t na, const double *points_b,
+              const ptrdiff_t *offsets_b, const ptrdiff_t *lengths_b, ptrdiff_t nb, ptrdiff_t d,
+              int upper, double p, double *out, double *work)
 {
     ptrdiff_t longest = 0;
-    for (ptrdiff_t i = 0; i < n; i++)
-        longest = lengths[i] > longest ? lengths[i] : longest;
-    double *at = work + LANES * (2 * longest + 1), *groups = at + LANES * longest * d;
-    const double *from[LANES];
-    double *bt = groups;
-    for (ptrdiff_t t = 0, run; t < n; t += run) {
-        run = group_size(lengths, order, t, n);
-        for (ptrdiff_t x = 0; x < LANES; x++)
-            from[x] = points + offsets[order[t + (x < run ? x : run - 1)]] * d;
-        interleave(from, lengths[order[t]] * d, bt);
-        bt += LANES * lengths[order[t]] * d;
-    }
-
-    for (ptrdiff_t i = 0; i < n; i++) {
-        const ptrdiff_t m = lengths[i];
-        const double *a = points + offsets[i] * d;
-        out[i * n + i] = 0.0;
-        for (ptrdiff_t x = 0; x < LANES; x++)
-            from[x] = a;
+    for (ptrdiff_t j = 0; j < nb; j++)
+        longest = lengths_b[j] > longest ? lengths_b[j] : longest;
+    double *at = work + LANES * (2 * longest + 1);
+    for (ptrdiff_t t = 0, run; t < na; t += run) {
+        run = group_size(lengths_a, order, t, na);
+        const ptrdiff_t m = lengths_a[order[t]];
+        const double *from[LANES];
+        ptrdiff_t row[LANES], least = na;
+        for (ptrdiff_t x = 0; x < LANES; x++) {
+            row[x] = order[t + (x < run ? x : run - 1)];
+            from[x] = points_a + offsets_a[row[x]] * d;
+            least = row[x] < least ? row[x] : least;
+            if (upper)
+                out[row[x] * nb + row[x]] = 0.0;
+        }
         interleave(from, m * d, at);
-        bt = groups;
-        for (ptrdiff_t t = 0, run; t < n; t += run) {
-            run = group_size(lengths, order, t, n);
-            const ptrdiff_t l = lengths[order[t]];
+        for (ptrdiff_t j = upper ? least + 1 : 0; j < nb; j++) {
+            const ptrdiff_t l = lengths_b[j];
+            const double *b = points_b + offsets_b[j] * d;
             double scale[LANES], total[LANES];
-            int writes = 0;
-            for (ptrdiff_t x = 0; x < LANES; x++) {
-                const int written = x < run && order[t + x] > i;
-                scale[x] = written ? pair_scale(a, m, points + offsets[order[t + x]] * d, l, d,
-                                                p, work)
-                                   : 1.0;
-                writes |= written;
-            }
-            if (writes) {
-                dtw_lanes(at, bt, m, l, d, p, scale, total, work);
-                for (ptrdiff_t x = 0; x < run; x++)
-                    if (order[t + x] > i)
-                        out[i * n + order[t + x]] = root(total[x], p, scale[x]);
-            }
-            bt += LANES * l * d;
+            for (ptrdiff_t x = 0; x < LANES; x++)
+                scale[x] = x < run && (!upper || row[x] < j)
+                               ? pair_scale(from[x], m, b, l, d, p, work)
+                               : 1.0;
+            dtw_lanes(at, b, m, l, d, p, scale, total, work);
+            for (ptrdiff_t x = 0; x < run; x++)
+                if (!upper || row[x] < j)
+                    out[row[x] * nb + j] = root(total[x], p, scale[x]);
         }
     }
 }

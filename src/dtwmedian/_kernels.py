@@ -1,26 +1,34 @@
 """The package's compiled kernels: one C source, ``_kernels.c``, built into
 one library on first use and loaded with ``ctypes``.
 
-The library holds five kernels, each pinned to the bits of a numpy
-reference: ``floyd_warshall`` (the closure, ``closure.py``), ``dtw_pairs``
-(p-DTW values of curve pairs, ``dtw.py``), ``dtw_self`` (the symmetric
-p-DTW matrix of one curve list, ``dtw.py``), ``medoid_partition`` (the
-parts and centers of the medoid simplifications, ``simplify.py``) and
+The library holds four kernels, each pinned to the bits of a numpy
+reference: ``floyd_warshall`` (the closure, ``closure.py``), ``dtw_grid``
+(the p-DTW matrix of a row set and a column set, or the diagonal and upper
+triangle of one set's, ``dtw.py``), ``medoid_partition`` (the parts and
+centers of the medoid simplifications, ``simplify.py``) and
 ``kmedian_search`` (the k-median's single-swap local search, all its
 rounds in one call, ``kmedian.py``).
 It also exports ``avx2_host``, which the loader asks whether the host has
 AVX2, and ``mirror``, which copies a matrix's upper triangle into the
 lower one.
-``dtw_self`` generates the pairs above the diagonal itself, so no index
-array or scatter is built in numpy, and writes only the diagonal and the
-upper triangle, which ``floyd_warshall`` closes in place. It interleaves
-the column curves into lanes once per call, in groups of up to four
-columns of one length, and each row's curve once per row, where
-``pair_run`` interleaved both curves of every run again. On many_short's
-1000 simplified walks (p = 1) ``dtw.dtw_self_matrix``, which adds ``mirror``,
-went from 17-25 to 13-19 ms, and the triangle alone takes 11-13 ms
-(medians of 15 calls in each of seven alternating processes, 2-core
-x86-64, gcc 12.2).
+``dtw_grid`` is the one DTW driver for both shapes the pipeline reads: the
+n x n matrix of every metric closure, of which it writes only the diagonal
+and the upper triangle for ``floyd_warshall`` to close in place, and the
+inputs x centers matrix of every assignment and of the bicriteria recheck.
+It puts four rows of one length in the vector lanes, interleaved once per
+group, and reads each column curve where it lies, broadcasting its
+coordinates, so no pair is interleaved and no index array of all pairs is
+built. Rows go in the lanes, not columns, because the routes' cross
+matrices are tall, 40-1000 rows against 4-16 columns: four rows fill the
+lanes whatever the column count; columns in the lanes, as the self-matrix
+driver it replaced had them, were 2.2x slower at 5 columns. Against the
+two drivers it replaced (index pairs, and columns in the lanes for the
+self matrix), medians of 15 calls in each of seven alternating processes
+(2-core x86-64, gcc 12.2): many_short's 1000 x 16 cross matrix (32-point
+walks against 4-point centers, p = 1) went from 2.59 to 2.26 ms, few_long's
+200 x 16 (128 points against 8, p = 2) from 3.87 to 3.60 ms, the self
+matrix of many_short's 1000 simplified walks from 10.2 to 9.9 ms and
+few_long's of 200 from 1.59 to 1.53 ms.
 ``floyd_warshall`` relaxes only the upper triangle and mirrors it, half the
 reference's additions, and takes the steps k in blocks of 16: it first
 builds the block's snapshot rows, the reference's row k as it stands before
@@ -48,19 +56,16 @@ speed as twelve named variables).
 Every vector holds four doubles, and the functions that compute on them are
 built for AVX2 (``target("avx2")``): without AVX, gcc splits a 4-lane
 minimum into single lanes. So each kernel has one width and one DP loop.
-``dtw_pairs``, ``dtw_self`` and ``medoid_partition`` run four pairs or
-curves of one shape at once, one per lane, and each lane does the
-operations of the numpy reference in their order. A run of fewer than four
-pairs of one shape, like the last group of curves, fills the other lanes
-with copies of its last pair or curve, whose results are not written: a
-lone ``dtw_value`` call on two 128-point curves at p = 2 took 0.21-0.23 ms,
-against 0.13-0.21 ms in the one-pair loop this replaced (medians of four
-alternating processes), and the benchmark's pairs nearly all fill whole
-runs. An avx2 clone of a DP loop vectorises within one pair, where
+``dtw_grid`` and ``medoid_partition`` run four rows or curves of one
+length at once, one per lane, and each lane does the operations of the
+numpy reference in their order. A group of fewer than four, like the last
+group of curves, fills the other lanes with copies of its last row or
+curve, whose results are not written; the benchmark's rows nearly all
+fill whole groups. An avx2 clone of a DP loop vectorises within one pair, where
 each cell waits on its left neighbour; such clones were slower in three of
 four measured cases (2-core x86-64 host, gcc 12.2) while they doubled the
 build time. Lanes that hold different pairs or curves do not wait on each
-other: at p = 1 and 2, four lanes made ``dtw_pairs`` 1.8-3.4x faster than
+other: at p = 1 and 2, four lanes made the DTW loop 1.8-3.4x faster than
 one pair at a time. Four lanes took ``medoid_partition`` from 50-53 to
 26-32 ms on 200 curves of 128 points (ell = 8, p = 2), against one curve
 at a time (medians of two alternating sets, same host). Taking the local
@@ -77,21 +82,20 @@ against 267 us at n = 40 and 4.8 against 8.8 ms at n = 1000, where a
 Python loop of rounds called a scalar swap-cost loop (medians, same
 host). Every array the functions read or write is row-major and
 contiguous; ``FiniteMetricInstance`` stores its distances and weights that
-way. Curves reach ``dtw_pairs`` and ``dtw_self`` as curve sets
-(``curves.CurveSet``): one row-major points array, with each curve's
-offset and length, gathered where the set is a selection, so a subset
-costs no copy of points. ``dtw_pairs`` takes a row set and a column set
-and index arrays into each, and ``dtw_self`` one set;
-``medoid_partition`` gets each batch's points as an (n, m, d) array, a
-view of the set's buffer where the batch's curves lie back to back and a
-gathered copy otherwise.
+way. Curves reach ``dtw_grid`` as curve sets (``curves.CurveSet``): one
+row-major points array, with each curve's offset and length, gathered
+where the set is a selection, so a subset costs no copy of points.
+``dtw_grid`` takes a row set and a column set, which may be one, and a
+stable argsort of the row lengths; ``medoid_partition`` gets each batch's
+points as an (n, m, d) array, a view of the set's buffer where the batch's
+curves lie back to back and a gathered copy otherwise.
 ``-ffp-contract=off`` forbids fused multiply-adds, so every operation
 rounds as written. ``-ffast-math`` is excluded: it lets the compiler assume
 there are no infinities and reorder arithmetic, which breaks the closure's
 inf entries and the bits. ``-march=native`` is excluded because a cached
 library can outlive the host it was built on. No loop-alignment flag is
 set: built with and without ``-falign-loops=64`` and timed alternately in
-one process, ``dtw_pairs`` ran 9% faster without it (41 of 41 pairs),
+one process, the DTW pair loop ran 9% faster without it (41 of 41 pairs),
 ``medoid_partition`` on 128-point curves 2% slower in one set of 41 pairs
 and not in another of 25, and the other kernels within the noise (same
 host).
@@ -191,10 +195,10 @@ def _signatures(ctypes):
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     return {
         "floyd_warshall": (ptr, size, ptr, size),
-        "dtw_pairs": (
-            ptr, ptr, ptr, ptr, ptr, ptr, size, ptr, ptr, size, ctypes.c_double, ptr, ptr
+        "dtw_grid": (
+            ptr, ptr, ptr, ptr, size, ptr, ptr, ptr, size, size, ctypes.c_int,
+            ctypes.c_double, ptr, ptr,
         ),
-        "dtw_self": (ptr, ptr, ptr, size, ptr, size, ctypes.c_double, ptr, ptr),
         "mirror": (ptr, size),
         "medoid_partition": (
             ptr, size, size, size, ctypes.c_double, size, ctypes.c_int, ptr, ptr, ptr, ptr, ptr

@@ -66,8 +66,8 @@ the one Floyd-Warshall helper. Its three callers: ``shortest_path_closure``
 on its checked, symmetrised copy of the caller's matrix;
 ``bicriteria._solve_on_closure`` on a fresh p-DTW matrix or its ``np.ix_``
 slice, already an exactly symmetric copy; and ``build_closure``, the
-final closure of both routes, where ``dtw_self`` writes the diagonal and
-upper triangle of a new buffer (``dtw._self_triangle``), the kernel
+final closure of both routes, where ``dtw_grid`` writes the diagonal and
+upper triangle of a new buffer (``dtw._grid`` with ``upper``), the kernel
 closes and mirrors it, and the k-median reads it. ``build_closure`` keeps
 no second matrix: a caller that wants the p-DTW matrix itself asks
 ``dtw.dtw_self_matrix`` for it. It checks its output once, raising unless
@@ -85,11 +85,10 @@ scipy's ``floyd_warshall`` does the same arithmetic; the tests keep it as
 an independent cross-check, and the package does not import scipy.
 
 The library is one C source built once, on first use (``_kernels`` says
-how), and holds five functions: this closure, ``dtw_pairs`` for the p-DTW
-values of pairs and ``dtw_self`` for the p-DTW matrix that
-``build_closure`` closes (``dtw``), ``medoid_partition`` for the medoid
-simplifications (``simplify``) and ``kmedian_search`` for the k-median's
-local search (``kmedian``).
+how), and holds four functions: this closure, ``dtw_grid`` for the p-DTW
+matrices, the triangle that ``build_closure`` closes among them (``dtw``),
+``medoid_partition`` for the medoid simplifications (``simplify``) and
+``kmedian_search`` for the k-median's local search (``kmedian``).
 Its one fallback rule: when it cannot be built or loaded (a host without a
 C compiler), or the host has no AVX2, each caller runs its numpy
 reference; here the closure is
@@ -104,7 +103,7 @@ import numpy as np
 
 from . import _kernels
 from .curves import ResourceGuardError, ValidationError, as_curve_set
-from .dtw import _self_triangle
+from .dtw import _grid
 
 CLOSURE_SIZE_CAP = 20000
 # the steps k that one pass of the compiled kernel takes at a time
@@ -159,22 +158,20 @@ def _close(dist):
     return dist
 
 
-def _check_size(n, size_cap):
+def build_closure(curves, p=1.0) -> MetricClosure:
+    """The shortest-path closure of the p-DTW matrix of a curve set, in one
+    n x n buffer: ``dtw._grid`` fills its diagonal and upper triangle and
+    ``_close`` closes it in place. Raises ``ResourceGuardError`` past
+    ``CLOSURE_SIZE_CAP`` curves (read at each call), and
+    ``ValidationError`` for no curves or if the closure holds a NaN or
+    negative entry."""
+    curves = as_curve_set(curves)
+    n = len(curves)
     if n < 1:
         raise ValidationError("need at least one curve")
-    if n > size_cap:
-        raise ResourceGuardError(f"closure of {n} curves exceeds the cap of {size_cap}")
-
-
-def build_closure(curves, p=1.0, size_cap=CLOSURE_SIZE_CAP) -> MetricClosure:
-    """The shortest-path closure of the p-DTW matrix of a curve set, in one
-    n x n buffer: ``dtw._self_triangle`` fills its upper triangle and
-    ``_close`` closes it in place. Raises ``ResourceGuardError`` past
-    ``size_cap`` curves, and ``ValidationError`` if the closure holds a NaN
-    or negative entry."""
-    curves = as_curve_set(curves)
-    _check_size(len(curves), size_cap)
-    dist = _close(_self_triangle(curves, p))
+    if n > CLOSURE_SIZE_CAP:
+        raise ResourceGuardError(f"closure of {n} curves exceeds the cap of {CLOSURE_SIZE_CAP}")
+    dist = _close(_grid(curves, curves, p, upper=True))
     if not dist.min() >= 0:  # a NaN compares false
         raise ValidationError("closure entries must be non-negative, not NaN")
     return MetricClosure(tuple(curves.ids), dist)

@@ -51,7 +51,10 @@ def _as_point_array(points, context="curve", ndim=2):
     # equality, and the compiled kernels can read the points as rows. Its
     # last two axes are points and coordinates; ndim=3 checks a batch of
     # curves of one shape at once
-    arr = np.add(np.asarray(points, dtype=np.float64), 0.0, order="C")
+    try:
+        arr = np.add(np.asarray(points, dtype=np.float64), 0.0, order="C")
+    except (ValueError, TypeError) as exc:  # ragged points or a non-numeric coordinate
+        raise ValidationError(f"{context}: points must be equal-length lists of numbers") from exc
     if arr.ndim == 1 and ndim == 2:
         arr = arr.reshape(-1, 1)
     if arr.ndim != ndim or arr.shape[-2] < 1:
@@ -318,8 +321,9 @@ def load_curves(path, format="jsonl"):
 
     Formats: ``jsonl`` (one {"id","points"[,"weight"]} object per line) or
     ``csv-long`` (header curve_id,seq,x0..x{d-1}; rows of one curve need not
-    be contiguous, they are sorted by seq on load; curve order is order of
-    first appearance). Ids must be unique within the file.
+    be contiguous, they are sorted by seq on load, and a curve may not repeat
+    a seq; curve order is order of first appearance). Ids must be unique
+    within the file.
     """
     if format == "jsonl":
         curves = CurveSet(c for c, _ in _read_jsonl(path))
@@ -365,7 +369,10 @@ def _read_jsonl(path):
                 raise ParseError(str(exc), line=lineno) from exc
             weight = obj.get("weight")
             if weight is not None:
-                weight = float(weight)
+                try:
+                    weight = float(weight)
+                except (ValueError, TypeError) as exc:
+                    raise ParseError(f"curve {cid!r}: weight must be a number", line=lineno) from exc
                 if not weight > 0:
                     raise ParseError(f"curve {cid!r}: weight must be positive", line=lineno)
             out.append((curve, weight))
@@ -385,6 +392,7 @@ def _load_csv_long(path):
         d = len(header) - 2
         rows: dict[str, list[tuple[int, list[float]]]] = {}
         order: list[str] = []
+        first_line: dict[tuple[str, int], int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -396,6 +404,11 @@ def _load_csv_long(path):
                 coords = [float(x) for x in row[2:]]
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
+            if (cid, seq) in first_line:
+                raise ParseError(
+                    f"curve {cid!r} repeats seq {seq} of line {first_line[cid, seq]}", line=lineno
+                )
+            first_line[cid, seq] = lineno
             if cid not in rows:
                 rows[cid] = []
                 order.append(cid)

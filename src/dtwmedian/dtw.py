@@ -19,34 +19,37 @@ aligned pairs and ``dtw_self_matrix`` for a self matrix. The clustering
 entry points select the curves they need from their sets by index and
 call these functions, so a subset costs no copy of points.
 
-Every batched value but the self matrix comes from ``_pair_values``.
-It runs ``dtw_pairs``, one of the five functions of the package's compiled
-library (``_kernels``; the others are ``dtw_self`` for the self matrix, the
-closure's ``floyd_warshall``, the simplification's ``medoid_partition``
-and the k-median's ``kmedian_search``), on the points, offsets and lengths
-of the row set and of the column set. That loop fills each pair's DP
-row by row, in O(l) memory. It takes consecutive pairs of one shape (m, l) four
-at a time, one pair per lane of an AVX2 vector, and fills the lanes of a
-shorter run with copies of its last pair; each lane does the numpy
-reference's operations in its order. Pairs of several shapes reach it
-sorted by shape, so curves of mixed lengths fill the lanes too.
-``_self_triangle`` hands ``dtw_self`` the offsets and lengths of its set,
-gathered where the set is a selection, and ``dtw_self`` generates the
-pairs (i, j > i) itself and runs them through the same lanes, in groups of
-columns of one length that it interleaves once per call. It fills the
-diagonal and the upper triangle, which the closure closes in place;
-``dtw_self_matrix`` copies that triangle into the lower one (the compiled
-``mirror``). The library's one fallback rule: where it cannot be built,
-or the host has no AVX2, each caller runs its numpy reference; here that
-is ``_grouped_pair_values``,
-which groups the pairs by shape, gathers their curves from the two sets
-and chunks them for ``_accumulate``, and for the self matrix the pairs of
-``np.triu_indices`` through it. It is also the reference the compiled
-loops are tested against. The two give the same bits: both take each
-pointwise distance as the square root of the squared coordinate
-differences summed in order from 0.0, apply the same scale and power, and
-set each DP cell to its cost plus the minimum of its three predecessors,
-which is the same value whichever order the cells are filled in.
+Both matrices, and ``dtw_value``, come from ``_grid``, which runs
+``dtw_grid``, one of the four functions of the package's compiled library
+(``_kernels``; the others are the closure's ``floyd_warshall``, the
+simplification's ``medoid_partition`` and the k-median's
+``kmedian_search``), on the points, offsets and lengths of the row set and
+of the column set; for a self matrix both are one set, and only the
+diagonal and the upper triangle are filled, which the closure closes in
+place, and ``dtw_self_matrix`` copies that triangle into the lower one
+(the compiled ``mirror``). The loop fills each pair's DP row by row, in
+O(l) memory. It takes four rows of one length at a time, one per lane of
+an AVX2 vector, interleaved once, and runs them against each column curve
+read where it lies; a group of fewer rows fills its lanes with copies of
+its last one. Rows of several lengths reach it in a stable order of their
+lengths, so curves of mixed lengths fill the lanes too. Rows go in the
+lanes because the routes' cross matrices are tall, 40-1000 distinct inputs
+or simplifications against 4-16 centers: four rows fill the lanes whatever
+the column count, and no index array of all pairs is built.
+
+The library's one fallback rule: where it cannot be built, or the host has
+no AVX2, each caller runs its numpy reference; here that is
+``_grouped_pair_values``, which groups the pairs by shape, gathers their
+curves from the two sets and chunks them for ``_accumulate``, and for the
+self matrix the pairs of ``np.triu_indices`` through it. ``dtw_aligned``
+always runs it. It is also the reference the compiled loop is tested
+against. The two give the same bits: both take each pointwise distance as
+the square root of the squared coordinate differences summed in order from
+0.0, with the row curve first, apply the same scale and power, and set
+each DP cell to its cost plus the minimum of its three predecessors, which
+is the same value whichever order the cells are filled in. A self matrix's
+entry (i, j > i) is the same DP, on the same operands, as the cross
+matrix's, so its bits do not rest on the symmetry of DTW.
 
 Costs are accumulated as p-th powers and rooted once, by one rule for every
 entry point: identity for p = 1, square and ``sqrt`` for p = 2, and C
@@ -217,59 +220,49 @@ def _check_sets(a, b):
         raise ValidationError(f"dimension mismatch: d={a.dimension} against d={b.dimension}")
 
 
-def _work(a, b):
-    """The scratch array of ``dtw_pairs``: 8 (d + 1) (n + 1) doubles for the
-    longest curve n of the two sets."""
-    longest = max(int(a.lengths.max(initial=0)), int(b.lengths.max(initial=0)))
-    return np.empty(8 * (a.dimension + 1) * (longest + 1))
+def _grid(a, b, p, upper=False):
+    """The (len(a), len(b)) p-DTW matrix of two curve sets, row curve first
+    in each pair: by the compiled ``dtw_grid``, or by ``_grouped_pair_values``
+    where the library cannot be built, with the same bits. p and the
+    dimensions are checked even when a side is empty, which gives zeros.
 
-
-def _pair_values(a, b, rows, cols, p):
-    """p-DTW values of the pairs of curves (a[rows[t]], b[cols[t]]) of two
-    curve sets: by the compiled ``dtw_pairs``, or by ``_grouped_pair_values``
-    where the library cannot be built, with the same bits. p is checked even
-    when there are no pairs, and an index out of range raises ``IndexError``.
-
-    Where the pairs have more than one shape (m, l), the compiled loop gets
-    them in a stable order of their shapes, so that consecutive pairs of one
-    shape fill its vector lanes, and the values go back in pair order. A
-    value depends on its pair alone, so the order changes no bit."""
-    rows = np.ascontiguousarray(rows, dtype=np.intp)
-    cols = np.ascontiguousarray(cols, dtype=np.intp)
+    With ``upper`` (a and b one set) only the diagonal (0) and the upper
+    triangle are computed; the compiled loop leaves the lower triangle
+    unwritten, and the reference mirrors the upper one into it. The loop
+    gets the rows in a stable order of their lengths (``order``), so that
+    rows of one length fill its lanes in groups of four."""
     _check_p(p)
     _check_sets(a, b)
-    if rows.size == 0:
-        return np.zeros(0)
-    if min(rows.min(), cols.min()) < 0 or rows.max() >= len(a) or cols.max() >= len(b):
-        raise IndexError("pair index out of range")
+    if not (len(a) and len(b)):
+        return np.zeros((len(a), len(b)))
     lib = _kernels.library()
     if lib is None:
-        return _grouped_pair_values(a, b, rows, cols, p)
-    order = None
-    shapes = a.lengths[rows] * (int(b.lengths.max()) + 1) + b.lengths[cols]
-    if shapes.min() != shapes.max():
-        order = np.argsort(shapes, kind="stable")
-        rows, cols = rows[order], cols[order]
-    work = _work(a, b)
-    out = np.empty(rows.size)
-    lib.dtw_pairs(
-        a.points.ctypes.data, a.offsets.ctypes.data, a.lengths.ctypes.data,
-        b.points.ctypes.data, b.offsets.ctypes.data, b.lengths.ctypes.data,
-        a.dimension, rows.ctypes.data, cols.ctypes.data, rows.size, p,
-        out.ctypes.data, work.ctypes.data,
-    )
-    if order is None:
+        out = np.zeros((len(a), len(b)))
+        if upper:
+            rows, cols = np.triu_indices(len(a), k=1)
+        else:
+            rows, cols = np.divmod(np.arange(out.size), len(b))
+        out[rows, cols] = _grouped_pair_values(a, b, rows, cols, p)
+        if upper:
+            out[cols, rows] = out[rows, cols]
         return out
-    values = np.empty_like(out)
-    values[order] = out
-    return values
+    order = np.argsort(a.lengths, kind="stable")
+    work = np.empty(4 * (2 * int(b.lengths.max()) + 1 + int(a.lengths.max()) * a.dimension))
+    out = np.empty((len(a), len(b)))
+    lib.dtw_grid(
+        a.points.ctypes.data, a.offsets.ctypes.data, a.lengths.ctypes.data, order.ctypes.data,
+        len(a), b.points.ctypes.data, b.offsets.ctypes.data, b.lengths.ctypes.data, len(b),
+        a.dimension, upper, p, out.ctypes.data, work.ctypes.data,
+    )
+    return out
 
 
 def _grouped_pair_values(a, b, rows, cols, p):
-    """The numpy reference of ``_pair_values``: pairs are grouped by their
-    complexities, and each group's curves are gathered from the two sets
-    and evaluated by ``_accumulate`` in chunks of at most ``_BLOCK_CELLS``
-    cells times the dimension."""
+    """The p-DTW values of the pairs of curves (a[rows[t]], b[cols[t]]) of
+    two curve sets, b not empty: the numpy reference of ``dtw_grid``. Pairs
+    are grouped by their complexities, and each group's curves are gathered
+    from the two sets and evaluated by ``_accumulate`` in chunks of at most
+    ``_BLOCK_CELLS`` cells times the dimension."""
     out = np.zeros(rows.size)
     d = a.dimension
     lmax = int(b.lengths.max())
@@ -286,38 +279,6 @@ def _grouped_pair_values(a, b, rows, cols, p):
             chunk = members[start : start + block]
             table = _distance_table(gathered(a, rows[chunk], ma), gathered(b, cols[chunk], mb))
             out[chunk] = _accumulate(table, p)
-    return out
-
-
-def _self_triangle(curves, p):
-    """A fresh n x n array whose diagonal (0) and upper triangle hold the
-    p-DTW matrix of a curve set; the compiled ``dtw_self`` leaves the lower
-    triangle unwritten. It gets the curves in a stable order of their
-    lengths, so that columns of one length fill its lanes in groups of 4,
-    and a scratch for the lanes of the DP row, of one row curve and of
-    every group (ceil(c / 4) groups for c curves of one length). Where the
-    library cannot be built, the pairs of ``np.triu_indices`` go through
-    ``_pair_values`` and are scattered into both triangles: the reference,
-    with the same bits."""
-    n = len(curves)
-    lib = _kernels.library()
-    if lib is None or n < 2:
-        out = np.zeros((n, n))
-        rows, cols = np.triu_indices(n, k=1)
-        out[rows, cols] = out[cols, rows] = _pair_values(curves, curves, rows, cols, p)
-        return out
-    _check_p(p)
-    lengths = curves.lengths
-    order = np.argsort(lengths, kind="stable")
-    d = curves.dimension
-    classes, counts = np.unique(lengths, return_counts=True)
-    longest, grouped = int(classes[-1]), int(((counts + 3) // 4 * classes).sum())
-    work = np.empty(4 * (2 * longest + 1 + (longest + grouped) * d))
-    out = np.empty((n, n))
-    lib.dtw_self(
-        curves.points.ctypes.data, curves.offsets.ctypes.data, lengths.ctypes.data, d,
-        order.ctypes.data, n, p, out.ctypes.data, work.ctypes.data,
-    )
     return out
 
 
@@ -339,7 +300,7 @@ def dtw(a: Curve, b: Curve, p=1.0) -> DtwResult:
 
 def dtw_value(a: Curve, b: Curve, p=1.0) -> float:
     """p-DTW value only (no traversal recovery)."""
-    return float(_pair_values(CurveSet([a]), CurveSet([b]), [0], [0], p)[0])
+    return float(_grid(CurveSet([a]), CurveSet([b]), p)[0, 0])
 
 
 def traversal_cost(a: Curve, b: Curve, traversal: Traversal, p=1.0) -> float:
@@ -359,10 +320,7 @@ def dtw_matrix(curves_a, curves_b, p=1.0):
     is read where it lies. A value depends on its pair alone, so the
     entries have the bits of per-pair ``dtw_value`` calls.
     """
-    a, b = as_curve_set(curves_a), as_curve_set(curves_b)
-    rows = np.repeat(np.arange(len(a)), len(b))
-    cols = np.tile(np.arange(len(b)), len(a))
-    return _pair_values(a, b, rows, cols, p).reshape(len(a), len(b))
+    return _grid(as_curve_set(curves_a), as_curve_set(curves_b), p)
 
 
 def assign_nearest(curves, centers, p=1.0):
@@ -375,11 +333,16 @@ def assign_nearest(curves, centers, p=1.0):
 
 
 def dtw_aligned(curves_a, curves_b, p=1.0):
-    """Elementwise p-DTW values dtw(curves_a[i], curves_b[i]), batched."""
+    """Elementwise p-DTW values dtw(curves_a[i], curves_b[i]), batched, by
+    the numpy reference ``_grouped_pair_values``."""
     a, b = as_curve_set(curves_a), as_curve_set(curves_b)
     if len(a) != len(b):
         raise ValidationError("aligned lists must have equal length")
-    return _pair_values(a, b, np.arange(len(a)), np.arange(len(b)), p)
+    _check_p(p)
+    _check_sets(a, b)
+    if not len(a):
+        return np.zeros(0)
+    return _grouped_pair_values(a, b, np.arange(len(a)), np.arange(len(b)), p)
 
 
 def dtw_self_matrix(curves, p=1.0):
@@ -388,11 +351,12 @@ def dtw_self_matrix(curves, p=1.0):
     Every pair (i, j > i) is evaluated once and mirrored, so the entries
     have the bits of per-pair ``dtw_value`` calls; two curves with the same
     points, a repeat of a selection included, are exactly 0 apart, as their
-    DTW is. It is ``_self_triangle`` with the upper triangle copied into
+    DTW is. It is the upper ``_grid`` with the upper triangle copied into
     the lower one by the compiled ``mirror``; where the library cannot be
-    built, ``_self_triangle`` already gives the whole matrix.
+    built, ``_grid`` already gives the whole matrix.
     """
-    out = _self_triangle(as_curve_set(curves), p)
+    curves = as_curve_set(curves)
+    out = _grid(curves, curves, p, upper=True)
     lib = _kernels.library()
     if lib is not None:
         lib.mirror(out.ctypes.data, out.shape[0])

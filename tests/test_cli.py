@@ -246,6 +246,20 @@ def test_dtw_on_a_file_with_no_curves_exits_2(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_a_malformed_jsonl_exits_2(tmp_path):
+    f = tmp_path / "f.jsonl"
+    for record in (
+        '{"id":"a","points":[[0,1],[2]]}',
+        '{"id":"a","points":[["x",1]]}',
+        '{"id":"a","points":[[0,1]],"weight":"heavy"}',
+    ):
+        f.write_text(record + "\n")
+        proc = run_module("simplify", "--ell", "1", str(f))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: line 1: curve 'a'")
+        assert "Traceback" not in proc.stderr
+
+
 def test_eps1_rejects_p_other_than_one(data_file):
     for command in (["simplify"], ["cluster-exact-route", "--k", "2"]):
         proc = run_module(*command, "--ell", "2", "--method", "eps1", "--p", "2", str(data_file))

@@ -404,10 +404,12 @@ def test_subset_monotonicity(rng):
         assert np.all(mc_sub.dist <= dtw_self_matrix(curves, 1.0)[np.ix_(sub, sub)] + TOL)
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
     curves = [curve1d(i, cid=f"c{i}") for i in range(5)]
-    with pytest.raises(ResourceGuardError):
-        build_closure(curves, 1.0, size_cap=4)
+    monkeypatch.setattr(closure, "CLOSURE_SIZE_CAP", 4)
+    build_closure(curves[:4], 1.0)
+    with pytest.raises(ResourceGuardError, match="cap of 4"):
+        build_closure(curves, 1.0)
     with pytest.raises(ValidationError):
         build_closure([], 1.0)
 
@@ -446,7 +448,7 @@ def _fused_closures():
     bytes of build_closure on a selection with repeats, after checking that
     it has the bits of shortest_path_closure on dtw_self_matrix, that
     dtw_self_matrix has the bits of the np.triu_indices reference, and that
-    _self_triangle's diagonal and upper triangle are dtw_self_matrix's."""
+    the upper _grid's diagonal and upper triangle are dtw_self_matrix's."""
     out = []
     for n in (1, 2, 3, 5, 9, 50):
         for d in (1, 2):
@@ -457,10 +459,10 @@ def _fused_closures():
             for p in (1.0, 2.0, 40.0):
                 base = dtw_self_matrix(chosen, p)
                 reference = np.zeros_like(base)
-                values = dtw_module._pair_values(chosen, chosen, rows, cols, p)
+                values = dtw_module._grouped_pair_values(chosen, chosen, rows, cols, p)
                 reference[rows, cols] = reference[cols, rows] = values
                 assert base.tobytes() == reference.tobytes()
-                triangle = dtw_module._self_triangle(chosen, p)
+                triangle = dtw_module._grid(chosen, chosen, p, upper=True)
                 assert triangle[upper].tobytes() == base[upper].tobytes()
                 fused = build_closure(chosen, p).dist
                 assert fused.tobytes() == shortest_path_closure(base).tobytes()
@@ -490,12 +492,12 @@ def test_the_fused_closure_rejects_nan_and_negative_entries(monkeypatch, compile
     curves, idx = _fused_case(9, 2)
     chosen = CurveSet(curves).take(idx)
     for bad in (np.nan, -0.5):
-        def triangle(curves, p, bad=bad):
+        def triangle(curves, _, p, upper, bad=bad):
             base = dtw_self_matrix(curves, p)
             base[2, 7] = base[7, 2] = bad
             return base
 
         with monkeypatch.context() as patch:
-            patch.setattr(closure, "_self_triangle", triangle)
+            patch.setattr(closure, "_grid", triangle)
             with pytest.raises(ValidationError):
                 build_closure(chosen, 1.0)

@@ -61,6 +61,33 @@ def test_parse_error_carries_line_number(tmp_path):
         load_curves(f, "jsonl")
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"id":"b","points":[[0,1],[2]]}', "points must be equal-length lists of numbers"),
+        ('{"id":"b","points":[["x",1]]}', "points must be equal-length lists of numbers"),
+        ('{"id":"b","points":[{"x":1}]}', "points must be equal-length lists of numbers"),
+        ('{"id":"b","points":[[0,1]],"weight":"heavy"}', "weight must be a number"),
+        ('{"id":"b","points":[[0,1]],"weight":[1]}', "weight must be a number"),
+    ],
+    ids=["ragged", "string", "object", "string-weight", "list-weight"],
+)
+def test_malformed_jsonl_raises_a_parse_error_with_its_line(tmp_path, record, message):
+    f = tmp_path / "a.jsonl"
+    f.write_text('{"id":"a","points":[[0.0,1.0]]}\n' + record + "\n")
+    for load in (load_curves, load_weighted):
+        with pytest.raises(ParseError, match=f"line 2: curve 'b': {message}"):
+            load(f)
+
+
+def test_a_repeated_seq_in_csv_long_is_rejected(tmp_path):
+    # it loaded as the 3-point curve [1, 2, 3]
+    f = tmp_path / "a.csv"
+    f.write_text("curve_id,seq,x0\na,0,1.0\nb,0,5.0\na,0,2.0\na,1,3.0\n")
+    with pytest.raises(ParseError, match="line 4: curve 'a' repeats seq 0 of line 2"):
+        load_curves(f, "csv-long")
+
+
 def test_empty_curve_rejected(tmp_path):
     f = tmp_path / "a.jsonl"
     f.write_text('{"id":"a","points":[]}\n')

@@ -52,48 +52,48 @@ def mixed_curves(rng, d):
     return curves
 
 
-def lane_batches(rng, d):
-    """Curves and pair lists for the lanes of dtw_pairs: for each count from
-    1 to 9 a batch of that many pairs of one shape, so that every tail length
-    occurs, and last all the batches in one list, where each run of one shape
-    is cut off by a pair of another, so that a run breaks at every lane
-    position. Two successive runs share one of their two lengths. From two
-    pairs on, each batch has a 1e10-scaled curve in a run beside unit-scale
-    ones, so the lanes of one run take different scales at p = 64."""
-    shapes = ((5, 3), (5, 4), (1, 4), (1, 1), (5, 1))
-    curves = []
-
-    def curve(m, scale=1.0):
-        curves.append(Curve(f"c{len(curves)}", scale * rng.normal(0, 3, (m, d))))
-        return len(curves) - 1
-
-    batches = []
-    for count in range(1, 10):
-        m, l = shapes[count % len(shapes)]
-        big = count // 2
-        batches.append([(curve(m, 1e10 if x == big else 1.0), curve(l)) for x in range(count)])
-    batches.append([pair for batch in batches for pair in batch])
-    return [(curves, *np.array(batch).T) for batch in batches]
+def grid_cases(rng, d):
+    """Pairs of curve sets (rows, columns) for dtw_grid: grids of 0 x n,
+    n x 0, 1 x 1, 1 x n, n x 1 and n x m; rows of lengths 1-12, five of
+    them of one length with one of those scaled by 1e10, so that the lanes
+    of one group take different scales at p = 64; a selection with repeats
+    against a set in another buffer, on either side, and against itself."""
+    lengths = [5, 1, 12, 5, 3, 5, 7, 5, 2, 9, 5, 11, 4, 6]
+    rows = CurveSet([Curve(f"r{i}", rng.normal(0, 3, (m, d))) for i, m in enumerate(lengths)])
+    rows = CurveSet([*rows[:3], Curve("big", 1e10 * rows[3].points), *rows[4:]])
+    cols = CurveSet(
+        [Curve(f"c{i}", rng.normal(0, 3, (int(rng.integers(1, 13)), d))) for i in range(6)]
+    )
+    chosen = rows.take([3, 0, 3, 7, 12, 12, 5, 3, 9])
+    return [
+        (rows[:0], cols), (cols, rows[:0]), (rows[:1], cols[:1]), (rows[:1], cols),
+        (rows, cols[:1]), (rows, cols), (chosen, cols), (cols, chosen), (chosen, chosen),
+    ]
 
 
-def assert_lanes_have_the_reference_bits():
-    """Every lane batch, at d = 1, 2, 3 and every p in P_VALUES, gives the
-    bits of _grouped_pair_values and of one dtw_value call per pair."""
-    for d in (1, 2, 3):
-        for curves, rows, cols in lane_batches(np.random.default_rng(SEED + d), d):
+def assert_grids_have_the_reference_bits():
+    """Every grid case, at d = 1 and 3 and every p in P_VALUES: dtw_matrix
+    has the bits of _grouped_pair_values over all its pairs and of one
+    dtw_value call per pair, and dtw_aligned over the pairs has them too."""
+    for d in (1, 3):
+        for a, b in grid_cases(np.random.default_rng(SEED + d), d):
+            rows, cols = np.divmod(np.arange(len(a) * len(b)), len(b))
             for p in P_VALUES:
-                store = CurveSet(curves)
-                values = dtw_module._pair_values(store, store, rows, cols, p)
-                reference = dtw_module._grouped_pair_values(store, store, rows, cols, p)
-                one_by_one = [dtw_value(curves[r], curves[c], p) for r, c in zip(rows, cols)]
-                assert values.tobytes() == reference.tobytes()
-                assert values.tobytes() == np.array(one_by_one).tobytes()
+                cross = dtw_matrix(a, b, p)
+                assert cross.shape == (len(a), len(b))
+                one_by_one = [dtw_value(a[r], b[c], p) for r, c in zip(rows, cols)]
+                assert cross.tobytes() == np.array(one_by_one).tobytes()
+                aligned = dtw_aligned(a.take(rows), b.take(cols), p)
+                assert cross.tobytes() == aligned.tobytes()
+                if rows.size:
+                    grouped = dtw_module._grouped_pair_values(a, b, rows, cols, p)
+                    assert cross.tobytes() == grouped.tobytes()
 
 
 def self_matrix_lists(rng, d):
-    """Curve lists for dtw_self: for each n in 0, 1, 2, 3, 5, 9, one list of
-    curves of one length, from one block, so that a row's columns end in
-    every tail length, and one of lengths 1-12 given as column-major
+    """Curve lists for self matrices: for each n in 0, 1, 2, 3, 5, 9, one
+    list of curves of one length, from one block, so that the last group of
+    rows takes every size, and one of lengths 1-12 given as column-major
     arrays. From three curves on, the one-length list has a 1e10-scaled
     curve and the mixed list a duplicate of its first curve under another
     id."""
@@ -216,7 +216,6 @@ def all_results(rng):
                 out.append((parts, centers, costs.tobytes()))
             out.append(dtw_self_matrix(curves, p).tobytes())
             out.append(dtw_matrix(curves[:5], curves, p).tobytes())
-            out.append(dtw_aligned(curves, curves[::-1], p).tobytes())
             out.append(dtw_self_matrix(curves[-2:], p).tobytes())
             for method in ("two-approx", "vertex"):
                 out += [(c.id, c.points.tobytes()) for c in simplify_set(curves, 3, p, method)]
@@ -287,7 +286,12 @@ def test_a_build_removes_the_libraries_of_earlier_sources(fresh_library, monkeyp
 @needs_cc
 def test_the_dtw_lanes_have_the_reference_bits():
     assert _kernels.library() is not None
-    assert_lanes_have_the_reference_bits()
+    assert_grids_have_the_reference_bits()
+
+
+def test_the_grid_without_the_library_has_the_reference_bits(monkeypatch):
+    monkeypatch.setattr(_kernels, "library", lambda: None)
+    assert_grids_have_the_reference_bits()
 
 
 @needs_cc
@@ -386,14 +390,15 @@ def test_every_exported_function_has_a_signature():
 @needs_cc
 def test_mixed_lengths_reach_the_lanes_sorted_with_the_reference_bits(monkeypatch):
     """Self and cross matrices over curves of 1-12 points, duplicates among
-    them, at d = 1, 2, 3 and every p in P_VALUES: the pairs of a cross
-    matrix reach dtw_pairs sorted by shape (m, l), and each row of a self
-    matrix takes its columns past the diagonal from dtw_self in runs of one
-    length, so that runs of one shape fill the lanes; every value has the
-    bits of _grouped_pair_values and of dtw_value."""
+    them, at d = 1, 2, 3 and every p in P_VALUES: dtw_grid gets the rows in
+    a stable order of their lengths, so that rows of one length sit at
+    consecutive positions of order and fill the lanes in groups. A self
+    matrix is one call on one set with upper, a cross matrix one call
+    without; every value has the bits of _grouped_pair_values and of
+    dtw_value."""
     lib = _kernels.library()
     assert lib is not None
-    shapes, row_runs = [], []
+    calls = []
 
     def read(address, size):
         return np.array((ctypes.c_ssize_t * size).from_address(address))
@@ -402,21 +407,12 @@ def test_mixed_lengths_reach_the_lanes_sorted_with_the_reference_bits(monkeypatc
         def __getattr__(self, name):
             return getattr(lib, name)
 
-        def dtw_pairs(self, *args):
-            lengths_a, lengths_b, rows, cols, pairs = args[2], args[5], args[7], args[8], args[9]
-            r, c = read(rows, pairs), read(cols, pairs)
-            length_a = read(lengths_a, int(r.max()) + 1)
-            length_b = read(lengths_b, int(c.max()) + 1)
-            shapes.append(list(zip(length_a[r], length_b[c])))
-            lib.dtw_pairs(*args)
-
-        def dtw_self(self, points, offsets, lengths, d, order, n, *rest):
-            o, length = read(order, n), read(lengths, n)
-            assert sorted(o) == list(range(n))
-            # per row i, the lengths of its columns j > i in the order they
-            # come, each with its position in order
-            row_runs.append([[(t, length[j]) for t, j in enumerate(o) if j > i] for i in range(n)])
-            lib.dtw_self(points, offsets, lengths, d, order, n, *rest)
+        def dtw_grid(self, *args):
+            points_a, lengths_a, order, na, points_b, nb, upper = (
+                args[0], args[2], args[3], args[4], args[5], args[8], args[10]
+            )
+            calls.append((read(lengths_a, na), read(order, na), upper, points_a == points_b, nb))
+            lib.dtw_grid(*args)
 
     monkeypatch.setattr(_kernels, "library", Recording)
     for d in (1, 2, 3):
@@ -426,18 +422,17 @@ def test_mixed_lengths_reach_the_lanes_sorted_with_the_reference_bits(monkeypatc
         curves += [Curve("dup0", curves[0].points), Curve("dup5", curves[5].points)]
         n = len(curves)
         for p in P_VALUES:
-            shapes.clear()
-            row_runs.clear()
+            calls.clear()
             full = dtw_self_matrix(curves, p)
             cross = dtw_matrix(curves[:7], curves[7:], p)
-            assert len(shapes) == 1 and shapes[0] == sorted(shapes[0]) and len(set(shapes[0])) > 1
-            assert len(row_runs) == 1 and len({l for _, l in row_runs[0][0]}) > 1
-            for columns in row_runs[0]:
-                # one length at a time, each at consecutive positions of order
-                assert [l for _, l in columns] == sorted(l for _, l in columns)
-                for length in {l for _, l in columns}:
-                    at = [t for t, l in columns if l == length]
-                    assert at == list(range(at[0], at[0] + len(at)))
+            assert [(upper, same, nb) for *_, upper, same, nb in calls] == [
+                (True, True, n), (False, False, n - 7)
+            ]
+            for length, order, *_ in calls:
+                assert sorted(order) == list(range(len(order)))
+                # a stable sort: each length at consecutive positions, in index order
+                assert order.tolist() == sorted(order, key=lambda i: (length[i], i))
+                assert len(set(length)) > 1
             rows, cols = np.divmod(np.arange(n * n), n)
             store = CurveSet(curves)
             grouped = dtw_module._grouped_pair_values(store, store, rows, cols, p).reshape(n, n)
@@ -468,11 +463,9 @@ def test_a_cross_matrix_reads_two_sets_with_the_bits_of_one_store(monkeypatch, c
         b = pool.take(chosen)
         assert not np.shares_memory(a.points, b.points) and b.points is pool.points
         one = CurveSet([*a, *b])
-        rows = np.repeat(np.arange(len(a)), len(b))
-        cols = len(a) + np.tile(np.arange(len(b)), len(a))
         for p in P_VALUES:
             cross = dtw_matrix(a, b, p)
-            packed = dtw_module._pair_values(one, one, rows, cols, p).reshape(len(a), len(b))
+            packed = np.ascontiguousarray(dtw_matrix(one, one, p)[: len(a), len(a) :])
             assert cross.tobytes() == packed.tobytes()
             assert cross.tobytes() == dtw_matrix(list(a), list(b), p).tobytes()
             for j, c in enumerate(chosen):
@@ -505,16 +498,6 @@ def test_p_below_one_and_mixed_dimensions_raise(rng, monkeypatch, compiled):
         dtw_self_matrix([*curves, flat], 1.0)
     with pytest.raises(ValidationError):
         dtw_matrix([], [curves[0], flat], 1.0)
-
-
-@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])
-def test_a_pair_index_out_of_range_raises(rng, monkeypatch, compiled):
-    if not compiled:
-        monkeypatch.setattr(_kernels, "library", lambda: None)
-    store = CurveSet([Curve(f"c{i}", rng.normal(0, 1, (5, 2))) for i in range(3)])
-    for rows, cols in (([-1], [0]), ([0], [-3]), ([3], [0]), ([0, 1], [1, 3])):
-        with pytest.raises(IndexError):
-            dtw_module._pair_values(store, store, rows, cols, 1.0)
 
 
 def test_every_c_source_is_package_data():
@@ -561,33 +544,43 @@ def test_a_host_without_avx2_runs_the_references(fresh_library, monkeypatch, tmp
 
 @needs_cc
 def test_a_short_run_writes_only_its_own_pairs():
-    """dtw_pairs fills the lanes of a run of fewer than four pairs with
-    copies of its last pair. Called directly on 1, 2, 3 and 5 pairs of one
-    shape, it leaves the four NaN sentinels after its pairs as they were,
-    and each value has the bits of _grouped_pair_values, at p = 1, 2 and 64;
-    the last pair's first curve is scaled by 1e10, so at p = 64 the padded
-    lanes take its scale."""
+    """dtw_grid fills the lanes of a group of fewer than four rows with
+    copies of its last row. Called directly on 1, 2, 3 and 5 rows of one
+    length against 3 columns, with four NaN sentinels on each side of its
+    output, it leaves them as they were, and each value has the bits of
+    _grouped_pair_values, at p = 1, 2 and 64; the last row is scaled by
+    1e10, so at p = 64 the lanes of its group take different scales. With
+    upper, on the rows alone, it writes the diagonal and the upper triangle
+    and leaves the lower triangle's NaN as it was."""
     lib = _kernels.library()
     assert lib is not None
     rng = np.random.default_rng(SEED)
-    sentinels = np.full(4, np.nan)
-    for pairs in (1, 2, 3, 5):
-        curves = []
-        for i in range(pairs):
-            a, b = rng.normal(0, 3, (6, 2)), rng.normal(0, 3, (4, 2))
-            curves += [Curve(f"a{i}", a), Curve(f"b{i}", b)]
-        curves[-2] = Curve("big", 1e10 * curves[-2].points)
-        rows = np.arange(0, 2 * pairs, 2, dtype=np.intp)
-        cols = rows + 1
-        store = CurveSet(curves)
-        work = dtw_module._work(store, store)
+    columns = CurveSet([Curve(f"b{j}", rng.normal(0, 3, (4, 2))) for j in range(3)])
+
+    def grid(a, b, upper, p, out):
+        order = np.argsort(a.lengths, kind="stable")
+        work = np.empty(4 * (2 * int(b.lengths.max()) + 1 + int(a.lengths.max()) * 2))
+        lib.dtw_grid(
+            a.points.ctypes.data, a.offsets.ctypes.data, a.lengths.ctypes.data,
+            order.ctypes.data, len(a), b.points.ctypes.data, b.offsets.ctypes.data,
+            b.lengths.ctypes.data, len(b), 2, upper, p, out.ctypes.data, work.ctypes.data,
+        )
+
+    for count in (1, 2, 3, 5):
+        curves = [Curve(f"a{i}", rng.normal(0, 3, (6, 2))) for i in range(count)]
+        curves[-1] = Curve("big", 1e10 * curves[-1].points)
+        a = CurveSet(curves)
         for p in (1.0, 2.0, 64.0):
-            out = np.concatenate([np.zeros(pairs), sentinels])
-            lib.dtw_pairs(
-                store.points.ctypes.data, store.offsets.ctypes.data, store.lengths.ctypes.data,
-                store.points.ctypes.data, store.offsets.ctypes.data, store.lengths.ctypes.data, 2,
-                rows.ctypes.data, cols.ctypes.data, pairs, p, out.ctypes.data, work.ctypes.data,
-            )
-            reference = dtw_module._grouped_pair_values(store, store, rows, cols, p)
-            assert out[:pairs].tobytes() == reference.tobytes()
-            assert out[pairs:].tobytes() == sentinels.tobytes()
+            for b, upper in ((columns, 0), (a, 1)):
+                buffer = np.full(count * len(b) + 8, np.nan)
+                grid(a, b, upper, p, buffer[4:-4])
+                assert np.isnan(buffer[:4]).all() and np.isnan(buffer[-4:]).all()
+                out = buffer[4:-4].reshape(count, len(b))
+                rows, cols = np.divmod(np.arange(out.size), len(b))
+                reference = dtw_module._grouped_pair_values(a, b, rows, cols, p)
+                reference = reference.reshape(out.shape)
+                if upper:
+                    assert np.isnan(out[np.tril_indices(count, k=-1)]).all()
+                    assert (np.diag(out) == 0.0).all()
+                    out, reference = np.triu(out), np.triu(reference)
+                assert out.tobytes() == reference.tobytes()

@@ -555,3 +555,47 @@ def test_emit_coreset_weight_total_expectation():
         ws, _, _ = emit_coreset_only(curves, c)
         totals.append(sum(w for _, w in ws))
     assert abs(np.mean(totals) - len(curves)) / len(curves) <= 0.02
+
+
+# Center ids and assignments of both routes on small instances of the three
+# benchmark workloads (gen_synthetic arguments at seed 1, ell, p; k = 4 and
+# seed 1), as the code gave them when they were pinned. Total costs are not
+# pinned: np.sum may add in another order on another host.
+PINNED_ROUTES = {
+    "many_short": (
+        (60, 1, 32, 2, 0.5), 4, 1.0,
+        ["c1_r0", "c25_r0", "c17_r0", "c27_r0"],
+        "000001001001300302113033012300000133011010000103131011030010",
+        ["c3_r0", "c23_r0", "c36_r0", "c45_r0"],
+        "022003223233122102330011332123020311233232302321313033213032",
+    ),
+    "few_long": (
+        (16, 1, 128, 2, 0.5), 8, 2.0,
+        ["c12_r0", "c4_r0", "c7_r0", "c11_r0"], "1230131211330132",
+        ["c1_r0", "c3_r0", "c9_r0", "c11_r0"], "2031222022330230",
+    ),
+    "repeated": (
+        (10, 5, 32, 2, 0.0), 4, 1.0,
+        ["c7_r0", "c2_r0", "c5_r0", "c9_r0"],
+        "00000000001111111111000002222233333000003333333333",
+        ["c2_r0", "c5_r0", "c7_r0", "c9_r0"],
+        "22222222220000000000222221111133333222223333333333",
+    ),
+}
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])
+@pytest.mark.parametrize("workload", sorted(PINNED_ROUTES))
+def test_the_routes_keep_their_pinned_centers_and_assignments(monkeypatch, workload, compiled):
+    if not compiled:
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+    gen, ell, p, *pinned = PINNED_ROUTES[workload]
+    curves = gen_synthetic(*gen, 1)
+    results = (
+        kl_median(curves, PipelineConfig(k=4, ell=ell, p=p, seed=1, repetitions=1)),
+        cluster_via_closure(curves, 4, ell, p, seed=1),
+    )
+    got = []
+    for res in results:
+        got += [[c.id for c in res.centers], "".join(map(str, res.assignment.tolist()))]
+    assert got == pinned
